@@ -14,8 +14,7 @@ Benches address experiments by :data:`repro.api.EXPERIMENTS` registry name
 Benches whose campaigns execute :class:`~repro.api.spec.RunSpec` grids are
 parametrized over the execution engines in :data:`ENGINES_UNDER_TEST`
 (request the ``engine`` fixture argument); the engine is an explicit
-campaign override, replacing the deprecated ``experiments_engine()``
-mutable-global context manager.  Rows are engine-independent by the
+campaign override.  Rows are engine-independent by the
 differential-equivalence contract (enforced in
 ``tests/api/test_engine_differential.py``); only the timings differ.
 Suites whose campaigns bypass the spec layer (the lower-bound and

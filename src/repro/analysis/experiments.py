@@ -23,15 +23,11 @@ imperative here; they are registered as
 :class:`~repro.api.campaign.DriverExperiment` entries.
 
 Engine selection is an explicit ``engine=...`` keyword on the
-simulation-backed drivers (or ``CampaignRunner(engine=...)``); the old
-mutable ``_ENGINE_STACK`` global is gone and :func:`experiments_engine`
-survives only as a deprecated shim for one release.
+simulation-backed drivers (or ``CampaignRunner(engine=...)``).
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from ..api import EXPERIMENTS, PROTOCOLS
@@ -68,38 +64,8 @@ __all__ = [
     "experiment_e17_loss_termination",
     "experiment_e18_churn_labeling",
     "experiment_e19_schedule_search",
-    "experiments_engine",
     "ALL_EXPERIMENTS",
 ]
-
-#: Deprecated engine-override stack backing :func:`experiments_engine`.
-#: New code passes ``engine=...`` explicitly; this exists only so the shim
-#: can keep working for one release.
-_DEPRECATED_ENGINE_OVERRIDE: List[str] = []
-
-
-@contextmanager
-def experiments_engine(engine: str):
-    """Deprecated: run the enclosed drivers under a different engine.
-
-    .. deprecated:: 1.2
-        Pass ``engine=...`` to the experiment functions, or use
-        :class:`repro.api.CampaignRunner` with an ``engine`` override
-        (CLI: ``repro experiment e05 --engine fastpath``).  This shim will
-        be removed in the next release.
-    """
-    warnings.warn(
-        "experiments_engine() is deprecated; pass engine=... to the experiment "
-        "functions or use repro.api.CampaignRunner(engine=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _DEPRECATED_ENGINE_OVERRIDE.append(engine)
-    try:
-        yield
-    finally:
-        _DEPRECATED_ENGINE_OVERRIDE.pop()
-
 
 def _experiment(name: str) -> ExperimentSpec:
     spec = EXPERIMENTS.get(name)
@@ -114,8 +80,6 @@ def _campaign_rows(experiment: ExperimentSpec, engine: Optional[str]) -> List[Di
     (``repro experiment``/``repro batch``), and nesting pools inside
     drivers would oversubscribe it.
     """
-    if engine is None and _DEPRECATED_ENGINE_OVERRIDE:
-        engine = _DEPRECATED_ENGINE_OVERRIDE[-1]
     return CampaignRunner(engine=engine, parallel=False).run(experiment).rows
 
 

@@ -38,9 +38,6 @@ Four registries cover the spec vocabulary:
   :class:`~repro.api.campaign.ExperimentSpec` (a declarative parameter
   grid) or a :class:`~repro.api.campaign.DriverExperiment` (a legacy
   imperative driver referenced by dotted name), looked up with ``.get``.
-* :data:`STORE_BACKENDS` — result-store shard backends (``"local"``
-  filesystem, ``"remote"`` stub), named factories taking the store root
-  (see :mod:`repro.store.backend`).
 
 This module is intentionally a leaf: it imports nothing from the rest of
 the package, so any component module may import it without cycles.
@@ -62,7 +59,6 @@ __all__ = [
     "AGGREGATORS",
     "FAULTS",
     "EXPERIMENTS",
-    "STORE_BACKENDS",
     "all_registries",
 ]
 
@@ -204,8 +200,6 @@ AGGREGATORS = Registry("aggregator")
 FAULTS = Registry("fault adversary")
 #: Experiment campaigns (``"e01"`` … ``"e18"`` plus user registrations).
 EXPERIMENTS = Registry("experiment")
-#: Result-store shard backends (``"local"``, ``"remote"`` stub).
-STORE_BACKENDS = Registry("store backend")
 
 
 def all_registries() -> Dict[str, Registry]:
@@ -219,5 +213,4 @@ def all_registries() -> Dict[str, Registry]:
         "aggregators": AGGREGATORS,
         "faults": FAULTS,
         "experiments": EXPERIMENTS,
-        "store-backends": STORE_BACKENDS,
     }

@@ -86,7 +86,6 @@ def ensure_registered() -> None:
     from .. import baselines, core, graphs  # noqa: F401
     from ..analysis import campaigns  # noqa: F401  (EXPERIMENTS entries)
     from ..network import faults, scheduler  # noqa: F401
-    from ..store import backend  # noqa: F401  (STORE_BACKENDS entries)
 
 
 @lru_cache(maxsize=1024)

@@ -134,11 +134,6 @@ class FlatKernel:
         ]
         self.payload_bits: int = int(getattr(protocol, "payload_bits", 0))
 
-    def state_bits(self, vertex: int) -> int:  # pragma: no cover - unused
-        raise NotImplementedError(
-            "flat kernels are never engaged with state-bit tracking"
-        )
-
     def output(self, terminal: int) -> Any:
         # Only consulted on termination, which requires a received message;
         # every scalar protocol outputs the delivered broadcast payload.

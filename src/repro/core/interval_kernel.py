@@ -431,11 +431,6 @@ class IntervalKernel:
     def check_terminal(self, terminal: int) -> bool:
         return self.terminal_done
 
-    def state_bits(self, vertex: int) -> int:  # pragma: no cover - unused
-        raise NotImplementedError(
-            "the interval kernel is never engaged with state-bit tracking"
-        )
-
     # ------------------------------------------------------------------
     # snapshot/restore (schedule-explorer branching)
     # ------------------------------------------------------------------

@@ -12,17 +12,22 @@ on flat, preprocessed data instead of per-event objects:
   recomputes the in-port with an ``O(degree)`` ``.index`` call per
   delivery), CSR-style per-vertex out-edge-id lists and prebuilt
   :class:`~repro.core.model.VertexView` rows.
-* **Flat in-flight queues** — under the FIFO (default) and LIFO
-  schedulers the scheduler object is bypassed entirely: in-flight messages
-  live in a preallocated list used as an index ring buffer / stack of
-  ``(edge_id, payload, bits)`` tuples.  Under any other scheduler the
-  adversary keeps full control, but events become ``__slots__`` records
-  (:class:`FastEvent`) instead of frozen dataclasses.
+* **Two delivery loops, one trace hook** — under the stock FIFO (default)
+  and LIFO schedulers the scheduler object is bypassed entirely: in-flight
+  ``(edge_id, payload, bits)`` tuples live in one
+  :class:`collections.deque`, taken from the left (FIFO) or the right
+  (LIFO).  Under any other scheduler, or with a fault model, the adversary
+  keeps full control, but events become ``__slots__`` records
+  (:class:`FastEvent`) instead of frozen dataclasses, and the
+  :class:`~repro.network.faults.FaultInjector` hooks sit behind one
+  ``faults is not None`` guard each.  Either loop calls a single trace
+  sink: ``record_trace`` becomes an in-memory
+  :class:`~repro.network.trace.Trace` sink at entry, teed with a durable
+  capture when one is set too (:func:`~repro.network.trace.trace_hook`).
 * **Inlined metrics** — per-delivery accounting updates local integers and
   two flat per-edge arrays; the immutable
   :class:`~repro.network.metrics.RunMetrics` is materialised once at the
-  end, as are the :class:`~repro.network.trace.Trace` and
-  :class:`~repro.network.simulator.RunResult`.
+  end, as is the :class:`~repro.network.simulator.RunResult`.
 * **Termination-check elision** — the reference engine evaluates the
   stopping predicate ``S`` on every delivery to the terminal even after
   termination was already recorded; the result of those calls is
@@ -34,8 +39,8 @@ on flat, preprocessed data instead of per-event objects:
   object states and message payloads with its own flat representation
   (see :mod:`repro.core.interval_kernel` for the Section 4/5 interval
   protocols).  Kernels must be *exactly* result-equivalent; the engine
-  falls back to the generic machine whenever tracing or state-bit
-  tracking is requested, and the differential test suite
+  falls back to the generic machine whenever tracing, state-bit
+  tracking or a fault model is requested, and the differential test suite
   (``tests/api/test_engine_differential.py``) holds every protocol ×
   graph × scheduler combination to byte-identical records.
 
@@ -47,7 +52,8 @@ over.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.model import VertexView
 from .faults import DELIVER_AFTER_RESET as _FAULT_RESET
@@ -56,7 +62,7 @@ from .graph import DirectedNetwork
 from .metrics import RunMetrics
 from .scheduler import FifoScheduler, LifoScheduler, Scheduler
 from .simulator import Outcome, RunResult, SimulationError, default_step_budget
-from .trace import DeliveryRecord, Trace
+from .trace import Trace, trace_hook
 
 __all__ = [
     "CompiledNetwork",
@@ -145,7 +151,7 @@ class _ProtocolMachine:
     """Generic execution machine: runs any protocol as-is over flat state.
 
     This is the fallback used when a protocol offers no compiled kernel (or
-    when tracing / state-bit tracking forces the fully general path).  The
+    when tracing, state-bit tracking or faults force the fully general path).  The
     per-delivery protocol work is unchanged; the savings come from the
     engine loop around it.
     """
@@ -227,12 +233,13 @@ def run_protocol_fastpath(
     fault layer cannot reset mid-run, so the generic protocol machine runs
     under the real scheduler object with exactly the injection hooks of
     the reference simulator — faulty runs are engine-identical, and
-    ``faults=None`` never touches this branch.
+    ``faults=None`` skips every hook.
 
     ``trace_sink`` optionally supplies a durable trace capture (a
-    :class:`~repro.tracing.capture.TraceCapture`).  Like ``record_trace``
-    it forces the generic protocol machine — kernels flatten payloads
-    into representations whose canonical digests would differ from the
+    :class:`~repro.tracing.capture.TraceCapture`).  Like ``record_trace``,
+    whose in-memory :class:`Trace` becomes the same kind of sink, it
+    forces the generic protocol machine — kernels flatten payloads into
+    representations whose canonical digests would differ from the
     reference engine's, and engine-identical trace bytes are part of the
     contract — and its hooks fire at exactly the reference simulator's
     call sites.
@@ -245,50 +252,53 @@ def run_protocol_fastpath(
 
     if compiled is None or compiled.network is not network:
         compiled = CompiledNetwork(network)
-    if faults is not None:
-        # Kernel-exempt fallback: the generic machine under the real
-        # scheduler, so sequence numbers and hook order match the
-        # reference simulator delivery for delivery.
-        return _drive_faults(
-            compiled,
-            _ProtocolMachine(protocol, compiled),
-            scheduler,
-            max_steps,
-            record_trace,
-            track_state_bits,
-            stop_at_termination,
-            faults,
-            trace_sink,
-        )
+    trace = Trace() if record_trace else None
+    sink = trace_hook(trace, trace_sink)
     machine: Any = None
-    if not record_trace and not track_state_bits and trace_sink is None:
+    if sink is None and not track_state_bits and faults is None:
         machine = protocol.compile_fastpath(compiled)
     if machine is None:
         machine = _ProtocolMachine(protocol, compiled)
 
     # The FIFO/LIFO bypass is only sound for the exact stock classes —
-    # subclasses may reorder arbitrarily, so they keep the scheduler path.
-    if type(scheduler) is FifoScheduler:
-        runner = _drive_flat_queue
-    elif type(scheduler) is LifoScheduler:
-        runner = _drive_flat_stack
+    # subclasses may reorder arbitrarily — and without a fault model, whose
+    # deferral hook reads the real scheduler's in-flight count.
+    if faults is None and type(scheduler) in (FifoScheduler, LifoScheduler):
+        counters = _drive_flat(
+            compiled,
+            machine,
+            type(scheduler) is LifoScheduler,
+            max_steps,
+            track_state_bits,
+            stop_at_termination,
+            sink,
+        )
     else:
-        runner = _drive_scheduler
-    return runner(
-        compiled,
-        machine,
-        scheduler,
-        max_steps,
-        record_trace,
-        track_state_bits,
-        stop_at_termination,
-        trace_sink,
-    )
+        counters = _drive_scheduler(
+            compiled,
+            machine,
+            scheduler,
+            max_steps,
+            track_state_bits,
+            stop_at_termination,
+            sink,
+            faults,
+        )
+    return _freeze_result(compiled, machine, trace, *counters)
+
+
+#: What a delivery loop hands to :func:`_freeze_result`: outcome, steps,
+#: total messages / bits, max message bits, per-edge bits / messages,
+#: termination step, messages / bits at termination, max state bits.
+_Counters = Tuple[
+    Outcome, int, int, int, int, List[int], List[int], Optional[int], int, int, int
+]
 
 
 def _freeze_result(
     compiled: CompiledNetwork,
     machine: Any,
+    trace: Optional[Trace],
     outcome: Outcome,
     step: int,
     total_messages: int,
@@ -300,7 +310,6 @@ def _freeze_result(
     messages_at_termination: int,
     bits_at_termination: int,
     max_state_bits: int,
-    trace_log: Optional[List[Tuple[int, int, Any, int]]],
 ) -> RunResult:
     """Materialise the immutable result objects (the only allocation-heavy
     part of the engine, deferred to run end)."""
@@ -319,12 +328,6 @@ def _freeze_result(
         bits_at_termination=bits_at_termination if terminated else total_bits,
         max_state_bits=max_state_bits,
     )
-    trace: Optional[Trace] = None
-    if trace_log is not None:
-        trace = Trace()
-        trace.deliveries = [
-            DeliveryRecord(s, e, p, b) for s, e, p, b in trace_log
-        ]
     output = None
     if terminated and outcome is Outcome.TERMINATED:
         output = machine.output(compiled.terminal)
@@ -344,17 +347,18 @@ def _bad_port(vertex: int, out_port: int, out_degree: int) -> SimulationError:
     )
 
 
-def _drive_flat_queue(
+def _drive_flat(
     compiled: CompiledNetwork,
     machine: Any,
-    scheduler: Scheduler,
+    newest_first: bool,
     max_steps: int,
-    record_trace: bool,
     track_state_bits: bool,
     stop_at_termination: bool,
-    trace_sink: Optional[Any] = None,
-) -> RunResult:
-    """Inner loop under global send order: a list used as an index ring."""
+    sink: Optional[Any],
+) -> _Counters:
+    """Inner loop under the stock FIFO or LIFO order, scheduler bypassed:
+    in-flight tuples sit in one deque, taken from the left (global send
+    order) or, ``newest_first``, from the right."""
     edge_head = compiled.edge_head
     in_port = compiled.in_port
     out_edge_ids = compiled.out_edge_ids
@@ -370,32 +374,24 @@ def _drive_flat_queue(
     messages_at_termination = 0
     bits_at_termination = 0
     max_state_bits = 0
-    trace_log: Optional[List[Tuple[int, int, Any, int]]] = (
-        [] if record_trace else None
-    )
 
-    queue: List[Tuple[int, Any, int]] = []
-    head_idx = 0
+    inflight: Deque[Tuple[int, Any, int]] = deque()
+    push = inflight.append
+    take = inflight.pop if newest_first else inflight.popleft
     root = compiled.root
     root_ports = out_edge_ids[root]
     for out_port, payload, bits in machine.initial_emissions(root):
         if not 0 <= out_port < len(root_ports):
             raise _bad_port(root, out_port, len(root_ports))
-        queue.append((root_ports[out_port], payload, bits))
+        push((root_ports[out_port], payload, bits))
 
     step = 0
     outcome = None
-    while head_idx < len(queue):
+    while inflight:
         if step >= max_steps:
             outcome = Outcome.BUDGET_EXHAUSTED
             break
-        edge_id, payload, bits = queue[head_idx]
-        head_idx += 1
-        # Reclaim the consumed prefix once it dominates the buffer, so
-        # in-flight memory stays proportional to the live message count.
-        if head_idx >= 8192 and head_idx * 2 >= len(queue):
-            del queue[:head_idx]
-            head_idx = 0
+        edge_id, payload, bits = take()
         step += 1
         head = edge_head[edge_id]
         total_messages += 1
@@ -404,10 +400,8 @@ def _drive_flat_queue(
             max_message_bits = bits
         edge_bits[edge_id] += bits
         edge_messages[edge_id] += 1
-        if trace_log is not None:
-            trace_log.append((step, edge_id, payload, bits))
-        if trace_sink is not None:
-            trace_sink.record(step, edge_id, payload, bits)
+        if sink is not None:
+            sink.record(step, edge_id, payload, bits)
 
         emissions = deliver(head, in_port[edge_id], payload)
         if emissions:
@@ -416,7 +410,7 @@ def _drive_flat_queue(
             for out_port, out_payload, out_bits in emissions:
                 if not 0 <= out_port < nports:
                     raise _bad_port(head, out_port, nports)
-                queue.append((ports[out_port], out_payload, out_bits))
+                push((ports[out_port], out_payload, out_bits))
         if track_state_bits:
             sb = machine.state_bits(head)
             if sb > max_state_bits:
@@ -433,10 +427,7 @@ def _drive_flat_queue(
         outcome = (
             Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
         )
-
-    return _freeze_result(
-        compiled,
-        machine,
+    return (
         outcome,
         step,
         total_messages,
@@ -448,132 +439,24 @@ def _drive_flat_queue(
         messages_at_termination,
         bits_at_termination,
         max_state_bits,
-        trace_log,
     )
 
 
-def _drive_flat_stack(
+def _drive_scheduler(
     compiled: CompiledNetwork,
     machine: Any,
     scheduler: Scheduler,
     max_steps: int,
-    record_trace: bool,
     track_state_bits: bool,
     stop_at_termination: bool,
-    trace_sink: Optional[Any] = None,
-) -> RunResult:
-    """Inner loop under newest-first order: a plain list used as a stack.
-
-    Mirrors :func:`_drive_flat_queue` except for the pop side; the two are
-    kept as separate straight-line loops on purpose — this is the hot path,
-    and a shared parameterised loop costs a branch or an indirection per
-    delivery.
-    """
-    edge_head = compiled.edge_head
-    in_port = compiled.in_port
-    out_edge_ids = compiled.out_edge_ids
-    terminal = compiled.terminal
-    deliver = machine.deliver
-
-    total_messages = 0
-    total_bits = 0
-    max_message_bits = 0
-    edge_bits = [0] * compiled.num_edges
-    edge_messages = [0] * compiled.num_edges
-    termination_step: Optional[int] = None
-    messages_at_termination = 0
-    bits_at_termination = 0
-    max_state_bits = 0
-    trace_log: Optional[List[Tuple[int, int, Any, int]]] = (
-        [] if record_trace else None
-    )
-
-    stack: List[Tuple[int, Any, int]] = []
-    root = compiled.root
-    root_ports = out_edge_ids[root]
-    for out_port, payload, bits in machine.initial_emissions(root):
-        if not 0 <= out_port < len(root_ports):
-            raise _bad_port(root, out_port, len(root_ports))
-        stack.append((root_ports[out_port], payload, bits))
-
-    step = 0
-    outcome = None
-    while stack:
-        if step >= max_steps:
-            outcome = Outcome.BUDGET_EXHAUSTED
-            break
-        edge_id, payload, bits = stack.pop()
-        step += 1
-        head = edge_head[edge_id]
-        total_messages += 1
-        total_bits += bits
-        if bits > max_message_bits:
-            max_message_bits = bits
-        edge_bits[edge_id] += bits
-        edge_messages[edge_id] += 1
-        if trace_log is not None:
-            trace_log.append((step, edge_id, payload, bits))
-        if trace_sink is not None:
-            trace_sink.record(step, edge_id, payload, bits)
-
-        emissions = deliver(head, in_port[edge_id], payload)
-        if emissions:
-            ports = out_edge_ids[head]
-            nports = len(ports)
-            for out_port, out_payload, out_bits in emissions:
-                if not 0 <= out_port < nports:
-                    raise _bad_port(head, out_port, nports)
-                stack.append((ports[out_port], out_payload, out_bits))
-        if track_state_bits:
-            sb = machine.state_bits(head)
-            if sb > max_state_bits:
-                max_state_bits = sb
-
-        if head == terminal and termination_step is None:
-            if machine.check_terminal(terminal):
-                termination_step = step
-                messages_at_termination = total_messages
-                bits_at_termination = total_bits
-                if stop_at_termination:
-                    break
-    if outcome is None:
-        outcome = (
-            Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
-        )
-
-    return _freeze_result(
-        compiled,
-        machine,
-        outcome,
-        step,
-        total_messages,
-        total_bits,
-        max_message_bits,
-        edge_bits,
-        edge_messages,
-        termination_step,
-        messages_at_termination,
-        bits_at_termination,
-        max_state_bits,
-        trace_log,
-    )
-
-
-def _drive_faults(
-    compiled: CompiledNetwork,
-    machine: Any,
-    scheduler: Scheduler,
-    max_steps: int,
-    record_trace: bool,
-    track_state_bits: bool,
-    stop_at_termination: bool,
-    faults: Any,
-    trace_sink: Optional[Any] = None,
-) -> RunResult:
-    """Inner loop with fault injection: :func:`_drive_scheduler` plus the
-    three :class:`~repro.network.faults.FaultInjector` hooks, called at
-    exactly the reference simulator's call sites (send, pop, deliver) so
-    the fault RNG makes identical choices under both engines."""
+    sink: Optional[Any],
+    faults: Optional[Any],
+) -> _Counters:
+    """Inner loop under an arbitrary adversary: the scheduler keeps full
+    control, receiving the same push/pop sequence as under the reference
+    engine (so seeded adversaries replay identically).  A fault model's
+    three hooks (send, pop, deliver) fire at exactly the reference
+    simulator's call sites, so the fault RNG makes identical choices."""
     edge_head = compiled.edge_head
     in_port = compiled.in_port
     out_edge_ids = compiled.out_edge_ids
@@ -581,9 +464,6 @@ def _drive_faults(
     deliver = machine.deliver
     push = scheduler.push
     pop = scheduler.pop
-    send_copies = faults.send_copies
-    should_defer = faults.should_defer
-    on_deliver = faults.on_deliver
 
     total_messages = 0
     total_bits = 0
@@ -594,9 +474,6 @@ def _drive_faults(
     messages_at_termination = 0
     bits_at_termination = 0
     max_state_bits = 0
-    trace_log: Optional[List[Tuple[int, int, Any, int]]] = (
-        [] if record_trace else None
-    )
 
     seq = 0
     root = compiled.root
@@ -604,7 +481,8 @@ def _drive_faults(
     for out_port, payload, bits in machine.initial_emissions(root):
         if not 0 <= out_port < len(root_ports):
             raise _bad_port(root, out_port, len(root_ports))
-        for _ in range(send_copies()):
+        copies = 1 if faults is None else faults.send_copies()
+        for _ in range(copies):
             push(FastEvent(root_ports[out_port], payload, seq, 0, bits))
             seq += 1
 
@@ -615,9 +493,9 @@ def _drive_faults(
             outcome = Outcome.BUDGET_EXHAUSTED
             break
         event = pop()
-        if should_defer(len(scheduler)):
-            if trace_sink is not None:
-                trace_sink.defer(step)
+        if faults is not None and faults.should_defer(len(scheduler)):
+            if sink is not None:
+                sink.defer(step)
             push(event)  # deferred, not delivered: no step consumed
             continue
         step += 1
@@ -631,16 +509,15 @@ def _drive_faults(
             max_message_bits = bits
         edge_bits[edge_id] += bits
         edge_messages[edge_id] += 1
-        if trace_log is not None:
-            trace_log.append((step, edge_id, payload, bits))
-        if trace_sink is not None:
-            trace_sink.record(step, edge_id, payload, bits)
+        if sink is not None:
+            sink.record(step, edge_id, payload, bits)
 
-        action = on_deliver(head, step)
-        if action == _FAULT_SWALLOW:
-            continue  # vertex is down: message consumed, no transition
-        if action == _FAULT_RESET:
-            machine.reset_vertex(head)
+        if faults is not None:
+            action = faults.on_deliver(head, step)
+            if action == _FAULT_SWALLOW:
+                continue  # vertex is down: message consumed, no transition
+            if action == _FAULT_RESET:
+                machine.reset_vertex(head)
 
         emissions = deliver(head, in_port[edge_id], payload)
         if emissions:
@@ -649,7 +526,11 @@ def _drive_faults(
             for out_port, out_payload, out_bits in emissions:
                 if not 0 <= out_port < nports:
                     raise _bad_port(head, out_port, nports)
-                for _ in range(send_copies()):
+                if faults is None:  # no copy loop on the fault-free hot path
+                    push(FastEvent(ports[out_port], out_payload, seq, step, out_bits))
+                    seq += 1
+                    continue
+                for _ in range(faults.send_copies()):
                     push(FastEvent(ports[out_port], out_payload, seq, step, out_bits))
                     seq += 1
         if track_state_bits:
@@ -668,10 +549,7 @@ def _drive_faults(
         outcome = (
             Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
         )
-
-    return _freeze_result(
-        compiled,
-        machine,
+    return (
         outcome,
         step,
         total_messages,
@@ -683,115 +561,4 @@ def _drive_faults(
         messages_at_termination,
         bits_at_termination,
         max_state_bits,
-        trace_log,
-    )
-
-
-def _drive_scheduler(
-    compiled: CompiledNetwork,
-    machine: Any,
-    scheduler: Scheduler,
-    max_steps: int,
-    record_trace: bool,
-    track_state_bits: bool,
-    stop_at_termination: bool,
-    trace_sink: Optional[Any] = None,
-) -> RunResult:
-    """Inner loop under an arbitrary adversary: the scheduler keeps full
-    control, receiving the same push/pop sequence as under the reference
-    engine (so seeded adversaries replay identically)."""
-    edge_head = compiled.edge_head
-    in_port = compiled.in_port
-    out_edge_ids = compiled.out_edge_ids
-    terminal = compiled.terminal
-    deliver = machine.deliver
-    push = scheduler.push
-    pop = scheduler.pop
-
-    total_messages = 0
-    total_bits = 0
-    max_message_bits = 0
-    edge_bits = [0] * compiled.num_edges
-    edge_messages = [0] * compiled.num_edges
-    termination_step: Optional[int] = None
-    messages_at_termination = 0
-    bits_at_termination = 0
-    max_state_bits = 0
-    trace_log: Optional[List[Tuple[int, int, Any, int]]] = (
-        [] if record_trace else None
-    )
-
-    seq = 0
-    root = compiled.root
-    root_ports = out_edge_ids[root]
-    for out_port, payload, bits in machine.initial_emissions(root):
-        if not 0 <= out_port < len(root_ports):
-            raise _bad_port(root, out_port, len(root_ports))
-        push(FastEvent(root_ports[out_port], payload, seq, 0, bits))
-        seq += 1
-
-    step = 0
-    outcome = None
-    while len(scheduler):
-        if step >= max_steps:
-            outcome = Outcome.BUDGET_EXHAUSTED
-            break
-        event = pop()
-        step += 1
-        edge_id = event.edge_id
-        bits = event.bits
-        payload = event.payload
-        head = edge_head[edge_id]
-        total_messages += 1
-        total_bits += bits
-        if bits > max_message_bits:
-            max_message_bits = bits
-        edge_bits[edge_id] += bits
-        edge_messages[edge_id] += 1
-        if trace_log is not None:
-            trace_log.append((step, edge_id, payload, bits))
-        if trace_sink is not None:
-            trace_sink.record(step, edge_id, payload, bits)
-
-        emissions = deliver(head, in_port[edge_id], payload)
-        if emissions:
-            ports = out_edge_ids[head]
-            nports = len(ports)
-            for out_port, out_payload, out_bits in emissions:
-                if not 0 <= out_port < nports:
-                    raise _bad_port(head, out_port, nports)
-                push(FastEvent(ports[out_port], out_payload, seq, step, out_bits))
-                seq += 1
-        if track_state_bits:
-            sb = machine.state_bits(head)
-            if sb > max_state_bits:
-                max_state_bits = sb
-
-        if head == terminal and termination_step is None:
-            if machine.check_terminal(terminal):
-                termination_step = step
-                messages_at_termination = total_messages
-                bits_at_termination = total_bits
-                if stop_at_termination:
-                    break
-    if outcome is None:
-        outcome = (
-            Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
-        )
-
-    return _freeze_result(
-        compiled,
-        machine,
-        outcome,
-        step,
-        total_messages,
-        total_bits,
-        max_message_bits,
-        edge_bits,
-        edge_messages,
-        termination_step,
-        messages_at_termination,
-        bits_at_termination,
-        max_state_bits,
-        trace_log,
     )

@@ -44,7 +44,7 @@ from .faults import SWALLOW as _FAULT_SWALLOW
 from .graph import DirectedNetwork
 from .metrics import MetricsCollector, RunMetrics
 from .scheduler import FifoScheduler, Scheduler
-from .trace import Trace
+from .trace import Trace, trace_hook
 
 __all__ = [
     "Outcome",
@@ -147,8 +147,9 @@ def run_protocol(
         Optional durable trace capture (a
         :class:`~repro.tracing.capture.TraceCapture`): its ``record`` hook
         fires once per delivery and its ``defer`` hook once per
-        fault-deferred pop, mirroring the in-memory ``record_trace`` path
-        but streaming to the ``.rtrace`` format with bounded memory.
+        fault-deferred pop, streaming to the ``.rtrace`` format with
+        bounded memory.  ``record_trace`` goes through the same hook: its
+        :class:`Trace` is the sink, teed with this one when both are set.
 
     Returns
     -------
@@ -171,6 +172,7 @@ def run_protocol(
 
     metrics = MetricsCollector(network.num_edges)
     trace = Trace() if record_trace else None
+    sink = trace_hook(trace, trace_sink)
     seq = 0
 
     def emit(vertex: int, out_port: int, payload: Any, step: int) -> None:
@@ -209,18 +211,16 @@ def run_protocol(
             )
         event = scheduler.pop()
         if faults is not None and faults.should_defer(len(scheduler)):
-            if trace_sink is not None:
-                trace_sink.defer(step)
+            if sink is not None:
+                sink.defer(step)
             scheduler.push(event)  # deferred, not delivered: no step consumed
             continue
         step += 1
         head = network.edge_head(event.edge_id)
         in_port = network.in_port_of_edge(event.edge_id)
         metrics.record_delivery(event.edge_id, event.bits)
-        if trace is not None:
-            trace.record(step, event.edge_id, event.payload, event.bits)
-        if trace_sink is not None:
-            trace_sink.record(step, event.edge_id, event.payload, event.bits)
+        if sink is not None:
+            sink.record(step, event.edge_id, event.payload, event.bits)
 
         if faults is not None:
             action = faults.on_deliver(head, step)

@@ -7,6 +7,10 @@ inspects which symbol crossed which edge.  A :class:`Trace` records every
 delivery — edge, payload, step, size — when tracing is enabled on the
 simulator.
 
+Both engines call one trace hook per delivery loop: ``record_trace=True``
+becomes an in-memory :class:`Trace` sink at engine entry, and
+:func:`trace_hook` tees it with a durable capture when both are set.
+
 Payloads must be hashable for symbol-distinctness queries; all message types
 in :mod:`repro.core.messages` are frozen/hashable for this reason.
 """
@@ -14,9 +18,9 @@ in :mod:`repro.core.messages` are frozen/hashable for this reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-__all__ = ["DeliveryRecord", "Trace"]
+__all__ = ["DeliveryRecord", "Trace", "trace_hook"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,9 @@ class Trace:
     def record(self, step: int, edge_id: int, payload: Any, bits: int) -> None:
         """Append one delivery."""
         self.deliveries.append(DeliveryRecord(step, edge_id, payload, bits))
+
+    def defer(self, step: int) -> None:
+        """A fault-deferred pop: not a delivery, so nothing is kept."""
 
     def __len__(self) -> int:
         return len(self.deliveries)
@@ -84,3 +91,34 @@ class Trace:
         for eid in edge_ids:
             symbols.extend(per_edge.get(eid, ()))
         return tuple(sorted(symbols, key=repr))
+
+
+class _Tee:
+    """Forwards each engine hook call to an in-memory trace, then a capture."""
+
+    __slots__ = ("trace", "capture")
+
+    def __init__(self, trace: Trace, capture: Any) -> None:
+        self.trace = trace
+        self.capture = capture
+
+    def record(self, step: int, edge_id: int, payload: Any, bits: int) -> None:
+        self.trace.record(step, edge_id, payload, bits)
+        self.capture.record(step, edge_id, payload, bits)
+
+    def defer(self, step: int) -> None:
+        self.capture.defer(step)
+
+
+def trace_hook(trace: Optional[Trace], capture: Optional[Any]) -> Optional[Any]:
+    """The single ``record``/``defer`` sink an engine's delivery loop calls.
+
+    ``trace`` is the in-memory :class:`Trace` of a ``record_trace=True``
+    run, ``capture`` a durable :class:`~repro.tracing.capture.TraceCapture`;
+    either may be ``None``, and ``None`` comes back only when both are.
+    """
+    if trace is None:
+        return capture
+    if capture is None:
+        return trace
+    return _Tee(trace, capture)

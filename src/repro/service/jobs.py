@@ -325,11 +325,14 @@ class ExperimentService:
         job = self.get(job_id)
         last_version = -1
         while True:
+            # Read terminality before the snapshot: a job that finishes in
+            # between still gets its terminal snapshot on the next pass.
+            terminal = job.terminal
             snap = job.snapshot()
             if snap["version"] != last_version:
                 last_version = snap["version"]
                 yield snap
-            if job.terminal:
+            if terminal:
                 return
             with job._cond:
                 if job.version == last_version and not job.terminal:

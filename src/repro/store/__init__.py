@@ -12,9 +12,8 @@ cache that makes that true in practice:
   verify/gc (see :mod:`repro.store.store`);
 * :class:`StoreKey` / :func:`current_code_version` — the keying and
   invalidation rules (:mod:`repro.store.keys`);
-* :class:`~repro.store.backend.StoreBackend` — the pluggable byte layer
-  (``"local"`` filesystem default, ``"remote"`` stub), registered in
-  :data:`~repro.api.registry.STORE_BACKENDS`
+* :class:`~repro.store.backend.StoreBackend` — the pluggable byte layer,
+  with the :class:`~repro.store.backend.LocalBackend` filesystem default
   (:mod:`repro.store.backend`).
 
 Typical use::
@@ -35,7 +34,6 @@ pipeline over HTTP (see :mod:`repro.service`).
 
 from .backend import (
     LocalBackend,
-    RemoteBackendStub,
     StoreBackend,
     StoreBackendError,
 )
@@ -59,7 +57,6 @@ __all__ = [
     # backends
     "StoreBackend",
     "LocalBackend",
-    "RemoteBackendStub",
     "StoreBackendError",
     # the store
     "ResultStore",

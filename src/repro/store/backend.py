@@ -6,16 +6,8 @@ in a local sqlite file) from *where* the shard bytes live.  A
 :class:`StoreBackend` is the latter: a tiny append/read/replace interface
 over named shard files, in the spirit of the pluggable ``S3Client``-style
 trace backends of storage-research harnesses — the local filesystem
-backend is the default, and a remote backend slots in behind the same
-five methods.
-
-Backends register themselves in
-:data:`~repro.api.registry.STORE_BACKENDS` so a store location can name
-one (``repro serve --store dir`` uses ``"local"``); the ``"remote"``
-entry ships as an explicit stub — constructing it works (so specs and
-configs naming it round-trip), but every byte operation raises
-:class:`StoreBackendError` with a pointer at what a real implementation
-must provide.
+backend is the default, and another backend slots in behind the same
+six methods as a :class:`StoreBackend` instance passed to the store.
 
 Append atomicity contract: :meth:`StoreBackend.append_line` must make the
 whole line visible atomically — concurrent writers may interleave *lines*
@@ -31,18 +23,15 @@ import os
 from abc import ABC, abstractmethod
 from typing import List
 
-from ..api.registry import STORE_BACKENDS
-
 __all__ = [
     "StoreBackendError",
     "StoreBackend",
     "LocalBackend",
-    "RemoteBackendStub",
 ]
 
 
 class StoreBackendError(RuntimeError):
-    """A backend operation failed (or the backend is an unwired stub)."""
+    """A backend operation failed."""
 
 
 class StoreBackend(ABC):
@@ -83,7 +72,6 @@ class StoreBackend(ABC):
         """
 
 
-@STORE_BACKENDS.register("local")
 class LocalBackend(StoreBackend):
     """Shards as files under ``<root>/shards/`` (the default backend).
 
@@ -163,51 +151,3 @@ class LocalBackend(StoreBackend):
                     return target_name  # already gone: quarantined by a peer
                 return target_name
         raise StoreBackendError(f"cannot find a quarantine slot for {name!r}")
-
-
-@STORE_BACKENDS.register("remote")
-class RemoteBackendStub(StoreBackend):
-    """Placeholder for an object-store backend (S3-style), deliberately inert.
-
-    The store's read/write path is already backend-shaped; this entry
-    reserves the ``"remote"`` name and documents the contract a real
-    implementation must meet (atomic whole-line appends, atomic replace).
-    Constructing it is allowed — configuration can round-trip — but every
-    byte operation raises :class:`StoreBackendError` so a misconfigured
-    deployment fails loudly instead of silently caching nothing.
-    """
-
-    def __init__(self, url: str = "") -> None:
-        self.url = url
-
-    def _unwired(self) -> StoreBackendError:
-        return StoreBackendError(
-            "the 'remote' store backend is a stub: shard I/O against "
-            f"{self.url or '<no url>'} is not implemented; use the 'local' "
-            "backend, or provide a StoreBackend subclass with atomic "
-            "append_line/replace semantics"
-        )
-
-    def append_line(self, name: str, data: bytes) -> None:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()
-
-    def read_bytes(self, name: str) -> bytes:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()
-
-    def replace(self, name: str, data: bytes) -> None:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()
-
-    def delete(self, name: str) -> None:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()
-
-    def list_shards(self) -> List[str]:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()
-
-    def quarantine(self, name: str) -> str:
-        """Stub: raises :class:`StoreBackendError`."""
-        raise self._unwired()

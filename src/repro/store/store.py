@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..api.registry import STORE_BACKENDS
 from ..api.spec import RunRecord, RunSpec
 from .backend import LocalBackend, StoreBackend, StoreBackendError
 from .keys import StoreKey, current_code_version
@@ -176,9 +175,8 @@ class ResultStore:
         Directory holding ``index.sqlite`` plus the default backend's
         shard files.  Created if missing.
     backend:
-        A :class:`~repro.store.backend.StoreBackend` instance, or a name
-        registered in :data:`~repro.api.registry.STORE_BACKENDS`
-        (default ``"local"``, rooted at ``root``).
+        A :class:`~repro.store.backend.StoreBackend` instance (default: a
+        :class:`~repro.store.backend.LocalBackend` rooted at ``root``).
     code_version:
         The version stamped onto stored records and required of fetched
         ones; defaults to
@@ -201,12 +199,8 @@ class ResultStore:
         self.root = root
         if backend is None:
             backend = LocalBackend(root)
-        elif isinstance(backend, str):
-            backend = STORE_BACKENDS.create(backend, root)
         if not isinstance(backend, StoreBackend):
-            raise StoreError(
-                f"backend must be a StoreBackend or registered name, got {backend!r}"
-            )
+            raise StoreError(f"backend must be a StoreBackend, got {backend!r}")
         self.backend = backend
         self.code_version = code_version or current_code_version()
         self._index_path = os.path.join(root, "index.sqlite")

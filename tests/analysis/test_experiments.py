@@ -4,8 +4,6 @@ Each driver must run end to end and exhibit the shape asserted in
 EXPERIMENTS.md; the benches run the full-size versions.
 """
 
-import pytest
-
 from repro.analysis.experiments import (
     ALL_EXPERIMENTS,
     experiment_e01_tree_broadcast,
@@ -125,26 +123,3 @@ def test_e12_gap_grows():
     rows = experiment_e12_gap(heights=(4, 16))
     assert rows[1]["gap_factor"] > rows[0]["gap_factor"]
     assert all(row["directed_label_bits"] > row["undirected_label_bits"] for row in rows)
-
-
-def test_experiments_engine_shim_warns_but_still_works():
-    """The deprecated context manager must keep steering drivers for one
-    release (benchmarks migrated to explicit ``engine=...``)."""
-    from repro.analysis.experiments import experiments_engine
-
-    with pytest.warns(DeprecationWarning):
-        with experiments_engine("fastpath"):
-            shimmed = experiment_e05_general_broadcast(sizes=(10,), seeds=(0,))
-    explicit = experiment_e05_general_broadcast(sizes=(10,), seeds=(0,), engine="fastpath")
-    assert shimmed == explicit
-
-
-def test_engine_kwarg_beats_shim():
-    from repro.analysis.experiments import experiments_engine
-
-    with pytest.warns(DeprecationWarning):
-        with experiments_engine("synchronous"):  # would break E5 if applied
-            rows = experiment_e05_general_broadcast(
-                sizes=(10,), seeds=(0,), engine="async"
-            )
-    assert rows

@@ -11,10 +11,14 @@ Three contracts:
   ``(spec, seed)``.
 """
 
+import io
+
 import pytest
 
-from repro.api import RunRecord, RunSpec, SpecError, execute_spec
+from repro.api import RunRecord, RunSpec, SpecError, execute_spec, execute_spec_full
 from repro.network.faults import FaultSpec
+from repro.tracing import TraceReader, capture_traces
+from repro.tracing.format import KIND_DEFER, KIND_DELIVER
 
 
 def faulty_spec(engine="async", **fault_fields):
@@ -119,19 +123,47 @@ class TestEngineEquivalence:
         fast_record = execute_spec(faulty_spec(engine="fastpath", **faults))
         assert _comparable(async_record) == _comparable(fast_record)
 
-    def test_equivalence_with_trace_and_state_bits(self):
+    @pytest.mark.parametrize("scheduler", ["fifo", "lifo", "random"])
+    @pytest.mark.parametrize("trace", [None, "full"])
+    def test_equivalence_with_trace_and_state_bits(self, scheduler, trace):
+        """``record_trace`` alone, and teed with a ``.rtrace`` capture."""
         base = dict(
             graph="random-digraph",
             graph_params={"num_internal": 8},
             protocol="general-broadcast",
             seed=1,
+            scheduler=scheduler,
             record_trace=True,
             track_state_bits=True,
+            trace=trace,
             faults={"drop_probability": 0.1, "delay_probability": 0.1},
         )
-        async_record = execute_spec(RunSpec(engine="async", **base))
-        fast_record = execute_spec(RunSpec(engine="fastpath", **base))
+        runs = {}
+        for engine in ("async", "fastpath"):
+            buffer = io.BytesIO()
+            with capture_traces(file=buffer):
+                record, result, _ = execute_spec_full(RunSpec(engine=engine, **base))
+            runs[engine] = (record, result, buffer.getvalue())
+        async_record, async_result, async_bytes = runs["async"]
+        fast_record, fast_result, fast_bytes = runs["fastpath"]
         assert _comparable(async_record) == _comparable(fast_record)
+        assert async_result.trace.deliveries == fast_result.trace.deliveries
+        assert async_bytes == fast_bytes
+
+        # Deferrals reach the .rtrace only; the in-memory trace holds one
+        # record per delivery step.
+        deferred = fast_record.metrics["fault_delayed"]
+        assert deferred > 0
+        steps = fast_record.metrics["steps"]
+        assert [d.step for d in fast_result.trace.deliveries] == list(
+            range(1, steps + 1)
+        )
+        if trace is None:
+            assert fast_bytes == b""
+        else:
+            kinds = TraceReader(io.BytesIO(fast_bytes)).column("kind")
+            assert int((kinds == KIND_DEFER).sum()) == deferred
+            assert int((kinds == KIND_DELIVER).sum()) == steps
 
     def test_fault_free_records_have_no_fault_counters(self):
         """The fault-free path is untouched: no fault keys leak into metrics."""

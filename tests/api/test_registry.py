@@ -152,6 +152,5 @@ class TestPopulatedRegistries:
             "aggregators",
             "faults",
             "experiments",
-            "store-backends",
         }
         assert registries["protocols"] is PROTOCOLS

@@ -182,8 +182,3 @@ class TestFloodKernel:
         kernel.deliver(3, 0, None)
         kernel.deliver(3, 1, None)
         assert not kernel.check_terminal(3)
-
-    def test_state_bits_is_never_consulted(self):
-        kernel = FloodingKernel(FloodingProtocol(), CompiledNetwork(diamond()))
-        with pytest.raises(NotImplementedError):
-            kernel.state_bits(0)

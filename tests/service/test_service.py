@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.service import ExperimentService, JobError, make_server, serve_forever
+from repro.service import ExperimentService, Job, JobError, make_server, serve_forever
 from repro.store import ResultStore
 
 
@@ -141,6 +141,30 @@ class TestJobLifecycle:
         assert snapshots[-1]["state"] == "completed"
         versions = [snap["version"] for snap in snapshots]
         assert versions == sorted(versions)
+
+    def test_watch_ends_terminal_when_job_finishes_mid_snapshot(self, service):
+        job = Job(
+            id="race",
+            payload={},
+            experiments=["e01"],
+            scale="quick",
+            engine=None,
+            created_at=0.0,
+            state="running",
+        )
+        take_snapshot = job.snapshot
+
+        def snapshot_then_finish():
+            snap = take_snapshot()
+            if snap["state"] == "running":
+                with job._cond:
+                    job.state = "completed"
+                    job._bump()
+            return snap
+
+        job.snapshot = snapshot_then_finish
+        service._jobs[job.id] = job
+        assert [snap["state"] for snap in service.watch(job.id)] == ["running", "completed"]
 
 
 class TestHttpRoundTrip:

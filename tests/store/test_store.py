@@ -6,13 +6,10 @@ import os
 import pytest
 
 from repro.api import BatchRunner, RunSpec, execute_spec
-from repro.api.registry import STORE_BACKENDS
 from repro.store import (
     STORE_ENV_VAR,
     LocalBackend,
-    RemoteBackendStub,
     ResultStore,
-    StoreBackendError,
     StoreError,
     StoreKey,
     current_code_version,
@@ -139,23 +136,18 @@ class TestResolveStore:
 
 
 class TestBackends:
-    def test_registry_entries(self):
-        assert "local" in STORE_BACKENDS
-        assert "remote" in STORE_BACKENDS
-        assert STORE_BACKENDS.get("local") is LocalBackend
-
-    def test_remote_stub_constructs_but_refuses_io(self):
-        backend = RemoteBackendStub(url="https://example.invalid/store")
-        with pytest.raises(StoreBackendError):
-            backend.read_bytes("00.jsonl")
-        with pytest.raises(StoreBackendError):
-            backend.append_line("00.jsonl", b"{}")
-
-    def test_store_accepts_backend_by_name(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"), backend="local")
+    def test_store_accepts_backend_instance(self, tmp_path):
+        backend = LocalBackend(str(tmp_path / "shards-home"))
+        store = ResultStore(str(tmp_path / "store"), backend=backend)
+        assert store.backend is backend
         record = execute_spec(make_spec(seed=2))
         store.put(record)
         assert store.get(record.spec) is not None
+        assert backend.list_shards()
+
+    def test_store_rejects_backend_name(self, tmp_path):
+        with pytest.raises(StoreError, match="StoreBackend"):
+            ResultStore(str(tmp_path / "store"), backend="local")
 
 
 class TestDifferentialStoreVsFresh:
