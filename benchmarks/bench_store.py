@@ -7,7 +7,7 @@ the same three operations a warm campaign resume exercises, measured at
 :data:`~repro.analysis.benchmark.STORE_BENCH_RECORDS` records.  The
 closing test asserts the same integrity bar the CI floor file gates:
 every record just stored must come back from ``get_many`` byte-identical
-(``store_min_cache_hit_rate``).
+(the ``store.cache_hit_rate`` rule).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def test_bench_store_get_many(benchmark, warm_store, records):
 
 
 def test_store_cache_hit_rate_floor(warm_store, records):
-    """The integrity bar behind store_min_cache_hit_rate: everything stored
+    """The integrity bar behind the store.cache_hit_rate rule: everything stored
     is retrievable, and retrieval is exact (same JSON, timing fields and all
     — synthetic records carry fixed timings, so equality is total)."""
     got = warm_store.get_many(record.spec for record in records)

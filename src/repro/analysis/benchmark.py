@@ -1,46 +1,54 @@
 """Engine throughput benchmarks with machine-readable output and floors.
 
-This is the harness behind ``repro bench`` and the CI perf gate.  It
-measures *delivery steps per second* — the simulator-native throughput
-unit — for each execution engine on the E5 general-broadcast workload
-(the paper's main protocol, and the heaviest per-step transition in the
-repository) across graph sizes, then emits a JSON document
-(``BENCH_engines.json``) of the shape::
+This is the harness behind ``repro bench`` and the CI perf gate.  The
+bench is a registry of suites, :data:`BENCH_SUITES`, each a
+``measure(quick) -> block`` callable.  The headline suite measures
+*delivery steps per second* — the simulator-native throughput unit — for
+each execution engine on the E5 general-broadcast workload (the paper's
+main protocol, and the heaviest per-step transition in the repository)
+across graph sizes.  ``repro bench`` runs every suite in order and emits
+one JSON document (``BENCH_engines.json``) keyed by suite name::
 
     {
-      "suite": "engines",
-      "workload": {"graph": "random-digraph", "protocol": "general-broadcast", ...},
       "environment": {"python": "3.11.7", "platform": "..."},
-      "results": [
-        {"engine": "fastpath", "n": 64, "steps": 7472, "best_seconds": ...,
-         "steps_per_sec": ..., "outcome": "terminated", ...},
-        ...
-      ],
-      "comparisons": [
-        {"n": 64, "fastpath_vs_async": 9.1, "fastpath_vs_synchronous": ...},
-        ...
-      ]
+      "engines": {
+        "workload": {"graph": "random-digraph", "protocol": "general-broadcast", ...},
+        "results": [
+          {"engine": "fastpath", "n": 64, "steps": 7472, "best_seconds": ...,
+           "steps_per_sec": ..., "outcome": "terminated", ...},
+          ...
+        ],
+        "comparisons": [{"n": 64, "fastpath_vs_async": 9.1, ...}, ...]
+      },
+      "protocols": {...}, "store": {...}, "batch": {...},
+      "batch_protocols": {...}, "trace": {...}, "schedules": {...}
     }
 
-Floors (``benchmarks/floors.json``) gate regressions in CI: an absolute
+Floors (``benchmarks/floors.json``) gate regressions in CI.  The file is
+a list of path rules checked by :func:`check_floors`: an absolute
 steps/sec floor catches catastrophic slowdowns without being flaky across
 heterogeneous runners (it is set an order of magnitude below a laptop
-run), and a fastpath-vs-async *ratio* floor — machine-independent, both
-engines run on the same box — enforces that the fast path stays genuinely
-fast (the PR acceptance bar is 2× at n = 64).
+run), and ratio floors — machine-independent, both arms run on the same
+box — enforce that the fast paths stay genuinely fast.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+import re
+import shutil
+import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import PROTOCOLS, RunSpec, ensure_registered, execute_spec
 
 __all__ = [
     "BENCH_ENGINES",
+    "BENCH_SUITES",
     "QUICK_SIZES",
     "FULL_SIZES",
     "PROTOCOL_BENCH_GRAPHS",
@@ -49,6 +57,7 @@ __all__ = [
     "BATCH_BENCH_KS",
     "BATCH_BENCH_GATED_K",
     "BATCH_PROTOCOL_GRAPH_SEED",
+    "bench_environment",
     "bench_spec",
     "protocol_bench_spec",
     "batch_bench_spec",
@@ -105,7 +114,7 @@ STORE_BENCH_RECORDS = 10_000
 #: region, K=64 is the gated size, K=256 the asymptotic regime.
 BATCH_BENCH_KS = (16, 64, 256)
 
-#: The group size at which ``batch_vs_fastpath_min_ratio`` is gated.
+#: The group size at which the per-protocol batch matrix is measured.
 BATCH_BENCH_GATED_K = 64
 
 #: The pinned *graph* seed for the per-protocol batch coverage matrix.
@@ -122,6 +131,47 @@ TRACE_BENCH_N = 64
 
 #: Sampling rate for the suite's ``sample:k`` arm.
 TRACE_BENCH_SAMPLE_K = 8
+
+
+def _best_of_rounds(
+    arms: Dict[str, Callable[[], Any]], rounds: int, *, inner_loops: int = 1
+) -> Tuple[Dict[str, float], Dict[str, Any]]:
+    """Time every arm once per round, interleaved; keep each arm's best round.
+
+    Best-of-N is the standard noise filter for single-process CPU-bound
+    benchmarks: the minimum is the run least disturbed by the OS, and
+    interleaving the arms round by round means no arm gets the
+    thermally-throttled half of the measurement window.  ``inner_loops``
+    amortises timer resolution for sub-millisecond runs: each timed sample
+    calls the arm that many times and reports the mean per-call time.
+    Returns the best seconds per arm and each arm's last return value.
+    """
+    if rounds < 1:
+        raise ValueError("repeats must be >= 1")
+    if inner_loops < 1:
+        raise ValueError("inner_loops must be >= 1")
+    best = {name: float("inf") for name in arms}
+    last: Dict[str, Any] = {}
+    for _ in range(rounds):
+        for name, run in arms.items():
+            start = time.perf_counter()
+            for _ in range(inner_loops):
+                last[name] = run()
+            best[name] = min(best[name], (time.perf_counter() - start) / inner_loops)
+    return best, last
+
+
+def _per_sec(count: float, seconds: float) -> float:
+    return count / seconds if seconds > 0 else 0.0
+
+
+def bench_environment() -> Dict[str, str]:
+    """The interpreter and platform a payload was measured on."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+    }
 
 
 def bench_spec(
@@ -178,27 +228,13 @@ def measure_spec(
 ) -> Dict[str, Any]:
     """Execute ``spec`` ``repeats`` times; report best-time throughput.
 
-    Best-of-N is the standard noise filter for single-process CPU-bound
-    benchmarks: the minimum is the run least disturbed by the OS.
-    ``inner_loops`` amortises timer resolution for sub-millisecond runs:
-    each timed sample executes the spec that many times and reports the
-    mean per-execution time (the work is deterministic, so every inner
-    execution is identical).
+    ``inner_loops`` amortises timer resolution for sub-millisecond runs
+    (the work is deterministic, so every inner execution is identical).
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if inner_loops < 1:
-        raise ValueError("inner_loops must be >= 1")
-    best = float("inf")
-    record = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner_loops):
-            record = execute_spec(spec)
-        elapsed = (time.perf_counter() - start) / inner_loops
-        if elapsed < best:
-            best = elapsed
-    assert record is not None
+    best, last = _best_of_rounds(
+        {"run": lambda: execute_spec(spec)}, repeats, inner_loops=inner_loops
+    )
+    record = last["run"]
     steps = int(record.metrics["steps"])
     return {
         "engine": spec.engine,
@@ -211,8 +247,20 @@ def measure_spec(
         "steps": steps,
         "repeats": repeats,
         "inner_loops": inner_loops,
-        "best_seconds": best,
-        "steps_per_sec": steps / best if best > 0 else 0.0,
+        "best_seconds": best["run"],
+        "steps_per_sec": _per_sec(steps, best["run"]),
+    }
+
+
+def _vs_async(by_engine: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
+    """``<engine>_vs_async`` throughput ratios for one comparison row."""
+    base = by_engine.get("async")
+    if base is None or base["steps_per_sec"] <= 0:
+        return {}
+    return {
+        f"{engine}_vs_async": row["steps_per_sec"] / base["steps_per_sec"]
+        for engine, row in by_engine.items()
+        if engine != "async"
     }
 
 
@@ -223,43 +271,26 @@ def run_engine_benchmarks(
     repeats: int = 3,
     protocol: str = "general-broadcast",
     seed: int = 1,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Measure every engine × size; return the BENCH_engines payload."""
+    """Measure every engine × size; return the ``engines`` block."""
     results: List[Dict[str, Any]] = []
-    for n in sizes:
-        for engine in engines:
-            spec = bench_spec(n, engine, protocol=protocol, seed=seed)
-            row = measure_spec(spec, repeats=repeats)
-            results.append(row)
-            if progress is not None:
-                progress(row)
     comparisons: List[Dict[str, Any]] = []
     for n in sizes:
-        by_engine = {row["engine"]: row for row in results if row["n"] == n}
-        comparison: Dict[str, Any] = {"n": n}
-        base = by_engine.get("async")
-        for engine in engines:
-            if engine == "async" or base is None or engine not in by_engine:
-                continue
-            if base["steps_per_sec"] > 0:
-                comparison[f"{engine}_vs_async"] = (
-                    by_engine[engine]["steps_per_sec"] / base["steps_per_sec"]
-                )
-        comparisons.append(comparison)
+        by_engine = {
+            engine: measure_spec(
+                bench_spec(n, engine, protocol=protocol, seed=seed), repeats=repeats
+            )
+            for engine in engines
+        }
+        results.extend(by_engine.values())
+        comparisons.append({"n": n, **_vs_async(by_engine)})
     return {
-        "suite": "engines",
         "workload": {
             "graph": "random-digraph",
             "protocol": protocol,
             "seed": seed,
             "sizes": list(sizes),
             "repeats": repeats,
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
         },
         "results": results,
         "comparisons": comparisons,
@@ -273,13 +304,12 @@ def run_protocol_matrix(
     repeats: int = 2,
     min_seconds: float = 0.05,
     seed: int = 1,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Measure every *registered* protocol under each engine at ``|V| = n``.
 
     The matrix is registry-driven — :data:`~repro.api.registry.PROTOCOLS`
     is enumerated at run time, so a newly registered protocol is benched
-    automatically and the ``require_protocol_coverage`` floor (see
+    automatically and the ``covers: protocols`` floor (see
     :func:`check_floors`) fails CI if one were ever skipped.  Each
     protocol × engine cell gets one uncounted warmup/calibration run
     (which also primes the topology cache, as campaign traffic would),
@@ -300,21 +330,11 @@ def run_protocol_matrix(
                 inner_loops = min(
                     256, max(1, int(min_seconds / max(calibration, 1e-7)))
                 )
-            row = measure_spec(spec, repeats=repeats, inner_loops=inner_loops)
-            by_engine[engine] = row
-            results.append(row)
-            if progress is not None:
-                progress(row)
-        comparison: Dict[str, Any] = {"protocol": protocol, "n": n}
-        base = by_engine.get("async")
-        for engine in engines:
-            if engine == "async" or base is None or engine not in by_engine:
-                continue
-            if base["steps_per_sec"] > 0:
-                comparison[f"{engine}_vs_async"] = (
-                    by_engine[engine]["steps_per_sec"] / base["steps_per_sec"]
-                )
-        comparisons.append(comparison)
+            by_engine[engine] = measure_spec(
+                spec, repeats=repeats, inner_loops=inner_loops
+            )
+        results.extend(by_engine.values())
+        comparisons.append({"protocol": protocol, "n": n, **_vs_async(by_engine)})
     return {
         "n": n,
         "seed": seed,
@@ -346,65 +366,55 @@ def batch_bench_spec() -> RunSpec:
     )
 
 
+def _time_seed_group(
+    template: RunSpec, k: int, rounds: int, fallbacks: Optional[Dict[str, int]] = None
+) -> Dict[str, Any]:
+    """One ``run_many`` K-seed group against K per-seed fastpath runs.
+
+    The same (spec, seed) pairs execute once through the batch engine's
+    ``run_many`` and once as K individual fastpath runs, interleaved round
+    by round with the best round of each kept.  The ratio is
+    machine-independent: both engines run on the same box, same workload,
+    same records.  The untimed warmup compiles everything and fills
+    ``fallbacks`` with the group's fallback reasons.
+    """
+    from ..api import ENGINES
+
+    run_many = ENGINES.get("batch").run_many
+    seeds = list(range(k))
+    fast_specs = [replace(template, engine="fastpath", seed=seed) for seed in seeds]
+    records = run_many(template, seeds, fallbacks)  # warmup + probe
+    execute_spec(fast_specs[0])
+    steps = sum(int(record.metrics["steps"]) for record in records)
+    best, _ = _best_of_rounds(
+        {
+            "batch": lambda: run_many(template, seeds),
+            "fastpath": lambda: [execute_spec(spec) for spec in fast_specs],
+        },
+        rounds,
+    )
+    return {
+        "k": k,
+        "steps": steps,
+        "batch_seconds": best["batch"],
+        "fastpath_seconds": best["fastpath"],
+        "batch_steps_per_sec": _per_sec(steps, best["batch"]),
+        "fastpath_steps_per_sec": _per_sec(steps, best["fastpath"]),
+        "ratio": _per_sec(best["fastpath"], best["batch"]),
+    }
+
+
 def run_batch_benchmarks(
     *,
     ks: Sequence[int] = BATCH_BENCH_KS,
     repeats: int = 3,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Measure ``run_many`` seed-groups against per-seed fastpath runs.
 
-    For each group size K, the same (spec, seed) pairs execute once
-    through the batch engine's ``run_many`` and once as K individual
-    fastpath runs.  The two timings are *interleaved* round by round and
-    the best round of each is kept — engine A must never get the
-    thermally-throttled half of the measurement window — and the floor
-    gates the ratio, which is machine-independent (both engines run on
-    the same box, same workload, same records).
+    One row per group size K on the :func:`batch_bench_spec` workload.
     """
-    from dataclasses import replace
-
-    from ..api import ENGINES
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     template = batch_bench_spec()
-    run_many = ENGINES.get(template.engine).run_many
     rounds = repeats + 2
-    results: List[Dict[str, Any]] = []
-    for k in ks:
-        seeds = list(range(k))
-        fast_specs = [
-            replace(template, engine="fastpath", seed=seed) for seed in seeds
-        ]
-        records = run_many(template, seeds)  # warmup (compiles everything)
-        execute_spec(fast_specs[0])
-        total_steps = sum(int(record.metrics["steps"]) for record in records)
-        best_batch = best_fast = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run_many(template, seeds)
-            best_batch = min(best_batch, time.perf_counter() - start)
-            start = time.perf_counter()
-            for spec in fast_specs:
-                execute_spec(spec)
-            best_fast = min(best_fast, time.perf_counter() - start)
-        row = {
-            "k": k,
-            "steps": total_steps,
-            "batch_seconds": best_batch,
-            "fastpath_seconds": best_fast,
-            "batch_steps_per_sec": (
-                total_steps / best_batch if best_batch > 0 else 0.0
-            ),
-            "fastpath_steps_per_sec": (
-                total_steps / best_fast if best_fast > 0 else 0.0
-            ),
-            "ratio": best_fast / best_batch if best_batch > 0 else 0.0,
-        }
-        results.append(row)
-        if progress is not None:
-            progress(row)
     return {
         "workload": {
             "graph": template.graph,
@@ -414,7 +424,7 @@ def run_batch_benchmarks(
         },
         "ks": list(ks),
         "rounds": rounds,
-        "results": results,
+        "results": [_time_seed_group(template, k, rounds) for k in ks],
     }
 
 
@@ -443,7 +453,6 @@ def run_batch_protocol_matrix(
     n: int = PROTOCOL_MATRIX_N,
     k: int = BATCH_BENCH_GATED_K,
     repeats: int = 3,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Measure every *batchable* protocol's ``run_many`` speedup at K=``k``.
 
@@ -452,68 +461,34 @@ def run_batch_protocol_matrix(
     :data:`~repro.api.registry.PROTOCOLS` and not listed in
     :data:`~repro.network.batchpath.BATCH_KERNEL_EXEMPT` gets one row
     comparing a K-seed ``run_many`` group against K per-seed fastpath
-    runs of the identical (spec, seed) pairs, interleaved round by round
-    with the best round of each kept (same discipline as
-    :func:`run_batch_benchmarks`).  Each row also records the group's
-    ``fallbacks`` counters — a non-empty dict means the workload silently
-    degraded to per-seed execution and the measured ratio is dispatch
-    overhead, not kernel speedup, so it shows up next to the number it
-    explains.  The ``require_batch_protocol_coverage`` floor (see
-    :func:`check_floors`) fails CI if a registered batchable protocol
-    were ever missing from this matrix.
+    runs (same discipline as :func:`run_batch_benchmarks`).  Each row also
+    records the group's ``fallbacks`` counters — a non-empty dict means
+    the workload silently degraded to per-seed execution and the measured
+    ratio is dispatch overhead, not kernel speedup, so it shows up next to
+    the number it explains.  The ``covers: batchable`` floor (see
+    :func:`check_floors`) fails CI if a registered batchable protocol were
+    ever missing from this matrix.
     """
-    from dataclasses import replace
-
-    from ..api import ENGINES
     from ..network.batchpath import BATCH_KERNEL_EXEMPT
 
     ensure_registered()
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    run_many = ENGINES.get("batch").run_many
     rounds = repeats + 2
-    seeds = list(range(k))
     results: List[Dict[str, Any]] = []
     for protocol in sorted(PROTOCOLS.names()):
         if protocol in BATCH_KERNEL_EXEMPT:
             continue
         template = batch_protocol_spec(protocol, n)
-        fast_specs = [
-            replace(template, engine="fastpath", seed=seed) for seed in seeds
-        ]
         fallbacks: Dict[str, int] = {}
-        records = run_many(template, seeds, fallbacks)  # warmup + probe
-        execute_spec(fast_specs[0])
-        total_steps = sum(int(record.metrics["steps"]) for record in records)
-        best_batch = best_fast = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run_many(template, seeds)
-            best_batch = min(best_batch, time.perf_counter() - start)
-            start = time.perf_counter()
-            for spec in fast_specs:
-                execute_spec(spec)
-            best_fast = min(best_fast, time.perf_counter() - start)
-        row = {
-            "protocol": protocol,
-            "graph": template.graph,
-            "n": n,
-            "k": k,
-            "steps": total_steps,
-            "batch_seconds": best_batch,
-            "fastpath_seconds": best_fast,
-            "batch_steps_per_sec": (
-                total_steps / best_batch if best_batch > 0 else 0.0
-            ),
-            "fastpath_steps_per_sec": (
-                total_steps / best_fast if best_fast > 0 else 0.0
-            ),
-            "ratio": best_fast / best_batch if best_batch > 0 else 0.0,
-            "fallbacks": dict(fallbacks),
-        }
-        results.append(row)
-        if progress is not None:
-            progress(row)
+        row = _time_seed_group(template, k, rounds, fallbacks)
+        results.append(
+            {
+                "protocol": protocol,
+                "graph": template.graph,
+                "n": n,
+                **row,
+                "fallbacks": dict(fallbacks),
+            }
+        )
     return {
         "n": n,
         "k": k,
@@ -549,13 +524,11 @@ def run_trace_benchmarks(
     n: int = TRACE_BENCH_N,
     sample_k: int = TRACE_BENCH_SAMPLE_K,
     repeats: int = 3,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Measure trace-capture overhead on the fastpath engine at ``|V| = n``.
 
     Four arms over the canonical benchmark workload, interleaved round by
-    round with the best round kept per arm (no arm gets the
-    thermally-throttled half of the window):
+    round with the best round kept per arm:
 
     * ``kernel`` — the compiled kernel, no sink (context: what an
       untraced production run costs);
@@ -566,20 +539,14 @@ def run_trace_benchmarks(
     * ``traced-sample:k`` — the same with 1-in-``sample_k`` sampling.
 
     The gated number is ``overhead.traced_full_vs_untraced`` — wall time
-    of the traced arm over the untraced generic arm — which the
-    ``trace_overhead_max_ratio`` *ceiling* in ``benchmarks/floors.json``
-    bounds (machine-independent: both arms run on the same box).
+    of the traced arm over the untraced generic arm — which a ``max``
+    rule in ``benchmarks/floors.json`` bounds (machine-independent: both
+    arms run on the same box).
     """
-    import shutil
-    import tempfile
-    from dataclasses import replace
-
     from ..api.spec import compiled_topology
     from ..network.fastpath import run_protocol_fastpath
     from ..tracing.capture import TraceCapture
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     template = bench_spec(n, "fastpath")
     network = template.build_graph()
     protocol = template.build_protocol()
@@ -587,6 +554,7 @@ def run_trace_benchmarks(
     no_kernel = _NoKernel(protocol)
     full_spec = replace(template, trace="full")
     sample_spec = replace(template, trace=f"sample:{sample_k}")
+    sample_arm = f"traced-sample:{sample_k}"
 
     def execute(protocol_obj: Any, sink: Optional[Any]) -> Any:
         result = run_protocol_fastpath(
@@ -606,83 +574,59 @@ def run_trace_benchmarks(
     try:
         full_path = f"{tmp}/full.rtrace"
         sample_path = f"{tmp}/sample.rtrace"
-        arms = [
-            ("kernel", lambda: execute(protocol, None)),
-            ("untraced", lambda: execute(no_kernel, None)),
-            (
-                "traced-full",
-                lambda: execute(
-                    no_kernel, TraceCapture(full_spec, network, full_path)
-                ),
+        arms = {
+            "kernel": lambda: execute(protocol, None),
+            "untraced": lambda: execute(no_kernel, None),
+            "traced-full": lambda: execute(
+                no_kernel, TraceCapture(full_spec, network, full_path)
             ),
-            (
-                f"traced-sample:{sample_k}",
-                lambda: execute(
-                    no_kernel, TraceCapture(sample_spec, network, sample_path)
-                ),
+            sample_arm: lambda: execute(
+                no_kernel, TraceCapture(sample_spec, network, sample_path)
             ),
-        ]
+        }
         # warmup (also yields the step count — tracing never changes it)
-        steps = None
-        trace_bytes: Dict[str, int] = {}
-        for name, run in arms:
-            result = run()
-            if steps is None:
-                steps = int(result.metrics.steps)
-        import os
-
-        trace_bytes["full"] = os.path.getsize(full_path)
-        trace_bytes["sample"] = os.path.getsize(sample_path)
-        assert steps is not None
+        warmup = [run() for run in arms.values()]
+        steps = int(warmup[0].metrics.steps)
+        trace_bytes_full = os.path.getsize(full_path)
+        trace_bytes_sample = os.path.getsize(sample_path)
         rounds = repeats + 2
-        best: Dict[str, float] = {name: float("inf") for name, _ in arms}
-        for _ in range(rounds):
-            for name, run in arms:
-                start = time.perf_counter()
-                run()
-                best[name] = min(best[name], time.perf_counter() - start)
-        results = []
-        for name, _ in arms:
-            row = {
+        best, _ = _best_of_rounds(arms, rounds)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    untraced = best["untraced"]
+    return {
+        "workload": {
+            "graph": template.graph,
+            "protocol": template.protocol,
+            "seed": template.seed,
+        },
+        "n": n,
+        "sample_k": sample_k,
+        "rounds": rounds,
+        "results": [
+            {
                 "arm": name,
                 "n": n,
                 "steps": steps,
-                "best_seconds": best[name],
-                "steps_per_sec": steps / best[name] if best[name] > 0 else 0.0,
+                "best_seconds": seconds,
+                "steps_per_sec": _per_sec(steps, seconds),
             }
-            results.append(row)
-            if progress is not None:
-                progress(row)
-        untraced = best["untraced"]
-        overhead = {
+            for name, seconds in best.items()
+        ],
+        "overhead": {
             "traced_full_vs_untraced": (
                 best["traced-full"] / untraced if untraced > 0 else float("inf")
             ),
             f"traced_sample{sample_k}_vs_untraced": (
-                best[f"traced-sample:{sample_k}"] / untraced
-                if untraced > 0
-                else float("inf")
+                best[sample_arm] / untraced if untraced > 0 else float("inf")
             ),
             "untraced_vs_kernel": (
                 untraced / best["kernel"] if best["kernel"] > 0 else float("inf")
             ),
-            "trace_bytes_full": trace_bytes["full"],
-            "trace_bytes_sample": trace_bytes["sample"],
-        }
-        return {
-            "workload": {
-                "graph": template.graph,
-                "protocol": template.protocol,
-                "seed": template.seed,
-            },
-            "n": n,
-            "sample_k": sample_k,
-            "rounds": rounds,
-            "results": results,
-            "overhead": overhead,
-        }
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+            "trace_bytes_full": trace_bytes_full,
+            "trace_bytes_sample": trace_bytes_sample,
+        },
+    }
 
 
 #: The pinned workload for the schedule-search suite: the largest random
@@ -695,16 +639,14 @@ SCHEDULE_BENCH_PARAMS = {"num_internal": 3, "seed": 0}
 SCHEDULE_BENCH_PROTOCOL = "general-broadcast"
 
 
-def run_schedule_benchmarks(
-    *, repeats: int = 3, progress: Optional[Any] = None
-) -> Dict[str, Any]:
+def run_schedule_benchmarks(*, repeats: int = 3) -> Dict[str, Any]:
     """Guided vs. exhaustive schedule search on the pinned workload.
 
     Both searches run to completion on the same schedule tree (best of
     ``repeats`` timed rounds each).  The gated number is
     ``node_speedup`` — exhaustive nodes expanded over guided nodes
-    expanded *when the incumbent reached the true worst* — which the
-    ``schedule_search_min_speedup`` floor bounds.  Node counts are
+    expanded *when the incumbent reached the true worst* — which a
+    ``min`` rule in ``benchmarks/floors.json`` bounds.  Node counts are
     deterministic, so the gate is machine-independent like the other
     ratio floors; wall-clock times ride along for context.  ``agrees``
     asserts the searches saw the same outcome set and the guided
@@ -714,8 +656,6 @@ def run_schedule_benchmarks(
     from ..lowerbounds.guided import search_schedules
     from ..lowerbounds.schedules import explore_all_schedules
 
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     ensure_registered()
     spec = RunSpec(
         graph=SCHEDULE_BENCH_GRAPH,
@@ -724,22 +664,18 @@ def run_schedule_benchmarks(
         seed=0,
     )
     network = spec.build_graph()
-
-    best_exhaustive = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        exhaustive = explore_all_schedules(
-            network, spec.build_protocol, max_steps_total=2_000_000
-        )
-        best_exhaustive = min(best_exhaustive, time.perf_counter() - start)
-    best_guided = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        guided = search_schedules(
-            network, spec.build_protocol, objective="max-steps", max_nodes=2_000_000
-        )
-        best_guided = min(best_guided, time.perf_counter() - start)
-
+    best, last = _best_of_rounds(
+        {
+            "exhaustive": lambda: explore_all_schedules(
+                network, spec.build_protocol, max_steps_total=2_000_000
+            ),
+            "guided": lambda: search_schedules(
+                network, spec.build_protocol, objective="max-steps", max_nodes=2_000_000
+            ),
+        },
+        repeats,
+    )
+    exhaustive, guided = last["exhaustive"], last["guided"]
     agrees = (
         not exhaustive.truncated
         and not guided.truncated
@@ -749,8 +685,8 @@ def run_schedule_benchmarks(
     nodes_at_best = max(1, guided.nodes_at_best or 0)
     # Per-node cost is flat across the walk, so time-to-incumbent is the
     # full guided wall time prorated by the node counter at the incumbent.
-    seconds_to_best = best_guided * nodes_at_best / max(1, guided.nodes)
-    block = {
+    seconds_to_best = best["guided"] * nodes_at_best / max(1, guided.nodes)
+    return {
         "workload": {
             "graph": SCHEDULE_BENCH_GRAPH,
             "graph_params": dict(SCHEDULE_BENCH_PARAMS),
@@ -758,18 +694,15 @@ def run_schedule_benchmarks(
         },
         "rounds": repeats,
         "exhaustive_nodes": exhaustive.steps,
-        "exhaustive_seconds": best_exhaustive,
+        "exhaustive_seconds": best["exhaustive"],
         "worst_steps": exhaustive.max_depth,
         "guided_nodes": guided.nodes,
         "guided_nodes_to_best": guided.nodes_at_best,
-        "guided_seconds": best_guided,
+        "guided_seconds": best["guided"],
         "guided_seconds_to_best": seconds_to_best,
         "node_speedup": exhaustive.steps / nodes_at_best,
         "agrees": agrees,
     }
-    if progress is not None:
-        progress(block)
-    return block
 
 
 def synthetic_store_records(n_records: int) -> List[Any]:
@@ -780,8 +713,6 @@ def synthetic_store_records(n_records: int) -> List[Any]:
     records (a full RunSpec with a distinct seed per record), so hashing,
     serialization and shard fan-out costs are representative.
     """
-    from dataclasses import replace
-
     from ..api.spec import RunRecord
 
     base = RunSpec(
@@ -808,7 +739,6 @@ def run_store_benchmarks(
     *,
     n_records: int = STORE_BENCH_RECORDS,
     root: Optional[str] = None,
-    progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Measure result-store put/contains/get throughput at ``n_records``.
 
@@ -818,13 +748,9 @@ def run_store_benchmarks(
     (publishing), ``contains_many`` (index probes) and ``get_many`` (full
     record retrieval with hash verification).  ``cache_hit_rate`` is the
     fraction of just-stored records ``get_many`` returned intact — 1.0 on
-    a healthy store, and the number the ``store_min_cache_hit_rate`` floor
-    gates (a retrieval or quarantine bug shows up here, not as a perf
-    regression).
+    a healthy store, and the number the store's integrity floor gates (a
+    retrieval or quarantine bug shows up here, not as a perf regression).
     """
-    import shutil
-    import tempfile
-
     from ..store import ResultStore
 
     records = synthetic_store_records(n_records)
@@ -843,26 +769,39 @@ def run_store_benchmarks(
         start = time.perf_counter()
         got = store.get_many(specs)
         get_seconds = time.perf_counter() - start
-        block = {
+        return {
             "n_records": n_records,
             "put_seconds": put_seconds,
             "contains_seconds": contains_seconds,
             "get_seconds": get_seconds,
-            "put_per_sec": n_records / put_seconds if put_seconds > 0 else 0.0,
-            "contains_per_sec": (
-                n_records / contains_seconds if contains_seconds > 0 else 0.0
-            ),
-            "get_per_sec": n_records / get_seconds if get_seconds > 0 else 0.0,
+            "put_per_sec": _per_sec(n_records, put_seconds),
+            "contains_per_sec": _per_sec(n_records, contains_seconds),
+            "get_per_sec": _per_sec(n_records, get_seconds),
             "indexed": len(found),
             "retrieved": len(got),
             "cache_hit_rate": len(got) / n_records if n_records else 0.0,
         }
-        if progress is not None:
-            progress(block)
-        return block
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
+
+
+#: The suites ``repro bench`` runs, in order: suite name →
+#: ``measure(quick) -> block``.  Each block lands under its suite name in
+#: the payload, where the path rules of ``benchmarks/floors.json`` find it.
+BENCH_SUITES: Dict[str, Callable[[bool], Dict[str, Any]]] = {
+    "engines": lambda quick: run_engine_benchmarks(
+        sizes=QUICK_SIZES if quick else FULL_SIZES, repeats=2 if quick else 3
+    ),
+    "protocols": lambda quick: run_protocol_matrix(repeats=2),
+    "store": lambda quick: run_store_benchmarks(
+        n_records=STORE_BENCH_RECORDS // 5 if quick else STORE_BENCH_RECORDS
+    ),
+    "batch": lambda quick: run_batch_benchmarks(repeats=2 if quick else 3),
+    "batch_protocols": lambda quick: run_batch_protocol_matrix(repeats=2),
+    "trace": lambda quick: run_trace_benchmarks(repeats=2 if quick else 3),
+    "schedules": lambda quick: run_schedule_benchmarks(repeats=2 if quick else 3),
+}
 
 
 def write_benchmarks(payload: Dict[str, Any], path: str) -> None:
@@ -872,393 +811,266 @@ def write_benchmarks(payload: Dict[str, Any], path: str) -> None:
         handle.write("\n")
 
 
-def load_floors(path: str) -> Dict[str, Any]:
+def load_floors(path: str) -> List[Dict[str, Any]]:
     """Read a floors file (see ``benchmarks/floors.json``)."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def check_floors(payload: Dict[str, Any], floors: Dict[str, Any]) -> List[str]:
+def _row_label(row: Any) -> str:
+    """A ``[*]`` row named by its string fields (e.g. its protocol), so a
+    violation says which row broke the bound."""
+    if not isinstance(row, dict):
+        return ""
+    return ",".join(
+        f"{field}={value}"
+        for field, value in sorted(row.items())
+        if isinstance(value, str)
+    )
+
+
+_SEGMENT = re.compile(r"(?P<key>[^.\[\]]+)(?:\[(?P<select>[^\]]*)\])?")
+
+
+def _resolve(payload: Any, path: str) -> Tuple[List[Tuple[str, Any]], List[str]]:
+    """Every ``(location, value)`` a floor path reaches, and every dead end.
+
+    A path is dotted keys; ``key[*]`` fans out over every element of a
+    list and ``key[field=value,...]`` over the rows whose fields print as
+    those values.  A missing key, an empty ``[*]`` and a selector that
+    matches no row are all dead ends.
+    """
+    found: List[Tuple[str, Any]] = [("", payload)]
+    dead: List[str] = []
+    for segment in path.split("."):
+        match = _SEGMENT.fullmatch(segment)
+        if match is None:
+            raise ValueError(f"malformed floor path {path!r}")
+        key, select = match.group("key"), match.group("select")
+        wanted = None
+        if select not in (None, "*"):
+            wanted = [part.split("=", 1) for part in select.split(",")]
+            if any(len(pair) != 2 for pair in wanted):
+                raise ValueError(f"malformed row selector [{select}] in {path!r}")
+        reached: List[Tuple[str, Any]] = []
+        for where, node in found:
+            where = f"{where}.{key}" if where else key
+            if not isinstance(node, dict) or key not in node:
+                dead.append(where)
+                continue
+            node = node[key]
+            if select is None:
+                reached.append((where, node))
+                continue
+            rows = node if isinstance(node, list) else []
+            if wanted is not None:
+                rows = [
+                    row
+                    for row in rows
+                    if isinstance(row, dict)
+                    and all(str(row.get(field)) == value for field, value in wanted)
+                ]
+            if not rows:
+                dead.append(f"{where}[{select}]")
+            for index, row in enumerate(rows):
+                label = _row_label(row) if select == "*" else select
+                reached.append((f"{where}[{label or index}]", row))
+        found = reached
+    return found, dead
+
+
+def _covered_names(kind: Any) -> List[str]:
+    """The registry names a ``covers`` rule requires."""
+    ensure_registered()
+    names = set(PROTOCOLS.names())
+    if kind == "batchable":
+        from ..network.batchpath import BATCH_KERNEL_EXEMPT
+
+        names -= set(BATCH_KERNEL_EXEMPT)
+    elif kind != "protocols":
+        raise ValueError(f"unknown covers set {kind!r}")
+    return sorted(names)
+
+
+def check_floors(payload: Dict[str, Any], floors: List[Dict[str, Any]]) -> List[str]:
     """Return every floor violation (empty list = gate passes).
 
-    Floors file shape::
+    ``floors`` is a list of rules, each a ``path`` (see :func:`_resolve`)
+    plus exactly one check:
 
-        {
-          "fastpath_min_steps_per_sec": {"64": 4000},
-          "fastpath_vs_async_min_ratio": {"64": 2.0},
-          "protocol_vs_async_min_ratio": {"tree-broadcast": 2.0, ...},
-          "require_protocol_coverage": true,
-          "store_min_put_per_sec": 300,
-          "store_min_get_per_sec": 400,
-          "store_min_contains_per_sec": 1500,
-          "store_min_cache_hit_rate": 0.95,
-          "batch_vs_fastpath_min_ratio": {"16": 1.2, "64": 3.0},
-          "batch_protocol_vs_fastpath_min_ratio": {"tree-broadcast": 2.0, ...},
-          "require_batch_protocol_coverage": true,
-          "trace_overhead_max_ratio": 1.5,
-          "schedule_search_min_speedup": 3.0
-        }
+    * ``{"path": ..., "min": v}`` — every value reached is ``>= v``;
+    * ``{"path": ..., "max": v}`` — every value reached is ``<= v``;
+    * ``{"path": ..., "equals": v}`` — every value reached equals ``v``;
+    * ``{"path": ..., "covers": "protocols" | "batchable"}`` — every
+      registered protocol (or every one outside
+      :data:`~repro.network.batchpath.BATCH_KERNEL_EXEMPT`) is among the
+      values reached, so registering a protocol without benching it fails.
 
-    ``trace_overhead_max_ratio`` is the one *ceiling*: full trace capture
-    may cost at most that multiple of the equivalent untraced run.
-
-    Keys of the size-indexed floors are sizes as strings (JSON objects);
-    ``protocol_vs_async_min_ratio`` is keyed by protocol registry name and
-    checked against the ``protocols`` coverage matrix.  Measurements
-    missing from the current payload are reported as violations — a gate
-    that silently skips is no gate.  With ``require_protocol_coverage``
-    set, every protocol registered in
-    :data:`~repro.api.registry.PROTOCOLS` must appear in the coverage
-    matrix, so registering a protocol without extending the bench matrix
-    fails CI.
-
-    ``batch_protocol_vs_fastpath_min_ratio`` is keyed by protocol registry
-    name and checked against the ``batch.protocols`` coverage matrix
-    (measured at ``K = BATCH_BENCH_GATED_K``); with
-    ``require_batch_protocol_coverage`` set, every registered protocol not
-    listed in :data:`~repro.network.batchpath.BATCH_KERNEL_EXEMPT` must
-    appear in that matrix, so shipping a ``compile_batch`` kernel without
-    benching it (or silently losing one) fails CI.
+    A path that reaches nothing is a violation — a gate that silently
+    skips is no gate — and so is a malformed rule.  Any ``why`` field is
+    documentation and is ignored.
     """
     violations: List[str] = []
-    by_size = {
-        row["n"]: row for row in payload.get("results", []) if row["engine"] == "fastpath"
-    }
-    for size_text, minimum in floors.get("fastpath_min_steps_per_sec", {}).items():
-        n = int(size_text)
-        row = by_size.get(n)
-        if row is None:
-            violations.append(f"no fastpath measurement at n={n} to check against floor")
+    for rule in floors:
+        if not isinstance(rule, dict):
+            rule = {}
+        path = rule.get("path")
+        checks = [key for key in ("min", "max", "equals", "covers") if key in rule]
+        if not isinstance(path, str) or len(checks) != 1:
+            violations.append(
+                f"malformed floor rule {rule!r}: need a path and exactly one of "
+                "min, max, equals, covers"
+            )
             continue
-        if row["steps_per_sec"] < minimum:
-            violations.append(
-                f"fastpath steps/sec at n={n} is {row['steps_per_sec']:.0f}, "
-                f"below the floor of {minimum}"
-            )
-    ratios = {c["n"]: c for c in payload.get("comparisons", [])}
-    for size_text, minimum in floors.get("fastpath_vs_async_min_ratio", {}).items():
-        n = int(size_text)
-        comparison = ratios.get(n, {})
-        ratio = comparison.get("fastpath_vs_async")
-        if ratio is None:
-            violations.append(f"no fastpath-vs-async ratio at n={n} to check against floor")
+        check = checks[0]
+        bound = rule[check]
+        try:
+            required = _covered_names(bound) if check == "covers" else None
+            found, dead = _resolve(payload, path)
+        except ValueError as exc:
+            violations.append(f"malformed floor rule {rule!r}: {exc}")
             continue
-        if ratio < minimum:
-            violations.append(
-                f"fastpath vs async at n={n} is {ratio:.2f}x, "
-                f"below the floor of {minimum}x"
+        violations.extend(f"{path}: nothing at {where}" for where in dead)
+        if required is not None:
+            present = {value for _, value in found}
+            violations.extend(
+                f"{path}: registered protocol {name!r} is missing ({bound} coverage)"
+                for name in required
+                if name not in present
             )
-
-    protocols_block = payload.get("protocols") or {}
-    protocol_ratios = {
-        c["protocol"]: c for c in protocols_block.get("comparisons", [])
-    }
-    protocol_floors = floors.get("protocol_vs_async_min_ratio", {})
-    matrix_n = protocols_block.get("n")
-    if protocol_floors and matrix_n is not None and matrix_n != PROTOCOL_MATRIX_N:
-        # The per-protocol floors are calibrated at the gated size; ratios
-        # measured elsewhere (e.g. --protocols-n experiments) must fail
-        # loudly rather than gate the wrong numbers either way.
-        violations.append(
-            f"protocol coverage matrix was measured at n={matrix_n} but the "
-            f"per-protocol ratio floors are calibrated at n={PROTOCOL_MATRIX_N}"
-        )
-    else:
-        for name, minimum in protocol_floors.items():
-            ratio = protocol_ratios.get(name, {}).get("fastpath_vs_async")
-            if ratio is None:
-                violations.append(
-                    f"no fastpath-vs-async ratio for protocol {name!r} in the "
-                    "coverage matrix to check against floor"
-                )
-                continue
-            if ratio < minimum:
-                violations.append(
-                    f"fastpath vs async for {name} is {ratio:.2f}x, "
-                    f"below the floor of {minimum}x"
-                )
-    if floors.get("require_protocol_coverage"):
-        ensure_registered()
-        benched = {row["protocol"] for row in protocols_block.get("results", [])}
-        for name in sorted(PROTOCOLS.names()):
-            if name not in benched:
-                violations.append(
-                    f"registered protocol {name!r} is missing from the bench "
-                    "matrix (protocols coverage)"
-                )
-
-    store_block = payload.get("store")
-    store_floor_keys = [
-        ("store_min_put_per_sec", "put_per_sec", "store put/sec"),
-        ("store_min_get_per_sec", "get_per_sec", "store get/sec"),
-        ("store_min_contains_per_sec", "contains_per_sec", "store contains/sec"),
-        ("store_min_cache_hit_rate", "cache_hit_rate", "store cache hit rate"),
-    ]
-    for floor_key, metric_key, label in store_floor_keys:
-        minimum = floors.get(floor_key)
-        if minimum is None:
             continue
-        if store_block is None:
-            violations.append(
-                f"no store benchmark block to check against {floor_key} "
-                "(run repro bench without --no-store-bench)"
-            )
-            break
-        value = store_block.get(metric_key)
-        if value is None:
-            violations.append(f"store benchmark block lacks {metric_key!r}")
-        elif value < minimum:
-            violations.append(
-                f"{label} is {value:.4g}, below the floor of {minimum}"
-            )
-
-    batch_floors = floors.get("batch_vs_fastpath_min_ratio", {})
-    if batch_floors:
-        batch_block = payload.get("batch")
-        if batch_block is None:
-            violations.append(
-                "no batch benchmark block to check against "
-                "batch_vs_fastpath_min_ratio "
-                "(run repro bench without --no-batch-bench)"
-            )
-        else:
-            batch_rows = {
-                row["k"]: row for row in batch_block.get("results", [])
-            }
-            for k_text, minimum in batch_floors.items():
-                k = int(k_text)
-                row = batch_rows.get(k)
-                if row is None:
-                    violations.append(
-                        f"no batch-vs-fastpath measurement at K={k} to "
-                        "check against floor"
-                    )
-                    continue
-                if row["ratio"] < minimum:
-                    violations.append(
-                        f"batch vs fastpath at K={k} is {row['ratio']:.2f}x, "
-                        f"below the floor of {minimum}x"
-                    )
-
-    batch_protocol_floors = floors.get("batch_protocol_vs_fastpath_min_ratio", {})
-    if batch_protocol_floors or floors.get("require_batch_protocol_coverage"):
-        batch_matrix = (payload.get("batch") or {}).get("protocols")
-        if batch_matrix is None:
-            violations.append(
-                "no per-protocol batch coverage matrix to check against "
-                "batch_protocol_vs_fastpath_min_ratio "
-                "(run repro bench without --no-batch-bench)"
-            )
-        else:
-            matrix_rows = {
-                row["protocol"]: row for row in batch_matrix.get("results", [])
-            }
-            matrix_k = batch_matrix.get("k")
-            if batch_protocol_floors and matrix_k != BATCH_BENCH_GATED_K:
-                # Same discipline as the per-protocol fastpath floors: the
-                # ratios are calibrated at the gated group size, so numbers
-                # measured elsewhere must fail loudly instead of gating.
+        for where, value in found:
+            if check == "equals":
+                if value != bound:
+                    violations.append(f"{where} is {value!r}, expected {bound!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                violations.append(f"{where} is {value!r}, not a number")
+            elif check == "min" and value < bound:
+                violations.append(f"{where} is {value:.4g}, below the floor of {bound}")
+            elif check == "max" and value > bound:
                 violations.append(
-                    f"batch coverage matrix was measured at K={matrix_k} but "
-                    "the per-protocol batch ratio floors are calibrated at "
-                    f"K={BATCH_BENCH_GATED_K}"
-                )
-            else:
-                for name, minimum in batch_protocol_floors.items():
-                    row = matrix_rows.get(name)
-                    if row is None:
-                        violations.append(
-                            f"no batch-vs-fastpath ratio for protocol {name!r} "
-                            "in the batch coverage matrix to check against floor"
-                        )
-                        continue
-                    if row["ratio"] < minimum:
-                        violations.append(
-                            f"batch vs fastpath for {name} is "
-                            f"{row['ratio']:.2f}x, below the floor of {minimum}x"
-                        )
-            if floors.get("require_batch_protocol_coverage"):
-                from ..network.batchpath import BATCH_KERNEL_EXEMPT
-
-                ensure_registered()
-                for name in sorted(PROTOCOLS.names()):
-                    if name in BATCH_KERNEL_EXEMPT or name in matrix_rows:
-                        continue
-                    violations.append(
-                        f"registered protocol {name!r} is missing from the "
-                        "batch coverage matrix (batch protocols coverage)"
-                    )
-
-    schedule_minimum = floors.get("schedule_search_min_speedup")
-    if schedule_minimum is not None:
-        schedule_block = payload.get("schedules")
-        if schedule_block is None:
-            violations.append(
-                "no schedule-search benchmark block to check against "
-                "schedule_search_min_speedup "
-                "(run repro bench without --no-schedule-bench)"
-            )
-        else:
-            speedup = schedule_block.get("node_speedup")
-            if speedup is None:
-                violations.append(
-                    "schedule-search benchmark block lacks 'node_speedup'"
-                )
-            elif speedup < schedule_minimum:
-                violations.append(
-                    f"guided schedule search reached the worst case in "
-                    f"{speedup:.2f}x fewer nodes than exhaustion, below the "
-                    f"floor of {schedule_minimum}x"
-                )
-            if not schedule_block.get("agrees", False):
-                violations.append(
-                    "guided schedule search disagreed with exhaustive "
-                    "enumeration on the pinned workload (outcome set or "
-                    "worst step count)"
-                )
-
-    trace_maximum = floors.get("trace_overhead_max_ratio")
-    if trace_maximum is not None:
-        # A *ceiling*, not a floor: trace capture may cost at most this
-        # multiple of the untraced generic-machine run.
-        trace_block = payload.get("trace")
-        if trace_block is None:
-            violations.append(
-                "no trace benchmark block to check against "
-                "trace_overhead_max_ratio "
-                "(run repro bench without --no-trace-bench)"
-            )
-        else:
-            ratio = trace_block.get("overhead", {}).get(
-                "traced_full_vs_untraced"
-            )
-            if ratio is None:
-                violations.append(
-                    "trace benchmark block lacks 'traced_full_vs_untraced'"
-                )
-            elif ratio > trace_maximum:
-                violations.append(
-                    f"full trace capture costs {ratio:.2f}x the untraced "
-                    f"run, above the ceiling of {trace_maximum}x"
+                    f"{where} is {value:.4g}, above the ceiling of {bound}"
                 )
     return violations
 
 
-def render_bench_table(payload: Dict[str, Any]) -> str:
-    """Human-readable summary of a benchmark payload."""
-    lines = [
-        f"{'engine':<12} {'n':>5} {'steps':>8} {'best_s':>9} {'steps/sec':>12}"
-    ]
-    for row in payload["results"]:
+def _render_engines(block: Dict[str, Any]) -> List[str]:
+    lines = [f"{'engine':<12} {'n':>5} {'steps':>8} {'best_s':>9} {'steps/sec':>12}"]
+    for row in block["results"]:
         lines.append(
             f"{row['engine']:<12} {row['n']:>5} {row['steps']:>8} "
             f"{row['best_seconds']:>9.4f} {row['steps_per_sec']:>12.0f}"
         )
-    for comparison in payload["comparisons"]:
+    for comparison in block["comparisons"]:
         ratios = ", ".join(
-            f"{key} = {value:.2f}x"
-            for key, value in comparison.items()
-            if key != "n"
+            f"{key} = {value:.2f}x" for key, value in comparison.items() if key != "n"
         )
         if ratios:
             lines.append(f"n={comparison['n']}: {ratios}")
-    protocols_block = payload.get("protocols")
-    if protocols_block:
-        lines.append("")
+    return lines
+
+
+def _render_protocols(block: Dict[str, Any]) -> List[str]:
+    lines = [f"protocol kernel coverage at n={block['n']} (fastpath vs async):"]
+    for comparison in sorted(block["comparisons"], key=lambda c: c["protocol"]):
+        ratio = comparison.get("fastpath_vs_async")
+        shown = f"{ratio:.2f}x" if ratio is not None else "n/a"
+        lines.append(f"  {comparison['protocol']:<24} {shown:>8}")
+    return lines
+
+
+def _render_store(block: Dict[str, Any]) -> List[str]:
+    return [
+        f"result store at {block['n_records']} records: "
+        f"put {block['put_per_sec']:.0f}/s, "
+        f"contains {block['contains_per_sec']:.0f}/s, "
+        f"get {block['get_per_sec']:.0f}/s, "
+        f"hit rate {block['cache_hit_rate']:.3f}"
+    ]
+
+
+def _render_batch(block: Dict[str, Any]) -> List[str]:
+    workload = block["workload"]
+    lines = [
+        f"batch engine seed-groups on {workload['graph']}/{workload['protocol']} "
+        "(run_many vs per-seed fastpath):",
+        f"{'K':>6} {'steps':>9} {'batch/s':>12} {'fastpath/s':>12} {'ratio':>8}",
+    ]
+    for row in block["results"]:
         lines.append(
-            f"protocol kernel coverage at n={protocols_block['n']} "
-            "(fastpath vs async):"
+            f"{row['k']:>6} {row['steps']:>9} "
+            f"{row['batch_steps_per_sec']:>12.0f} "
+            f"{row['fastpath_steps_per_sec']:>12.0f} "
+            f"{row['ratio']:>7.2f}x"
         )
-        ratios_by_protocol = {
-            c["protocol"]: c.get("fastpath_vs_async")
-            for c in protocols_block.get("comparisons", [])
-        }
-        for protocol, ratio in sorted(ratios_by_protocol.items()):
-            shown = f"{ratio:.2f}x" if ratio is not None else "n/a"
-            lines.append(f"  {protocol:<24} {shown:>8}")
-    store_block = payload.get("store")
-    if store_block:
-        lines.append("")
-        lines.append(
-            f"result store at {store_block['n_records']} records: "
-            f"put {store_block['put_per_sec']:.0f}/s, "
-            f"contains {store_block['contains_per_sec']:.0f}/s, "
-            f"get {store_block['get_per_sec']:.0f}/s, "
-            f"hit rate {store_block['cache_hit_rate']:.3f}"
-        )
-    batch_block = payload.get("batch")
-    if batch_block:
-        lines.append("")
-        workload = batch_block.get("workload", {})
-        lines.append(
-            "batch engine seed-groups on "
-            f"{workload.get('graph', '?')}/{workload.get('protocol', '?')} "
-            "(run_many vs per-seed fastpath):"
-        )
-        lines.append(
-            f"{'K':>6} {'steps':>9} {'batch/s':>12} {'fastpath/s':>12} "
-            f"{'ratio':>8}"
-        )
-        for row in batch_block.get("results", []):
-            lines.append(
-                f"{row['k']:>6} {row['steps']:>9} "
-                f"{row['batch_steps_per_sec']:>12.0f} "
-                f"{row['fastpath_steps_per_sec']:>12.0f} "
-                f"{row['ratio']:>7.2f}x"
+    return lines
+
+
+def _render_batch_protocols(block: Dict[str, Any]) -> List[str]:
+    lines = [
+        f"batch kernel coverage at n={block['n']}, K={block['k']} "
+        "(run_many vs per-seed fastpath):"
+    ]
+    for row in block["results"]:
+        note = ""
+        if row.get("fallbacks"):
+            tally = ", ".join(
+                f"{reason}={count}"
+                for reason, count in sorted(row["fallbacks"].items())
             )
-        batch_matrix = batch_block.get("protocols")
-        if batch_matrix:
-            lines.append("")
-            lines.append(
-                f"batch kernel coverage at n={batch_matrix['n']}, "
-                f"K={batch_matrix['k']} (run_many vs per-seed fastpath):"
-            )
-            for row in batch_matrix.get("results", []):
-                note = ""
-                if row.get("fallbacks"):
-                    tally = ", ".join(
-                        f"{reason}={count}"
-                        for reason, count in sorted(row["fallbacks"].items())
-                    )
-                    note = f"  [fell back: {tally}]"
-                lines.append(
-                    f"  {row['protocol']:<24} {row['ratio']:>7.2f}x{note}"
-                )
-    trace_block = payload.get("trace")
-    if trace_block:
-        lines.append("")
+            note = f"  [fell back: {tally}]"
+        lines.append(f"  {row['protocol']:<24} {row['ratio']:>7.2f}x{note}")
+    return lines
+
+
+def _render_trace(block: Dict[str, Any]) -> List[str]:
+    lines = [
+        f"trace capture overhead at n={block['n']} (fastpath, generic machine):",
+        f"{'arm':<20} {'steps':>8} {'best_s':>9} {'steps/sec':>12}",
+    ]
+    for row in block["results"]:
         lines.append(
-            f"trace capture overhead at n={trace_block['n']} "
-            "(fastpath, generic machine):"
+            f"{row['arm']:<20} {row['steps']:>8} "
+            f"{row['best_seconds']:>9.4f} {row['steps_per_sec']:>12.0f}"
         )
-        lines.append(f"{'arm':<20} {'steps':>8} {'best_s':>9} {'steps/sec':>12}")
-        for row in trace_block.get("results", []):
-            lines.append(
-                f"{row['arm']:<20} {row['steps']:>8} "
-                f"{row['best_seconds']:>9.4f} {row['steps_per_sec']:>12.0f}"
-            )
-        overhead = trace_block.get("overhead", {})
-        ratio = overhead.get("traced_full_vs_untraced")
-        if ratio is not None:
-            lines.append(
-                f"full capture overhead: {ratio:.2f}x untraced "
-                f"({overhead.get('trace_bytes_full', '?')} bytes written)"
-            )
-    schedule_block = payload.get("schedules")
-    if schedule_block:
-        lines.append("")
-        workload = schedule_block.get("workload", {})
-        lines.append(
-            "schedule search on "
-            f"{workload.get('graph', '?')}/{workload.get('protocol', '?')} "
-            f"(worst execution: {schedule_block.get('worst_steps', '?')} steps):"
-        )
-        lines.append(
-            f"  exhaustive: {schedule_block['exhaustive_nodes']} nodes in "
-            f"{schedule_block['exhaustive_seconds']:.3f}s; guided incumbent "
-            f"at node {schedule_block['guided_nodes_to_best']} "
-            f"(~{schedule_block['guided_seconds_to_best']:.4f}s) — "
-            f"{schedule_block['node_speedup']:.1f}x fewer nodes"
-            + ("" if schedule_block.get("agrees") else "  [DISAGREES]")
-        )
-    return "\n".join(lines)
+    overhead = block["overhead"]
+    lines.append(
+        f"full capture overhead: {overhead['traced_full_vs_untraced']:.2f}x "
+        f"untraced ({overhead['trace_bytes_full']} bytes written)"
+    )
+    return lines
+
+
+def _render_schedules(block: Dict[str, Any]) -> List[str]:
+    workload = block["workload"]
+    return [
+        f"schedule search on {workload['graph']}/{workload['protocol']} "
+        f"(worst execution: {block['worst_steps']} steps):",
+        f"  exhaustive: {block['exhaustive_nodes']} nodes in "
+        f"{block['exhaustive_seconds']:.3f}s; guided incumbent "
+        f"at node {block['guided_nodes_to_best']} "
+        f"(~{block['guided_seconds_to_best']:.4f}s) — "
+        f"{block['node_speedup']:.1f}x fewer nodes"
+        + ("" if block["agrees"] else "  [DISAGREES]"),
+    ]
+
+
+_RENDERERS: Dict[str, Callable[[Dict[str, Any]], List[str]]] = {
+    "engines": _render_engines,
+    "protocols": _render_protocols,
+    "store": _render_store,
+    "batch": _render_batch,
+    "batch_protocols": _render_batch_protocols,
+    "trace": _render_trace,
+    "schedules": _render_schedules,
+}
+
+
+def render_bench_table(payload: Dict[str, Any]) -> str:
+    """Human-readable summary of every suite block present in ``payload``."""
+    sections = [
+        "\n".join(render(payload[name]))
+        for name, render in _RENDERERS.items()
+        if name in payload
+    ]
+    return "\n\n".join(sections)

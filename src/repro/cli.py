@@ -48,10 +48,16 @@ from .analysis.report import render_table
 from .api import (
     ENGINES,
     EXPERIMENTS,
+    GRAPH_TRANSFORMS,
+    GRAPHS,
+    PROTOCOLS,
+    SCHEDULERS,
     BatchRunner,
     CampaignRunner,
     RunRecord,
+    RunSpec,
     SpecError,
+    UnknownNameError,
     all_registries,
     ensure_registered,
     execute_spec,
@@ -103,6 +109,30 @@ def _load_or_die(path: str, loader, noun: str):
         raise SystemExit(f"malformed JSON in {noun} file {path!r}: {exc}") from None
     except SpecError as exc:
         raise SystemExit(f"invalid {noun} in {path!r}: {exc}") from None
+
+
+def _load_specs_or_die(path: str) -> List[RunSpec]:
+    """:func:`_load_or_die` for spec files, with every registry name checked.
+
+    A typo'd graph, protocol, scheduler or graph transform would otherwise
+    surface as an ``UnknownNameError`` traceback mid-run; here it is a
+    one-line exit, before anything executes, listing the registered names.
+    """
+    specs = _load_or_die(path, load_specs, "spec")
+    ensure_registered()
+    for spec in specs:
+        for registry, names in (
+            (GRAPHS, (spec.graph,)),
+            (GRAPH_TRANSFORMS, spec.graph_transforms),
+            (PROTOCOLS, (spec.protocol,)),
+            (SCHEDULERS, (spec.scheduler,)),
+        ):
+            for name in names:
+                try:
+                    registry.get(name)
+                except UnknownNameError as exc:
+                    raise SystemExit(f"invalid spec in {path!r}: {exc}") from None
+    return specs
 
 
 def _legacy_id(name: str) -> str:
@@ -511,85 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON output path (default: BENCH_engines.json)",
     )
     bench.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="graph sizes |V| to benchmark (overrides --quick/full defaults)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timed runs per engine/size, best taken (default: 2 quick, 3 full)",
-    )
-    bench.add_argument(
-        "--engines",
-        nargs="+",
-        default=None,
-        metavar="ENGINE",
-        help="engines to benchmark (default: async fastpath synchronous)",
-    )
-    bench.add_argument(
         "--floors",
         default=None,
         metavar="FILE",
         help="floors JSON (benchmarks/floors.json); exit non-zero on violation",
-    )
-    bench.add_argument(
-        "--no-protocols",
-        action="store_true",
-        help="skip the per-protocol kernel coverage matrix (engines only); "
-        "note the coverage floors then report violations",
-    )
-    bench.add_argument(
-        "--protocols-n",
-        type=int,
-        default=None,
-        metavar="N",
-        help="graph size |V| for the per-protocol coverage matrix "
-        "(default: the gated size, 64)",
-    )
-    bench.add_argument(
-        "--no-store-bench",
-        action="store_true",
-        help="skip the result-store put/get/contains micro-benchmark; "
-        "note the store floors then report violations",
-    )
-    bench.add_argument(
-        "--no-batch-bench",
-        action="store_true",
-        help="skip the batch-engine seed-group suite; note the batch "
-        "floors then report violations",
-    )
-    bench.add_argument(
-        "--no-trace-bench",
-        action="store_true",
-        help="skip the trace-capture overhead suite; note the trace "
-        "floors then report violations",
-    )
-    bench.add_argument(
-        "--no-schedule-bench",
-        action="store_true",
-        help="skip the guided-vs-exhaustive schedule-search suite; note "
-        "the schedule floors then report violations",
-    )
-    bench.add_argument(
-        "--batch-ks",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="K",
-        help="seed-group sizes K for the batch suite (default: 16 64 256)",
-    )
-    bench.add_argument(
-        "--store-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="record count for the store micro-benchmark "
-        "(default: 2000 quick, 10000 full)",
     )
 
     report = sub.add_parser(
@@ -677,7 +632,7 @@ def _cmd_run_spec(
     trace: Optional[str] = None,
     trace_out: Optional[str] = None,
 ) -> int:
-    specs = _override_engine(_load_or_die(path, load_specs, "spec"), engine)
+    specs = _override_engine(_load_specs_or_die(path), engine)
     if len(specs) != 1:
         raise SystemExit(
             f"--spec expects exactly one RunSpec in {path!r}, found {len(specs)}; "
@@ -728,7 +683,7 @@ def _cmd_run_spec(
 
 
 def _cmd_batch(args, stream: IO[str]) -> int:
-    specs = _override_engine(_load_or_die(args.specs, load_specs, "spec"), args.engine)
+    specs = _override_engine(_load_specs_or_die(args.specs), args.engine)
     if not specs:
         raise SystemExit(f"no specs found in {args.specs!r}")
     store = _store_or_die(args)
@@ -805,161 +760,20 @@ def _cmd_batch(args, stream: IO[str]) -> int:
 
 def _cmd_bench(args, stream: IO[str]) -> int:
     from .analysis.benchmark import (
-        BENCH_ENGINES,
-        FULL_SIZES,
-        QUICK_SIZES,
-        STORE_BENCH_RECORDS,
+        BENCH_SUITES,
+        bench_environment,
         check_floors,
         load_floors,
         render_bench_table,
-        run_engine_benchmarks,
-        run_protocol_matrix,
-        run_store_benchmarks,
         write_benchmarks,
     )
 
-    sizes = tuple(args.sizes) if args.sizes else (QUICK_SIZES if args.quick else FULL_SIZES)
-    repeats = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-    engines = tuple(args.engines) if args.engines else BENCH_ENGINES
-    from .api import ENGINES as engine_registry
-
-    unknown = [engine for engine in engines if engine not in engine_registry]
-    if unknown:
-        raise SystemExit(
-            f"unknown engine(s) {', '.join(unknown)}; "
-            f"registered: {', '.join(engine_registry.names())}"
-        )
-
-    def progress(row) -> None:
-        print(
-            f"  {row['engine']:<12} n={row['n']:<4} {row['steps']} steps "
-            f"in {row['best_seconds']:.4f}s  ({row['steps_per_sec']:.0f} steps/sec)",
-            file=stream,
-        )
-
-    print(
-        f"benchmarking engines {', '.join(engines)} at sizes "
-        f"{', '.join(str(n) for n in sizes)} ({repeats} repeats, best taken)",
-        file=stream,
-    )
-    payload = run_engine_benchmarks(
-        sizes=sizes, engines=engines, repeats=repeats, progress=progress
-    )
-    if not args.no_protocols:
-        print(
-            "benchmarking kernel coverage for every registered protocol "
-            "(async vs fastpath)",
-            file=stream,
-        )
-
-        def protocol_progress(row) -> None:
-            print(
-                f"  {row['protocol']:<22} {row['engine']:<9} n={row['n']:<4} "
-                f"{row['steps']} steps in {row['best_seconds']:.4f}s  "
-                f"({row['steps_per_sec']:.0f} steps/sec)",
-                file=stream,
-            )
-
-        matrix_kwargs = {"repeats": min(repeats, 2), "progress": protocol_progress}
-        if args.protocols_n is not None:
-            matrix_kwargs["n"] = args.protocols_n
-        payload["protocols"] = run_protocol_matrix(**matrix_kwargs)
-    if not args.no_store_bench:
-        store_records = args.store_records
-        if store_records is None:
-            store_records = STORE_BENCH_RECORDS // 5 if args.quick else STORE_BENCH_RECORDS
-        print(
-            f"benchmarking result store put/contains/get at {store_records} records",
-            file=stream,
-        )
-        payload["store"] = run_store_benchmarks(n_records=store_records)
-    if not args.no_batch_bench:
-        from .analysis.benchmark import (
-            BATCH_BENCH_KS,
-            run_batch_benchmarks,
-            run_batch_protocol_matrix,
-        )
-
-        batch_ks = tuple(args.batch_ks) if args.batch_ks else BATCH_BENCH_KS
-        print(
-            "benchmarking batch engine seed-groups (run_many vs per-seed "
-            f"fastpath) at K in {{{', '.join(str(k) for k in batch_ks)}}}",
-            file=stream,
-        )
-
-        def batch_progress(row) -> None:
-            print(
-                f"  K={row['k']:<4} batch {row['batch_steps_per_sec']:.0f} "
-                f"fastpath {row['fastpath_steps_per_sec']:.0f} steps/sec  "
-                f"(ratio {row['ratio']:.2f}x)",
-                file=stream,
-            )
-
-        payload["batch"] = run_batch_benchmarks(
-            ks=batch_ks, repeats=repeats, progress=batch_progress
-        )
-        print(
-            "benchmarking batch kernel coverage for every batchable protocol "
-            "(run_many vs per-seed fastpath)",
-            file=stream,
-        )
-
-        def batch_matrix_progress(row) -> None:
-            print(
-                f"  {row['protocol']:<22} K={row['k']:<4} "
-                f"batch {row['batch_steps_per_sec']:.0f} "
-                f"fastpath {row['fastpath_steps_per_sec']:.0f} steps/sec  "
-                f"(ratio {row['ratio']:.2f}x)",
-                file=stream,
-            )
-
-        payload["batch"]["protocols"] = run_batch_protocol_matrix(
-            repeats=min(repeats, 2), progress=batch_matrix_progress
-        )
-    if not args.no_trace_bench:
-        from .analysis.benchmark import run_trace_benchmarks
-
-        print(
-            "benchmarking trace-capture overhead (fastpath, untraced vs "
-            "full vs sampled)",
-            file=stream,
-        )
-
-        def trace_progress(row) -> None:
-            print(
-                f"  {row['arm']:<16} {row['steps']} steps in "
-                f"{row['best_seconds']:.4f}s  ({row['steps_per_sec']:.0f} steps/sec)",
-                file=stream,
-            )
-
-        payload["trace"] = run_trace_benchmarks(
-            repeats=repeats, progress=trace_progress
-        )
-    if not args.no_schedule_bench:
-        from .analysis.benchmark import run_schedule_benchmarks
-
-        print(
-            "benchmarking guided vs exhaustive schedule search on the "
-            "pinned workload",
-            file=stream,
-        )
-
-        def schedule_progress(block) -> None:
-            print(
-                f"  exhaustive {block['exhaustive_nodes']} nodes "
-                f"({block['exhaustive_seconds']:.3f}s), guided incumbent at "
-                f"node {block['guided_nodes_to_best']} "
-                f"(node speedup {block['node_speedup']:.1f}x, "
-                f"agrees={block['agrees']})",
-                file=stream,
-            )
-
-        payload["schedules"] = run_schedule_benchmarks(
-            repeats=repeats, progress=schedule_progress
-        )
+    payload = {"environment": bench_environment()}
+    for name, measure in BENCH_SUITES.items():
+        print(f"benchmarking {name} ...", file=stream, flush=True)
+        payload[name] = measure(args.quick)
+        print(render_bench_table({name: payload[name]}) + "\n", file=stream)
     write_benchmarks(payload, args.out)
-    print(file=stream)
-    print(render_bench_table(payload), file=stream)
     print(f"benchmarks written to {args.out}", file=stream)
 
     if args.floors is not None:
@@ -1205,7 +1019,7 @@ def _cmd_trace(args, stream: IO[str]) -> int:
     reader = _open_trace_or_die(args.trace)
     try:
         if args.spec is not None:
-            specs = _load_or_die(args.spec, load_specs, "spec")
+            specs = _load_specs_or_die(args.spec)
             if len(specs) != 1:
                 raise SystemExit(
                     f"--spec expects exactly one RunSpec in {args.spec!r}, "
@@ -1246,7 +1060,7 @@ def _cmd_schedule(args, stream: IO[str]) -> int:
                 f"unknown objective {args.objective!r}; registered: "
                 f"{', '.join(sorted(OBJECTIVES))}"
             ) from None
-        specs = _load_or_die(args.spec, load_specs, "spec")
+        specs = _load_specs_or_die(args.spec)
         if len(specs) != 1:
             raise SystemExit(
                 f"schedule search expects exactly one RunSpec in {args.spec!r}, "

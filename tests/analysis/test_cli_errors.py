@@ -65,6 +65,47 @@ class TestMalformedSpecFile:
         message = _run_expecting_error(["run", "--spec", str(path)])
         assert "invalid spec" in message
 
+    def test_run_spec_typoed_graph_name(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"graph": "random-digraf", "protocol": "flooding"}),
+            encoding="utf-8",
+        )
+        message = _run_expecting_error(["run", "--spec", str(path)])
+        assert "unknown graph 'random-digraf'" in message
+        assert "random-digraph" in message  # the listing helps the user recover
+
+    def test_batch_typoed_protocol_name(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"graph": "random-digraph", "protocol": "flooding"},
+                    {"graph": "random-digraph", "protocol": "general-brodcast"},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.jsonl"
+        message = _run_expecting_error(["batch", str(path), "-o", str(out), "--serial"])
+        assert "unknown protocol 'general-brodcast'" in message
+        assert "general-broadcast" in message
+        assert not out.exists()  # rejected before anything ran
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [
+            ("scheduler", "fifoo", "scheduler"),
+            ("graph_transforms", ["with-dead-end"], "graph transform"),
+        ],
+    )
+    def test_typoed_scheduler_and_transform_names(self, tmp_path, field, value, kind):
+        path = tmp_path / "spec.json"
+        payload = {"graph": "random-digraph", "protocol": "flooding", field: value}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = _run_expecting_error(["run", "--spec", str(path)])
+        assert f"unknown {kind}" in message
+
     def test_experiment_spec_bad_json(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text("[[[", encoding="utf-8")
