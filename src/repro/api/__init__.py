@@ -53,6 +53,7 @@ from .registry import (
 )
 from .spec import (
     TIMING_FIELDS,
+    check_registered_names,
     ensure_registered,
     MetricValue,
     RunRecord,
@@ -103,6 +104,7 @@ __all__ = [
     "execute_spec",
     "execute_spec_full",
     "ensure_registered",
+    "check_registered_names",
     "load_specs",
     "dump_specs",
     # topology cache

@@ -18,8 +18,10 @@ reproduces the file byte-for-byte modulo :data:`~repro.api.spec.TIMING_FIELDS`.
 With a :class:`~repro.store.store.ResultStore` attached
 (``BatchRunner(store=...)``), resume first consults the store's sqlite
 index — cross-campaign, cross-user, cross-CI cache hits at the cost of an
-index lookup, not a JSONL parse — and every freshly computed record is
-published back to the store as it completes.  The per-batch JSONL file
+index lookup, not a JSONL parse — and freshly computed records are
+published back to the store in chunks of :data:`PUBLISH_CHUNK` (one
+``put_many`` each), with the remainder published when the run ends,
+normally or by an exception.  The per-batch JSONL file
 keeps working exactly as before and is only parsed when the store could
 not satisfy the whole batch (the legacy fallback); records it serves are
 absorbed into the store, migrating old artifact dirs on touch.
@@ -53,6 +55,11 @@ __all__ = [
 #: the overhead for little gain; 8 keeps every campaign-scale sweep
 #: batched while letting small ad-hoc groups skip the machinery.
 DEFAULT_MIN_GROUP_SIZE = 8
+
+#: Freshly computed records :meth:`BatchRunner.run` collects before it
+#: publishes them to the attached store in one ``put_many`` call (one index
+#: query and one transaction per chunk instead of per record).
+PUBLISH_CHUNK = 256
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -179,8 +186,11 @@ class BatchRunner:
         Optional :class:`~repro.store.store.ResultStore`.  When set, a
         resuming run looks specs up in the store index before anything
         else (O(pending) — the batch JSONL is not even parsed when the
-        store satisfies every spec) and publishes every freshly computed
-        record back to the store as it completes.  The store is only
+        store satisfies every spec) and publishes freshly computed records
+        back to the store in chunks of :data:`PUBLISH_CHUNK`, plus the
+        remainder when the run ends (also when it ends by an exception).
+        A hard kill can leave up to one chunk out of the store; the JSONL
+        output still has those records line by line.  The store is only
         touched from this parent process, never from pool workers.
     min_group_size:
         Smallest seed-group worth dispatching through ``run_many``
@@ -301,13 +311,17 @@ class BatchRunner:
         self._batched_groups = 0
         self._batch_fallbacks = {}
         sink = None
+        fresh: List[RunRecord] = []
         try:
             if output_path:
                 sink = open(output_path, "a", encoding="utf-8")
             for record in self._execute(pending):
                 by_id[record.spec.spec_id] = record
                 if store is not None:
-                    store.put(record)
+                    fresh.append(record)
+                    if len(fresh) >= PUBLISH_CHUNK:
+                        chunk, fresh = fresh, []
+                        store.put_many(chunk)
                 if sink is not None:
                     sink.write(record.to_json() + "\n")
                     sink.flush()
@@ -317,6 +331,10 @@ class BatchRunner:
         finally:
             if sink is not None:
                 sink.close()
+            if store is not None and fresh:
+                # Also on the way out of an exception: every record that
+                # was computed reaches the store.
+                store.put_many(fresh)
 
         records = [by_id[spec.spec_id] for spec in spec_list]
         if output_path:

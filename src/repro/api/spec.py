@@ -31,9 +31,9 @@ import inspect
 import json
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from .engines import ENGINES
 from .registry import GRAPH_TRANSFORMS, GRAPHS, PROTOCOLS, SCHEDULERS, UnknownNameError
@@ -53,6 +53,7 @@ __all__ = [
     "topology_cache_stats",
     "clear_topology_cache",
     "ensure_registered",
+    "check_registered_names",
     "load_specs",
     "dump_specs",
 ]
@@ -88,6 +89,30 @@ def ensure_registered() -> None:
     from ..network import faults, scheduler  # noqa: F401
 
 
+def check_registered_names(specs: Iterable["RunSpec"]) -> None:
+    """Raise :class:`UnknownNameError` for the first unregistered name in ``specs``.
+
+    Checks each distinct graph, graph-transform, protocol and scheduler
+    name once; the error lists the registered names.  Front ends (spec
+    files, service submissions) call this before anything runs.  It is
+    deliberately not part of :meth:`RunSpec.__post_init__`, which runs on
+    every store read.
+    """
+    ensure_registered()
+    seen: Set[Tuple[Any, str]] = set()
+    for spec in specs:
+        for registry, names in (
+            (GRAPHS, (spec.graph,)),
+            (GRAPH_TRANSFORMS, spec.graph_transforms),
+            (PROTOCOLS, (spec.protocol,)),
+            (SCHEDULERS, (spec.scheduler,)),
+        ):
+            for name in names:
+                if (registry, name) not in seen:
+                    seen.add((registry, name))
+                    registry.get(name)
+
+
 @lru_cache(maxsize=1024)
 def _accepts_param(factory: Any, name: str) -> bool:
     """Whether calling ``factory`` accepts a keyword argument ``name``.
@@ -107,6 +132,15 @@ def _accepts_param(factory: Any, name: str) -> bool:
             inspect.Parameter.VAR_POSITIONAL,
         )
     return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+
+
+def _copy_json(value: Any) -> Any:
+    """A deep copy of a JSON value (dicts, lists and scalars only)."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
 
 
 def _json_safe(value: Any, where: str) -> Any:
@@ -265,25 +299,66 @@ class RunSpec:
         the spec_id they had before the fault layer existed, so legacy
         resume files and caches stay valid.  ``trace=None`` is excluded
         the same way for the trace-capture layer.
+
+        Computed on first access and memoised on the instance (the spec is
+        frozen), so a spec must never be mutated in place after that;
+        :meth:`with_seed`, :func:`dataclasses.replace` and unpickling all
+        build instances that hash afresh.
         """
-        payload = self.to_dict()
-        payload.pop("label", None)
-        if payload.get("faults") is None:
-            payload.pop("faults", None)
-        if payload.get("trace") is None:
-            payload.pop("trace", None)
+        cached = self.__dict__.get("_spec_id")
+        if cached is not None:
+            return cached
+        payload: Dict[str, Any] = {
+            "graph": self.graph,
+            "protocol": self.protocol,
+            "graph_params": self.graph_params,
+            "protocol_params": self.protocol_params,
+            "graph_transforms": self.graph_transforms,
+            "scheduler": self.scheduler,
+            "scheduler_params": self.scheduler_params,
+            "engine": self.engine,
+            "max_steps": self.max_steps,
+            "seed": self.seed,
+            "record_trace": self.record_trace,
+            "track_state_bits": self.track_state_bits,
+            "stop_at_termination": self.stop_at_termination,
+        }
+        if self.faults is not None:
+            payload["faults"] = self.faults.to_dict()
+        if self.trace is not None:
+            payload["trace"] = self.trace
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        spec_id = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        object.__setattr__(self, "_spec_id", spec_id)
+        return spec_id
 
     def __hash__(self) -> int:
         return hash(self.spec_id)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickles carry the fields only; the memoised id is recomputed.
+        return {name: value for name, value in self.__dict__.items() if name != "_spec_id"}
+
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict with every field present (stable shape)."""
-        payload = asdict(self)
-        payload["graph_transforms"] = list(self.graph_transforms)
-        payload["faults"] = self.faults.to_dict() if self.faults is not None else None
-        return payload
+        return {
+            "graph": self.graph,
+            "protocol": self.protocol,
+            "graph_params": _copy_json(self.graph_params),
+            "protocol_params": _copy_json(self.protocol_params),
+            "graph_transforms": list(self.graph_transforms),
+            "scheduler": self.scheduler,
+            "scheduler_params": _copy_json(self.scheduler_params),
+            "engine": self.engine,
+            "max_steps": self.max_steps,
+            "seed": self.seed,
+            "record_trace": self.record_trace,
+            "track_state_bits": self.track_state_bits,
+            "stop_at_termination": self.stop_at_termination,
+            "faults": self.faults.to_dict() if self.faults is not None else None,
+            "trace": self.trace,
+            "label": self.label,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunSpec":
@@ -383,9 +458,15 @@ class RunRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict with the spec nested in its own dict form."""
-        payload = asdict(self)
-        payload["spec"] = self.spec.to_dict()
-        return payload
+        return {
+            "spec": self.spec.to_dict(),
+            "outcome": self.outcome,
+            "terminated": self.terminated,
+            "num_vertices": self.num_vertices,
+            "num_edges": self.num_edges,
+            "metrics": dict(self.metrics),
+            "elapsed_seconds": self.elapsed_seconds,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
@@ -586,7 +667,10 @@ def execute_spec_full(spec: RunSpec):
     result, extra = engine.run_one(spec, network, protocol)
     elapsed = time.perf_counter() - start
 
-    metrics: Dict[str, MetricValue] = dict(asdict(result.metrics))
+    run_metrics = result.metrics
+    metrics: Dict[str, MetricValue] = {
+        f.name: getattr(run_metrics, f.name) for f in fields(run_metrics)
+    }
     metrics.update(extra)
     record = RunRecord(
         spec=spec,

@@ -48,10 +48,6 @@ from .analysis.report import render_table
 from .api import (
     ENGINES,
     EXPERIMENTS,
-    GRAPH_TRANSFORMS,
-    GRAPHS,
-    PROTOCOLS,
-    SCHEDULERS,
     BatchRunner,
     CampaignRunner,
     RunRecord,
@@ -59,6 +55,7 @@ from .api import (
     SpecError,
     UnknownNameError,
     all_registries,
+    check_registered_names,
     ensure_registered,
     execute_spec,
     load_experiment,
@@ -119,19 +116,10 @@ def _load_specs_or_die(path: str) -> List[RunSpec]:
     one-line exit, before anything executes, listing the registered names.
     """
     specs = _load_or_die(path, load_specs, "spec")
-    ensure_registered()
-    for spec in specs:
-        for registry, names in (
-            (GRAPHS, (spec.graph,)),
-            (GRAPH_TRANSFORMS, spec.graph_transforms),
-            (PROTOCOLS, (spec.protocol,)),
-            (SCHEDULERS, (spec.scheduler,)),
-        ):
-            for name in names:
-                try:
-                    registry.get(name)
-                except UnknownNameError as exc:
-                    raise SystemExit(f"invalid spec in {path!r}: {exc}") from None
+    try:
+        check_registered_names(specs)
+    except UnknownNameError as exc:
+        raise SystemExit(f"invalid spec in {path!r}: {exc}") from None
     return specs
 
 

@@ -37,7 +37,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..api import ENGINES, EXPERIMENTS, ensure_registered
+from ..api import (
+    ENGINES,
+    EXPERIMENTS,
+    UnknownNameError,
+    check_registered_names,
+    ensure_registered,
+)
 from ..api.campaign import CampaignRunner, DriverExperiment, ExperimentSpec
 from ..api.spec import RunRecord, SpecError
 
@@ -195,7 +201,9 @@ class ExperimentService:
         Accepted fields: ``experiment`` (one registered name) or
         ``experiments`` (a list of names, or ``"all"``), xor ``spec`` (an
         inline :class:`ExperimentSpec` dict); optional ``scale`` (name) or
-        ``quick`` (bool shorthand), and ``engine``.
+        ``quick`` (bool shorthand), and ``engine``.  An inline spec's
+        grid is expanded here, so its run specs and every graph, transform,
+        protocol and scheduler name in them are checked before a job exists.
         """
         if not isinstance(payload, dict):
             raise JobError(f"payload must be a JSON object, got {type(payload).__name__}")
@@ -228,9 +236,10 @@ class ExperimentService:
             raise JobError("give exactly one of 'experiment(s)' or 'spec'")
 
         experiments: List[Union[str, Dict[str, Any]]] = []
+        inline: Optional[ExperimentSpec] = None
         if spec_payload is not None:
             try:
-                ExperimentSpec.from_dict(spec_payload)
+                inline = ExperimentSpec.from_dict(spec_payload)
             except SpecError as exc:
                 raise JobError(f"invalid experiment spec: {exc}") from None
             experiments.append(dict(spec_payload))
@@ -263,6 +272,13 @@ class ExperimentService:
                         f"experiment {experiment.name!r} has no scale {scale!r}; "
                         f"known: {known_scales}"
                     )
+        if inline is not None:
+            # Expand the grid once so a typo'd registry name (or a bad run
+            # spec) is rejected here, not by a job that fails later.
+            try:
+                check_registered_names(inline.expand(scale=scale, engine=engine))
+            except (SpecError, UnknownNameError) as exc:
+                raise JobError(f"invalid experiment spec: {exc}") from None
         return experiments, scale, engine
 
     def submit(self, payload: Any) -> Tuple[Job, bool]:

@@ -87,6 +87,18 @@ def _record_sha(record_json: str) -> str:
     return hashlib.sha256(record_json.encode("utf-8")).hexdigest()
 
 
+def _envelope(key: StoreKey, record_json: str, sha: str) -> str:
+    """One shard line: ``{"key": [...], "record": {...}, "sha256": "..."}``.
+
+    Spliced from the record's canonical JSON rather than re-dumped: the
+    keys are already in sorted order and every part is compact JSON, so
+    the bytes equal ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    of the parsed envelope.
+    """
+    key_json = json.dumps(key.to_list(), separators=(",", ":"))
+    return f'{{"key":{key_json},"record":{record_json},"sha256":"{sha}"}}'
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Aggregate index statistics (no shard I/O)."""
@@ -278,26 +290,25 @@ class ResultStore:
         return self.key_for(record.spec)
 
     def put_many(self, records: Iterable[RunRecord], *, replace: bool = False) -> int:
-        """Store many records in one index transaction; return how many were new."""
+        """Store many records in one index transaction; return how many were new.
+
+        Which keys already exist is one batched index query, not one
+        lookup per record; the first record of a key repeated within the
+        batch wins.
+        """
         conn = self._connection()
         new = 0
-        pending: List[Tuple[StoreKey, str, int]] = []
-        batch_seen: set = set()
+        by_key: Dict[StoreKey, RunRecord] = {}
         for record in records:
-            key = self.key_for(record.spec)
-            if key in batch_seen:
-                continue
-            batch_seen.add(key)
-            if not replace and self._lookup(key) is not None:
+            by_key.setdefault(self.key_for(record.spec), record)
+        existing = {} if replace else self.contains_many_keys(list(by_key))
+        pending: List[Tuple[StoreKey, str, int]] = []
+        for key, record in by_key.items():
+            if key in existing:
                 continue
             record_json = record.to_json()
             sha = _record_sha(record_json)
-            envelope = json.dumps(
-                {"key": key.to_list(), "record": json.loads(record_json), "sha256": sha},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            data = (envelope + "\n").encode("utf-8")
+            data = (_envelope(key, record_json, sha) + "\n").encode("utf-8")
             self.backend.append_line(key.shard, data)
             pending.append((key, sha, len(data)))
         if pending:
@@ -438,8 +449,8 @@ class ResultStore:
             blob = self.backend.read_bytes(shard)
         except StoreBackendError:
             return {}
-        by_sha: Dict[Tuple[StoreKey, str], str] = {}
-        by_key: Dict[StoreKey, str] = {}
+        by_sha: Dict[Tuple[StoreKey, str], Dict[str, Any]] = {}
+        by_key: Dict[StoreKey, Dict[str, Any]] = {}
         for raw in blob.split(b"\n"):
             if not raw.strip():
                 continue
@@ -453,21 +464,21 @@ class ResultStore:
                     continue  # self-inconsistent line: treat as absent
             except (ValueError, KeyError, TypeError):
                 continue  # truncated/garbled line: treat as absent
-            by_sha[(key, envelope["sha256"])] = record_json
-            by_key[key] = record_json  # last writer wins for sha-less fallback
+            by_sha[(key, envelope["sha256"])] = envelope["record"]
+            by_key[key] = envelope["record"]  # last writer wins for sha-less fallback
         served: Dict[str, RunRecord] = {}
         damaged = False
         for key, sha in wanted.items():
-            record_json = by_sha.get((key, sha))
-            if record_json is None:
+            payload = by_sha.get((key, sha))
+            if payload is None:
                 # Index/shard divergence for the exact sha (e.g. a racing
                 # duplicate put): any intact line for the key still serves.
-                record_json = by_key.get(key)
-            if record_json is None:
+                payload = by_key.get(key)
+            if payload is None:
                 damaged = True
                 continue
             try:
-                served[key.spec_id] = RunRecord.from_json(record_json)
+                served[key.spec_id] = RunRecord.from_dict(payload)
             except (ValueError, KeyError, TypeError):
                 damaged = True
         if damaged:
@@ -654,16 +665,7 @@ class ResultStore:
             for key, sha, record_json in lines:
                 if wanted.get(key) == sha and (key, sha) not in seen:
                     seen.add((key, sha))
-                    envelope = json.dumps(
-                        {
-                            "key": key.to_list(),
-                            "record": json.loads(record_json),
-                            "sha256": sha,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    keep.append(envelope)
+                    keep.append(_envelope(key, record_json, sha))
             dropped_lines += (len(lines) + corrupt) - len(keep)
             kept += len(keep)
             if not keep:

@@ -366,3 +366,80 @@ class TestBatchFallbackCounters:
         runner.run(batch_specs(8))
         assert runner.stats.batched_groups == 1
         assert runner.stats.batch_fallbacks == {}
+
+
+def counting(fget):
+    """``fget`` wrapped to count its calls (as tracing tools wrap a property)."""
+
+    def wrapped(spec):
+        wrapped.calls += 1
+        return fget(spec)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+class TestStorePublishing:
+    """Fresh records reach the store in ``put_many`` chunks, also on errors."""
+
+    def test_rewrapped_spec_id_keeps_seed_groups(self, tmp_path, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.store import ResultStore
+
+        expected = BatchRunner(parallel=False).run(batch_specs(8))
+        fget = counting(RunSpec.spec_id.fget)
+        monkeypatch.setattr(RunSpec, "spec_id", property(fget))
+        runner = BatchRunner(parallel=False, store=ResultStore(str(tmp_path / "store")))
+        records = runner.run(batch_specs(8))
+        assert fget.calls > 0
+        assert runner.stats.batched_groups == 1
+        assert [r.comparable_dict() for r in records] == [
+            r.comparable_dict() for r in expected
+        ]
+
+    def test_cold_batch_publishes_in_chunks(self, tmp_path, monkeypatch):
+        import math
+
+        from repro.api import runner as runner_module
+        from repro.store import ResultStore
+
+        chunk = 4
+        monkeypatch.setattr(runner_module, "PUBLISH_CHUNK", chunk)
+        store = ResultStore(str(tmp_path / "store"))
+        sizes = []
+        put_many = store.put_many
+
+        def spy(records, **kwargs):
+            records = list(records)
+            sizes.append(len(records))
+            return put_many(records, **kwargs)
+
+        def no_put(*args, **kwargs):
+            raise AssertionError("BatchRunner must publish through put_many")
+
+        monkeypatch.setattr(store, "put_many", spy)
+        monkeypatch.setattr(store, "put", no_put)
+        specs = tree_specs(10)
+        BatchRunner(parallel=False, store=store).run(specs)
+        assert len(sizes) <= math.ceil(len(specs) / chunk)
+        assert sum(sizes) == len(specs)
+        assert store.contains_many(specs) == {spec.spec_id for spec in specs}
+
+    def test_error_mid_batch_publishes_what_was_computed(self, tmp_path):
+        from repro.store import ResultStore
+
+        store = ResultStore(str(tmp_path / "store"))
+        specs = tree_specs(7)
+        k = 3
+
+        def progress(done, total, record):
+            if done == k:
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            BatchRunner(parallel=False, store=store).run(specs, progress=progress)
+        assert len(store.contains_many(specs)) == k
+        runner = BatchRunner(parallel=False, store=store)
+        runner.run(specs)
+        assert runner.stats.store_hits == k
+        assert runner.stats.executed == len(specs) - k

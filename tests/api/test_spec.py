@@ -1,6 +1,9 @@
 """Tests for RunSpec / RunRecord: round-trip, materialization, execution."""
 
+import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -110,6 +113,162 @@ class TestIdentity:
 
     def test_specs_are_hashable(self):
         assert len({digraph_spec(), digraph_spec(), digraph_spec(seed=9)}) == 2
+
+
+def reference_to_dict(spec: RunSpec) -> dict:
+    """``RunSpec.to_dict`` as it was first written, on ``dataclasses.asdict``."""
+    payload = dataclasses.asdict(spec)
+    payload["graph_transforms"] = list(spec.graph_transforms)
+    payload["faults"] = spec.faults.to_dict() if spec.faults is not None else None
+    return payload
+
+
+def reference_spec_id(spec: RunSpec) -> str:
+    payload = reference_to_dict(spec)
+    payload.pop("label")
+    for key in ("faults", "trace"):
+        if payload[key] is None:
+            payload.pop(key)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def reference_record_json(record: RunRecord) -> str:
+    payload = dataclasses.asdict(record)
+    payload["spec"] = reference_to_dict(record.spec)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: Specs covering every identity rule, with the spec_id each has always had.
+PINNED_SPECS = [
+    (RunSpec(graph="random-grounded-tree", protocol="tree-broadcast", seed=1), "dc48cb0dba665947"),
+    (
+        RunSpec(
+            graph="random-digraph",
+            graph_params={"num_internal": 8},
+            protocol="general-broadcast",
+            seed=None,
+        ),
+        "3612c6afd6e1920d",
+    ),
+    (
+        RunSpec(
+            graph="random-dag",
+            graph_params={"num_internal": 6, "shape": (2, (3, 4))},
+            protocol="flooding",
+            protocol_params={"weights": (1, 2)},
+            graph_transforms=("with-dead-end-vertex", "with-stranded-cycle"),
+            label="tagged",
+            seed=7,
+        ),
+        "ddf78885c02fec1d",
+    ),
+    (
+        RunSpec(
+            graph="random-digraph",
+            graph_params={"num_internal": 10},
+            protocol="general-broadcast",
+            engine="fastpath",
+            seed=2,
+            faults={"drop_probability": 0.1, "crashes": [{"vertex": 2, "step": 5}], "seed": 4},
+        ),
+        "93aff4a1848b6e81",
+    ),
+    (
+        RunSpec(
+            graph="random-grounded-tree",
+            graph_params={"num_internal": 12},
+            protocol="tree-broadcast",
+            engine="fastpath",
+            scheduler="random",
+            scheduler_params={"seed": 9},
+            max_steps=500,
+            stop_at_termination=True,
+            trace="sample:8",
+            seed=3,
+        ),
+        "2b98e1a549f6133b",
+    ),
+]
+PINNED_IDS = [f"spec{index}" for index in range(len(PINNED_SPECS))]
+
+
+def pinned_record(spec: RunSpec) -> RunRecord:
+    return RunRecord(
+        spec=spec,
+        outcome="terminated",
+        terminated=True,
+        num_vertices=5,
+        num_edges=7,
+        metrics={"steps": 3, "termination_step": None, "mean": 0.5},
+        elapsed_seconds=0.25,
+    )
+
+
+class TestIdentityIsByteStable:
+    """The hand-written identity and serialisation match the ``asdict`` forms."""
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_spec_id_pinned(self, spec, spec_id):
+        assert spec.spec_id == spec_id
+        assert reference_spec_id(spec) == spec_id
+        assert RunSpec.from_json(spec.to_json()).spec_id == spec_id
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_to_dict_matches_asdict_reference(self, spec, spec_id):
+        assert spec.to_dict() == reference_to_dict(spec)
+        assert list(spec.to_dict()) == list(reference_to_dict(spec))
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_record_json_matches_asdict_reference(self, spec, spec_id):
+        record = pinned_record(spec)
+        assert record.to_dict() == json.loads(reference_record_json(record))
+        assert record.to_json() == reference_record_json(record)
+        assert RunRecord.from_json(record.to_json()).to_json() == record.to_json()
+
+    def test_executed_record_json_matches_asdict_reference(self):
+        record = execute_spec(digraph_spec(faults={"drop_probability": 0.2}))
+        assert record.to_json() == reference_record_json(record)
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_mutating_to_dict_leaves_spec_alone(self, spec, spec_id):
+        before = reference_to_dict(spec)
+        payload = spec.to_dict()
+        payload["graph_params"]["num_internal"] = 99
+        payload["graph_params"]["extra"] = [1]
+        payload["protocol_params"]["extra"] = {"x": 1}
+        payload["scheduler_params"]["extra"] = True
+        payload["graph_transforms"].append("with-dead-end-vertex")
+        if "shape" in payload["graph_params"]:
+            payload["graph_params"]["shape"][1].append(5)
+        if payload["faults"] is not None:
+            payload["faults"]["crashes"].append({"vertex": 1, "step": 1})
+        assert reference_to_dict(spec) == before
+        assert spec.spec_id == spec_id
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_copies_never_carry_a_stale_id(self, spec, spec_id):
+        assert spec.spec_id == spec_id  # memoised on the instance now
+        reseeded = spec.with_seed(12345)
+        assert reseeded.spec_id == reference_spec_id(reseeded) != spec_id
+        assert spec.with_seed(spec.seed).spec_id == spec_id
+        replaced = dataclasses.replace(spec, max_steps=77)
+        assert replaced.spec_id == reference_spec_id(replaced) != spec_id
+        # A pickle carries the fields only: even a corrupted memo is not
+        # shipped across a process boundary.
+        object.__setattr__(spec, "_spec_id", "stale")
+        try:
+            clone = pickle.loads(pickle.dumps(spec))
+        finally:
+            object.__delattr__(spec, "_spec_id")
+        assert clone == spec
+        assert clone.spec_id == spec_id
+        assert spec.spec_id == spec_id
+
+    def test_spec_id_is_a_plain_property(self):
+        # Tracing tools re-wrap it as property(wrapper(fget)); a descriptor
+        # of another kind would turn spec.spec_id into a bound method.
+        assert type(RunSpec.__dict__["spec_id"]) is property
 
 
 class TestMaterialization:

@@ -76,6 +76,32 @@ class TestPayloadValidation:
         with pytest.raises(JobError, match="invalid experiment spec"):
             service.submit({"spec": {"name": "x", "bogus_field": 1}})
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"base": {"protocol": "floding"}}, "unknown protocol 'floding'"),
+            ({"axes": {"scheduler": ["fifo", "lifoo"]}}, "unknown scheduler 'lifoo'"),
+            ({"axes": {"@t": [{"graph_transforms": ["with-dead-end"]}]}}, "'with-dead-end'"),
+            ({"base": {"graph": "random-tree"}}, "unknown graph 'random-tree'"),
+        ],
+        ids=["protocol", "scheduler-axis", "transform-patch", "graph"],
+    )
+    def test_typo_in_inline_spec_is_rejected_before_a_job(self, service, patch, message):
+        spec = {
+            "name": "typo",
+            "base": {
+                "graph": "random-grounded-tree",
+                "graph_params": {"num_internal": 6},
+                "protocol": "tree-broadcast",
+            },
+            "axes": {"seed": [0, 1]},
+        }
+        for key, value in patch.items():
+            spec[key] = {**spec[key], **value}
+        with pytest.raises(JobError, match=rf"{message}; registered: "):
+            service.submit({"spec": spec})
+        assert service.jobs() == []
+
     def test_non_dict_payload(self, service):
         with pytest.raises(JobError, match="JSON object"):
             service.submit(["e01"])
@@ -221,6 +247,18 @@ class TestHttpRoundTrip:
         assert request(server, "GET", "/experiments/zzz/result")[0] == 404
         assert request(server, "GET", "/nowhere")[0] == 404
         assert request(server, "POST", "/nowhere", {})[0] == 404
+
+    def test_typo_in_inline_spec_is_400(self, service, server):
+        spec = {
+            "name": "typo",
+            "base": {"graph": "random-grounded-tree", "protocol": "floding"},
+            "axes": {"graph_params.num_internal": [6], "seed": [0, 1]},
+        }
+        status, body = request(server, "POST", "/experiments", {"spec": spec})
+        assert status == 400
+        assert "unknown protocol 'floding'; registered: " in body["error"]
+        assert "flooding" in body["error"]
+        assert service.jobs() == []
 
     def test_result_before_completion_is_409(self, service, server):
         # submit a job and probe /result in the narrow window before it

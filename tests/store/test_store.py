@@ -73,6 +73,24 @@ class TestRoundTrip:
         # stored record, it does not re-execute
         assert fetched.to_json() == record.to_json()
 
+    def test_envelope_lines_are_canonical_json(self, tmp_path):
+        import hashlib
+
+        store = ResultStore(str(tmp_path / "store"))
+        records = [execute_spec(make_spec(seed=seed)) for seed in (None, 1, 2)]
+        store.put_many(records)
+        store.gc()  # compaction rewrites the shards; lines must not change
+        for record in records:
+            key = store.key_for(record.spec)
+            lines = (tmp_path / "store" / "shards" / key.shard).read_bytes().splitlines()
+            line = next(l for l in lines if json.loads(l)["key"] == key.to_list())
+            record_json = record.to_json()
+            sha = hashlib.sha256(record_json.encode("utf-8")).hexdigest()
+            envelope = {"key": key.to_list(), "record": json.loads(record_json), "sha256": sha}
+            assert line.decode("utf-8") == json.dumps(
+                envelope, sort_keys=True, separators=(",", ":")
+            )
+
     def test_get_missing_is_none(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         assert store.get(make_spec(seed=99)) is None
