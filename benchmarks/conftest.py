@@ -3,7 +3,7 @@
 Each bench runs one *registered experiment campaign* exactly once under
 pytest-benchmark (the campaigns are deterministic; re-running them only
 repeats identical work), prints the full result table so the bench log
-reproduces every number recorded in EXPERIMENTS.md, and returns the rows
+reproduces every number in ``repro report``, and returns the rows
 for shape assertions.
 
 Benches address experiments by :data:`repro.api.EXPERIMENTS` registry name

@@ -59,7 +59,7 @@ def main() -> None:
         print(f"resume: {rerun.stats.reused} runs reused, 0 re-executed")
 
     # --- 4. a registered paper experiment ------------------------------
-    # All eighteen E-experiments live in the EXPERIMENTS registry; 'quick'
+    # All nineteen E-experiments live in the EXPERIMENTS registry; 'quick'
     # is the CI smoke scale.  This is exactly `repro experiment e05 --quick`.
     ensure_registered()
     e05 = EXPERIMENTS.get("e05")

@@ -14,8 +14,8 @@ The package implements, from scratch:
   (:mod:`repro.graphs`, :mod:`repro.lowerbounds`),
 * classical undirected/strongly-connected baselines for the Section 6
   comparison (:mod:`repro.baselines`),
-* the experiment drivers behind every row of EXPERIMENTS.md
-  (:mod:`repro.analysis`), and
+* the registered experiment campaigns behind every table of
+  ``repro report`` (:mod:`repro.analysis`), and
 * the run-spec layer (:mod:`repro.api`): serializable
   :class:`~repro.api.spec.RunSpec` descriptions of runs, string registries
   for every protocol/graph/scheduler, and a parallel

@@ -1,14 +1,12 @@
-"""Analysis layer: scaling fits, experiment drivers, and report rendering."""
+"""Analysis layer: scaling fits, registered campaigns, and report rendering."""
 
-from .experiments import ALL_EXPERIMENTS
 from .report import format_value, render_table
 from .figures import generate_figures, paper_figures
-from .sweeps import MetricSummary, summarize, sweep_metrics
+from .sweeps import MetricSummary, summarize, sweep_spec_metrics
 from .visualize import render_label_map, render_union
 from .scaling import bound_ratios, is_flat, loglog_slope, ratio_band, semilog_slope
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "render_table",
     "format_value",
     "loglog_slope",
@@ -17,7 +15,7 @@ __all__ = [
     "ratio_band",
     "is_flat",
     "MetricSummary",
-    "sweep_metrics",
+    "sweep_spec_metrics",
     "summarize",
     "render_union",
     "render_label_map",

@@ -1,4 +1,4 @@
-"""The registered experiment campaigns ``e01`` … ``e18``.
+"""The registered experiment campaigns ``e01`` … ``e19``.
 
 Importing this module populates :data:`~repro.api.registry.EXPERIMENTS`
 (:func:`repro.api.ensure_registered` does it for you): every paper
@@ -18,10 +18,9 @@ Three kinds of entry:
   because the rows inspect per-vertex states or protocol output
   (E6 labeling, E11 mapping, E12 label gap, E18 churn safety).
 * **Driver experiments** — :class:`~repro.api.campaign.DriverExperiment`
-  wrapping the lower-bound/exhaustive harnesses that do not execute specs
-  at all (E2, E4, E7, E14), referenced lazily by dotted name so this
-  module never imports :mod:`repro.analysis.experiments` (which imports
-  us back).
+  wrapping the lower-bound, exhaustive and schedule-search harnesses that
+  do not execute spec grids (E2, E4, E7, E14, E19), referenced lazily by
+  dotted name so registering them does not import the harnesses.
 
 Row shapes are frozen interfaces — they are compared verbatim against the
 pre-campaign imperative drivers in

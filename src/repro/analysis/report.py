@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment output.
 
-Each experiment driver returns a list of dict rows; the benches print them
-through :func:`render_table` so that ``pytest benchmarks/ --benchmark-only``
-reproduces, in one place, every number cited in EXPERIMENTS.md.
+Each experiment campaign returns a list of dict rows; ``repro run``,
+``repro report`` and the benches print them through :func:`render_table`,
+so ``repro report`` reproduces every experiment's table in one file.
 """
 
 from __future__ import annotations

@@ -1,32 +1,22 @@
 """Multi-seed sweep statistics.
 
-The experiment drivers report worst-seed numbers (bounds are worst-case
-claims); for exploration and for EXPERIMENTS.md's narrative it is also
-useful to see spread.  Two entry points share the aggregation:
-
-* :func:`sweep_spec_metrics` — the spec-native form: clone one
-  :class:`~repro.api.spec.RunSpec` across seeds, execute through a
-  :class:`~repro.api.runner.BatchRunner`, aggregate the record metrics.
-  Because the workload is a spec, a sweep can also be persisted, resumed
-  and parallelised exactly like any other batch.
-* :func:`sweep_metrics` — the original callable-based form for ad-hoc
-  workloads that are not (yet) registry-addressable.
-
-Both aggregate every numeric metric into (min, mean, max);
-:func:`summarize` renders the aggregate for reports.
+The experiment campaigns report worst-seed numbers (bounds are worst-case
+claims); for exploration it is also useful to see spread.
+:func:`sweep_spec_metrics` clones one :class:`~repro.api.spec.RunSpec`
+across seeds, executes the clones through a
+:class:`~repro.api.runner.BatchRunner` (so a sweep persists, resumes and
+parallelises like any other batch) and aggregates every numeric metric
+into (min, mean, max); :func:`summarize` renders the aggregate for reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..api import BatchRunner, RunSpec
-from ..core.model import AnonymousProtocol
-from ..network.graph import DirectedNetwork
-from ..network.simulator import run_protocol
 
-__all__ = ["MetricSummary", "sweep_metrics", "sweep_spec_metrics", "summarize"]
+__all__ = ["MetricSummary", "sweep_spec_metrics", "summarize"]
 
 #: Metrics every sweep aggregates, in report order.
 SWEEP_METRICS = (
@@ -56,19 +46,6 @@ class MetricSummary:
         return self.maximum / self.minimum
 
 
-def _aggregate(samples: Dict[str, List[float]]) -> Dict[str, MetricSummary]:
-    return {
-        name: MetricSummary(
-            name=name,
-            minimum=min(values),
-            mean=sum(values) / len(values),
-            maximum=max(values),
-            samples=len(values),
-        )
-        for name, values in samples.items()
-    }
-
-
 def sweep_spec_metrics(
     base_spec: RunSpec,
     seeds: Sequence[int],
@@ -94,41 +71,16 @@ def sweep_spec_metrics(
         for name in SWEEP_METRICS:
             value = record.metrics.get(name)
             samples[name].append(value if value is not None else 0)
-    return _aggregate(samples)
-
-
-def sweep_metrics(
-    network_factory: Callable[[int], DirectedNetwork],
-    protocol_factory: Callable[[], AnonymousProtocol],
-    seeds: Sequence[int],
-    *,
-    require_termination: bool = True,
-) -> Dict[str, MetricSummary]:
-    """Run the workload across ``seeds`` and aggregate the run metrics.
-
-    ``network_factory(seed)`` builds the per-seed input.  Metrics collected:
-    ``total_messages``, ``total_bits``, ``max_message_bits``,
-    ``max_edge_bits`` and ``termination_step``.  For registry-addressable
-    workloads prefer :func:`sweep_spec_metrics`, which gains persistence,
-    resume and parallelism for free.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    samples: Dict[str, List[float]] = {name: [] for name in SWEEP_METRICS}
-    for seed in seeds:
-        network = network_factory(seed)
-        result = run_protocol(network, protocol_factory())
-        if require_termination and not result.terminated:
-            raise AssertionError(f"run for seed {seed} did not terminate")
-        metrics = result.metrics
-        samples["total_messages"].append(metrics.total_messages)
-        samples["total_bits"].append(metrics.total_bits)
-        samples["max_message_bits"].append(metrics.max_message_bits)
-        samples["max_edge_bits"].append(metrics.max_edge_bits)
-        samples["termination_step"].append(
-            metrics.termination_step if metrics.termination_step is not None else 0
+    return {
+        name: MetricSummary(
+            name=name,
+            minimum=min(values),
+            mean=sum(values) / len(values),
+            maximum=max(values),
+            samples=len(values),
         )
-    return _aggregate(samples)
+        for name, values in samples.items()
+    }
 
 
 def summarize(summaries: Dict[str, MetricSummary]) -> List[Dict]:

@@ -35,8 +35,8 @@ directory.  Experiments registered in
 Two escape hatches keep the registry complete for experiments the grid
 cannot express: aggregators marked ``white_box = True`` receive live
 engine results (per-vertex states) instead of records, and
-:class:`DriverExperiment` wraps a legacy imperative driver by dotted name
-(the lower-bound harnesses E2/E4/E7/E14).
+:class:`DriverExperiment` wraps an imperative driver by dotted name
+(the lower-bound and search harnesses E2/E4/E7/E14/E19).
 """
 
 from __future__ import annotations
@@ -250,9 +250,12 @@ class ExperimentSpec:
     ) -> "ExperimentSpec":
         """A copy with axes replaced and/or dotted-path base patches applied.
 
-        This is how the keyword-driven experiment functions
-        (``experiment_e01_tree_broadcast(sizes=..., seeds=...)``) reuse the
-        registered campaign: same base, same aggregator, caller's grid.
+        This is how a caller runs a registered campaign on its own grid —
+        same base, same aggregator, caller's sizes and seeds::
+
+            EXPERIMENTS.get("e01").with_overrides(
+                axes={"graph_params.num_internal": [50, 100], "seed": [0, 1]}
+            )
         """
         new_axes = dict(self.axes)
         if axes:
@@ -271,12 +274,13 @@ class ExperimentSpec:
 class DriverExperiment:
     """A registry entry backed by an imperative driver, by dotted name.
 
-    The lower-bound and exhaustive-verification experiments (E2, E4, E7,
-    E14) do not execute ``RunSpec`` grids — their work lives in dedicated
-    harnesses — but they still belong in :data:`EXPERIMENTS` so listings
-    and ``repro experiment all`` cover every experiment.  ``driver`` is a
-    ``"module:function"`` reference resolved lazily; ``scales`` maps scale
-    names to driver keyword arguments.
+    The lower-bound, exhaustive-verification and schedule-search
+    experiments (E2, E4, E7, E14, E19) do not execute ``RunSpec`` grids —
+    their work lives in dedicated harnesses — but they still belong in
+    :data:`EXPERIMENTS` so listings and ``repro experiment all`` cover
+    every experiment.  ``driver`` is a ``"module:function"`` reference
+    resolved lazily; ``scales`` maps scale names to driver keyword
+    arguments.
     """
 
     name: str

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # show the experiment index
     python -m repro run E5               # run one experiment, print its table
-    python -m repro run all              # run all eighteen
+    python -m repro run all              # run all nineteen
     python -m repro run E1 E9 --out report.txt
     python -m repro run --spec spec.json # execute one RunSpec file
     python -m repro batch specs.json -o out.jsonl   # parallel batch + resume
@@ -22,7 +22,9 @@ Usage::
 spec_id-keyed resume and per-experiment artifacts.  The experiment index
 (``list``) is derived from the :data:`~repro.api.registry.EXPERIMENTS`
 registry, so a registered experiment can never be missing from the
-listing.
+listing.  ``run E5`` and ``report`` run the same registered campaigns on
+a serial :class:`~repro.api.campaign.CampaignRunner` at their default
+(full) scale, without a store, and print the rows as tables.
 
 ``--store DIR`` (or the ``REPRO_STORE`` environment variable) attaches a
 content-addressed :class:`~repro.store.store.ResultStore` to ``run
@@ -41,9 +43,8 @@ import os
 import re
 import sys
 import time
-from typing import IO, Dict, List, Optional, Sequence
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .analysis.experiments import ALL_EXPERIMENTS
 from .analysis.report import render_table
 from .api import (
     ENGINES,
@@ -135,15 +136,6 @@ def _campaign_name(key: str) -> Optional[str]:
     return f"e{int(match.group(1)):02d}" if match else None
 
 
-def _experiment_titles() -> Dict[str, str]:
-    """Legacy id → registered title, for the ``run``/``report`` headers."""
-    ensure_registered()
-    return {
-        _legacy_id(name): getattr(EXPERIMENTS.get(name), "title", "") or name
-        for name in EXPERIMENTS.names()
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -163,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "experiments",
         nargs="*",
-        help="experiment ids (E1..E18) or 'all'",
+        help="experiment names (E1..E19, e01..e19) or 'all'",
     )
     run.add_argument(
         "--spec",
@@ -546,21 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(names: Sequence[str]) -> List[str]:
-    if any(name.lower() == "all" for name in names):
-        return list(ALL_EXPERIMENTS)
-    resolved = []
-    for name in names:
-        key = name.upper()
-        if key not in ALL_EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {name!r}; choose from "
-                f"{', '.join(ALL_EXPERIMENTS)} or 'all'"
-            )
-        resolved.append(key)
-    return resolved
-
-
 def _emit(text: str, stream: IO[str], extra: Optional[IO[str]]) -> None:
     print(text, file=stream)
     if extra is not None:
@@ -792,6 +769,7 @@ def _cmd_registry(stream: IO[str]) -> int:
 
 def _resolve_experiments(names: Sequence[str]) -> List[str]:
     """Map CLI experiment arguments onto EXPERIMENTS registry names."""
+    ensure_registered()
     if any(name.lower() == "all" for name in names):
         return list(EXPERIMENTS.names())
     resolved: List[str] = []
@@ -807,6 +785,20 @@ def _resolve_experiments(names: Sequence[str]) -> List[str]:
                 f"{', '.join(EXPERIMENTS.names())} or 'all'"
             )
     return resolved
+
+
+def _run_tables(names: Sequence[str]) -> Iterator[Tuple[str, str, List[Dict], float]]:
+    """Run registered experiments for ``run``/``report``.
+
+    Serial, at the default (full) scale and without a store.  Yields
+    ``(legacy id, title, rows, seconds)`` per experiment, in order.
+    """
+    runner = CampaignRunner(parallel=False)
+    for name in names:
+        experiment = EXPERIMENTS.get(name)
+        start = time.time()
+        rows = runner.run(experiment).rows
+        yield _legacy_id(name), experiment.title or name, rows, time.time() - start
 
 
 def _cmd_experiment(args, stream: IO[str]) -> int:
@@ -1219,15 +1211,11 @@ def main(argv: Optional[Sequence[str]] = None, stream: IO[str] = sys.stdout) -> 
             "# Experiment report",
             "",
             "Generated by `python -m repro report`; one section per experiment",
-            "(see EXPERIMENTS.md for the paper-vs-measured discussion).",
+            "(see the Campaigns section of README.md for what each one reproduces).",
             "",
         ]
-        titles = _experiment_titles()
-        for name, driver in ALL_EXPERIMENTS.items():
-            start = time.time()
-            rows = driver()
-            elapsed = time.time() - start
-            lines.append(f"## {name} — {titles.get(name, name).strip()}")
+        for name, title, rows, elapsed in _run_tables(_resolve_experiments(["all"])):
+            lines.append(f"## {name} — {title.strip()}")
             lines.append("")
             lines.append("```")
             lines.append(render_table(rows))
@@ -1269,14 +1257,9 @@ def main(argv: Optional[Sequence[str]] = None, stream: IO[str] = sys.stdout) -> 
             )
         if not args.experiments:
             raise SystemExit("nothing to run: give experiment ids or --spec FILE")
-        titles = _experiment_titles()
-        for name in _resolve(args.experiments):
-            driver = ALL_EXPERIMENTS[name]
-            start = time.time()
-            rows = driver()
-            elapsed = time.time() - start
-            title = f"== {name} — {titles.get(name, name)} ({elapsed:.1f}s) =="
-            _emit(render_table(rows, title=title), stream, extra)
+        for name, title, rows, elapsed in _run_tables(_resolve_experiments(args.experiments)):
+            header = f"== {name} — {title} ({elapsed:.1f}s) =="
+            _emit(render_table(rows, title=header), stream, extra)
             _emit("", stream, extra)
     finally:
         if extra is not None:

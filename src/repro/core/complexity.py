@@ -4,7 +4,7 @@ Each function returns the *bound expression* (without the hidden constant)
 for a given graph's parameters; the analysis layer divides measured costs by
 these expressions — a bound of the right shape makes the ratio flat (bounded
 above and below by constants) as the family grows.  Keeping the formulas in
-one place means every bench and every EXPERIMENTS.md row cites the same
+one place means every bench and every ``repro report`` row cites the same
 expression as the paper's theorem.
 """
 

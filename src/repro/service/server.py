@@ -15,8 +15,9 @@ machines — with zero extra dependencies.  Routes:
 ===========================================  =====================================
 
 Error contract: every non-2xx body is ``{"error": "..."}``.  Malformed
-payloads are 400 (:class:`~repro.service.jobs.JobError`), unknown job ids
-404, results of unfinished jobs 409.
+payloads and ``Content-Length`` headers are 400
+(:class:`~repro.service.jobs.JobError`), unknown job ids 404, results of
+unfinished jobs 409.
 
 The watch stream is close-delimited NDJSON — one JSON snapshot per line,
 connection closed after the terminal snapshot — which works over plain
@@ -125,7 +126,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no such route: POST {url.path}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise JobError(
+                    f"Content-Length must be a non-negative integer, got {header!r}"
+                )
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else {}

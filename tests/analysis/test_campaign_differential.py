@@ -15,7 +15,7 @@ is the diff.
 import math
 
 from repro.api import BatchRunner, RunSpec, execute_spec_full
-from repro.analysis import experiments as drivers
+from repro.analysis.campaigns import round_complexity_cases
 from repro.core.complexity import (
     dag_broadcast_total_bits_bound,
     general_broadcast_total_bits_bound,
@@ -23,6 +23,8 @@ from repro.core.complexity import (
 )
 from repro.graphs.properties import longest_path_length
 from repro.network.scheduler import standard_scheduler_specs
+
+from ..conftest import campaign_rows
 
 _RUNNER = BatchRunner(parallel=False)
 
@@ -428,75 +430,77 @@ def imperative_e12(heights):
 
 
 def test_e01_rows_identical():
-    assert drivers.experiment_e01_tree_broadcast(sizes=(50, 100), seeds=(0, 1)) == (
-        imperative_e01((50, 100), (0, 1))
-    )
+    assert campaign_rows(
+        "e01", axes={"graph_params.num_internal": [50, 100], "seed": [0, 1]}
+    ) == imperative_e01((50, 100), (0, 1))
 
 
 def test_e03_rows_identical():
-    assert drivers.experiment_e03_dag_broadcast(sizes=(20, 40), seeds=(0,)) == (
-        imperative_e03((20, 40), (0,))
-    )
+    assert campaign_rows(
+        "e03", axes={"graph_params.num_internal": [20, 40], "seed": [0]}
+    ) == imperative_e03((20, 40), (0,))
 
 
 def test_e05_rows_identical():
-    assert drivers.experiment_e05_general_broadcast(sizes=(10, 20), seeds=(0,)) == (
-        imperative_e05((10, 20), (0,))
-    )
+    assert campaign_rows(
+        "e05", axes={"graph_params.num_internal": [10, 20], "seed": [0]}
+    ) == imperative_e05((10, 20), (0,))
 
 
 def test_e06_rows_identical():
-    assert drivers.experiment_e06_labeling(sizes=(10, 20), seeds=(0,)) == (
-        imperative_e06((10, 20), (0,))
-    )
+    assert campaign_rows(
+        "e06", axes={"graph_params.num_internal": [10, 20], "seed": [0]}
+    ) == imperative_e06((10, 20), (0,))
 
 
 def test_e08_rows_identical():
-    assert drivers.experiment_e08_nontermination(sizes=(8,), seeds=(0,)) == (
-        imperative_e08((8,), (0,))
-    )
+    assert campaign_rows(
+        "e08", axes={"graph_params.num_internal": [8], "seed": [0]}
+    ) == imperative_e08((8,), (0,))
 
 
 def test_e09_rows_identical():
-    assert drivers.experiment_e09_split_ablation(sizes=(50, 100)) == (
-        imperative_e09((50, 100), 0)
-    )
+    assert campaign_rows(
+        "e09", axes={"graph_params.num_internal": [50, 100]}, base={"seed": 0}
+    ) == imperative_e09((50, 100), 0)
 
 
 def test_e10_rows_identical():
-    assert drivers.experiment_e10_eager_ablation(depths=(2, 4)) == imperative_e10((2, 4))
+    assert campaign_rows("e10", axes={"graph_params.depth": [2, 4]}) == imperative_e10((2, 4))
 
 
 def test_e11_rows_identical():
-    assert drivers.experiment_e11_mapping(sizes=(10,), seeds=(0, 1)) == (
-        imperative_e11((10,), (0, 1))
-    )
+    assert campaign_rows(
+        "e11", axes={"graph_params.num_internal": [10], "seed": [0, 1]}
+    ) == imperative_e11((10,), (0, 1))
 
 
 def test_e12_rows_identical():
-    assert drivers.experiment_e12_gap(heights=(4, 8)) == imperative_e12((4, 8))
+    assert campaign_rows("e12", axes={"graph_params.height": [4, 8]}) == imperative_e12((4, 8))
 
 
 def test_e13_rows_identical():
-    assert drivers.experiment_e13_round_complexity(sizes=(25, 50)) == (
-        imperative_e13((25, 50), (0, 1))
-    )
+    assert campaign_rows(
+        "e13", axes={"seed": [0], "@case": round_complexity_cases((25, 50))}
+    ) == imperative_e13((25, 50), (0, 1))
 
 
 def test_e15_rows_identical():
-    assert drivers.experiment_e15_state_space(sizes=(10, 20)) == imperative_e15(
-        (10, 20), 0
-    )
+    assert campaign_rows(
+        "e15", axes={"graph_params.num_internal": [10, 20]}, base={"seed": 0}
+    ) == imperative_e15((10, 20), 0)
 
 
 def test_e16_rows_identical():
-    assert drivers.experiment_e16_scheduler_sensitivity(n_internal=15) == (
-        imperative_e16(15, 0)
-    )
+    assert campaign_rows(
+        "e16", base={"graph_params.num_internal": 15, "seed": 0}
+    ) == imperative_e16(15, 0)
 
 
 def test_fastpath_engine_override_matches_async_rows():
     """Engine overrides change wall-clock, never rows (differential contract)."""
-    assert drivers.experiment_e05_general_broadcast(
-        sizes=(10, 20), seeds=(0,), engine="fastpath"
+    assert campaign_rows(
+        "e05",
+        axes={"graph_params.num_internal": [10, 20], "seed": [0]},
+        engine="fastpath",
     ) == imperative_e05((10, 20), (0,))

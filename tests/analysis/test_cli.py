@@ -2,12 +2,23 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from repro.analysis.experiments import ALL_EXPERIMENTS
+import repro
+from repro.analysis.report import render_table
 from repro.api import EXPERIMENTS, ensure_registered
+from repro.api.campaign import run_experiment
 from repro.cli import _campaign_name, _legacy_id, build_parser, main
+
+
+def _untimed(text):
+    """Output with the ``(1.2s)`` elapsed-time fields of headers removed."""
+    return re.sub(r" \(\d+\.\ds\) ==$", " ==", text, flags=re.M)
 
 
 class TestParser:
@@ -26,14 +37,25 @@ class TestParser:
             build_parser().parse_args([])
 
 
+def test_cli_startup_leaves_the_harnesses_unloaded():
+    # The driver experiments resolve their harness modules lazily, so
+    # starting the CLI and populating the registries imports none of them.
+    code = (
+        "import sys, repro.cli; from repro.api import ensure_registered; "
+        "ensure_registered(); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lowerbounds') "
+        "or m == 'repro.analysis.experiments'))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestRegistryListParity:
     """`repro list` derives from EXPERIMENTS — the views can never drift."""
-
-    def test_registry_matches_driver_table(self):
-        ensure_registered()
-        assert {_legacy_id(name) for name in EXPERIMENTS.names()} == set(
-            ALL_EXPERIMENTS
-        )
 
     def test_list_shows_every_registered_experiment(self):
         ensure_registered()
@@ -55,8 +77,9 @@ class TestMain:
         stream = io.StringIO()
         assert main(["list"], stream=stream) == 0
         text = stream.getvalue()
-        for name in ALL_EXPERIMENTS:
-            assert name in text
+        ensure_registered()
+        for name in EXPERIMENTS.names():
+            assert _legacy_id(name) in text
 
     def test_run_single(self):
         stream = io.StringIO()
@@ -69,9 +92,42 @@ class TestMain:
         stream = io.StringIO()
         assert main(["run", "e2"], stream=stream) == 0
 
+    def test_registry_and_legacy_names_run_the_same_campaign(self, monkeypatch):
+        # `run e05` used to be rejected although `repro list` prints [e05];
+        # a one-size e05 keeps the two runs quick.
+        ensure_registered()
+        small = EXPERIMENTS.get("e05").with_overrides(
+            axes={"graph_params.num_internal": [10]}
+        )
+        monkeypatch.setitem(EXPERIMENTS._factories, "e05", small)
+        outputs = []
+        for name in ("e05", "E5"):
+            stream = io.StringIO()
+            assert main(["run", name], stream=stream) == 0
+            outputs.append(_untimed(stream.getvalue()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(f"== E5 — {small.title} ==\n")
+
     def test_unknown_experiment(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "E99"], stream=io.StringIO())
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert message.startswith("unknown experiment 'E99'; registered: ")
+        ensure_registered()
+        for name in EXPERIMENTS.names():
+            assert name in message
+
+    def test_run_tables_are_the_registered_campaign_rows(self):
+        stream = io.StringIO()
+        assert main(["run", "E2", "E10"], stream=stream) == 0
+        expected = ""
+        for name in ("e02", "e10"):
+            experiment = EXPERIMENTS.get(name)
+            rows = run_experiment(name, parallel=False).rows
+            header = f"== {_legacy_id(name)} — {experiment.title} =="
+            expected += render_table(rows, title=header) + "\n\n"
+        assert _untimed(stream.getvalue()) == expected
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -80,18 +136,18 @@ class TestMain:
         assert "distinct_symbols" in out.read_text(encoding="utf-8")
 
     def test_report_command(self, tmp_path, monkeypatch):
-        # Patch the registry to two fast experiments so the test stays quick;
-        # the full report is exercised by `python -m repro report` manually.
-        import repro.cli as cli_module
-
-        fast = {"E2": cli_module.ALL_EXPERIMENTS["E2"], "E10": cli_module.ALL_EXPERIMENTS["E10"]}
-        monkeypatch.setattr(cli_module, "ALL_EXPERIMENTS", fast)
+        # Narrow the registered name list to two fast experiments so the
+        # test stays quick; `python -m repro report` runs all of them.
+        ensure_registered()
+        monkeypatch.setattr(EXPERIMENTS, "names", lambda: ("e02", "e10"))
         out = tmp_path / "report.md"
         stream = io.StringIO()
         assert main(["report", "--out", str(out)], stream=stream) == 0
         text = out.read_text(encoding="utf-8")
         assert text.startswith("# Experiment report")
-        assert "## E2" in text and "## E10" in text
+        assert re.findall(r"^## (E\d+) — ", text, flags=re.M) == ["E2", "E10"]
+        e10 = run_experiment("e10", parallel=False).rows
+        assert render_table(e10) in text
 
 
 class TestSpecCommands:

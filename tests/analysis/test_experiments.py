@@ -1,42 +1,36 @@
-"""Smoke tests for the experiment drivers (small parameters).
+"""Smoke tests for the experiments (small parameters).
 
-Each driver must run end to end and exhibit the shape asserted in
-EXPERIMENTS.md; the benches run the full-size versions.
+Each registered campaign runs end to end on a reduced grid and exhibits
+the shape its theorem predicts; ``repro report`` and the benches run the
+full-size versions.
 """
 
+from repro.analysis.campaigns import round_complexity_cases
 from repro.analysis.experiments import (
-    ALL_EXPERIMENTS,
-    experiment_e01_tree_broadcast,
     experiment_e02_tree_lowerbound,
-    experiment_e03_dag_broadcast,
     experiment_e04_commodity_lowerbound,
-    experiment_e05_general_broadcast,
-    experiment_e06_labeling,
     experiment_e07_label_lowerbound,
-    experiment_e08_nontermination,
-    experiment_e09_split_ablation,
-    experiment_e10_eager_ablation,
-    experiment_e11_mapping,
-    experiment_e12_gap,
 )
+from repro.api import EXPERIMENTS, ensure_registered
+
+from ..conftest import campaign_rows
 
 
 def test_registry_complete():
-    assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 20)}
+    ensure_registered()
+    assert EXPERIMENTS.names() == tuple(f"e{i:02d}" for i in range(1, 20))
 
 
 def test_e16_all_schedulers_terminate():
-    from repro.analysis.experiments import experiment_e16_scheduler_sensitivity
-
-    rows = experiment_e16_scheduler_sensitivity(n_internal=15)
+    rows = campaign_rows("e16", base={"graph_params.num_internal": 15, "seed": 0})
     assert all(row["terminated"] for row in rows)
     assert max(row["vs_best"] for row in rows) >= 1.0
 
 
 def test_e15_state_space_ordering():
-    from repro.analysis.experiments import experiment_e15_state_space
-
-    rows = experiment_e15_state_space(sizes=(10, 20))
+    rows = campaign_rows(
+        "e15", axes={"graph_params.num_internal": [10, 20]}, base={"seed": 0}
+    )
     for row in rows:
         # Interval-protocol states dominate the scalar protocols' states —
         # the memory cost of identifiable commodity.
@@ -45,9 +39,9 @@ def test_e15_state_space_ordering():
 
 
 def test_e13_rounds_match_longest_paths():
-    from repro.analysis.experiments import experiment_e13_round_complexity
-
-    rows = experiment_e13_round_complexity(sizes=(25, 50))
+    rows = campaign_rows(
+        "e13", axes={"seed": [0], "@case": round_complexity_cases((25, 50))}
+    )
     for row in rows:
         assert row["tree_rounds"] == row["tree_longest_path"]
         assert row["dag_rounds"] == row["dag_longest_path"]
@@ -55,7 +49,9 @@ def test_e13_rounds_match_longest_paths():
 
 
 def test_e01_ratio_flat():
-    rows = experiment_e01_tree_broadcast(sizes=(50, 100, 200), seeds=(0,))
+    rows = campaign_rows(
+        "e01", axes={"graph_params.num_internal": [50, 100, 200], "seed": [0]}
+    )
     ratios = [row["ratio"] for row in rows]
     assert max(ratios) / min(ratios) < 2.0
 
@@ -67,7 +63,7 @@ def test_e02_alphabet():
 
 
 def test_e03_one_message_per_edge():
-    rows = experiment_e03_dag_broadcast(sizes=(20, 40), seeds=(0,))
+    rows = campaign_rows("e03", axes={"graph_params.num_internal": [20, 40], "seed": [0]})
     assert all(row["one_msg_per_edge"] for row in rows)
     assert all(row["ratio"] < 1.0 for row in rows)
 
@@ -80,12 +76,12 @@ def test_e04_subset_sums():
 
 
 def test_e05_within_bound():
-    rows = experiment_e05_general_broadcast(sizes=(10, 20), seeds=(0,))
+    rows = campaign_rows("e05", axes={"graph_params.num_internal": [10, 20], "seed": [0]})
     assert all(row["ratio"] < 1.0 for row in rows)
 
 
 def test_e06_labels_valid():
-    rows = experiment_e06_labeling(sizes=(10, 20), seeds=(0,))
+    rows = campaign_rows("e06", axes={"graph_params.num_internal": [10, 20], "seed": [0]})
     assert all(row["all_labeled"] and row["labels_disjoint"] for row in rows)
 
 
@@ -97,29 +93,31 @@ def test_e07_pruning():
 
 
 def test_e08_no_false_terminations():
-    rows = experiment_e08_nontermination(sizes=(8,), seeds=(0,))
+    rows = campaign_rows("e08", axes={"graph_params.num_internal": [8], "seed": [0]})
     assert all(row["false_terminations"] == 0 for row in rows)
     assert all(row["bad_graph_runs"] > 0 for row in rows)
 
 
 def test_e09_gap():
-    rows = experiment_e09_split_ablation(sizes=(50, 200))
+    rows = campaign_rows(
+        "e09", axes={"graph_params.num_internal": [50, 200]}, base={"seed": 0}
+    )
     assert all(row["bits_ratio"] > 1.5 for row in rows)
     assert rows[-1]["bits_ratio"] >= rows[0]["bits_ratio"]
 
 
 def test_e10_blowup():
-    rows = experiment_e10_eager_ablation(depths=(4, 8))
+    rows = campaign_rows("e10", axes={"graph_params.depth": [4, 8]})
     assert all(row["waiting_is_E"] for row in rows)
     assert rows[1]["eager_messages"] > 10 * rows[1]["waiting_messages"]
 
 
 def test_e11_mapping_exact():
-    rows = experiment_e11_mapping(sizes=(10,), seeds=(0, 1))
+    rows = campaign_rows("e11", axes={"graph_params.num_internal": [10], "seed": [0, 1]})
     assert all(row["exact_reconstructions"] == row["runs"] for row in rows)
 
 
 def test_e12_gap_grows():
-    rows = experiment_e12_gap(heights=(4, 16))
+    rows = campaign_rows("e12", axes={"graph_params.height": [4, 16]})
     assert rows[1]["gap_factor"] > rows[0]["gap_factor"]
     assert all(row["directed_label_bits"] > row["undirected_label_bits"] for row in rows)

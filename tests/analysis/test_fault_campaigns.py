@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.analysis.experiments import (
-    experiment_e17_loss_termination,
-    experiment_e18_churn_labeling,
-)
+from repro.analysis.campaigns import loss_rate_axis
 from repro.api import EXPERIMENTS, ensure_registered
 from repro.api.campaign import ExperimentSpec, run_experiment
+
+from ..conftest import campaign_rows
 
 
 class TestE17LossTermination:
@@ -35,11 +34,13 @@ class TestE17LossTermination:
         for row in rows[1:]:
             assert row["runs"] == row["terminated"] + row["quiescent"]
 
-    def test_driver_veneer_matches_registry(self, rows):
-        veneer = experiment_e17_loss_termination(
-            rates=(0.0, 0.1, 0.3), seeds=(0, 1, 2)
+    def test_overridden_grid_matches_quick_scale(self, rows):
+        overridden = campaign_rows(
+            "e17",
+            axes={"faults": loss_rate_axis((0.0, 0.1, 0.3)), "seed": [0, 1, 2]},
+            base={"graph_params.num_internal": 16},
         )
-        assert veneer == rows
+        assert overridden == rows
 
 
 class TestE18ChurnLabeling:
@@ -76,10 +77,12 @@ class TestE18ChurnLabeling:
         brief = [row for row in rows if row["scenario"] == "brief-leave"]
         assert all(row["rejoins"] >= 1 for row in brief)
 
-    def test_driver_veneer_matches_registry(self, rows):
-        # the veneer runs the full scenario set; quick drops the heavy one
-        veneer = experiment_e18_churn_labeling(seeds=(0, 1))
-        by_key = {(row["scenario"], row["seed"]): row for row in veneer}
+    def test_overridden_grid_matches_quick_scale(self, rows):
+        # the overridden grid keeps the full scenario set; quick drops the heavy one
+        overridden = campaign_rows(
+            "e18", axes={"seed": [0, 1]}, base={"graph_params.num_internal": 12}
+        )
+        by_key = {(row["scenario"], row["seed"]): row for row in overridden}
         for row in rows:
             assert by_key[(row["scenario"], row["seed"])] == row
 

@@ -3,19 +3,21 @@
 import pytest
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import MetricSummary, summarize, sweep_metrics
-from repro.core.general_broadcast import GeneralBroadcastProtocol
-from repro.core.tree_broadcast import TreeBroadcastProtocol
-from repro.graphs.generators import random_grounded_tree, with_dead_end_vertex
+from repro.analysis.sweeps import MetricSummary, summarize, sweep_spec_metrics
+from repro.api import BatchRunner, RunSpec
+
+
+def _tree(num_internal):
+    return RunSpec(
+        graph="random-grounded-tree",
+        graph_params={"num_internal": num_internal},
+        protocol="tree-broadcast",
+    )
 
 
 class TestSweep:
     def test_aggregates_all_metrics(self):
-        summaries = sweep_metrics(
-            lambda seed: random_grounded_tree(20, seed=seed),
-            TreeBroadcastProtocol,
-            seeds=range(4),
-        )
+        summaries = sweep_spec_metrics(_tree(20), seeds=range(4))
         assert set(summaries) == {
             "total_messages",
             "total_bits",
@@ -27,31 +29,6 @@ class TestSweep:
             assert summary.samples == 4
             assert summary.minimum <= summary.mean <= summary.maximum
 
-    def test_requires_seeds(self):
-        with pytest.raises(ValueError):
-            sweep_metrics(
-                lambda seed: random_grounded_tree(5, seed=seed),
-                TreeBroadcastProtocol,
-                seeds=[],
-            )
-
-    def test_termination_requirement(self):
-        with pytest.raises(AssertionError):
-            sweep_metrics(
-                lambda seed: with_dead_end_vertex(random_grounded_tree(8, seed=seed)),
-                GeneralBroadcastProtocol,
-                seeds=[0],
-            )
-
-    def test_termination_requirement_can_be_waived(self):
-        summaries = sweep_metrics(
-            lambda seed: with_dead_end_vertex(random_grounded_tree(8, seed=seed)),
-            GeneralBroadcastProtocol,
-            seeds=[0, 1],
-            require_termination=False,
-        )
-        assert summaries["termination_step"].maximum == 0
-
     def test_spread(self):
         s = MetricSummary(name="x", minimum=2, mean=3, maximum=6, samples=3)
         assert s.spread == 3.0
@@ -61,51 +38,18 @@ class TestSweep:
 
 class TestSummarize:
     def test_renders(self):
-        summaries = sweep_metrics(
-            lambda seed: random_grounded_tree(10, seed=seed),
-            TreeBroadcastProtocol,
-            seeds=range(3),
-        )
-        rows = summarize(summaries)
+        rows = summarize(sweep_spec_metrics(_tree(10), seeds=range(3)))
         text = render_table(rows)
         assert "total_bits" in text
         assert "spread" in text
 
 
 class TestSpecSweep:
-    def test_matches_factory_sweep(self):
-        from repro.api import RunSpec
-        from repro.analysis.sweeps import sweep_spec_metrics
-
-        base = RunSpec(
-            graph="random-grounded-tree",
-            graph_params={"num_internal": 20},
-            protocol="tree-broadcast",
-        )
-        by_spec = sweep_spec_metrics(base, seeds=range(4))
-        by_factory = sweep_metrics(
-            lambda seed: random_grounded_tree(20, seed=seed),
-            TreeBroadcastProtocol,
-            seeds=range(4),
-        )
-        assert by_spec == by_factory
-
     def test_requires_seeds(self):
-        from repro.api import RunSpec
-        from repro.analysis.sweeps import sweep_spec_metrics
-
-        base = RunSpec(
-            graph="random-grounded-tree",
-            graph_params={"num_internal": 5},
-            protocol="tree-broadcast",
-        )
         with pytest.raises(ValueError):
-            sweep_spec_metrics(base, seeds=[])
+            sweep_spec_metrics(_tree(5), seeds=[])
 
     def test_termination_requirement(self):
-        from repro.api import RunSpec
-        from repro.analysis.sweeps import sweep_spec_metrics
-
         base = RunSpec(
             graph="random-grounded-tree",
             graph_params={"num_internal": 8},
@@ -118,18 +62,10 @@ class TestSpecSweep:
         assert summaries["termination_step"].maximum == 0
 
     def test_persists_and_resumes(self, tmp_path):
-        from repro.api import BatchRunner, RunSpec
-        from repro.analysis.sweeps import sweep_spec_metrics
-
-        base = RunSpec(
-            graph="random-grounded-tree",
-            graph_params={"num_internal": 10},
-            protocol="tree-broadcast",
-        )
         out = tmp_path / "sweep.jsonl"
         runner = BatchRunner(parallel=False)
-        first = sweep_spec_metrics(base, seeds=range(3), runner=runner, output_path=str(out))
+        first = sweep_spec_metrics(_tree(10), seeds=range(3), runner=runner, output_path=str(out))
         assert runner.stats.executed == 3
-        second = sweep_spec_metrics(base, seeds=range(3), runner=runner, output_path=str(out))
+        second = sweep_spec_metrics(_tree(10), seeds=range(3), runner=runner, output_path=str(out))
         assert runner.stats.executed == 0
         assert first == second

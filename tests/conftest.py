@@ -61,3 +61,22 @@ def small_digraph():
     from repro.graphs.generators import random_digraph
 
     return random_digraph(12, seed=42)
+
+
+# ----------------------------------------------------------------------
+# Registered campaigns on a caller's grid
+# ----------------------------------------------------------------------
+
+
+def campaign_rows(name, *, axes=None, base=None, engine=None):
+    """Rows of registered campaign ``name`` with its grid overridden.
+
+    ``EXPERIMENTS.get(name).with_overrides(axes=..., base=...)`` executed
+    on a serial, store-less :class:`~repro.api.campaign.CampaignRunner` —
+    the path ``repro run`` takes, at the sizes a test picks.
+    """
+    from repro.api import EXPERIMENTS, CampaignRunner, ensure_registered
+
+    ensure_registered()
+    experiment = EXPERIMENTS.get(name).with_overrides(axes=axes, base=base)
+    return CampaignRunner(engine=engine, parallel=False).run(experiment).rows

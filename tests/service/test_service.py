@@ -1,6 +1,7 @@
 """The experiment service: payload validation, jobs, HTTP round-trips, cache."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -247,6 +248,29 @@ class TestHttpRoundTrip:
         assert request(server, "GET", "/experiments/zzz/result")[0] == 404
         assert request(server, "GET", "/nowhere")[0] == 404
         assert request(server, "POST", "/nowhere", {})[0] == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, service, server, length):
+        host, port = server.server_address[0], server.server_address[1]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                (
+                    "POST /experiments HTTP/1.0\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {length}\r\n\r\n{{}}"
+                ).encode("ascii")
+            )
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and repr(length) in error
+        assert service.jobs() == []
+        # the server keeps answering
+        assert request(server, "GET", "/healthz")[0] == 200
 
     def test_typo_in_inline_spec_is_400(self, service, server):
         spec = {
