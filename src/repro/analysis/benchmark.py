@@ -498,72 +498,64 @@ def run_batch_protocol_matrix(
     }
 
 
-class _NoKernel:
-    """Protocol proxy that never offers a compiled kernel.
-
-    Trace capture forces the fastpath engine onto the generic protocol
-    machine (kernels flatten payloads; the trace format must see the real
-    objects), so the fair overhead baseline is the *same* generic machine
-    without a sink — not the kernel, which would fold the whole
-    kernel-vs-generic gap into the "trace overhead" number.  The kernel
-    arm is still measured for context.
-    """
-
-    def __init__(self, protocol: Any) -> None:
-        self._protocol = protocol
-
-    def compile_fastpath(self, compiled: Any) -> None:
-        return None
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._protocol, name)
-
-
 def run_trace_benchmarks(
     *,
     n: int = TRACE_BENCH_N,
     sample_k: int = TRACE_BENCH_SAMPLE_K,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Measure trace-capture overhead on the fastpath engine at ``|V| = n``.
+    """Measure trace-capture overhead at ``|V| = n``.
 
-    Four arms over the canonical benchmark workload, interleaved round by
+    A traced run always executes on the reference loop
+    (:func:`~repro.network.simulator.run_protocol`; the fastpath engine
+    routes it there too, since the trace must see the real payloads), so
+    the fair overhead baseline is the same loop without a sink.  Four
+    arms over the canonical benchmark workload, interleaved round by
     round with the best round kept per arm:
 
-    * ``kernel`` — the compiled kernel, no sink (context: what an
+    * ``kernel`` — the fastpath kernel, no sink (context: what an
       untraced production run costs);
-    * ``untraced`` — the generic machine, no sink (the baseline trace
-      overhead is measured against, since capture always runs generic);
-    * ``traced-full`` — the generic machine recording every event to a
+    * ``untraced`` — the reference loop, no sink (the baseline trace
+      overhead is measured against);
+    * ``traced-full`` — the reference loop recording every event to a
       real ``.rtrace`` file, capture setup and finalize included;
     * ``traced-sample:k`` — the same with 1-in-``sample_k`` sampling.
 
     The gated number is ``overhead.traced_full_vs_untraced`` — wall time
-    of the traced arm over the untraced generic arm — which a ``max``
+    of the traced arm over the untraced reference arm — which a ``max``
     rule in ``benchmarks/floors.json`` bounds (machine-independent: both
     arms run on the same box).
     """
     from ..api.spec import compiled_topology
     from ..network.fastpath import run_protocol_fastpath
+    from ..network.simulator import run_protocol
     from ..tracing.capture import TraceCapture
 
     template = bench_spec(n, "fastpath")
     network = template.build_graph()
     protocol = template.build_protocol()
     compiled = compiled_topology(template, network)
-    no_kernel = _NoKernel(protocol)
     full_spec = replace(template, trace="full")
     sample_spec = replace(template, trace=f"sample:{sample_k}")
     sample_arm = f"traced-sample:{sample_k}"
 
-    def execute(protocol_obj: Any, sink: Optional[Any]) -> Any:
-        result = run_protocol_fastpath(
+    def kernel() -> Any:
+        return run_protocol_fastpath(
             network,
-            protocol_obj,
+            protocol,
             template.build_scheduler(),
             max_steps=template.max_steps,
             stop_at_termination=template.stop_at_termination,
             compiled=compiled,
+        )
+
+    def reference(sink: Optional[Any]) -> Any:
+        result = run_protocol(
+            network,
+            protocol,
+            template.build_scheduler(),
+            max_steps=template.max_steps,
+            stop_at_termination=template.stop_at_termination,
             trace_sink=sink,
         )
         if sink is not None:
@@ -575,13 +567,13 @@ def run_trace_benchmarks(
         full_path = f"{tmp}/full.rtrace"
         sample_path = f"{tmp}/sample.rtrace"
         arms = {
-            "kernel": lambda: execute(protocol, None),
-            "untraced": lambda: execute(no_kernel, None),
-            "traced-full": lambda: execute(
-                no_kernel, TraceCapture(full_spec, network, full_path)
+            "kernel": kernel,
+            "untraced": lambda: reference(None),
+            "traced-full": lambda: reference(
+                TraceCapture(full_spec, network, full_path)
             ),
-            sample_arm: lambda: execute(
-                no_kernel, TraceCapture(sample_spec, network, sample_path)
+            sample_arm: lambda: reference(
+                TraceCapture(sample_spec, network, sample_path)
             ),
         }
         # warmup (also yields the step count — tracing never changes it)
@@ -1025,7 +1017,7 @@ def _render_batch_protocols(block: Dict[str, Any]) -> List[str]:
 
 def _render_trace(block: Dict[str, Any]) -> List[str]:
     lines = [
-        f"trace capture overhead at n={block['n']} (fastpath, generic machine):",
+        f"trace capture overhead at n={block['n']} (reference loop):",
         f"{'arm':<20} {'steps':>8} {'best_s':>9} {'steps/sec':>12}",
     ]
     for row in block["results"]:

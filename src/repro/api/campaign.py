@@ -47,7 +47,7 @@ import importlib
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .registry import AGGREGATORS, EXPERIMENTS
@@ -56,6 +56,7 @@ from .spec import (
     RunRecord,
     RunSpec,
     SpecError,
+    _check_fields,
     _json_safe,
     execute_spec_full,
     topology_cache_stats,
@@ -173,15 +174,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        if not isinstance(payload, dict):
-            raise SpecError(
-                f"experiment payload must be a dict, got {type(payload).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise SpecError(f"unknown experiment field(s): {', '.join(sorted(unknown))}")
+        """Inverse of :meth:`to_dict`; unknown or missing keys are an error."""
+        _check_fields(cls, payload, "experiment")
         return cls(**payload)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

@@ -161,14 +161,15 @@ def _extra_metrics(faults: Any, capture: Any) -> Dict[str, Any]:
     return extra
 
 
-def _run_async(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:
-    """The paper's adversarial model: per-event delivery under a scheduler."""
-    from ..network.simulator import run_protocol
-
+def _run_loop(
+    run: Callable[..., Any], spec: Any, network: Any, protocol: Any, **extra: Any
+) -> Tuple[Any, Dict[str, Any]]:
+    """Drive ``run`` (``run_protocol`` or ``run_protocol_fastpath``) with
+    the spec's scheduler, run options, fault injector and trace capture."""
     faults, scheduler = _faults_and_scheduler(spec, network)
     capture = _trace_capture(spec, network)
     try:
-        result = run_protocol(
+        result = run(
             network,
             protocol,
             scheduler,
@@ -178,6 +179,7 @@ def _run_async(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, A
             stop_at_termination=spec.stop_at_termination,
             faults=faults,
             trace_sink=capture,
+            **extra,
         )
     except BaseException:
         if capture is not None:
@@ -186,6 +188,13 @@ def _run_async(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, A
     if capture is not None:
         capture.finalize(result)
     return result, _extra_metrics(faults, capture)
+
+
+def _run_async(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:
+    """The paper's adversarial model: per-event delivery under a scheduler."""
+    from ..network.simulator import run_protocol
+
+    return _run_loop(run_protocol, spec, network, protocol)
 
 
 def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:
@@ -196,36 +205,22 @@ def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str
     campaign grids that sweep protocol/scheduler/seed axes over one
     topology compile it once per worker instead of once per run.
 
-    When the spec carries a fault model the engine runs kernel-exempt (the
-    generic protocol machine under the real scheduler object), with the
-    same injection hooks as the reference simulator — faulty runs stay
-    engine-identical, and fault-free runs never touch the fault path.
+    A spec with a fault model or a trace runs on the reference loop (the
+    ``async`` engine's :func:`~repro.network.simulator.run_protocol`),
+    which :func:`~repro.network.fastpath.run_protocol_fastpath` calls
+    with the same arguments — such runs are engine-identical by
+    construction, and plain runs keep the compiled kernel.
     """
     from ..network.fastpath import run_protocol_fastpath
     from .spec import compiled_topology
 
-    faults, scheduler = _faults_and_scheduler(spec, network)
-    capture = _trace_capture(spec, network)
-    try:
-        result = run_protocol_fastpath(
-            network,
-            protocol,
-            scheduler,
-            max_steps=spec.max_steps,
-            record_trace=spec.record_trace,
-            track_state_bits=spec.track_state_bits,
-            stop_at_termination=spec.stop_at_termination,
-            compiled=compiled_topology(spec, network),
-            faults=faults,
-            trace_sink=capture,
-        )
-    except BaseException:
-        if capture is not None:
-            capture.abort()
-        raise
-    if capture is not None:
-        capture.finalize(result)
-    return result, _extra_metrics(faults, capture)
+    return _run_loop(
+        run_protocol_fastpath,
+        spec,
+        network,
+        protocol,
+        compiled=compiled_topology(spec, network),
+    )
 
 
 def _run_synchronous(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:

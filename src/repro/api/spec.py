@@ -31,7 +31,7 @@ import inspect
 import json
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
@@ -73,6 +73,26 @@ TIMING_FIELDS: Tuple[str, ...] = ("elapsed_seconds",)
 
 class SpecError(ValueError):
     """A spec is malformed (bad field, unknown key, wrong engine...)."""
+
+
+def _check_fields(cls: Any, payload: Any, what: str) -> None:
+    """Reject a ``from_dict`` payload for dataclass ``cls`` that is not a
+    dict, carries unknown keys or lacks a field without a default."""
+    if not isinstance(payload, dict):
+        raise SpecError(f"{what} payload must be a dict, got {type(payload).__name__}")
+    declared = fields(cls)
+    unknown = set(payload) - {f.name for f in declared}
+    if unknown:
+        raise SpecError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+    missing = [
+        f.name
+        for f in declared
+        if f.name not in payload
+        and f.default is MISSING
+        and f.default_factory is MISSING
+    ]
+    if missing:
+        raise SpecError(f"missing required {what} field(s): {', '.join(missing)}")
 
 
 def ensure_registered() -> None:
@@ -362,13 +382,8 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        if not isinstance(payload, dict):
-            raise SpecError(f"spec payload must be a dict, got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise SpecError(f"unknown spec field(s): {', '.join(sorted(unknown))}")
+        """Inverse of :meth:`to_dict`; unknown or missing keys are an error."""
+        _check_fields(cls, payload, "spec")
         return cls(**payload)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

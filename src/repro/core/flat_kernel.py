@@ -24,7 +24,7 @@ split (:class:`TreeBroadcastKernel`, shared by the eager-DAG baseline),
 the aggregate-then-split DAG rule (:class:`DagBroadcastKernel`), the naive
 rational split (:class:`NaiveTreeKernel`) and plain flooding
 (:class:`FloodingKernel`).  Each is *exactly* result-equivalent to running
-its protocol through the generic machine — same emissions in the same
+its protocol through the reference loop — same emissions in the same
 port order, same bit accounting, same termination step — which the
 differential suite (``tests/api/test_engine_differential.py``) enforces
 for every protocol × graph family × scheduler combination.  Real state

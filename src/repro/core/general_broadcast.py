@@ -371,7 +371,7 @@ class GeneralBroadcastProtocol(AnonymousProtocol[GeneralState, IntervalMessage])
 
         Guarded by an exact type check: a subclass that overrides behaviour
         would silently diverge from the kernel, so unknown subclasses fall
-        back to the engine's generic machine (always correct).
+        back to the reference loop (always correct).
         """
         if type(self) is not GeneralBroadcastProtocol:
             return None

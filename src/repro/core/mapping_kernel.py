@@ -4,7 +4,7 @@
 protocol plus fact piggybacking: every message additionally carries the
 sender's identity, the out-port it left on, and a monotonically growing
 frozenset of :class:`~repro.core.mapping.VertexFact` /
-:class:`~repro.core.mapping.EdgeFact` records.  The generic machine pays
+:class:`~repro.core.mapping.EdgeFact` records.  The reference loop pays
 for that twice per delivery — interval-union algebra on
 :class:`~repro.core.intervals.IntervalUnion` objects *and* dataclass
 hashing/equality over whole fact sets.

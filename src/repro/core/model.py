@@ -135,9 +135,10 @@ class AnonymousProtocol(abc.ABC, Generic[State, Message]):
         result-equivalent to running the protocol through
         :meth:`on_receive` — same emissions in the same port order, same
         bit accounting, same termination step.  Return ``None`` (the
-        default) to run through the engine's generic machine, which is
-        always correct.  Kernels are never consulted when tracing or
-        state-bit tracking is requested.
+        default) to run through the reference loop
+        (:func:`~repro.network.simulator.run_protocol`), which is always
+        correct.  Kernels are never consulted when tracing, state-bit
+        tracking or a fault model is requested.
 
         Kernels may additionally implement ``snapshot()`` / ``restore()``
         over their flat state; the ∀-schedule explorer

@@ -162,7 +162,7 @@ class TreeBroadcastProtocol(AnonymousProtocol[TreeState, TreeToken]):
 
         Guarded by an exact type check: a behaviour-overriding subclass
         would silently diverge from the kernel, so unknown subclasses fall
-        back to the engine's generic machine (always correct).
+        back to the reference loop (always correct).
         """
         if type(self) is not TreeBroadcastProtocol:
             return None

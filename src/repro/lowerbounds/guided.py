@@ -46,11 +46,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.model import AnonymousProtocol, VertexView
+from ..core.model import AnonymousProtocol
 from ..network.graph import DirectedNetwork
 from .schedules import (
+    Pending,
     TranspositionTable,
     _distinct_choice_indices,
+    _make_walker,
+    _ObjectWalker,
     _pending_sig,
 )
 
@@ -241,166 +244,6 @@ class ExtractedSchedule:
 
 
 # ----------------------------------------------------------------------
-# walkers: one delivery step in either snapshot regime
-# ----------------------------------------------------------------------
-#
-# Pending items here are (edge_id, payload, payload_repr, bits) — the
-# repr and bit size are computed once at emission time and shared across
-# every branch that carries the message.
-
-
-class _KernelWalker:
-    """Flat-kernel stepping: restore + deliver + snapshot."""
-
-    mode = "kernel"
-
-    def __init__(self, network: DirectedNetwork, kernel: Any) -> None:
-        self.kernel = kernel
-        self.root = network.root
-        self.terminal = network.terminal
-        self.out_edge_ids = [
-            network.out_edge_ids(v) for v in range(network.num_vertices)
-        ]
-        self.edge_head = [network.edge_head(e) for e in range(network.num_edges)]
-        self.in_port_of = [
-            network.in_port_of_edge(e) for e in range(network.num_edges)
-        ]
-
-    def initial(self) -> Tuple[Any, List[Tuple[int, Any, str, int]]]:
-        root_ports = self.out_edge_ids[self.root]
-        pending = [
-            (root_ports[out_port], payload, repr(payload), bits)
-            for out_port, payload, bits in self.kernel.initial_emissions(self.root)
-        ]
-        return self.kernel.snapshot(), pending
-
-    def deliver(
-        self, ctx: Any, edge_id: int, payload: Any
-    ) -> Tuple[List[Tuple[int, Any, str, int]], bool]:
-        kernel = self.kernel
-        kernel.restore(ctx)
-        head = self.edge_head[edge_id]
-        emissions = kernel.deliver(head, self.in_port_of[edge_id], payload)
-        out_ids = self.out_edge_ids[head]
-        out = [
-            (out_ids[out_port], out_payload, repr(out_payload), bits)
-            for out_port, out_payload, bits in emissions
-        ]
-        terminated = head == self.terminal and kernel.check_terminal(self.terminal)
-        return out, terminated
-
-    def capture(self) -> Tuple[Any, Any]:
-        """The just-delivered configuration as (frontier ctx, exact state key)."""
-        snap = self.kernel.snapshot()
-        return snap, snap
-
-
-class _ObjectWalker:
-    """Live-protocol stepping: clone_state + on_receive."""
-
-    mode = "object"
-
-    def __init__(self, network: DirectedNetwork, protocol: AnonymousProtocol) -> None:
-        self.protocol = protocol
-        self.network = network
-        self.terminal = network.terminal
-        self.views = [
-            VertexView(
-                in_degree=network.in_degree(v), out_degree=network.out_degree(v)
-            )
-            for v in range(network.num_vertices)
-        ]
-        self._last_states: Optional[Dict[int, Any]] = None
-
-    def initial(self) -> Tuple[Dict[int, Any], List[Tuple[int, Any, str, int]]]:
-        network, protocol = self.network, self.protocol
-        states = {
-            v: protocol.create_state(self.views[v])
-            for v in range(network.num_vertices)
-        }
-        pending = []
-        root_ports = network.out_edge_ids(network.root)
-        for out_port, payload in protocol.initial_emissions(self.views[network.root]):
-            pending.append(
-                (
-                    root_ports[out_port],
-                    payload,
-                    repr(payload),
-                    protocol.message_bits(payload),
-                )
-            )
-        return states, pending
-
-    def deliver(
-        self, ctx: Dict[int, Any], edge_id: int, payload: Any
-    ) -> Tuple[List[Tuple[int, Any, str, int]], bool]:
-        network, protocol = self.network, self.protocol
-        branch = {v: protocol.clone_state(s) for v, s in ctx.items()}
-        head = network.edge_head(edge_id)
-        in_port = network.in_port_of_edge(edge_id)
-        new_state, emissions = protocol.on_receive(
-            branch[head], self.views[head], in_port, protocol.clone_message(payload)
-        )
-        branch[head] = new_state
-        out_ids = network.out_edge_ids(head)
-        out = [
-            (
-                out_ids[out_port],
-                out_payload,
-                repr(out_payload),
-                protocol.message_bits(out_payload),
-            )
-            for out_port, out_payload in emissions
-        ]
-        terminated = head == self.terminal and protocol.is_terminated(new_state)
-        self._last_states = branch
-        return out, terminated
-
-    def capture(self) -> Tuple[Dict[int, Any], Tuple[str, ...]]:
-        states = self._last_states
-        assert states is not None, "capture() before deliver()"
-        key = tuple(
-            repr(states[v]) for v in range(self.network.num_vertices)
-        )
-        return states, key
-
-
-def _make_walker(
-    network: DirectedNetwork,
-    protocol_factory: Callable[[], AnonymousProtocol],
-    use_kernel: Optional[bool],
-    compiled: Optional[Any],
-) -> Any:
-    """Mode selection, mirroring ``explore_all_schedules``."""
-    protocol = protocol_factory()
-    kernel = None
-    if use_kernel is not False:
-        from ..network.fastpath import CompiledNetwork
-
-        if compiled is None or getattr(compiled, "network", None) is not network:
-            compiled = CompiledNetwork(network)
-        candidate = protocol.compile_fastpath(compiled)
-        if (
-            candidate is not None
-            and callable(getattr(candidate, "snapshot", None))
-            and callable(getattr(candidate, "restore", None))
-        ):
-            kernel = candidate
-    if use_kernel is True and kernel is None:
-        raise ValueError(
-            "use_kernel=True but the protocol offers no snapshot-capable kernel"
-        )
-    if kernel is not None:
-        return _KernelWalker(network, kernel)
-    return _ObjectWalker(network, protocol)
-
-
-def _sig4(pending: Sequence[Tuple[int, Any, str, int]]) -> Tuple[Tuple[int, str], ...]:
-    # _pending_sig reads items [0] and [2], so 4-tuples pass through fine.
-    return _pending_sig(pending)  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
 # the best-first loop
 # ----------------------------------------------------------------------
 
@@ -408,13 +251,15 @@ def _sig4(pending: Sequence[Tuple[int, Any, str, int]]) -> Tuple[Tuple[int, str]
 def _descend(
     walker: Any,
     path: Sequence[int],
-) -> Tuple[Any, List[Tuple[int, Any, str, int]], int, int, Optional[str]]:
+    delivered: Optional[List[Tuple[int, Any]]] = None,
+) -> Tuple[Any, List[Pending], int, int, Optional[str]]:
     """Replay a distinct-choice path from the initial configuration.
 
     Returns ``(ctx, pending, depth, bits, outcome)`` where outcome is the
     leaf outcome if the path ends in a leaf, else None.  Raises
     ``ValueError`` when the path does not fit the tree (a corrupted or
-    cross-instance path).
+    cross-instance path).  ``delivered``, when given, collects the
+    ``(edge_id, payload)`` of every delivery in order.
     """
     ctx, pending = walker.initial()
     depth = 0
@@ -424,7 +269,7 @@ def _descend(
             raise ValueError(
                 f"path step {depth}: configuration is already quiescent"
             )
-        choices = _distinct_choice_indices(pending)  # type: ignore[arg-type]
+        choices = _distinct_choice_indices(pending)
         if rank < 0 or rank >= len(choices):
             raise ValueError(
                 f"path step {depth}: choice rank {rank} out of range "
@@ -432,6 +277,8 @@ def _descend(
             )
         index = choices[rank]
         edge_id, payload, _text, mbits = pending[index]
+        if delivered is not None:
+            delivered.append((edge_id, payload))
         emissions, terminated = walker.deliver(ctx, edge_id, payload)
         depth += 1
         bits += mbits
@@ -453,7 +300,7 @@ def _best_first(
     max_nodes: int,
     table: TranspositionTable,
     *,
-    root: Tuple[Any, List[Tuple[int, Any, str, int]], int, int, Tuple[int, ...]],
+    root: Tuple[Any, List[Pending], int, int, Tuple[int, ...]],
     incumbent: Optional[float] = None,
     frontier_target: Optional[int] = None,
 ) -> Tuple[GuidedSearchResult, List[Tuple[Any, ...]]]:
@@ -496,7 +343,7 @@ def _best_first(
 
     def push(
         ctx: Any,
-        pending: List[Tuple[int, Any, str, int]],
+        pending: List[Pending],
         depth: int,
         bits: int,
         path: Tuple[int, ...],
@@ -537,7 +384,7 @@ def _best_first(
         diving = True
         while diving:
             diving = False
-            choices = _distinct_choice_indices(pending)  # type: ignore[arg-type]
+            choices = _distinct_choice_indices(pending)
             best_child: Optional[Tuple[Any, ...]] = None
             for rank, index in enumerate(choices):
                 edge_id, payload, _text, mbits = pending[index]
@@ -554,7 +401,7 @@ def _best_first(
                     record_leaf(child_depth, child_bits, "quiescent", child_path)
                     continue
                 child_ctx, state_key = walker.capture()
-                key = (_sig4(child_pending), state_key)
+                key = (_pending_sig(child_pending), state_key)
                 if not table.visit(key, objective.rank(child_depth, child_bits)):
                     continue
                 child = (
@@ -685,43 +532,18 @@ def extract_schedule(
     """
     from ..tracing.format import canonical_repr
 
-    walker = _ObjectWalker(network, protocol_factory())
-    ctx, pending = walker.initial()
-    deliveries: List[Tuple[int, str]] = []
-    total_bits = 0
-    outcome: Optional[str] = None
-    for step, rank in enumerate(path):
-        choices = _distinct_choice_indices(pending)  # type: ignore[arg-type]
-        if rank < 0 or rank >= len(choices):
-            raise ValueError(
-                f"schedule path step {step}: choice rank {rank} out of "
-                f"range ({len(choices)} distinct deliveries available)"
-            )
-        index = choices[rank]
-        edge_id, payload, _text, mbits = pending[index]
-        deliveries.append((edge_id, canonical_repr(payload)))
-        total_bits += mbits
-        emissions, terminated = walker.deliver(ctx, edge_id, payload)
-        pending = pending[:index] + pending[index + 1 :] + emissions
-        if terminated:
-            if step + 1 != len(path):
-                raise ValueError(
-                    f"schedule path step {step}: execution terminated with "
-                    f"{len(path) - step - 1} path steps left"
-                )
-            outcome = "terminated"
-            break
-        ctx, _key = walker.capture()
+    delivered: List[Tuple[int, Any]] = []
+    _ctx, pending, steps, total_bits, outcome = _descend(
+        _ObjectWalker(network, protocol_factory()), path, delivered
+    )
     if outcome is None:
-        if pending:
-            raise ValueError(
-                "schedule path ends before quiescence or termination "
-                f"({len(pending)} messages still in flight)"
-            )
-        outcome = "quiescent"
+        raise ValueError(
+            "schedule path ends before quiescence or termination "
+            f"({len(pending)} messages still in flight)"
+        )
     return ExtractedSchedule(
-        deliveries=deliveries,
-        steps=len(deliveries),
+        deliveries=[(edge_id, canonical_repr(payload)) for edge_id, payload in delivered],
+        steps=steps,
         total_bits=total_bits,
         outcome=outcome,
     )

@@ -6,17 +6,17 @@ on small instances: :func:`explore_all_schedules` walks the tree of every
 possible delivery order (at each step, any in-flight message may be the
 next delivered) and reports the set of reachable final outcomes.
 
-Branching no longer deep-copies anything.  Two snapshot/restore regimes
-share one DFS:
+Branching never deep-copies anything.  One DFS walks the tree through a
+*walker* — the object that performs one delivery from a saved
+configuration and captures the result — and there are two walkers:
 
-* **Kernel mode** (the fast default): when the protocol compiles a
+* **Kernel walker** (the fast default): when the protocol compiles a
   fast-path kernel (:meth:`~repro.core.model.AnonymousProtocol.compile_fastpath`)
-  that supports ``snapshot()``/``restore()``, the walk runs on the
-  kernel's flat state — a branch point captures the whole-network state
-  as nested tuples sharing the immutable leaves, and branching is a
-  restore + one delivery.  This turns E14's exhaustive search from
-  allocation-bound into tuple-copy-bound.
-* **Object mode** (the general fallback, and always used when an
+  that supports ``snapshot()``/``restore()``, a configuration is the
+  kernel's whole-network flat state as nested tuples sharing the
+  immutable leaves, and a branch is a restore + one delivery.  This turns
+  E14's exhaustive search from allocation-bound into tuple-copy-bound.
+* **Object walker** (the general fallback, and always used when an
   ``invariant`` hook needs live vertex states): per-branch state forks go
   through :meth:`~repro.core.model.AnonymousProtocol.clone_state`
   (deepcopy by default; the shipped protocols override it with cheap
@@ -31,8 +31,8 @@ genuinely different configurations.  Payload reprs are computed once at
 emission time and reused across every branch that carries the message,
 replacing the old per-node re-``repr`` of the whole pending list.
 
-Both modes explore the identical schedule tree with identical confluence
-collapsing, so outcome/execution/step counts agree —
+Both walkers enumerate the same distinct choices in the same order and
+key configurations exactly, so outcome/execution/step counts agree —
 ``tests/lowerbounds/test_schedules.py`` asserts mode equivalence on
 enumerated topologies.  The schedule tree is exponential in the number of
 concurrent messages; callers bound the instance size (≤ ~10 messages in
@@ -43,13 +43,13 @@ termination "iff" against *every* schedule on *every* small topology —
 about as close to the theorem as testing can get.
 
 The best-first *guided* search over the same collapsed configuration
-graph lives in :mod:`repro.lowerbounds.guided`.
+graph, with the same walkers, lives in :mod:`repro.lowerbounds.guided`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.model import AnonymousProtocol, VertexView
 from ..network.graph import DirectedNetwork
@@ -157,7 +157,13 @@ class TranspositionTable:
         }
 
 
-def _pending_sig(pending: List[Tuple[int, Any, str]]) -> Tuple[Tuple[int, str], ...]:
+#: An in-flight message: ``(edge_id, payload, payload_repr, bits)``.  The
+#: repr and bit size are computed once at emission time and shared by
+#: every branch that carries the message.
+Pending = Tuple[int, Any, str, int]
+
+
+def _pending_sig(pending: Sequence[Pending]) -> Tuple[Tuple[int, str], ...]:
     """Order-free exact signature of the in-flight multiset.
 
     Items carry their payload repr from emission time, so the signature
@@ -167,18 +173,192 @@ def _pending_sig(pending: List[Tuple[int, Any, str]]) -> Tuple[Tuple[int, str], 
     return tuple(sorted((item[0], item[2]) for item in pending))
 
 
-def _distinct_choice_indices(pending: List[Tuple[int, Any, str]]) -> List[int]:
+def _distinct_choice_indices(pending: Sequence[Pending]) -> List[int]:
     """First-occurrence index of every distinct (edge, payload) delivery.
 
     Deliveries of equal payloads on the same edge are interchangeable;
     collapsing them here is what keeps the walk over the *quotient*
     schedule tree.  First-occurrence order is emission order, which both
-    walk modes share — the guided search's certificate paths rely on it.
+    walkers share — the guided search's certificate paths rely on it.
     """
     seen: Dict[Tuple[int, str], int] = {}
     for index, item in enumerate(pending):
         seen.setdefault((item[0], item[2]), index)
     return list(seen.values())
+
+
+class _KernelWalker:
+    """Flat-kernel stepping: restore + deliver + snapshot."""
+
+    mode = "kernel"
+
+    def __init__(self, network: DirectedNetwork, kernel: Any) -> None:
+        self.kernel = kernel
+        self.root = network.root
+        self.terminal = network.terminal
+        self.out_edge_ids = [
+            network.out_edge_ids(v) for v in range(network.num_vertices)
+        ]
+        self.edge_head = [network.edge_head(e) for e in range(network.num_edges)]
+        self.in_port_of = [
+            network.in_port_of_edge(e) for e in range(network.num_edges)
+        ]
+
+    def initial(self) -> Tuple[Any, List[Pending]]:
+        root_ports = self.out_edge_ids[self.root]
+        pending = [
+            (root_ports[out_port], payload, repr(payload), bits)
+            for out_port, payload, bits in self.kernel.initial_emissions(self.root)
+        ]
+        return self.kernel.snapshot(), pending
+
+    def key(self, ctx: Any) -> Any:
+        """Exact state key of a configuration: kernel snapshots are flat
+        tuples over immutable leaves, so they key themselves."""
+        return ctx
+
+    def deliver(
+        self, ctx: Any, edge_id: int, payload: Any
+    ) -> Tuple[List[Pending], bool]:
+        kernel = self.kernel
+        kernel.restore(ctx)
+        head = self.edge_head[edge_id]
+        emissions = kernel.deliver(head, self.in_port_of[edge_id], payload)
+        out_ids = self.out_edge_ids[head]
+        out = [
+            (out_ids[out_port], out_payload, repr(out_payload), bits)
+            for out_port, out_payload, bits in emissions
+        ]
+        terminated = head == self.terminal and kernel.check_terminal(self.terminal)
+        return out, terminated
+
+    def capture(self) -> Tuple[Any, Any]:
+        """The just-delivered configuration as (frontier ctx, exact state key)."""
+        snap = self.kernel.snapshot()
+        return snap, snap
+
+
+class _ObjectWalker:
+    """Live-protocol stepping: clone_state + on_receive.
+
+    ``invariant``, when given, is checked on the vertex-state dict after
+    every delivery; a ``False`` return raises :class:`AssertionError`.
+    """
+
+    mode = "object"
+
+    def __init__(
+        self,
+        network: DirectedNetwork,
+        protocol: AnonymousProtocol,
+        invariant: Optional[Callable[[Dict[int, Any]], bool]] = None,
+    ) -> None:
+        self.protocol = protocol
+        self.network = network
+        self.terminal = network.terminal
+        self.invariant = invariant
+        self.views = [
+            VertexView(
+                in_degree=network.in_degree(v), out_degree=network.out_degree(v)
+            )
+            for v in range(network.num_vertices)
+        ]
+        self._last_states: Optional[Dict[int, Any]] = None
+
+    def initial(self) -> Tuple[Dict[int, Any], List[Pending]]:
+        network, protocol = self.network, self.protocol
+        states = {
+            v: protocol.create_state(self.views[v])
+            for v in range(network.num_vertices)
+        }
+        root_ports = network.out_edge_ids(network.root)
+        pending = [
+            (
+                root_ports[out_port],
+                payload,
+                repr(payload),
+                protocol.message_bits(payload),
+            )
+            for out_port, payload in protocol.initial_emissions(
+                self.views[network.root]
+            )
+        ]
+        return states, pending
+
+    def key(self, states: Dict[int, Any]) -> Tuple[str, ...]:
+        """Exact state key of a configuration.  Reprs are complete for the
+        shipped protocols' state types (the GeneralState repr is kept
+        exhaustive for exactly this purpose), so equal keys really are
+        confluent configurations."""
+        return tuple(repr(states[v]) for v in range(self.network.num_vertices))
+
+    def deliver(
+        self, ctx: Dict[int, Any], edge_id: int, payload: Any
+    ) -> Tuple[List[Pending], bool]:
+        network, protocol = self.network, self.protocol
+        branch = {v: protocol.clone_state(s) for v, s in ctx.items()}
+        head = network.edge_head(edge_id)
+        in_port = network.in_port_of_edge(edge_id)
+        new_state, emissions = protocol.on_receive(
+            branch[head], self.views[head], in_port, protocol.clone_message(payload)
+        )
+        branch[head] = new_state
+        if self.invariant is not None and not self.invariant(branch):
+            raise AssertionError(f"invariant violated after delivering edge {edge_id}")
+        out_ids = network.out_edge_ids(head)
+        out = [
+            (
+                out_ids[out_port],
+                out_payload,
+                repr(out_payload),
+                protocol.message_bits(out_payload),
+            )
+            for out_port, out_payload in emissions
+        ]
+        terminated = head == self.terminal and protocol.is_terminated(new_state)
+        self._last_states = branch
+        return out, terminated
+
+    def capture(self) -> Tuple[Dict[int, Any], Tuple[str, ...]]:
+        """The just-delivered configuration as (frontier ctx, exact state key)."""
+        states = self._last_states
+        assert states is not None, "capture() before deliver()"
+        return states, self.key(states)
+
+
+def _make_walker(
+    network: DirectedNetwork,
+    protocol_factory: Callable[[], AnonymousProtocol],
+    use_kernel: Optional[bool],
+    compiled: Optional[Any],
+    invariant: Optional[Callable[[Dict[int, Any]], bool]] = None,
+) -> Any:
+    """Pick the walker: the kernel one whenever the protocol offers a
+    snapshot-capable kernel, unless ``use_kernel`` is False or an
+    ``invariant`` needs live states.  ``use_kernel=True`` raises
+    :class:`ValueError` if the kernel walker is unavailable."""
+    protocol = protocol_factory()
+    kernel = None
+    if use_kernel is not False and invariant is None:
+        from ..network.fastpath import CompiledNetwork
+
+        if compiled is None or getattr(compiled, "network", None) is not network:
+            compiled = CompiledNetwork(network)
+        candidate = protocol.compile_fastpath(compiled)
+        if (
+            candidate is not None
+            and callable(getattr(candidate, "snapshot", None))
+            and callable(getattr(candidate, "restore", None))
+        ):
+            kernel = candidate
+    if use_kernel is True and kernel is None:
+        raise ValueError(
+            "use_kernel=True but the protocol offers no snapshot-capable "
+            "kernel (or an invariant hook forced object mode)"
+        )
+    if kernel is not None:
+        return _KernelWalker(network, kernel)
+    return _ObjectWalker(network, protocol, invariant)
 
 
 @dataclass
@@ -239,11 +419,11 @@ def explore_all_schedules(
     invariant:
         Optional predicate over the vertex-state dict, checked after every
         delivery on every branch; a ``False`` return raises
-        :class:`AssertionError` with the offending branch's depth.
-        Providing an invariant forces object mode (the hook needs live
+        :class:`AssertionError` naming the delivered edge.  Providing an
+        invariant forces the object walker (the hook needs live
         per-vertex states).
     use_kernel:
-        Force (``True``) or forbid (``False``) the flat-kernel walk;
+        Force (``True``) or forbid (``False``) the kernel walker;
         ``None`` (default) uses the kernel whenever the protocol offers a
         snapshot-capable one and no invariant was given.  Forcing ``True``
         raises :class:`ValueError` if the protocol cannot satisfy it.
@@ -265,80 +445,26 @@ def explore_all_schedules(
     is absorbing for the paper's semantics — ``S`` is checked on ``t``'s
     monotone state).
     """
-    protocol = protocol_factory()
-
-    kernel = None
-    if use_kernel is not False and invariant is None:
-        from ..network.fastpath import CompiledNetwork
-
-        if compiled is None or getattr(compiled, "network", None) is not network:
-            compiled = CompiledNetwork(network)
-        candidate = protocol.compile_fastpath(compiled)
-        if (
-            candidate is not None
-            and callable(getattr(candidate, "snapshot", None))
-            and callable(getattr(candidate, "restore", None))
-        ):
-            kernel = candidate
-    if use_kernel is True and kernel is None:
-        raise ValueError(
-            "use_kernel=True but the protocol offers no snapshot-capable "
-            "kernel (or an invariant hook forced object mode)"
-        )
-
-    if kernel is not None:
-        return _explore_kernel(network, kernel, max_steps_total, digest)
-    return _explore_object(network, protocol, max_steps_total, invariant, digest)
-
-
-def _explore_object(
-    network: DirectedNetwork,
-    protocol: AnonymousProtocol,
-    max_steps_total: int,
-    invariant: Optional[Callable[[Dict[int, Any]], bool]],
-    digest: Optional[Callable[[Any], int]],
-) -> ScheduleExploration:
-    """The general walk over live protocol states (clone_state branching)."""
-    views = [
-        VertexView(in_degree=network.in_degree(v), out_degree=network.out_degree(v))
-        for v in range(network.num_vertices)
-    ]
-    init_states: Dict[int, Any] = {
-        v: protocol.create_state(views[v]) for v in range(network.num_vertices)
-    }
-    # Pending items are (edge_id, payload, payload_repr): the repr is
-    # computed once at emission and shared by every branch carrying it.
-    initial_msgs: List[Tuple[int, Any, str]] = []
-    for out_port, payload in protocol.initial_emissions(views[network.root]):
-        edge = network.out_edge_ids(network.root)[out_port]
-        initial_msgs.append((edge, payload, repr(payload)))
+    walker = _make_walker(network, protocol_factory, use_kernel, compiled, invariant)
+    ctx, initial = walker.initial()
 
     outcomes: Set[str] = set()
     executions = 0
     steps = 0
     max_depth = 0
     truncated = False
-    clone_state = protocol.clone_state
-    clone_message = protocol.clone_message
-    num_vertices = network.num_vertices
 
-    def state_key(states: Dict[int, Any]) -> Tuple[str, ...]:
-        # Reprs are complete for the shipped protocols' state types (the
-        # GeneralState repr is kept exhaustive for exactly this purpose), so
-        # equal keys really are confluent configurations.
-        return tuple(repr(states[v]) for v in range(num_vertices))
-
-    # Explicit DFS over (states, in-flight multiset) to avoid recursion
-    # limits; each frame owns its copies.  Configurations are deduplicated
-    # at push time, collapsing confluent schedule branches.
+    # Explicit DFS over (configuration, in-flight multiset) to avoid
+    # recursion limits; each frame owns its configuration.  Configurations
+    # are deduplicated at push time, collapsing confluent schedule branches.
     table = TranspositionTable(digest)
-    stack: List[Tuple[Dict[int, Any], List[Tuple[int, Any, str]], int]] = [
-        (init_states, initial_msgs, 0)
-    ]
-    table.visit((_pending_sig(initial_msgs), state_key(init_states)))
+    stack: List[Tuple[Any, List[Pending], int]] = [(ctx, initial, 0)]
+    table.visit((_pending_sig(initial), walker.key(ctx)))
+    deliver = walker.deliver
+    capture = walker.capture
 
     while stack:
-        states, pending, depth = stack.pop()
+        ctx, pending, depth = stack.pop()
         if not pending:
             outcomes.add("quiescent")
             executions += 1
@@ -349,112 +475,18 @@ def _explore_object(
             break
 
         for index in _distinct_choice_indices(pending):
-            edge_id, payload, _text = pending[index]
-            branch_states = {v: clone_state(s) for v, s in states.items()}
-            branch_pending = pending[:index] + pending[index + 1 :]
-            head = network.edge_head(edge_id)
-            in_port = network.in_port_of_edge(edge_id)
+            edge_id, payload, _text, _bits = pending[index]
+            emissions, terminated = deliver(ctx, edge_id, payload)
             steps += 1
-            new_state, emissions = protocol.on_receive(
-                branch_states[head], views[head], in_port, clone_message(payload)
-            )
-            branch_states[head] = new_state
-            if invariant is not None and not invariant(branch_states):
-                raise AssertionError(
-                    f"invariant violated after delivering edge {edge_id}"
-                )
-            for out_port, out_payload in emissions:
-                out_edge = network.out_edge_ids(head)[out_port]
-                branch_pending.append((out_edge, out_payload, repr(out_payload)))
-            if head == network.terminal and protocol.is_terminated(new_state):
+            if terminated:
                 outcomes.add("terminated")
                 executions += 1
                 max_depth = max(max_depth, depth + 1)
                 continue
-            key = (_pending_sig(branch_pending), state_key(branch_states))
-            if table.visit(key):
-                stack.append((branch_states, branch_pending, depth + 1))
-
-    return ScheduleExploration(
-        outcomes=outcomes,
-        executions=executions,
-        steps=steps,
-        truncated=truncated,
-        max_depth=max_depth,
-        table=table.stats(),
-    )
-
-
-def _explore_kernel(
-    network: DirectedNetwork,
-    kernel: Any,
-    max_steps_total: int,
-    digest: Optional[Callable[[Any], int]],
-) -> ScheduleExploration:
-    """The flat walk: restore-snapshot-deliver on the compiled kernel.
-
-    Structurally identical to :func:`_explore_object` — same frame order,
-    same distinct-choice collapsing, same exact-configuration keys — so
-    both modes report identical counts; only the cost of a branch differs
-    (a tuple restore instead of a state-dict deepcopy/clone).
-    """
-    root = network.root
-    terminal = network.terminal
-    root_ports = network.out_edge_ids(root)
-    out_edge_ids = [network.out_edge_ids(v) for v in range(network.num_vertices)]
-    edge_head = [network.edge_head(e) for e in range(network.num_edges)]
-    in_port_of = [network.in_port_of_edge(e) for e in range(network.num_edges)]
-
-    initial_msgs: List[Tuple[int, Any, str]] = [
-        (root_ports[out_port], payload, repr(payload))
-        for out_port, payload, _bits in kernel.initial_emissions(root)
-    ]
-    init_snap = kernel.snapshot()
-
-    outcomes: Set[str] = set()
-    executions = 0
-    steps = 0
-    max_depth = 0
-    truncated = False
-
-    table = TranspositionTable(digest)
-    stack: List[Tuple[Any, List[Tuple[int, Any, str]], int]] = [
-        (init_snap, initial_msgs, 0)
-    ]
-    # Kernel snapshots are the exact state (flat tuples over immutable
-    # leaves), so they key configurations precisely — no repr needed.
-    table.visit((_pending_sig(initial_msgs), init_snap))
-
-    while stack:
-        snap, pending, depth = stack.pop()
-        if not pending:
-            outcomes.add("quiescent")
-            executions += 1
-            max_depth = max(max_depth, depth)
-            continue
-        if steps >= max_steps_total:
-            truncated = True
-            break
-
-        for index in _distinct_choice_indices(pending):
-            edge_id, payload, _text = pending[index]
-            kernel.restore(snap)
-            branch_pending = pending[:index] + pending[index + 1 :]
-            head = edge_head[edge_id]
-            steps += 1
-            emissions = kernel.deliver(head, in_port_of[edge_id], payload)
-            for out_port, out_payload, _bits in emissions:
-                out_edge = out_edge_ids[head][out_port]
-                branch_pending.append((out_edge, out_payload, repr(out_payload)))
-            if head == terminal and kernel.check_terminal(terminal):
-                outcomes.add("terminated")
-                executions += 1
-                max_depth = max(max_depth, depth + 1)
-                continue
-            branch_snap = kernel.snapshot()
-            key = (_pending_sig(branch_pending), branch_snap)
-            if table.visit(key):
-                stack.append((branch_snap, branch_pending, depth + 1))
+            branch_pending = pending[:index] + pending[index + 1 :] + emissions
+            branch_ctx, state_key = capture()
+            if table.visit((_pending_sig(branch_pending), state_key)):
+                stack.append((branch_ctx, branch_pending, depth + 1))
 
     return ScheduleExploration(
         outcomes=outcomes,

@@ -60,8 +60,7 @@ from .simulator import Outcome, default_step_budget
 __all__ = ["BATCH_KERNEL_EXEMPT", "MTStreams", "run_many_batched"]
 
 #: Protocol registry names that are allowed to lack a ``compile_batch``
-#: kernel, mirroring :data:`~repro.network.fastpath.KERNEL_EXEMPT`.  The
-#: interval protocols carry arbitrary label/interval payloads that are
+#: kernel.  The interval protocols carry arbitrary label/interval payloads that are
 #: not int-array shaped, so they run per-seed; the registry-driven
 #: completeness test (``tests/api/test_batch_differential.py``) fails
 #: the build if a newly registered protocol neither compiles a batch

@@ -214,6 +214,8 @@ class ExperimentService:
 
         ensure_registered()
         engine = payload.get("engine")
+        if engine is not None and not isinstance(engine, str):
+            raise JobError(f"engine must be a string, got {type(engine).__name__}")
         if engine is not None and engine not in ENGINES:
             raise JobError(
                 f"unknown engine {engine!r}; registered: {', '.join(ENGINES.names())}"
@@ -248,7 +250,12 @@ class ExperimentService:
                 names = [names]
             if not isinstance(names, list) or not names:
                 raise JobError("'experiments' must be a non-empty list of names")
-            if any(str(name).lower() == "all" for name in names):
+            for name in names:
+                if not isinstance(name, str):
+                    raise JobError(
+                        f"experiment names must be strings, got {type(name).__name__}"
+                    )
+            if any(name.lower() == "all" for name in names):
                 names = list(EXPERIMENTS.names())
             for name in names:
                 if name not in EXPERIMENTS:

@@ -112,6 +112,33 @@ class TestMalformedSpecFile:
         message = _run_expecting_error(["experiment", "--spec", str(path)])
         assert "malformed JSON" in message
 
+    @pytest.mark.parametrize(
+        "argv, payload, missing",
+        [
+            (["run", "--spec"], {}, "spec field(s): graph, protocol"),
+            (["run", "--spec"], {"graph": "random-digraph"}, "spec field(s): protocol"),
+            (["batch"], [{}], "spec field(s): graph, protocol"),
+            (["experiment", "--spec"], {}, "experiment field(s): name"),
+            (
+                ["experiment", "--spec"],
+                {"name": "x", "base": {"protocol": "flooding"}},
+                "spec field(s): graph",
+            ),
+        ],
+        ids=[
+            "run-empty",
+            "run-no-protocol",
+            "batch-empty",
+            "experiment-empty",
+            "experiment-base-no-graph",
+        ],
+    )
+    def test_missing_required_fields(self, tmp_path, argv, payload, missing):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = _run_expecting_error(argv + [str(path)])
+        assert f"missing required {missing}" in message
+
 
 class TestInvalidFaultsPayload:
     def _write_spec(self, tmp_path, faults):

@@ -2,13 +2,11 @@
 
 The fast path is only "the true default" if *every* registered protocol
 actually gets a compiled kernel — a protocol silently falling back to the
-generic machine would pass every differential test while losing the
+reference loop would pass every differential test while losing the
 speedup.  This suite closes that hole structurally:
 
-* every name in :data:`~repro.api.registry.PROTOCOLS` must either return
-  a working ``compile_fastpath`` kernel or be explicitly listed in
-  :data:`~repro.network.fastpath.KERNEL_EXEMPT` (empty today — adding a
-  protocol without a kernel forces an explicit, reviewable exemption);
+* every name in :data:`~repro.api.registry.PROTOCOLS` must return a
+  working ``compile_fastpath`` kernel;
 * each kernel must expose the full machine interface the engine drivers
   consume, and the snapshot/restore pair the ∀-schedule explorer uses;
 * the run-mode edge cases (``stop_at_termination`` and ``max_steps``
@@ -23,7 +21,7 @@ import pytest
 
 from repro.analysis.benchmark import PROTOCOL_BENCH_GRAPHS
 from repro.api import PROTOCOLS, RunSpec, ensure_registered, execute_spec
-from repro.network.fastpath import KERNEL_EXEMPT, CompiledNetwork
+from repro.network.fastpath import CompiledNetwork
 from repro.network.graph import DirectedNetwork
 
 ensure_registered()
@@ -50,31 +48,18 @@ def small_compiled() -> CompiledNetwork:
 
 
 class TestCompleteness:
-    def test_exempt_set_is_empty(self):
-        # The PR that introduced full coverage left nothing exempt; a new
-        # exemption must be added (and justified) here explicitly.
-        assert KERNEL_EXEMPT == frozenset()
-
-    def test_exempt_names_are_registered(self):
-        assert set(KERNEL_EXEMPT) <= set(PROTOCOLS.names())
-
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
-    def test_every_protocol_compiles_a_kernel_or_is_exempt(self, protocol):
+    def test_every_protocol_compiles_a_kernel(self, protocol):
         kernel = PROTOCOLS.create(protocol).compile_fastpath(small_compiled())
-        if kernel is None:
-            assert protocol in KERNEL_EXEMPT, (
-                f"protocol {protocol!r} returns no compile_fastpath kernel "
-                "and is not listed in KERNEL_EXEMPT"
-            )
-            return
+        assert kernel is not None, (
+            f"protocol {protocol!r} returns no compile_fastpath kernel"
+        )
         for attr in MACHINE_ATTRS:
             assert callable(getattr(kernel, attr, None)), (protocol, attr)
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
     def test_every_kernel_supports_snapshot_restore(self, protocol):
         kernel = PROTOCOLS.create(protocol).compile_fastpath(small_compiled())
-        if kernel is None:
-            pytest.skip("exempt protocol (no kernel)")
         assert callable(getattr(kernel, "snapshot", None)), protocol
         assert callable(getattr(kernel, "restore", None)), protocol
         snap = kernel.snapshot()
@@ -82,7 +67,7 @@ class TestCompleteness:
         assert kernel.snapshot() == snap
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
-    def test_behaviour_subclasses_fall_back_to_generic(self, protocol):
+    def test_behaviour_subclasses_fall_back_to_reference(self, protocol):
         # The exact-type guard: a subclass that could override behaviour
         # must not inherit the parent's kernel.
         cls = PROTOCOLS.get(protocol)

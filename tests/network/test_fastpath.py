@@ -3,8 +3,8 @@
 The equivalence contract is covered exhaustively by
 ``tests/api/test_engine_differential.py``; this module tests the engine's
 own moving parts: the compiled topology pass, the flat queue/stack/
-scheduler drivers, deferred trace materialisation, error propagation and
-kernel engagement rules.
+scheduler drivers, error propagation, kernel engagement rules and the
+routing of every non-kernel run to the reference loop.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ from repro.core.intervals import (
 )
 from repro.core.dyadic import Dyadic
 from repro.core.model import AnonymousProtocol, VertexView
+from repro.network import fastpath
 from repro.network.fastpath import (
     CompiledNetwork,
     FastEvent,
     run_protocol_fastpath,
 )
+from repro.network.faults import FaultSpec
 from repro.network.graph import DirectedNetwork
 from repro.network.scheduler import FifoScheduler, LifoScheduler, RandomScheduler
 from repro.network.simulator import Outcome, SimulationError, run_protocol
@@ -164,7 +166,7 @@ class TestKernelEngagement:
         kernel = GeneralBroadcastProtocol().compile_fastpath(compiled)
         assert isinstance(kernel, IntervalKernel)
 
-    def test_unknown_subclass_falls_back_to_generic(self):
+    def test_unknown_subclass_falls_back_to_reference(self):
         class Tweaked(GeneralBroadcastProtocol):
             name = "tweaked-general-broadcast"
 
@@ -174,6 +176,81 @@ class TestKernelEngagement:
     def test_base_protocol_hook_defaults_to_none(self):
         compiled = CompiledNetwork(diamond())
         assert _BadPortProtocol().compile_fastpath(compiled) is None
+
+
+class _NullSink:
+    """The smallest durable trace sink: accepts and drops every event."""
+
+    def record(self, step, edge_id, payload, bits):
+        pass
+
+    def defer(self, step):
+        pass
+
+
+class _TweakedGeneral(GeneralBroadcastProtocol):
+    """A behaviour subclass: compiles no kernel (exact-type guard)."""
+
+    name = "tweaked-general-broadcast"
+
+
+class TestRouting:
+    """A run the kernel cannot serve goes to the reference loop, once."""
+
+    @pytest.fixture
+    def reference_calls(self, monkeypatch):
+        calls = []
+        reference = fastpath.run_protocol
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "run_protocol", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "protocol_factory, options",
+        [
+            (
+                GeneralBroadcastProtocol,
+                lambda net: {
+                    "faults": FaultSpec(drop_probability=0.1, seed=3).build(net, 0)
+                },
+            ),
+            (GeneralBroadcastProtocol, lambda net: {"trace_sink": _NullSink()}),
+            (GeneralBroadcastProtocol, lambda net: {"record_trace": True}),
+            (GeneralBroadcastProtocol, lambda net: {"track_state_bits": True}),
+            (_TweakedGeneral, lambda net: {}),
+        ],
+        ids=["faults", "trace", "record_trace", "track_state_bits", "no-kernel"],
+    )
+    def test_non_kernel_runs_use_the_reference_loop(
+        self, reference_calls, protocol_factory, options
+    ):
+        net = diamond()
+        fast_options = options(net)
+        fast = run_protocol_fastpath(net, protocol_factory(), **fast_options)
+        assert len(reference_calls) == 1
+        for name, value in fast_options.items():
+            assert reference_calls[0][name] is value
+        reference = run_protocol(net, protocol_factory(), **options(net))
+        assert fast.metrics == reference.metrics
+        assert fast.outcome is reference.outcome
+
+    @pytest.mark.parametrize(
+        "scheduler_factory",
+        [FifoScheduler, LifoScheduler, lambda: RandomScheduler(seed=1)],
+        ids=["fifo", "lifo", "random"],
+    )
+    def test_plain_kernel_runs_never_call_it(
+        self, reference_calls, scheduler_factory
+    ):
+        result = run_protocol_fastpath(
+            diamond(), GeneralBroadcastProtocol(), scheduler_factory()
+        )
+        assert reference_calls == []
+        assert result.outcome is Outcome.TERMINATED
 
 
 def _flat(union: IntervalUnion):

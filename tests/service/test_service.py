@@ -1,6 +1,7 @@
 """The experiment service: payload validation, jobs, HTTP round-trips, cache."""
 
 import json
+import re
 import socket
 import urllib.error
 import urllib.request
@@ -106,6 +107,34 @@ class TestPayloadValidation:
     def test_non_dict_payload(self, service):
         with pytest.raises(JobError, match="JSON object"):
             service.submit(["e01"])
+
+    @pytest.mark.parametrize(
+        "spec, missing",
+        [
+            ({}, "experiment field(s): name"),
+            ({"name": "x", "base": {"protocol": "flooding"}}, "spec field(s): graph"),
+        ],
+        ids=["no-name", "base-no-graph"],
+    )
+    def test_missing_required_spec_fields(self, service, spec, missing):
+        with pytest.raises(JobError, match=rf"missing required {re.escape(missing)}"):
+            service.submit({"spec": spec})
+        assert service.jobs() == []
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"experiment": "e01", "engine": ["a"]}, "engine must be a string"),
+            ({"experiments": [["e01"]]}, "experiment names must be strings"),
+            ({"experiments": [{"a": 1}]}, "experiment names must be strings"),
+            ({"experiment": ["e01"]}, "experiment names must be strings"),
+        ],
+        ids=["engine-list", "name-list", "name-dict", "experiment-list"],
+    )
+    def test_non_string_names(self, service, payload, message):
+        with pytest.raises(JobError, match=message):
+            service.submit(payload)
+        assert service.jobs() == []
 
 
 class TestJobLifecycle:
@@ -282,6 +311,31 @@ class TestHttpRoundTrip:
         assert status == 400
         assert "unknown protocol 'floding'; registered: " in body["error"]
         assert "flooding" in body["error"]
+        assert service.jobs() == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"spec": {}},
+            {"spec": {"name": "x", "base": {"protocol": "flooding"}}},
+            {"engine": ["a"]},
+            {"experiments": [["e01"]]},
+            {"experiments": [{"a": 1}]},
+            {"experiment": ["e01"]},
+        ],
+        ids=[
+            "spec-empty",
+            "spec-base-no-graph",
+            "engine-list",
+            "name-list",
+            "name-dict",
+            "experiment-list",
+        ],
+    )
+    def test_malformed_payload_is_400(self, service, server, payload):
+        status, body = request(server, "POST", "/experiments", payload)
+        assert status == 400
+        assert body["error"]
         assert service.jobs() == []
 
     def test_result_before_completion_is_409(self, service, server):
