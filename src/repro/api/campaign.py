@@ -321,6 +321,9 @@ class CampaignResult:
     runs_path: Optional[str] = None
     rows_path: Optional[str] = None
     applied_engine: Optional[str] = None
+    #: True when the rows came from the store's row cache: nothing ran,
+    #: and ``specs`` / ``records`` are empty.
+    rows_cached: bool = False
 
 
 class CampaignRunner:
@@ -345,8 +348,9 @@ class CampaignRunner:
         ``<name>.rows.json`` (aggregated rows plus campaign metadata).
     resume:
         Reuse completed spec_ids found in ``<name>.runs.jsonl`` instead of
-        re-executing them.  White-box campaigns cannot resume (their rows
-        need live states) and always execute.
+        re-executing them, and look up the store's row cache first.
+        White-box campaigns cannot resume from records (their rows need
+        live states); only the row cache spares them a run.
     parallel / max_workers / chunksize / min_group_size:
         Forwarded to the :class:`~repro.api.runner.BatchRunner`
         (``chunksize=None`` auto-tunes per dispatch;
@@ -355,12 +359,20 @@ class CampaignRunner:
         inside drivers, tests and benches; the CLI turns parallelism on.
     store:
         Optional :class:`~repro.store.store.ResultStore` shared across
-        campaigns, users and CI runs.  Grid campaigns resolve every
-        expanded spec against the store index before executing anything
-        and publish fresh records back (see
-        :class:`~repro.api.runner.BatchRunner`); white-box campaigns
-        ignore it — their rows need live engine states, which records
-        cannot carry — and driver experiments execute no specs at all.
+        campaigns, users and CI runs.  Every campaign first looks up its
+        rows in the store's row cache, keyed by :meth:`rows_digest`; a
+        hit returns them without running a spec or calling a driver.
+        On a miss, grid campaigns resolve every expanded spec against
+        the store index before executing anything and publish fresh
+        records back (see :class:`~repro.api.runner.BatchRunner`);
+        white-box campaigns execute every spec — their rows need live
+        engine states, which records cannot carry — and driver
+        experiments execute no specs at all.  The rows are then cached.
+        The row cache is bypassed when ``trace`` is set (the traces must
+        be produced) and when the aggregator or driver is not
+        :func:`~repro.store.keys.fingerprinted` (user code can change
+        without changing the store's code version); ``resume=False``
+        skips the lookup but still caches the fresh rows.
     """
 
     def __init__(
@@ -399,9 +411,79 @@ class CampaignRunner:
 
             ensure_registered()
             experiment = EXPERIMENTS.get(experiment)
+        digest = self.rows_digest(experiment)
+        if digest is not None and self.resume:
+            cached = self.store.get_rows(digest)
+            if cached is not None:
+                return self._cached(experiment, cached)
         if isinstance(experiment, DriverExperiment):
-            return self._run_driver(experiment)
-        return self._run_grid(experiment)
+            result = self._run_driver(experiment)
+        else:
+            result = self._run_grid(experiment)
+        if digest is not None:
+            self.store.put_rows(digest, {"total": result.stats.total, "rows": result.rows})
+        return result
+
+    def rows_digest(self, experiment: Union[ExperimentSpec, DriverExperiment]) -> Optional[str]:
+        """The row-cache key of ``experiment`` under this runner, or ``None``.
+
+        A sha256 over the experiment's canonical dict, the scale, the
+        applied engine and the store's code version.  ``None`` means the
+        row cache is bypassed: no store, a ``trace`` policy, or an
+        aggregator / driver defined outside the fingerprinted tree.
+        """
+        from ..store.keys import fingerprinted
+
+        if self.store is None or self.trace is not None:
+            return None
+        if isinstance(experiment, DriverExperiment):
+            code = experiment.resolve()
+            canonical: Dict[str, Any] = {
+                "name": experiment.name,
+                "driver": experiment.driver,
+                "scales": experiment.scales,
+            }
+        else:
+            code = AGGREGATORS.get(experiment.aggregator)
+            canonical = experiment.to_dict()
+        if not fingerprinted(code):
+            return None
+        payload = {
+            "experiment": canonical,
+            "scale": self.scale,
+            "engine": self._applied_engine(experiment),
+            "code_version": self.store.code_version,
+        }
+        text = json.dumps(payload, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def _applied_engine(self, experiment: Union[ExperimentSpec, DriverExperiment]) -> Optional[str]:
+        if isinstance(experiment, DriverExperiment) or experiment.engine_locked:
+            return None
+        return self.engine
+
+    def _cached(
+        self, experiment: Union[ExperimentSpec, DriverExperiment], cached: Dict[str, Any]
+    ) -> CampaignResult:
+        """A result answered from the row cache: nothing runs."""
+        total = cached["total"]
+        stats = BatchStats(total=total, executed=0, reused=total, store_hits=total)
+        runs_path, rows_path = self._artifact_paths(experiment.name)
+        applied_engine = self._applied_engine(experiment)
+        self._write_rows(rows_path, experiment, cached["rows"], stats, applied_engine)
+        return CampaignResult(
+            experiment=experiment,
+            scale=self.scale,
+            engine=self.engine,
+            specs=[],
+            records=[],
+            rows=cached["rows"],
+            stats=stats,
+            runs_path=runs_path if runs_path and os.path.exists(runs_path) else None,
+            rows_path=rows_path,
+            applied_engine=applied_engine,
+            rows_cached=True,
+        )
 
     # ------------------------------------------------------------------
 
@@ -445,7 +527,7 @@ class CampaignRunner:
         specs = experiment.expand(
             scale=self.scale, engine=self.engine, trace=self.trace
         )
-        applied_engine = None if experiment.engine_locked else self.engine
+        applied_engine = self._applied_engine(experiment)
         runs_path, rows_path = self._artifact_paths(experiment.name)
         aggregate = AGGREGATORS.get(experiment.aggregator)
 

@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="N",
-        help="drop records older than N days (default: keep all, only compact)",
+        help="drop records and cached rows older than N days, N >= 0 "
+        "(default: keep all, only compact)",
     )
     for store_cmd in (store_stats, store_ls, store_verify, store_gc):
         _add_store_flags(store_cmd)
@@ -872,6 +873,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
     start = time.time()
     total_specs = executed = reused = total_rows = 0
     cache_hits = cache_misses = store_hits = store_misses = batched_groups = 0
+    rows_cached = 0
     batch_fallbacks: Dict[str, int] = {}
     engines_applied: Dict[str, Optional[str]] = {}
     for experiment in experiments:
@@ -897,6 +899,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
         cache_misses += result.stats.cache_misses
         store_hits += result.stats.store_hits
         store_misses += result.stats.store_misses
+        rows_cached += result.rows_cached
         batched_groups += getattr(result.stats, "batched_groups", 0)
         for reason, count in getattr(result.stats, "batch_fallbacks", {}).items():
             batch_fallbacks[reason] = batch_fallbacks.get(reason, 0) + count
@@ -931,6 +934,8 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
             if store is not None and total_specs
             else None
         ),
+        # Experiments answered from the store's row cache (nothing ran).
+        "rows_cached": rows_cached,
         "rows": total_rows,
         "elapsed_seconds": round(elapsed, 3),
         "output": args.out,
@@ -1096,6 +1101,8 @@ def _cmd_schedule(args, stream: IO[str]) -> int:
 
 
 def _cmd_store(args, stream: IO[str]) -> int:
+    if args.store_command == "ls" and args.limit < 0:
+        raise SystemExit(f"store ls: --limit must be >= 0, got {args.limit}")
     store = _store_or_die(args)
     if store is None:
         raise SystemExit(
@@ -1107,7 +1114,7 @@ def _cmd_store(args, stream: IO[str]) -> int:
             print(json.dumps(store.stats().to_dict(), indent=2, sort_keys=True), file=stream)
         elif args.store_command == "ls":
             rows = store.ls(args.spec_id)
-            for row in rows[: max(0, args.limit)]:
+            for row in rows[: args.limit]:
                 print(json.dumps(row, sort_keys=True), file=stream)
             if len(rows) > args.limit:
                 print(f"... {len(rows) - args.limit} more (raise --limit)", file=stream)

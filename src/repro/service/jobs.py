@@ -14,10 +14,9 @@ about campaigns.  The seam is the :class:`ExperimentService`:
 * Each job runs through the ordinary
   :class:`~repro.api.campaign.CampaignRunner` with the service's
   :class:`~repro.store.store.ResultStore` attached, so a re-submitted
-  completed campaign resolves every run against the store index and
-  finishes without executing a single spec (the
-  :class:`~repro.api.runner.BatchRunner` never even builds its worker
-  pool when nothing is pending).
+  completed campaign is answered from the store's row cache and
+  finishes without executing a single spec (the summary's
+  ``rows_cached`` counts such experiments).
 * Job state is observable two ways: :meth:`Job.snapshot` (a JSON-safe
   status dict whose terminal form embeds an
   ``EXPERIMENT_SUMMARY``-shaped summary) and
@@ -420,7 +419,7 @@ class ExperimentService:
 
             start = time.time()
             total_specs = executed = reused = total_rows = 0
-            cache_hits = cache_misses = store_hits = store_misses = 0
+            cache_hits = cache_misses = store_hits = store_misses = rows_cached = 0
             engines_applied: Dict[str, Optional[str]] = {}
             for experiment in experiments:
                 result = runner.run(experiment)
@@ -438,6 +437,7 @@ class ExperimentService:
                 cache_misses += result.stats.cache_misses
                 store_hits += result.stats.store_hits
                 store_misses += result.stats.store_misses
+                rows_cached += result.rows_cached
                 total_rows += len(result.rows)
             elapsed = time.time() - start
 
@@ -461,6 +461,7 @@ class ExperimentService:
                     if self.store is not None and total_specs
                     else None
                 ),
+                "rows_cached": rows_cached,
                 "rows": total_rows,
                 "elapsed_seconds": round(elapsed, 3),
                 "output": out_dir,

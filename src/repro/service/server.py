@@ -17,7 +17,8 @@ machines — with zero extra dependencies.  Routes:
 Error contract: every non-2xx body is ``{"error": "..."}``.  Malformed
 payloads and ``Content-Length`` headers are 400
 (:class:`~repro.service.jobs.JobError`), unknown job ids 404, results of
-unfinished jobs 409.
+unfinished jobs 409, and a body declared larger than
+:data:`MAX_BODY_BYTES` is 413 — answered without reading it.
 
 The watch stream is close-delimited NDJSON — one JSON snapshot per line,
 connection closed after the terminal snapshot — which works over plain
@@ -34,7 +35,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from .jobs import ExperimentService, JobError
 
-__all__ = ["ServiceServer", "make_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "ServiceServer", "make_server", "serve_forever"]
+
+#: Largest POST body read, in bytes; a submission is a small JSON object.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -135,6 +139,11 @@ class _Handler(BaseHTTPRequestHandler):
                 raise JobError(
                     f"Content-Length must be a non-negative integer, got {header!r}"
                 )
+            if length > MAX_BODY_BYTES:
+                self._error(
+                    413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                )
+                return
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else {}

@@ -9,9 +9,11 @@ cache that makes that true in practice:
 * :class:`ResultStore` — sqlite index + append-only JSONL shards under a
   store directory, records keyed by
   ``(spec_id, seed, engine, code_version)`` with get/put/contains/stats/
-  verify/gc (see :mod:`repro.store.store`);
+  verify/gc, plus the campaign row cache (``get_rows`` / ``put_rows``)
+  (see :mod:`repro.store.store`);
 * :class:`StoreKey` / :func:`current_code_version` — the keying and
-  invalidation rules (:mod:`repro.store.keys`);
+  invalidation rules; the code version is a fingerprint of the sources
+  that decide results (:mod:`repro.store.keys`);
 * :class:`~repro.store.backend.StoreBackend` — the pluggable byte layer,
   with the :class:`~repro.store.backend.LocalBackend` filesystem default
   (:mod:`repro.store.backend`).

@@ -12,7 +12,10 @@ keyed by :class:`~repro.store.keys.StoreKey` —
   the first two hex digits of the spec_id;
 * **the index** (``index.sqlite``): one row per key with the shard name,
   the record's content hash and its creation time, so ``contains`` /
-  ``stats`` / resume lookups never touch a shard.
+  ``stats`` / resume lookups never touch a shard.  Its ``rows`` table is
+  the campaign row cache: one sha256-checked JSON payload per digest
+  (:meth:`ResultStore.get_rows` / :meth:`ResultStore.put_rows`), which
+  is how a warm campaign returns its rows without running anything.
 
 Durability order is *shard first, index second*: a crash between the two
 leaves an orphan line (harmless, compacted by :meth:`ResultStore.gc`),
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -73,6 +77,13 @@ CREATE TABLE IF NOT EXISTS records (
 CREATE INDEX IF NOT EXISTS records_by_shard ON records(shard);
 CREATE INDEX IF NOT EXISTS records_by_created ON records(created_at);
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE IF NOT EXISTS rows (
+    digest TEXT PRIMARY KEY,
+    code_version TEXT NOT NULL,
+    sha256 TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    created_at REAL NOT NULL
+);
 """
 
 #: Bump when the on-disk layout changes incompatibly.
@@ -110,6 +121,8 @@ class StoreStats:
     by_code_version: Dict[str, int]
     oldest: Optional[float]
     newest: Optional[float]
+    row_entries: int = 0
+    row_entries_by_code_version: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form for ``repro store stats`` and the service."""
@@ -121,6 +134,8 @@ class StoreStats:
             "by_code_version": dict(self.by_code_version),
             "oldest": self.oldest,
             "newest": self.newest,
+            "row_entries": self.row_entries,
+            "row_entries_by_code_version": dict(self.row_entries_by_code_version),
         }
 
 
@@ -134,11 +149,13 @@ class VerifyReport:
     mismatched: List[Tuple[StoreKey, str]] = field(default_factory=list)
     orphan_lines: int = 0
     corrupt_lines: int = 0
+    corrupt_rows: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when every indexed record is served by an intact line."""
-        return not self.missing and not self.mismatched
+        """True when every indexed record is served by an intact line
+        and every row entry matches its hash."""
+        return not self.missing and not self.mismatched and not self.corrupt_rows
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form for ``repro store verify``."""
@@ -149,6 +166,7 @@ class VerifyReport:
             "mismatched": [[list(key), shard] for key, shard in self.mismatched],
             "orphan_lines": self.orphan_lines,
             "corrupt_lines": self.corrupt_lines,
+            "corrupt_rows": list(self.corrupt_rows),
             "clean": self.clean,
         }
 
@@ -164,11 +182,13 @@ class GcReport:
     shards_deleted: int
     bytes_before: int
     bytes_after: int
+    removed_rows: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form for ``repro store gc``."""
         return {
             "removed_records": self.removed_records,
+            "removed_rows": self.removed_rows,
             "kept_records": self.kept_records,
             "dropped_lines": self.dropped_lines,
             "shards_compacted": self.shards_compacted,
@@ -192,9 +212,10 @@ class ResultStore:
     code_version:
         The version stamped onto stored records and required of fetched
         ones; defaults to
-        :func:`~repro.store.keys.current_code_version`.  Records written
-        under a different code version are invisible (not deleted) —
-        that is the invalidation rule.
+        :func:`~repro.store.keys.current_code_version`, a fingerprint of
+        the sources.  Records and cached rows written under a different
+        code version are invisible (not deleted) — that is the
+        invalidation rule.
     """
 
     def __init__(
@@ -497,6 +518,69 @@ class ResultStore:
             conn.execute("DELETE FROM records WHERE shard = ?", (shard,))
 
     # ------------------------------------------------------------------
+    # the row cache
+    # ------------------------------------------------------------------
+
+    def put_rows(self, digest: str, payload: Dict[str, Any]) -> bool:
+        """Cache ``payload`` under ``digest``, replacing any entry; return
+        whether it was stored.
+
+        ``payload`` is kept as compact JSON in key insertion order (row
+        columns keep their order).  A payload that does not survive a
+        JSON round trip unchanged — tuples, non-string keys, NaN, objects
+        — is not stored, so :meth:`get_rows` only ever returns a value
+        equal to what was put.
+        """
+        try:
+            text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        except (TypeError, ValueError):
+            return False
+        if json.loads(text) != payload:
+            return False
+        conn = self._connection()
+        with conn:
+            conn.execute(
+                "INSERT OR REPLACE INTO rows "
+                "(digest, code_version, sha256, payload, created_at) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (digest, self.code_version, _record_sha(text), text, time.time()),
+            )
+        return True
+
+    def get_rows(self, digest: str) -> Optional[Dict[str, Any]]:
+        """The payload cached under ``digest``, or ``None`` (a miss).
+
+        The payload is re-hashed on every read; an entry that no longer
+        matches its hash is deleted and reported as a miss, so the rows
+        are recomputed instead of served damaged.
+        """
+        conn = self._connection()
+        row = conn.execute(
+            "SELECT sha256, payload FROM rows WHERE digest = ?", (digest,)
+        ).fetchone()
+        if row is None:
+            return None
+        sha, text = row
+        if _record_sha(text) == sha:
+            try:
+                return json.loads(text)
+            except ValueError:
+                pass
+        with conn:
+            conn.execute("DELETE FROM rows WHERE digest = ?", (digest,))
+        return None
+
+    def _corrupt_rows(self) -> List[str]:
+        """The row-cache digests whose payload fails its hash."""
+        return [
+            digest
+            for digest, sha, text in self._connection().execute(
+                "SELECT digest, sha256, payload FROM rows ORDER BY digest"
+            )
+            if _record_sha(text) != sha
+        ]
+
+    # ------------------------------------------------------------------
     # operations: stats / ls / verify / gc
     # ------------------------------------------------------------------
 
@@ -514,6 +598,9 @@ class ResultStore:
         by_code_version = dict(
             conn.execute("SELECT code_version, COUNT(*) FROM records GROUP BY code_version")
         )
+        rows_by_code_version = dict(
+            conn.execute("SELECT code_version, COUNT(*) FROM rows GROUP BY code_version")
+        )
         return StoreStats(
             records=total,
             shards=shards,
@@ -522,6 +609,8 @@ class ResultStore:
             by_code_version=by_code_version,
             oldest=oldest,
             newest=newest,
+            row_entries=sum(rows_by_code_version.values()),
+            row_entries_by_code_version=rows_by_code_version,
         )
 
     def ls(self, spec_id_prefix: str = "") -> List[Dict[str, Any]]:
@@ -594,7 +683,8 @@ class ResultStore:
         ``mismatched`` — the key exists but never with the indexed hash;
         ``orphan_lines`` — intact lines no index row points at (crash
         leftovers and superseded duplicates; reclaimed by :meth:`gc`);
-        ``corrupt_lines`` — lines that fail to parse or re-hash.
+        ``corrupt_lines`` — lines that fail to parse or re-hash;
+        ``corrupt_rows`` — row-cache digests whose payload fails its hash.
         """
         index = self._index_by_shard()
         shard_names = sorted(set(index) | set(self.backend.list_shards()))
@@ -626,27 +716,44 @@ class ResultStore:
             mismatched=mismatched,
             orphan_lines=orphans,
             corrupt_lines=corrupt,
+            corrupt_rows=self._corrupt_rows(),
         )
 
     def gc(self, keep_days: Optional[float] = None) -> GcReport:
-        """Expire old records and compact every shard.
+        """Expire old records and row entries, and compact every shard.
 
-        ``keep_days`` drops records whose index row is older than that
-        many days (``None`` keeps everything and only compacts).
-        Compaction rewrites each shard to exactly its live indexed lines,
-        reclaiming orphans, superseded duplicates and corrupt bytes, and
-        deletes shards left empty.  Run it without concurrent writers —
-        a line appended mid-compaction could be dropped by the rewrite.
+        ``keep_days`` (finite, ``>= 0``) drops records and row-cache
+        entries created more than that many days ago (``None`` keeps
+        everything and only compacts).  Compaction rewrites each shard to
+        exactly its live indexed lines, reclaiming orphans, superseded
+        duplicates and corrupt bytes, deletes shards left empty, and
+        deletes row entries that fail their hash.  Run it without
+        concurrent writers — a line appended mid-compaction could be
+        dropped by the rewrite.
         """
         conn = self._connection()
-        removed = 0
+        removed = removed_rows = 0
         if keep_days is not None:
-            cutoff = time.time() - float(keep_days) * 86400.0
+            keep_days = float(keep_days)
+            if not math.isfinite(keep_days) or keep_days < 0:
+                raise StoreError(
+                    f"keep_days must be a finite number >= 0, got {keep_days!r}"
+                )
+            cutoff = time.time() - keep_days * 86400.0
             with conn:
                 cursor = conn.execute(
                     "DELETE FROM records WHERE created_at < ?", (cutoff,)
                 )
                 removed = cursor.rowcount
+                cursor = conn.execute("DELETE FROM rows WHERE created_at < ?", (cutoff,))
+                removed_rows = cursor.rowcount
+        corrupt_rows = self._corrupt_rows()
+        if corrupt_rows:
+            with conn:
+                conn.executemany(
+                    "DELETE FROM rows WHERE digest = ?", [(d,) for d in corrupt_rows]
+                )
+            removed_rows += len(corrupt_rows)
         index = self._index_by_shard()
         shard_names = sorted(set(index) | set(self.backend.list_shards()))
         dropped_lines = 0
@@ -685,6 +792,7 @@ class ResultStore:
             shards_deleted=deleted,
             bytes_before=bytes_before,
             bytes_after=bytes_after,
+            removed_rows=removed_rows,
         )
 
 

@@ -85,6 +85,17 @@ class TestExperimentStoreFlags:
         assert warm["executed"] == 0
         assert warm["store_hit_rate"] == 1.0
         assert warm["store_hits"] == warm["total_specs"]
+        assert cold["rows_cached"] == 0 and warm["rows_cached"] == 1
+
+    def test_code_version_override_misses_row_cache(self, tmp_path, monkeypatch):
+        store = str(tmp_path / "store")
+        args = ["experiment", "e01", "--quick", "--serial", "--store", store]
+        run_cli(args)
+        monkeypatch.setenv("REPRO_STORE_CODE_VERSION", "other")
+        code, text = run_cli(args)
+        summary = summary_line(text, "EXPERIMENT_SUMMARY")
+        assert summary["rows_cached"] == 0
+        assert summary["executed"] == summary["total_specs"] > 0
 
 
 class TestRunSpecStore:
@@ -132,6 +143,34 @@ class TestStoreSubcommands:
         assert "3 record(s)" in text
         code, text = run_cli(["store", "ls", "--store", populated, "--limit", "1"])
         assert "2 more" in text
+
+    def test_ls_negative_limit_is_rejected(self, populated):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["store", "ls", "--store", populated, "--limit", "-1"])
+        assert exc.value.code != 0
+        assert "--limit must be >= 0" in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("days", ["-1", "nan", "inf", "-inf"])
+    def test_gc_rejects_bad_keep_days(self, populated, days):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["store", "gc", "--store", populated, f"--keep-days={days}"])
+        assert exc.value.code != 0
+        assert "keep_days must be a finite number >= 0" in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+        code, text = run_cli(["store", "stats", "--store", populated])
+        assert json.loads(text[: text.rindex("}") + 1])["records"] == 3
+
+    def test_stats_counts_row_entries_by_code_version(self, tmp_path):
+        from repro.store import ResultStore
+
+        store = str(tmp_path / "store")
+        run_cli(["experiment", "e01", "--quick", "--serial", "--store", store])
+        code, text = run_cli(["store", "stats", "--store", store])
+        stats = json.loads(text[: text.rindex("}") + 1])
+        version = ResultStore(store).code_version
+        assert stats["row_entries"] == 1
+        assert stats["row_entries_by_code_version"] == {version: 1}
 
     def test_verify_clean(self, populated):
         code, text = run_cli(["store", "verify", "--store", populated])

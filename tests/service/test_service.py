@@ -165,10 +165,12 @@ class TestJobLifecycle:
         job2, created = service.submit({"experiment": "e01", "quick": True})
         assert created and job2.id != job1.id
         assert job2.wait(timeout=120) and job2.state == "completed"
+        assert job1.snapshot()["summary"]["rows_cached"] == 0
         summary = job2.snapshot()["summary"]
         assert summary["executed"] == 0
         assert summary["store_hits"] == summary["total_specs"] > 0
         assert summary["store_hit_rate"] == 1.0
+        assert summary["rows_cached"] == 1
         # rows identical across cold and warm jobs
         assert job2.result_payload()["experiments"] == (
             job1.result_payload()["experiments"]
@@ -299,6 +301,27 @@ class TestHttpRoundTrip:
         assert "Content-Length" in error and repr(length) in error
         assert service.jobs() == []
         # the server keeps answering
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_oversized_body_is_413_without_reading(self, service, server):
+        """A declared body over the 1 MiB cap is refused before it is read:
+        the reply comes although the body is never sent."""
+        host, port = server.server_address[0], server.server_address[1]
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(
+                (
+                    "POST /experiments HTTP/1.0\r\n"
+                    "Content-Type: application/json\r\n"
+                    "Content-Length: 2097152\r\n\r\n"
+                ).encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"413", reply
+        assert "exceeds the 1048576-byte limit" in json.loads(body)["error"]
+        assert service.jobs() == []
         assert request(server, "GET", "/healthz")[0] == 200
 
     def test_typo_in_inline_spec_is_400(self, service, server):
