@@ -2,7 +2,7 @@
 
 The pytest-benchmark twin of the ``store`` block ``repro bench`` records
 into ``BENCH_engines.json``: the same synthetic records (distinct seeds,
-full RunSpecs — representative hashing, serialization and shard fan-out),
+full RunSpecs — representative hashing, serialization and payload sizes),
 the same three operations a warm campaign resume exercises, measured at
 :data:`~repro.analysis.benchmark.STORE_BENCH_RECORDS` records.  The
 closing test asserts the same integrity bar the CI floor file gates:

@@ -703,7 +703,7 @@ def synthetic_store_records(n_records: int) -> List[Any]:
     Synthesized rather than executed — the store bench measures store
     throughput, not engine throughput — but shaped exactly like real
     records (a full RunSpec with a distinct seed per record), so hashing,
-    serialization and shard fan-out costs are representative.
+    serialization and payload sizes are representative.
     """
     from ..api.spec import RunRecord
 
@@ -741,7 +741,7 @@ def run_store_benchmarks(
     record retrieval with hash verification).  ``cache_hit_rate`` is the
     fraction of just-stored records ``get_many`` returned intact — 1.0 on
     a healthy store, and the number the store's integrity floor gates (a
-    retrieval or quarantine bug shows up here, not as a perf regression).
+    retrieval or hash-check bug shows up here, not as a perf regression).
     """
     from ..store import ResultStore
 

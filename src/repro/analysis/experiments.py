@@ -12,6 +12,7 @@ takes explicit size parameters; the defaults are the full-size run.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Sequence
 
 from ..api import PROTOCOLS
@@ -187,7 +188,9 @@ def experiment_e19_schedule_search(
     :class:`~repro.lowerbounds.certificates.ScheduleCertificate` — an
     artifact any third party can check bit-for-bit without trusting the
     search.  When a result store is attached (``repro experiment e19
-    --store``), certificates also land under ``<store>/schedules/``.
+    --store``), certificates also land under ``<store>/schedules/`` and
+    each row's ``certificate_path`` (``schedules/<cert_id>.json``)
+    resolves against the store root.
     """
     from ..api.spec import RunSpec
     from ..lowerbounds.certificates import search_and_certify, store_certificate
@@ -222,6 +225,9 @@ def experiment_e19_schedule_search(
             "certificate": certificate.cert_id if certificate is not None else None,
         }
         if certificate is not None and store is not None:
-            row["certificate_path"] = store_certificate(store, certificate)
+            # Relative to the store root (the row cache serves rows
+            # verbatim, so a copied or moved store must stay valid).
+            path = store_certificate(store, certificate)
+            row["certificate_path"] = os.path.relpath(path, store.root)
         rows.append(row)
     return rows

@@ -50,6 +50,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..store.store import StoreError
 from .registry import AGGREGATORS, EXPERIMENTS
 from .runner import BatchRunner, BatchStats
 from .spec import (
@@ -367,7 +368,9 @@ class CampaignRunner:
         records back (see :class:`~repro.api.runner.BatchRunner`);
         white-box campaigns execute every spec — their rows need live
         engine states, which records cannot carry — and driver
-        experiments execute no specs at all.  The rows are then cached.
+        experiments execute no specs at all.  The rows are then cached;
+        a store that refuses the write leaves the result uncached and
+        counted in ``stats.store_write_errors``.
         The row cache is bypassed when ``trace`` is set (the traces must
         be produced) and when the aggregator or driver is not
         :func:`~repro.store.keys.fingerprinted` (user code can change
@@ -421,7 +424,11 @@ class CampaignRunner:
         else:
             result = self._run_grid(experiment)
         if digest is not None:
-            self.store.put_rows(digest, {"total": result.stats.total, "rows": result.rows})
+            try:
+                self.store.put_rows(digest, {"total": result.stats.total, "rows": result.rows})
+            except StoreError:
+                errors = result.stats.store_write_errors + 1
+                result = replace(result, stats=replace(result.stats, store_write_errors=errors))
         return result
 
     def rows_digest(self, experiment: Union[ExperimentSpec, DriverExperiment]) -> Optional[str]:

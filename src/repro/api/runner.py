@@ -32,13 +32,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..store.store import ResultStore, StoreError
 from .engines import ENGINES
 from .spec import RunRecord, RunSpec, execute_spec, topology_cache_stats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..store.store import ResultStore
 
 __all__ = [
     "BatchRunner",
@@ -57,8 +55,8 @@ __all__ = [
 DEFAULT_MIN_GROUP_SIZE = 8
 
 #: Freshly computed records :meth:`BatchRunner.run` collects before it
-#: publishes them to the attached store in one ``put_many`` call (one index
-#: query and one transaction per chunk instead of per record).
+#: publishes them to the attached store in one ``put_many`` call (one
+#: transaction per chunk instead of per record).
 PUBLISH_CHUNK = 256
 
 
@@ -138,6 +136,9 @@ class BatchStats:
     :class:`~repro.store.store.ResultStore`); both stay zero when no
     store is attached or resume is off.  Store hits are counted inside
     ``reused`` — a record served from the store was not executed.
+    ``store_write_errors`` counts publishes the store refused (disk full,
+    read-only file, lock timeout): the run still finishes and returns
+    every record, but publishes nothing more after the first failure.
 
     ``batched_groups`` counts the seed-groups dispatched whole through an
     engine's ``run_many`` capability (see
@@ -161,6 +162,7 @@ class BatchStats:
     cache_misses: int = 0
     store_hits: int = 0
     store_misses: int = 0
+    store_write_errors: int = 0
     batched_groups: int = 0
     batch_fallbacks: Dict[str, int] = field(default_factory=dict)
 
@@ -190,8 +192,11 @@ class BatchRunner:
         back to the store in chunks of :data:`PUBLISH_CHUNK`, plus the
         remainder when the run ends (also when it ends by an exception).
         A hard kill can leave up to one chunk out of the store; the JSONL
-        output still has those records line by line.  The store is only
-        touched from this parent process, never from pool workers.
+        output still has those records line by line.  A failed store
+        write does not abort the run: it is counted in
+        ``stats.store_write_errors`` and the rest of the run goes
+        uncached.  The store is only touched from this parent process,
+        never from pool workers.
     min_group_size:
         Smallest seed-group worth dispatching through ``run_many``
         (default :data:`DEFAULT_MIN_GROUP_SIZE`); smaller groups run
@@ -205,7 +210,7 @@ class BatchRunner:
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
         parallel: bool = True,
-        store: "Optional[ResultStore]" = None,
+        store: Optional[ResultStore] = None,
         min_group_size: Optional[int] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -278,6 +283,17 @@ class BatchRunner:
         by_id: Dict[str, RunRecord] = {}
         store = self.store
         store_ids: set = set()
+        write_errors = 0
+
+        def publish(batch: List[RunRecord]) -> None:
+            nonlocal write_errors
+            if write_errors:
+                return  # the store refused a write: finish uncached
+            try:
+                store.put_many(batch)
+            except StoreError:
+                write_errors += 1
+
         if store is not None and resume:
             by_id.update(store.get_many(unique.values()))
             store_ids = set(by_id)
@@ -301,7 +317,7 @@ class BatchRunner:
                         if sid in by_id and sid not in store_ids
                     ]
                     if absorbed:
-                        store.put_many(absorbed)
+                        publish(absorbed)
 
         pending = [spec for sid, spec in unique.items() if sid not in by_id]
         done = len(spec_list) - len(pending)
@@ -321,7 +337,7 @@ class BatchRunner:
                     fresh.append(record)
                     if len(fresh) >= PUBLISH_CHUNK:
                         chunk, fresh = fresh, []
-                        store.put_many(chunk)
+                        publish(chunk)
                 if sink is not None:
                     sink.write(record.to_json() + "\n")
                     sink.flush()
@@ -334,7 +350,7 @@ class BatchRunner:
             if store is not None and fresh:
                 # Also on the way out of an exception: every record that
                 # was computed reaches the store.
-                store.put_many(fresh)
+                publish(fresh)
 
         records = [by_id[spec.spec_id] for spec in spec_list]
         if output_path:
@@ -353,6 +369,7 @@ class BatchRunner:
             cache_misses=self._cache_misses,
             store_hits=len(store_ids),
             store_misses=max(0, lookups - len(store_ids)),
+            store_write_errors=write_errors,
             batched_groups=self._batched_groups,
             batch_fallbacks=dict(self._batch_fallbacks),
         )
@@ -486,7 +503,7 @@ def run_specs(
     resume: bool = True,
     max_workers: Optional[int] = None,
     parallel: bool = True,
-    store: "Optional[ResultStore]" = None,
+    store: Optional[ResultStore] = None,
     min_group_size: Optional[int] = None,
 ) -> List[RunRecord]:
     """One-shot convenience wrapper around :class:`BatchRunner`."""

@@ -317,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_stats = store_sub.add_parser(
-        "stats", help="index statistics: record/shard counts, bytes, engines"
+        "stats", help="store statistics: record and row counts, bytes, engines"
     )
     store_ls = store_sub.add_parser(
-        "ls", help="list index rows for a spec_id (hex prefix match)"
+        "ls", help="list stored records for a spec_id (hex prefix match)"
     )
     store_ls.add_argument(
         "spec_id",
@@ -335,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum rows to print (default: 50)",
     )
     store_verify = store_sub.add_parser(
-        "verify", help="re-hash every shard against the index, report corruption"
+        "verify", help="re-hash every stored record and cached row, report corruption"
     )
     store_gc = store_sub.add_parser(
-        "gc", help="expire old records and compact shards (reclaims orphans)"
+        "gc", help="expire old entries, delete corrupt ones, vacuum the file"
     )
     store_gc.add_argument(
         "--keep-days",
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="drop records and cached rows older than N days, N >= 0 "
-        "(default: keep all, only compact)",
+        "(default: expire nothing)",
     )
     for store_cmd in (store_stats, store_ls, store_verify, store_gc):
         _add_store_flags(store_cmd)
@@ -589,6 +589,18 @@ def _apply_trace_policy(specs, trace: Optional[str]):
         raise SystemExit(f"cannot apply --trace {trace}: {exc}") from None
 
 
+def _publish(
+    store: Optional[ResultStore], record, stream: IO[str], extra: Optional[IO[str]]
+) -> None:
+    """Store a freshly executed record; a failed write is reported, not fatal."""
+    if store is None:
+        return
+    try:
+        store.put(record)
+    except StoreError as exc:
+        _emit(f"(record not stored: {exc})", stream, extra)
+
+
 def _cmd_run_spec(
     path: str,
     stream: IO[str],
@@ -617,8 +629,7 @@ def _cmd_run_spec(
                 record = execute_spec(spec)
         except SpecError as exc:
             raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
-        if store is not None:
-            store.put(record)
+        _publish(store, record, stream, extra)
         _emit(_record_summary(record), stream, extra)
         metrics = record.metrics
         _emit(
@@ -641,8 +652,7 @@ def _cmd_run_spec(
             # defects only detectable at build time (fault vertex out of range,
             # unregistered adversary) get the same one-line treatment
             raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
-        if store is not None:
-            store.put(record)
+        _publish(store, record, stream, extra)
         _emit(_record_summary(record), stream, extra)
     _emit(json.dumps(record.to_dict(), sort_keys=True, indent=2), stream, extra)
     return 0
@@ -717,6 +727,7 @@ def _cmd_batch(args, stream: IO[str]) -> int:
             if store is not None and stats.total
             else None
         ),
+        "store_write_errors": stats.store_write_errors,
         "elapsed_seconds": round(elapsed, 3),
         "output": args.out,
     }
@@ -873,7 +884,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
     start = time.time()
     total_specs = executed = reused = total_rows = 0
     cache_hits = cache_misses = store_hits = store_misses = batched_groups = 0
-    rows_cached = 0
+    rows_cached = store_write_errors = 0
     batch_fallbacks: Dict[str, int] = {}
     engines_applied: Dict[str, Optional[str]] = {}
     for experiment in experiments:
@@ -900,6 +911,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
         store_hits += result.stats.store_hits
         store_misses += result.stats.store_misses
         rows_cached += result.rows_cached
+        store_write_errors += result.stats.store_write_errors
         batched_groups += getattr(result.stats, "batched_groups", 0)
         for reason, count in getattr(result.stats, "batch_fallbacks", {}).items():
             batch_fallbacks[reason] = batch_fallbacks.get(reason, 0) + count
@@ -936,6 +948,8 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
         ),
         # Experiments answered from the store's row cache (nothing ran).
         "rows_cached": rows_cached,
+        # Failed store writes; those results were returned uncached.
+        "store_write_errors": store_write_errors,
         "rows": total_rows,
         "elapsed_seconds": round(elapsed, 3),
         "output": args.out,
@@ -1127,7 +1141,7 @@ def _cmd_store(args, stream: IO[str]) -> int:
                 return 1
             print(
                 f"store at {store.root} is clean "
-                f"({report.records_checked} records, {report.shards_checked} shards)",
+                f"({report.records_checked} records)",
                 file=stream,
             )
         else:  # gc

@@ -420,6 +420,7 @@ class ExperimentService:
             start = time.time()
             total_specs = executed = reused = total_rows = 0
             cache_hits = cache_misses = store_hits = store_misses = rows_cached = 0
+            store_write_errors = 0
             engines_applied: Dict[str, Optional[str]] = {}
             for experiment in experiments:
                 result = runner.run(experiment)
@@ -438,6 +439,7 @@ class ExperimentService:
                 store_hits += result.stats.store_hits
                 store_misses += result.stats.store_misses
                 rows_cached += result.rows_cached
+                store_write_errors += result.stats.store_write_errors
                 total_rows += len(result.rows)
             elapsed = time.time() - start
 
@@ -462,6 +464,7 @@ class ExperimentService:
                     else None
                 ),
                 "rows_cached": rows_cached,
+                "store_write_errors": store_write_errors,
                 "rows": total_rows,
                 "elapsed_seconds": round(elapsed, 3),
                 "output": out_dir,

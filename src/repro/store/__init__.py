@@ -6,17 +6,14 @@ Every experiment in this repository is a pure function of its
 or CI run — never needs computing again.  This package is the shared
 cache that makes that true in practice:
 
-* :class:`ResultStore` — sqlite index + append-only JSONL shards under a
-  store directory, records keyed by
+* :class:`ResultStore` — one sqlite file (``index.sqlite``) under a
+  store directory holding sha256-checked records keyed by
   ``(spec_id, seed, engine, code_version)`` with get/put/contains/stats/
   verify/gc, plus the campaign row cache (``get_rows`` / ``put_rows``)
   (see :mod:`repro.store.store`);
 * :class:`StoreKey` / :func:`current_code_version` — the keying and
   invalidation rules; the code version is a fingerprint of the sources
-  that decide results (:mod:`repro.store.keys`);
-* :class:`~repro.store.backend.StoreBackend` — the pluggable byte layer,
-  with the :class:`~repro.store.backend.LocalBackend` filesystem default
-  (:mod:`repro.store.backend`).
+  that decide results (:mod:`repro.store.keys`).
 
 Typical use::
 
@@ -34,12 +31,7 @@ operate on the store itself, and ``repro serve`` exposes the whole
 pipeline over HTTP (see :mod:`repro.service`).
 """
 
-from .backend import (
-    LocalBackend,
-    StoreBackend,
-    StoreBackendError,
-)
-from .keys import StoreKey, current_code_version, shard_name
+from .keys import StoreKey, current_code_version
 from .store import (
     GcReport,
     ResultStore,
@@ -55,11 +47,6 @@ __all__ = [
     # keys
     "StoreKey",
     "current_code_version",
-    "shard_name",
-    # backends
-    "StoreBackend",
-    "LocalBackend",
-    "StoreBackendError",
     # the store
     "ResultStore",
     "StoreStats",

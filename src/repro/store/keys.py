@@ -27,9 +27,9 @@ store itself, benchmark and report rendering).  The list names what is
 forgotten entry costs an extra invalidation, never a stale hit.
 
 The key is deliberately redundant — ``spec_id`` alone determines ``seed``
-and ``engine`` — but the redundancy is what makes the sqlite index
-answer operational questions (how many fastpath records? which seeds of
-this spec are cached?) without touching a shard.
+and ``engine`` — but the redundancy is what makes the store's sqlite
+table answer operational questions (how many fastpath records? which
+seeds of this spec are cached?) without parsing a record payload.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "UNFINGERPRINTED",
     "current_code_version",
     "fingerprinted",
-    "shard_name",
     "source_fingerprint",
 ]
 
@@ -159,34 +158,7 @@ class StoreKey(NamedTuple):
 
         Sqlite composite primary keys treat ``NULL`` values as pairwise
         distinct, which would let seedless specs collide into duplicate
-        index rows; storing the JSON text keeps the uniqueness constraint
+        records; storing the JSON text keeps the uniqueness constraint
         honest for every seed value.
         """
         return json.dumps(self.seed)
-
-    @property
-    def shard(self) -> str:
-        """The shard file this key's record lives in."""
-        return shard_name(self.spec_id)
-
-    def to_list(self) -> list:
-        """JSON-envelope form: ``[spec_id, seed, engine, code_version]``."""
-        return [self.spec_id, self.seed, self.engine, self.code_version]
-
-    @classmethod
-    def from_list(cls, payload: list) -> "StoreKey":
-        """Inverse of :meth:`to_list`."""
-        spec_id, seed, engine, code_version = payload
-        return cls(spec_id, seed, engine, code_version)
-
-
-def shard_name(spec_id: str) -> str:
-    """The shard file holding ``spec_id``'s records (``"shards/ab.jsonl"``).
-
-    Records fan out over 256 append-only JSONL files keyed by the first
-    two hex digits of the spec_id, so one shard stays small enough to
-    scan in microseconds while the store as a whole scales to millions
-    of records.
-    """
-    prefix = spec_id[:2] if len(spec_id) >= 2 else (spec_id + "__")[:2]
-    return f"{prefix}.jsonl"

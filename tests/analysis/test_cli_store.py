@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -86,6 +87,7 @@ class TestExperimentStoreFlags:
         assert warm["store_hit_rate"] == 1.0
         assert warm["store_hits"] == warm["total_specs"]
         assert cold["rows_cached"] == 0 and warm["rows_cached"] == 1
+        assert cold["store_write_errors"] == warm["store_write_errors"] == 0
 
     def test_code_version_override_misses_row_cache(self, tmp_path, monkeypatch):
         store = str(tmp_path / "store")
@@ -178,16 +180,18 @@ class TestStoreSubcommands:
         assert "is clean" in text
 
     def test_verify_detects_corruption(self, populated):
-        shards = os.path.join(populated, "shards")
-        victim = os.path.join(shards, sorted(os.listdir(shards))[0])
-        with open(victim, "r+b") as handle:
-            data = handle.read()
-            handle.seek(0)
-            handle.truncate()
-            handle.write(data[: len(data) // 2])
+        conn = sqlite3.connect(os.path.join(populated, "index.sqlite"))
+        with conn:
+            conn.execute(
+                "UPDATE records SET payload = replace(payload, '\"seed\":0', '\"seed\":9')"
+            )
+        conn.close()
         code, text = run_cli(["store", "verify", "--store", populated])
         assert code == 1
         assert "corruption detected" in text
+        run_cli(["store", "gc", "--store", populated])
+        code, text = run_cli(["store", "verify", "--store", populated])
+        assert code == 0 and "is clean (2 records)" in text
 
     def test_gc(self, populated):
         code, text = run_cli(["store", "gc", "--store", populated])
@@ -215,3 +219,33 @@ class TestStoreErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["store", "ls", "zz!", "--store", store], stream=io.StringIO())
         assert isinstance(excinfo.value.code, str)
+
+
+class TestGarbageIndex:
+    """An ``index.sqlite`` that is not a database is the whole store gone
+    bad: every command that opens it is a one-line exit, no traceback."""
+
+    @pytest.fixture()
+    def garbage(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "index.sqlite").write_text("garbage\n")
+        return str(root)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "stats"],
+            ["store", "verify"],
+            ["experiment", "e01", "--quick", "--serial"],
+            ["serve", "--port", "0", "--serial"],
+        ],
+        ids=["stats", "verify", "experiment", "serve"],
+    )
+    def test_one_line_exit(self, garbage, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--store", garbage], stream=io.StringIO())
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("cannot open result store:")
+        assert "file is not a database" in message

@@ -1,6 +1,8 @@
 """ScheduleCertificate round-trips, independent replay, tamper detection."""
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -140,11 +142,31 @@ class TestCampaignE19:
         assert result.rows
         for row in result.rows:
             assert row["certificate"] is not None
-            path = row["certificate_path"]
-            cert = load_certificate(path)
+            assert row["certificate_path"] == f"schedules/{row['certificate']}.json"
+            cert = load_certificate(os.path.join(store.root, row["certificate_path"]))
             assert cert.cert_id == row["certificate"]
             assert cert.to_dict() == json.loads(cert.to_json())
             report = verify_certificate(cert)
             assert report.ok, report.failures
             assert report.replayed_steps == row["worst_steps"] == cert.steps
             assert report.replayed_outcome == row["outcome"]
+
+    def test_copied_store_serves_paths_inside_the_copy(self, tmp_path):
+        """Cached e19 rows name their certificates relative to the store
+        root, so a copy of a warm store resolves them inside the copy."""
+        from repro.api.campaign import CampaignRunner
+        from repro.store import ResultStore
+
+        ensure_registered()
+        original = tmp_path / "original"
+        CampaignRunner(scale="quick", store=ResultStore(str(original))).run("e19")
+        shutil.copytree(original, tmp_path / "copy")
+        shutil.rmtree(original)
+
+        copy = ResultStore(str(tmp_path / "copy"))
+        result = CampaignRunner(scale="quick", store=copy).run("e19")
+        assert result.rows_cached
+        for row in result.rows:
+            path = os.path.join(copy.root, row["certificate_path"])
+            assert os.path.isfile(path)
+            assert load_certificate(path).cert_id == row["certificate"]

@@ -1,20 +1,21 @@
-"""ResultStore core: keying, round-trips, resolution, backends."""
+"""ResultStore core: keying, round-trips, layout, resolution."""
 
-import json
+import hashlib
+import io
 import os
+import sqlite3
 
 import pytest
 
 from repro.api import BatchRunner, RunSpec, execute_spec
+from repro.cli import main
 from repro.store import (
     STORE_ENV_VAR,
-    LocalBackend,
     ResultStore,
     StoreError,
     StoreKey,
     current_code_version,
     resolve_store,
-    shard_name,
 )
 
 
@@ -48,18 +49,17 @@ class TestKeys:
             == StoreKey.for_spec(make_spec(label="b")).spec_id
         )
 
-    def test_shard_is_spec_id_prefix(self):
-        spec = make_spec()
-        assert StoreKey.for_spec(spec).shard == shard_name(spec.spec_id)
-        assert shard_name(spec.spec_id) == f"{spec.spec_id[:2]}.jsonl"
-
     def test_code_version_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_CODE_VERSION", "test-override")
         assert current_code_version() == "test-override"
 
-    def test_round_trips_through_list(self):
-        key = StoreKey.for_spec(make_spec(seed=3))
-        assert StoreKey.from_list(key.to_list()) == key
+    def test_seedless_keys_stay_unique(self, tmp_path):
+        # seed is stored as JSON text: NULL would make every key distinct
+        assert StoreKey.for_spec(make_spec(seed=None)).seed_text == "null"
+        store = ResultStore(str(tmp_path / "store"))
+        record = execute_spec(make_spec(seed=None))
+        assert store.put_many([record, record]) == 1
+        assert store.put(record) and store.stats().records == 1
 
 
 class TestRoundTrip:
@@ -73,23 +73,23 @@ class TestRoundTrip:
         # stored record, it does not re-execute
         assert fetched.to_json() == record.to_json()
 
-    def test_envelope_lines_are_canonical_json(self, tmp_path):
-        import hashlib
-
+    def test_payload_is_the_canonical_record_json(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         records = [execute_spec(make_spec(seed=seed)) for seed in (None, 1, 2)]
         store.put_many(records)
-        store.gc()  # compaction rewrites the shards; lines must not change
+        store.gc()  # vacuuming rewrites the file; payloads must not change
+        conn = sqlite3.connect(str(tmp_path / "store" / "index.sqlite"))
         for record in records:
             key = store.key_for(record.spec)
-            lines = (tmp_path / "store" / "shards" / key.shard).read_bytes().splitlines()
-            line = next(l for l in lines if json.loads(l)["key"] == key.to_list())
-            record_json = record.to_json()
-            sha = hashlib.sha256(record_json.encode("utf-8")).hexdigest()
-            envelope = {"key": key.to_list(), "record": json.loads(record_json), "sha256": sha}
-            assert line.decode("utf-8") == json.dumps(
-                envelope, sort_keys=True, separators=(",", ":")
-            )
+            payload, sha, nbytes = conn.execute(
+                "SELECT payload, sha256, nbytes FROM records "
+                "WHERE spec_id = ? AND seed = ? AND engine = ? AND code_version = ?",
+                (key.spec_id, key.seed_text, key.engine, key.code_version),
+            ).fetchone()
+            assert payload == record.to_json()
+            assert sha == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            assert nbytes == len(payload.encode("utf-8"))
+        conn.close()
 
     def test_get_missing_is_none(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -124,13 +124,64 @@ class TestRoundTrip:
     def test_layout_on_disk(self, tmp_path):
         root = tmp_path / "store"
         store = ResultStore(str(root))
-        record = execute_spec(make_spec(seed=1))
-        store.put(record)
-        assert (root / "index.sqlite").exists()
-        shard = root / "shards" / shard_name(record.spec.spec_id)
-        assert shard.exists()
-        envelope = json.loads(shard.read_text().splitlines()[0])
-        assert set(envelope) == {"key", "record", "sha256"}
+        store.put(execute_spec(make_spec(seed=1)))
+        # one sqlite file (plus sqlite's own WAL side files), nothing else
+        assert {p.name for p in root.iterdir()} <= {
+            "index.sqlite",
+            "index.sqlite-wal",
+            "index.sqlite-shm",
+        }
+        conn = sqlite3.connect(str(root / "index.sqlite"))
+        assert conn.execute("SELECT value FROM meta WHERE key = 'layout'").fetchone() == ("2",)
+        assert conn.execute("SELECT COUNT(*) FROM records").fetchone() == (1,)
+        conn.close()
+
+
+def make_layout1_store(root):
+    """An index as layout 1 wrote it: key + shard columns, no payloads."""
+    os.makedirs(root)
+    conn = sqlite3.connect(os.path.join(root, "index.sqlite"))
+    conn.execute("PRAGMA journal_mode=WAL")
+    with conn:
+        conn.executescript(
+            """
+            CREATE TABLE records (
+                spec_id TEXT NOT NULL, seed TEXT NOT NULL, engine TEXT NOT NULL,
+                code_version TEXT NOT NULL, shard TEXT NOT NULL, sha256 TEXT NOT NULL,
+                created_at REAL NOT NULL, nbytes INTEGER NOT NULL,
+                PRIMARY KEY (spec_id, seed, engine, code_version)
+            );
+            CREATE INDEX records_by_shard ON records(shard);
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            INSERT INTO meta VALUES ('layout', '1');
+            INSERT INTO records VALUES ('ab12', '0', 'async', 'v', 'ab.jsonl', 'f00', 0, 10);
+            """
+        )
+    conn.close()
+    return os.path.join(root, "index.sqlite")
+
+
+class TestOldLayout:
+    def test_layout1_store_is_refused_untouched(self, tmp_path):
+        index = make_layout1_store(str(tmp_path / "old"))
+        before = open(index, "rb").read()
+        with pytest.raises(StoreError, match="predates layout 2"):
+            ResultStore(str(tmp_path / "old"))
+        assert open(index, "rb").read() == before
+
+    def test_layout1_store_is_a_one_line_cli_exit(self, tmp_path):
+        index = make_layout1_store(str(tmp_path / "old"))
+        before = open(index, "rb").read()
+        for argv in (
+            ["store", "stats", "--store", str(tmp_path / "old")],
+            ["experiment", "e01", "--quick", "--serial", "--store", str(tmp_path / "old")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv, stream=io.StringIO())
+            message = exc.value.code
+            assert isinstance(message, str) and "\n" not in message
+            assert "predates layout 2" in message and "fresh store directory" in message
+        assert open(index, "rb").read() == before
 
 
 class TestResolveStore:
@@ -151,21 +202,6 @@ class TestResolveStore:
 
     def test_nothing_resolves_to_none(self):
         assert resolve_store(env={}) is None
-
-
-class TestBackends:
-    def test_store_accepts_backend_instance(self, tmp_path):
-        backend = LocalBackend(str(tmp_path / "shards-home"))
-        store = ResultStore(str(tmp_path / "store"), backend=backend)
-        assert store.backend is backend
-        record = execute_spec(make_spec(seed=2))
-        store.put(record)
-        assert store.get(record.spec) is not None
-        assert backend.list_shards()
-
-    def test_store_rejects_backend_name(self, tmp_path):
-        with pytest.raises(StoreError, match="StoreBackend"):
-            ResultStore(str(tmp_path / "store"), backend="local")
 
 
 class TestDifferentialStoreVsFresh:
