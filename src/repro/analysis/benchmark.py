@@ -640,7 +640,10 @@ def run_schedule_benchmarks(*, repeats: int = 3) -> Dict[str, Any]:
     expanded *when the incumbent reached the true worst* — which a
     ``min`` rule in ``benchmarks/floors.json`` bounds.  Node counts are
     deterministic, so the gate is machine-independent like the other
-    ratio floors; wall-clock times ride along for context.  ``agrees``
+    ratio floors.  Wall-clock times ride along, and so does search
+    throughput (``*_nodes_per_sec``): the guided rate has an absolute
+    floor, which catches a per-node slowdown (say, snapshots that stop
+    hashing cheaply) that the node-count ratio cannot see.  ``agrees``
     asserts the searches saw the same outcome set and the guided
     incumbent matched the exhaustive maximum — a bench that gated a
     speedup while the answers diverged would reward a broken search.
@@ -692,6 +695,8 @@ def run_schedule_benchmarks(*, repeats: int = 3) -> Dict[str, Any]:
         "guided_nodes_to_best": guided.nodes_at_best,
         "guided_seconds": best["guided"],
         "guided_seconds_to_best": seconds_to_best,
+        "exhaustive_nodes_per_sec": _per_sec(exhaustive.steps, best["exhaustive"]),
+        "guided_nodes_per_sec": _per_sec(guided.nodes, best["guided"]),
         "node_speedup": exhaustive.steps / nodes_at_best,
         "agrees": agrees,
     }
@@ -1044,6 +1049,8 @@ def _render_schedules(block: Dict[str, Any]) -> List[str]:
         f"(~{block['guided_seconds_to_best']:.4f}s) — "
         f"{block['node_speedup']:.1f}x fewer nodes"
         + ("" if block["agrees"] else "  [DISAGREES]"),
+        f"  throughput: exhaustive {block['exhaustive_nodes_per_sec']:.0f} nodes/s, "
+        f"guided {block['guided_nodes_per_sec']:.0f} nodes/s",
     ]
 
 

@@ -89,7 +89,7 @@ class BatchRunOutcome:
     budget with messages still in flight.  ``messages_at_termination`` /
     ``bits_at_termination`` carry the latched values for runs whose
     termination predicate fired and the run totals otherwise, matching
-    :func:`~repro.network.fastpath._freeze_result` — note a run can be
+    :func:`~repro.network.fastpath._materialise_result` — note a run can be
     both exhausted *and* carry a termination step (budget bound after the
     latch), exactly as on the fastpath engine.
     """

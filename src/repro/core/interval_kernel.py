@@ -3,19 +3,23 @@
 The general-broadcast and label-assignment protocols spend nearly all of
 their time in :class:`~repro.core.intervals.IntervalUnion` algebra: every
 transition allocates ``Interval``/``Dyadic``/``IntervalUnion`` objects and
-every ``union`` re-canonicalises by sorting, and the terminal re-computes
-``α ∪ β`` from scratch for every stopping-predicate evaluation.  This
-module re-implements exactly the same protocol semantics on flat data:
+compares endpoints through ``Dyadic`` method calls, and the terminal
+re-computes ``α ∪ β`` from scratch for every stopping-predicate
+evaluation.  This module re-implements exactly the same protocol
+semantics on flat data:
 
 * an endpoint is a normalised dyadic ``(num, exp)`` pair of plain ints
   (``num`` odd or ``exp == 0`` — the same canonical form as
   :class:`~repro.core.dyadic.Dyadic`, so encoded bit costs agree exactly);
 * an interval is a 4-tuple ``(lo_num, lo_exp, hi_num, hi_exp)``;
-* an interval union is a Python list of such tuples in canonical form
+* an interval union is a tuple of such tuples in canonical form
   (sorted, disjoint, non-adjacent) — all set algebra is done by linear
-  merges/sweeps over already-canonical operands, never by sorting;
+  merges/sweeps over already-canonical operands, never by sorting, and
+  sweeps only the stretch of a long operand that a short one spans;
+  being tuples all the way down, unions (and the kernel snapshots that
+  share them) hash as they are;
 * messages between kernel vertices are ``(alpha, beta)`` pairs of such
-  lists (the broadcast payload is a run-constant, carried implicitly);
+  tuples (the broadcast payload is a run-constant, carried implicitly);
 * the terminal maintains its covered set ``α ∪ β`` *incrementally*, so
   the stopping predicate is an ``O(1)`` structural check instead of a
   fresh union per delivery.
@@ -35,17 +39,20 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .dyadic import Dyadic
 from .flat_kernel import _add, _dcost, _le, _lt, _norm, _sub, _ucost
-from .intervals import EMPTY_UNION, Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, _from_canonical
 
 __all__ = ["IntervalKernel"]
 
 #: A canonical interval: (lo_num, lo_exp, hi_num, hi_exp), endpoints normalised.
 _FlatInterval = Tuple[int, int, int, int]
-#: A canonical union: list of flat intervals, sorted/disjoint/non-adjacent.
-_FlatUnion = List[_FlatInterval]
+#: A canonical union: tuple of flat intervals, sorted/disjoint/non-adjacent.
+_FlatUnion = Tuple[_FlatInterval, ...]
+
+#: The empty union.
+_EMPTY: _FlatUnion = ()
 
 #: The unit interval [0, 1) in flat form.
-_UNIT: _FlatUnion = [(0, 0, 1, 0)]
+_UNIT: _FlatUnion = ((0, 0, 1, 0),)
 
 #: Encoded size of an empty union (length prefix only).
 _EMPTY_COST = 1  # _ucost(0)
@@ -67,15 +74,52 @@ def _cost(union: _FlatUnion) -> int:
 # ----------------------------------------------------------------------
 # Canonical-union set algebra (linear merges over canonical operands)
 # ----------------------------------------------------------------------
+#
+# The protocols mostly combine a long union (a vertex's β or coverage)
+# with a short one (one message's increment).  Only the stretch of the
+# long operand that the short one spans can change; it is found by binary
+# search, swept linearly, and spliced back between the untouched prefix
+# and suffix, which are tuple slices.
+
+
+def _bisect(
+    u: _FlatUnion, pos: int, n: int, e: int, strict: bool, lo: int = 0
+) -> int:
+    """First index from ``lo`` whose endpoint ``pos`` (0: lo, 2: hi) is
+    ``>= n/2**e``, or ``> n/2**e`` when ``strict``.  Canonical unions are
+    sorted on both endpoints, so the predicate is monotone."""
+    before = _le if strict else _lt
+    hi = len(u)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        iv = u[mid]
+        if before(iv[pos], iv[pos + 1], n, e):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _union(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set union of two canonical unions by a single merge sweep."""
+    """Set union: ``b``'s span of ``a`` merged with ``b`` in one sweep."""
     if not a:
         return b
     if not b:
         return a
-    out: _FlatUnion = []
+    if len(a) < len(b):
+        a, b = b, a
+    # Intervals of a ending before b starts, or starting after b ends,
+    # touch nothing in b (touching intervals merge, hence the strictness).
+    i = _bisect(a, 2, b[0][0], b[0][1], False)
+    j = _bisect(a, 0, b[-1][2], b[-1][3], True, i)
+    return a[:i] + _merge(a[i:j], b) + a[j:]
+
+
+def _merge(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
+    """Set union of two canonical unions by a single merge sweep."""
+    if not a:
+        return b
+    out: List[_FlatInterval] = []
     i = j = 0
     la, lb = len(a), len(b)
     # Seed the accumulator with the leftmost interval.
@@ -107,16 +151,19 @@ def _union(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
             out.append((clo_n, clo_e, chi_n, chi_e))
             clo_n, clo_e, chi_n, chi_e = nxt
     out.append((clo_n, clo_e, chi_n, chi_e))
-    return out
+    return tuple(out)
 
 
 def _intersection(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set intersection (two-pointer sweep, mirrors IntervalUnion)."""
+    """Set intersection (two-pointer sweep over ``b``'s span of ``a``)."""
     if not a or not b:
-        return []
-    out: _FlatUnion = []
-    i = j = 0
-    la, lb = len(a), len(b)
+        return _EMPTY
+    if len(a) < len(b):
+        a, b = b, a
+    out: List[_FlatInterval] = []
+    i = _bisect(a, 2, b[0][0], b[0][1], True)
+    la = _bisect(a, 0, b[-1][2], b[-1][3], False, i)
+    j, lb = 0, len(b)
     while i < la and j < lb:
         alo_n, alo_e, ahi_n, ahi_e = a[i]
         blo_n, blo_e, bhi_n, bhi_e = b[j]
@@ -134,18 +181,22 @@ def _intersection(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
             i += 1
         else:
             j += 1
-    return out
+    return tuple(out)
 
 
 def _difference(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set difference ``a \\ b`` (shared sweep, mirrors IntervalUnion)."""
+    """Set difference ``a \\ b`` over ``b``'s span of ``a``."""
     if not a or not b:
         return a
-    out: _FlatUnion = []
-    j = 0
+    # Intervals of a that end by b's start or begin at b's end survive.
+    first = _bisect(a, 2, b[0][0], b[0][1], True)
+    last = _bisect(a, 0, b[-1][2], b[-1][3], False, first)
+    out: List[_FlatInterval] = []
     lb = len(b)
-    for ilo_n, ilo_e, ihi_n, ihi_e in a:
+    j = _bisect(b, 2, a[first][0], a[first][1], True) if first < last else lb
+    for ilo_n, ilo_e, ihi_n, ihi_e in a[first:last]:
         cur_n, cur_e = ilo_n, ilo_e
+        # Skip subtrahend intervals that end by this one's start.
         while j < lb and _le(b[j][2], b[j][3], ilo_n, ilo_e):
             j += 1
         k = j
@@ -160,7 +211,7 @@ def _difference(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
             k += 1
         if _lt(cur_n, cur_e, ihi_n, ihi_e):
             out.append((cur_n, cur_e, ihi_n, ihi_e))
-    return out
+    return a[:first] + tuple(out) + a[last:]
 
 
 # ----------------------------------------------------------------------
@@ -191,17 +242,13 @@ def _partition(alpha: _FlatUnion, parts: int, literal: bool) -> List[_FlatUnion]
     if parts == 1:
         return [alpha]
     if not alpha:
-        return [[] for _ in range(parts)]
+        return [_EMPTY] * parts
     first, rest = alpha[0], alpha[1:]
-    if literal:
-        result: List[_FlatUnion] = [[piece] for piece in _split(first, parts - 1)]
-        result.append(rest)
-        return result
-    if rest:
-        result = [[piece] for piece in _split(first, parts - 1)]
+    if literal or rest:
+        result: List[_FlatUnion] = [(piece,) for piece in _split(first, parts - 1)]
         result.append(rest)
     else:
-        result = [[piece] for piece in _split(first, parts)]
+        result = [(piece,) for piece in _split(first, parts)]
     return result
 
 
@@ -212,10 +259,8 @@ def _partition(alpha: _FlatUnion, parts: int, literal: bool) -> List[_FlatUnion]
 
 def _to_union(flat: _FlatUnion) -> IntervalUnion:
     """Lift a flat canonical union back into an :class:`IntervalUnion`."""
-    if not flat:
-        return EMPTY_UNION
-    return IntervalUnion(
-        Interval(Dyadic(ln, le), Dyadic(hn, he)) for ln, le, hn, he in flat
+    return _from_canonical(
+        tuple(Interval(Dyadic(ln, le), Dyadic(hn, he)) for ln, le, hn, he in flat)
     )
 
 
@@ -279,15 +324,13 @@ class IntervalKernel:
         self.out_degree = [len(ports) for ports in compiled.out_edge_ids]
         self.virgin = [True] * n
         self.received = [False] * n
-        self.alphas: List[List[_FlatUnion]] = [
-            [[] for _ in range(d)] for d in self.out_degree
-        ]
-        self.beta: List[_FlatUnion] = [[] for _ in range(n)]
-        self.alpha_acc: List[_FlatUnion] = [[] for _ in range(n)]
+        self.alphas: List[List[_FlatUnion]] = [[_EMPTY] * d for d in self.out_degree]
+        self.beta: List[_FlatUnion] = [_EMPTY] * n
+        self.alpha_acc: List[_FlatUnion] = [_EMPTY] * n
         self.label: List[Optional[_FlatUnion]] = [None] * n
-        self.frozen: List[_FlatUnion] = [[] for _ in range(n)]
-        self.coverage: List[_FlatUnion] = [[] for _ in range(n)]
-        self.covered: _FlatUnion = []
+        self.frozen: List[_FlatUnion] = [_EMPTY] * n
+        self.coverage: List[_FlatUnion] = [_EMPTY] * n
+        self.covered: _FlatUnion = _EMPTY
         self.terminal_done = False
 
     # ------------------------------------------------------------------
@@ -300,7 +343,7 @@ class IntervalKernel:
             parts = _partition(_UNIT, d + 1, self.literal)
             beta0, port_parts = parts[0], parts[1:]
         else:
-            beta0, port_parts = [], _partition(_UNIT, d, self.literal)
+            beta0, port_parts = _EMPTY, _partition(_UNIT, d, self.literal)
         beta0_cost = _cost(beta0)
         pb = self.payload_bits
         return [
@@ -350,7 +393,7 @@ class IntervalKernel:
                 self.beta[vertex] = _union(old_beta, beta_in)
                 if not delta_beta:
                     return []
-                token_out = ([], delta_beta)
+                token_out = (_EMPTY, delta_beta)
                 bits = _EMPTY_COST + _cost(delta_beta) + pb
                 return [(port, token_out, bits) for port in range(d)]
             return self._first_receipt(vertex, d, alpha_in, beta_in)
@@ -366,14 +409,17 @@ class IntervalKernel:
             label = parts[0]
             self.label[vertex] = label
             alphas = parts[1:]
-            new_beta = _union(_union(old_beta, beta_in), label)
+            incoming = _union(beta_in, label)
             frozen = label
         else:
             alphas = _partition(alpha_in, d, self.literal)
-            new_beta = _union(old_beta, beta_in)
-            frozen = []
+            incoming = beta_in
+            frozen = _EMPTY
         self.alphas[vertex] = alphas
-        delta_beta = _difference(new_beta, old_beta)
+        # The β increment (old ∪ X) \ old is X \ old: computed from the
+        # short incoming side, not by sweeping the whole new β.
+        delta_beta = _difference(incoming, old_beta)
+        new_beta = _union(old_beta, incoming)
         for part in alphas[:-1]:
             frozen = _union(frozen, part)
         self.frozen[vertex] = frozen
@@ -394,8 +440,9 @@ class IntervalKernel:
         overlap = _intersection(alpha_in, coverage)
         delta_alpha_last = _difference(alpha_in, coverage)
         old_beta = self.beta[vertex]
-        new_beta = _union(_union(old_beta, beta_in), overlap)
-        delta_beta = _difference(new_beta, old_beta)
+        incoming = _union(beta_in, overlap)
+        delta_beta = _difference(incoming, old_beta)
+        new_beta = _union(old_beta, incoming)
 
         if delta_alpha_last:
             alphas = self.alphas[vertex]
@@ -407,7 +454,7 @@ class IntervalKernel:
         pb = self.payload_bits
         if delta_beta:
             delta_beta_cost = _cost(delta_beta)
-            token_out = ([], delta_beta)
+            token_out = (_EMPTY, delta_beta)
             bits = _EMPTY_COST + delta_beta_cost + pb
             for port in range(d - 1):
                 emissions.append((port, token_out, bits))
@@ -438,10 +485,10 @@ class IntervalKernel:
     def snapshot(self) -> Tuple:
         """The full mutable state as nested tuples.
 
-        Flat unions are de-facto immutable (every algebra call returns a
-        fresh list or an operand), so the snapshot shares them by
-        reference and only copies the containers that are reassigned or
-        index-assigned.  ``restore`` is the exact inverse.
+        Flat unions are tuples of int tuples, so the snapshot shares them
+        by reference, copies only the per-vertex lists, and is hashable
+        as it stands: it keys the schedule explorer's transposition table
+        directly.  ``restore`` is the exact inverse.
         """
         return (
             tuple(self.virgin),

@@ -155,6 +155,12 @@ class IntervalUnion:
     consecutive intervals are separated by a gap (touching intervals are
     merged).  This makes structural equality coincide with set equality, which
     the protocols rely on for their termination tests.
+
+    Only the constructor sorts, for arbitrary input.  The set algebra works
+    on operands that are already canonical: ``union`` and ``union_interval``
+    are one linear merge of two sorted tuples, and ``intersection`` and
+    ``difference`` are sweeps whose output is canonical as it is built, so
+    none of them sorts or re-canonicalises.
     """
 
     __slots__ = ("_ivals",)
@@ -183,7 +189,7 @@ class IntervalUnion:
         """The union of one interval (empty union if the interval is empty)."""
         if interval.is_empty():
             return _EMPTY
-        return cls((interval,))
+        return _from_canonical((interval,))
 
     @classmethod
     def of(cls, *intervals: Interval) -> "IntervalUnion":
@@ -250,18 +256,16 @@ class IntervalUnion:
     # ------------------------------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Set union."""
+        """Set union (one merge sweep over the two canonical forms)."""
         if not self._ivals:
             return other
         if not other._ivals:
             return self
-        return IntervalUnion(self._ivals + other._ivals)
+        return _from_canonical(_merge(self._ivals, other._ivals))
 
     def union_interval(self, interval: Interval) -> "IntervalUnion":
         """Set union with a single interval."""
-        if interval.is_empty():
-            return self
-        return IntervalUnion(self._ivals + (interval,))
+        return self.union(IntervalUnion.single(interval))
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
         """Set intersection (two-pointer sweep over canonical forms)."""
@@ -278,7 +282,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(out) if out else _EMPTY
+        return _from_canonical(tuple(out))
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         """Set difference ``self \\ other``."""
@@ -302,7 +306,7 @@ class IntervalUnion:
                 k += 1
             if cursor < ival.hi:
                 out.append(Interval(cursor, ival.hi))
-        return IntervalUnion(out) if out else _EMPTY
+        return _from_canonical(tuple(out))
 
     def symmetric_difference(self, other: "IntervalUnion") -> "IntervalUnion":
         """Points in exactly one of the two unions."""
@@ -345,11 +349,19 @@ class IntervalUnion:
 
 
 def _canonicalize(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
-    """Sort, drop empties, and merge overlapping/adjacent intervals."""
+    """Sort, drop empties, and merge overlapping/adjacent intervals.
+
+    Only arbitrary input comes through here.  The sort key is exact and
+    int-only: with ``E`` the largest endpoint exponent in the list, the
+    endpoint ``num / 2**exp`` orders as the integer ``num << (E - exp)``.
+    """
     nonempty = [iv for iv in intervals if not iv.is_empty()]
     if not nonempty:
         return ()
-    nonempty.sort(key=lambda iv: (iv.lo.as_fraction(), iv.hi.as_fraction()))
+    top = max(max(iv.lo.exp, iv.hi.exp) for iv in nonempty)
+    nonempty.sort(
+        key=lambda iv: (iv.lo.num << (top - iv.lo.exp), iv.hi.num << (top - iv.hi.exp))
+    )
     merged: List[Interval] = [nonempty[0]]
     for ival in nonempty[1:]:
         last = merged[-1]
@@ -361,11 +373,53 @@ def _canonicalize(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     return tuple(merged)
 
 
+def _merge(a: Tuple[Interval, ...], b: Tuple[Interval, ...]) -> Tuple[Interval, ...]:
+    """Union of two non-empty canonical tuples by one merge sweep.
+
+    Intervals are taken in left-endpoint order and folded into a running
+    component; an input interval that survives unextended is reused as it
+    is, so only grown components allocate.
+    """
+    out: List[Interval] = []
+    la, lb = len(a), len(b)
+    if a[0].lo <= b[0].lo:
+        cur, i, j = a[0], 1, 0
+    else:
+        cur, i, j = b[0], 0, 1
+    hi = cur.hi
+    grown = False
+    while i < la or j < lb:
+        if j == lb or (i < la and a[i].lo <= b[j].lo):
+            nxt = a[i]
+            i += 1
+        else:
+            nxt = b[j]
+            j += 1
+        if nxt.lo <= hi:
+            # Overlapping or touching: extend the running component.
+            if nxt.hi > hi:
+                hi = nxt.hi
+                grown = True
+        else:
+            out.append(Interval(cur.lo, hi) if grown else cur)
+            cur, hi, grown = nxt, nxt.hi, False
+    out.append(Interval(cur.lo, hi) if grown else cur)
+    return tuple(out)
+
+
+def _from_canonical(ivals: Tuple[Interval, ...]) -> IntervalUnion:
+    """Wrap an already-canonical tuple as a union, without sorting."""
+    if not ivals:
+        return _EMPTY
+    union = object.__new__(IntervalUnion)
+    object.__setattr__(union, "_ivals", ivals)
+    return union
+
+
 _EMPTY = object.__new__(IntervalUnion)
 object.__setattr__(_EMPTY, "_ivals", ())
 
-_UNIT = object.__new__(IntervalUnion)
-object.__setattr__(_UNIT, "_ivals", (UNIT_INTERVAL,))
+_UNIT = _from_canonical((UNIT_INTERVAL,))
 
 #: The empty interval-union.
 EMPTY_UNION: IntervalUnion = _EMPTY
@@ -449,7 +503,7 @@ def canonical_partition(alpha: IntervalUnion, parts: int) -> List[IntervalUnion]
     if rest:
         pieces = split_interval(first, parts - 1)
         result = [IntervalUnion.single(piece) for piece in pieces]
-        result.append(IntervalUnion(rest))
+        result.append(_from_canonical(rest))
     else:
         pieces = split_interval(first, parts)
         result = [IntervalUnion.single(piece) for piece in pieces]
@@ -474,7 +528,7 @@ def canonical_partition_literal(alpha: IntervalUnion, parts: int) -> List[Interv
     first, rest = components[0], components[1:]
     pieces = split_interval(first, parts - 1)
     result = [IntervalUnion.single(piece) for piece in pieces]
-    result.append(IntervalUnion(rest) if rest else EMPTY_UNION)
+    result.append(_from_canonical(rest))
     return result
 
 

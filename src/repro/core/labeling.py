@@ -142,7 +142,7 @@ def labels_pairwise_disjoint(labels) -> bool:
     for owner, label in enumerate(labels):
         for interval in label:
             component_intervals.append((interval.lo, interval.hi))
-    component_intervals.sort(key=lambda item: item[0].as_fraction())
+    component_intervals.sort(key=lambda item: item[0])
     max_hi = None
     for lo, hi in component_intervals:
         # Components within one union are canonically disjoint, so any

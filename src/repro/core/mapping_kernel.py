@@ -15,8 +15,8 @@ This kernel composes the flat pieces instead:
   :class:`~repro.core.interval_kernel.IntervalKernel` (paper-setting
   root/terminal overrides, exactly as ``MappingProtocol``'s inner
   protocol);
-* identities are ``"s"`` / ``"t"`` markers or a label's flat union frozen
-  into a tuple-of-int-tuples (hashable, canonical — equality matches
+* identities are ``"s"`` / ``"t"`` markers or a label's flat union, a
+  tuple of int tuples (hashable, canonical — equality matches
   :class:`IntervalUnion` equality);
 * facts are flat tagged tuples — ``("v", ident, out_degree)`` and
   ``("e", tail, tail_port, head, head_port)`` — with their encoded bit
@@ -37,15 +37,12 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .flat_kernel import FlatKernel, _ucost
-from .interval_kernel import _EMPTY_COST, IntervalKernel, _cost, _to_union
+from .interval_kernel import _EMPTY, _EMPTY_COST, IntervalKernel, _cost, _to_union
 
 __all__ = ["MappingKernel"]
 
-#: A flat identity: a distinguished marker or a frozen flat label union.
+#: A flat identity: a distinguished marker or a flat label union.
 _FlatIdentity = Union[str, Tuple[Tuple[int, int, int, int], ...]]
-
-#: Empty flat union (tuple form: shared, immutable).
-_EMPTY: Tuple = ()
 
 
 def _ident_cost(identity: Optional[_FlatIdentity]) -> int:
@@ -195,10 +192,9 @@ class MappingKernel(FlatKernel):
         if self.identity[vertex] is None:
             label = self.inner.label[vertex]
             if label is not None:
-                ident_key = tuple(label)
-                self.identity[vertex] = ident_key
-                self.ident_cost[vertex] = _ident_cost(ident_key)
-                self._add_fact(vertex, ("v", ident_key, self.out_degree[vertex]))
+                self.identity[vertex] = label
+                self.ident_cost[vertex] = _ident_cost(label)
+                self._add_fact(vertex, ("v", label, self.out_degree[vertex]))
 
         # 3. Record the in-edge's tail (first labeled message per in-port).
         in_info = self.in_info[vertex]
@@ -297,7 +293,7 @@ class MappingKernel(FlatKernel):
             return TERMINAL_MARKER
         real = cache.get(ident)
         if real is None:
-            real = cache[ident] = _to_union(list(ident))
+            real = cache[ident] = _to_union(ident)
         return real
 
     def _real_fact(self, fact: Tuple, cache: Dict[Tuple, Any]) -> Any:

@@ -14,8 +14,10 @@ configuration and captures the result — and there are two walkers:
   fast-path kernel (:meth:`~repro.core.model.AnonymousProtocol.compile_fastpath`)
   that supports ``snapshot()``/``restore()``, a configuration is the
   kernel's whole-network flat state as nested tuples sharing the
-  immutable leaves, and a branch is a restore + one delivery.  This turns
-  E14's exhaustive search from allocation-bound into tuple-copy-bound.
+  immutable leaves, and a branch is a restore + one delivery.  Snapshots
+  are tuples all the way down, so the table hashes them as they are.
+  This turns E14's exhaustive search from allocation-bound into
+  tuple-copy-bound.
 * **Object walker** (the general fallback, and always used when an
   ``invariant`` hook needs live vertex states): per-branch state forks go
   through :meth:`~repro.core.model.AnonymousProtocol.clone_state`
@@ -25,11 +27,11 @@ configuration and captures the result — and there are two walkers:
 
 Confluent configurations are collapsed through a
 :class:`TranspositionTable`: configurations are keyed by a compact digest
-of the exact (in-flight multiset, state) pair, with an exact-compare
-bucket behind every digest so a hash collision can never merge two
-genuinely different configurations.  Payload reprs are computed once at
-emission time and reused across every branch that carries the message,
-replacing the old per-node re-``repr`` of the whole pending list.
+(plain ``hash``) of the exact (in-flight multiset, state) pair, with an
+exact-compare bucket behind every digest so a hash collision can never
+merge two genuinely different configurations.  Payload reprs are computed
+once at emission time and reused across every branch that carries the
+message, replacing the old per-node re-``repr`` of the whole pending list.
 
 Both walkers enumerate the same distinct choices in the same order and
 key configurations exactly, so outcome/execution/step counts agree —
@@ -61,26 +63,6 @@ __all__ = [
 ]
 
 
-def _freeze(obj: Any) -> Any:
-    """Recursively tuple-ify lists so any exact key becomes hashable.
-
-    Kernel snapshots share flat unions (plain lists) by reference; those
-    make the snapshot unhashable even though equality compares fine.  The
-    default digest freezes on demand — only when ``hash`` refuses.
-    """
-    if isinstance(obj, (list, tuple)):
-        return tuple(_freeze(item) for item in obj)
-    return obj
-
-
-def _config_digest(key: Any) -> int:
-    """The default compact digest: Python's tuple hash, freezing if needed."""
-    try:
-        return hash(key)
-    except TypeError:
-        return hash(_freeze(key))
-
-
 class TranspositionTable:
     """Digest-keyed visited-set with a collision-safe exact-compare fallback.
 
@@ -101,7 +83,8 @@ class TranspositionTable:
     Parameters
     ----------
     digest:
-        Optional override for the digest function (``key -> int``).
+        Optional override for the digest function (``key -> int``;
+        plain ``hash`` by default, which every kernel snapshot supports).
         Exists for fault injection in tests: a constant digest forces
         every lookup through the exact-compare fallback, proving the
         table degrades to correct (if slower) behaviour under collisions.
@@ -111,7 +94,7 @@ class TranspositionTable:
 
     def __init__(self, digest: Optional[Callable[[Any], int]] = None) -> None:
         self._buckets: Dict[int, List[List[Any]]] = {}
-        self._digest = digest if digest is not None else _config_digest
+        self._digest = digest if digest is not None else hash
         #: Distinct configurations stored.
         self.entries = 0
         #: Lookups that found the configuration already present (≥ rank).
@@ -213,8 +196,9 @@ class _KernelWalker:
         return self.kernel.snapshot(), pending
 
     def key(self, ctx: Any) -> Any:
-        """Exact state key of a configuration: kernel snapshots are flat
-        tuples over immutable leaves, so they key themselves."""
+        """Exact state key of a configuration: kernel snapshots are tuples
+        all the way down (flat unions included), so they key and hash
+        themselves, with no conversion."""
         return ctx
 
     def deliver(

@@ -212,10 +212,10 @@ def run_protocol_fastpath(
         counters = _drive_scheduler(
             compiled, kernel, scheduler, max_steps, stop_at_termination
         )
-    return _freeze_result(compiled, kernel, *counters)
+    return _materialise_result(compiled, kernel, *counters)
 
 
-#: What a delivery loop hands to :func:`_freeze_result`: outcome, steps,
+#: What a delivery loop hands to :func:`_materialise_result`: outcome, steps,
 #: total messages / bits, max message bits, per-edge bits / messages,
 #: termination step, messages / bits at termination.
 _Counters = Tuple[
@@ -223,7 +223,7 @@ _Counters = Tuple[
 ]
 
 
-def _freeze_result(
+def _materialise_result(
     compiled: CompiledNetwork,
     kernel: Any,
     outcome: Outcome,

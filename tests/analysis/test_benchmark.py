@@ -458,6 +458,11 @@ OLD_BOUNDS = [
         "schedules.node_speedup is 2.99",
     ),
     (
+        "schedule_min_guided_nodes_per_sec",
+        _break(lambda p: p["schedules"], "guided_nodes_per_sec", 4999.0),
+        "schedules.guided_nodes_per_sec is 4999",
+    ),
+    (
         "schedule-agreement",
         _break(lambda p: p["schedules"], "agrees", False),
         "schedules.agrees is False, expected True",
@@ -639,6 +644,8 @@ class TestScheduleBench:
         assert block["exhaustive_seconds"] > 0
         assert block["guided_seconds_to_best"] > 0
         assert block["node_speedup"] > 1.0
+        assert block["exhaustive_nodes_per_sec"] > 0
+        assert block["guided_nodes_per_sec"] > 0
         assert block["worst_steps"] > 0
         # The gate's integrity half: both searches drained the tree and
         # reached the same worst case.
@@ -646,6 +653,7 @@ class TestScheduleBench:
         text = render_bench_table({"schedules": block})
         assert "schedule search" in text
         assert "fewer nodes" in text
+        assert "nodes/s" in text
 
 
 #: Fixed suite blocks for the CLI tests: the CLI's job is the loop, the

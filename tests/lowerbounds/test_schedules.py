@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import PROTOCOLS, RunSpec, ensure_registered
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.core.labeling import LabelAssignmentProtocol
 from repro.core.tree_broadcast import TreeBroadcastProtocol
@@ -12,6 +13,8 @@ from repro.lowerbounds.schedules import (
     explore_all_schedules,
 )
 from repro.network.graph import DirectedNetwork
+
+ensure_registered()
 
 
 class TestEnumeration:
@@ -243,13 +246,32 @@ class TestTranspositionTable:
         assert table.visit(("a", 2))
         assert table.entries == 2
 
-    def test_unhashable_keys_digest_by_structure(self):
-        # Kernel snapshots can contain lists (shared flat unions); the
-        # digest must freeze them rather than raise.
-        table = TranspositionTable()
-        assert table.visit(("v", [1, 2], [3]))
-        assert not table.visit(("v", [1, 2], [3]))
-        assert table.visit(("v", [1, 2], [4]))
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
+    def test_kernel_snapshots_hash_at_every_node(self, protocol):
+        # Kernel snapshots are tuples all the way down (flat unions
+        # included) and the default digest is plain ``hash``.  A kernel
+        # that puts a list (or any unhashable container) back into its
+        # state raises TypeError here at the first node that holds one.
+        spec = RunSpec(
+            graph="random-digraph",
+            graph_params={"num_internal": 3, "seed": 0},
+            protocol=protocol,
+        )
+        hashed = []
+
+        def digest(key):
+            hashed.append(hash(key[1]))
+            return hash(key)
+
+        result = explore_all_schedules(
+            spec.build_graph(),
+            spec.build_protocol,
+            use_kernel=True,
+            max_steps_total=2_000,
+            digest=digest,
+        )
+        # The initial configuration plus one per non-terminating delivery.
+        assert 1 < len(hashed) <= result.steps + 1
 
     def test_forced_collisions_fall_back_to_exact_compare(self):
         # Injected digest: every key hashes to the same bucket.  The

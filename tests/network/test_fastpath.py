@@ -254,9 +254,9 @@ class TestRouting:
 
 
 def _flat(union: IntervalUnion):
-    return [
+    return tuple(
         (iv.lo.num, iv.lo.exp, iv.hi.num, iv.hi.exp) for iv in union.intervals
-    ]
+    )
 
 
 class TestFlatAlgebra:
