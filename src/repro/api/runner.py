@@ -150,9 +150,9 @@ class BatchStats:
     (seed-group under the runner's ``min_group_size`` or a singleton
     after topology subdivision), plus the engine-reported reasons from
     :func:`~repro.network.batchpath.run_many_batched` (``no_kernel``,
-    ``faults``, ``trace``, ``state_bits``, ``scheduler``,
-    ``seed_range``).  Empty when nothing fell back — so silent per-seed
-    execution is observable instead of inferred from timings.
+    ``faults``, ``trace``, ``state_bits``, ``scheduler``).  Empty when
+    nothing fell back — so silent per-seed execution is observable
+    instead of inferred from timings.
     """
 
     total: int

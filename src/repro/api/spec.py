@@ -95,6 +95,10 @@ def _check_fields(cls: Any, payload: Any, what: str) -> None:
         raise SpecError(f"missing required {what} field(s): {', '.join(missing)}")
 
 
+#: Set once :func:`ensure_registered` has imported every registering module.
+_REGISTERED = False
+
+
 def ensure_registered() -> None:
     """Import every module that registers spec-addressable components.
 
@@ -102,11 +106,17 @@ def ensure_registered() -> None:
     imported only :mod:`repro.api`) may not have pulled in the baselines
     yet.  Called automatically by every ``build_*`` method; public so tools
     that only *enumerate* the registries (e.g. ``repro registry``) can
-    populate them first.  Idempotent and cheap after the first call.
+    populate them first.  Idempotent; after the first successful call it
+    is one flag check.
     """
+    global _REGISTERED
+    if _REGISTERED:
+        return
     from .. import baselines, core, graphs  # noqa: F401
     from ..analysis import campaigns  # noqa: F401  (EXPERIMENTS entries)
     from ..network import faults, scheduler  # noqa: F401
+
+    _REGISTERED = True
 
 
 def check_registered_names(specs: Iterable["RunSpec"]) -> None:

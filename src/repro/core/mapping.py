@@ -111,11 +111,27 @@ class EdgeFact:
         )
 
 
+#: Memo of :func:`_identity_cost`, keyed by the identity object's ``id``.
+#: Each entry holds its identity, so the id cannot be reused while cached.
+#: Facts pass one label object around a whole run, so an object key hits
+#: without hashing the label's intervals (an equal label from an earlier
+#: run would cost a full interval compare on every lookup).
+_IDENTITY_COSTS: Dict[int, Tuple[Identity, int]] = {}
+_IDENTITY_COSTS_MAX = 4096
+
+
 def _identity_cost(identity: Identity) -> int:
     """Bit cost of an identity: 2 tag bits plus the label encoding."""
     if isinstance(identity, str):
         return 2
-    return 2 + union_cost(identity)
+    entry = _IDENTITY_COSTS.get(id(identity))
+    if entry is not None:
+        return entry[1]
+    if len(_IDENTITY_COSTS) >= _IDENTITY_COSTS_MAX:
+        _IDENTITY_COSTS.clear()
+    cost = 2 + union_cost(identity)
+    _IDENTITY_COSTS[id(identity)] = (identity, cost)
+    return cost
 
 
 @dataclass(frozen=True)

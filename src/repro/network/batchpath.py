@@ -10,11 +10,11 @@ across all ``K`` runs (see :mod:`repro.core.batch_kernel`) instead of
 Exactness is the whole game.  The fastpath engine drives a seeded
 :class:`~repro.network.scheduler.RandomScheduler`, whose every choice is
 ``random.Random(seed).randrange(len(in_flight))`` followed by a swap-pop.
-:class:`MTStreams` therefore reimplements CPython's Mersenne Twister —
-``init_by_array`` seeding, the block twist, the tempering shifts, and
-``_randbelow_with_getrandbits``'s top-bits rejection sampling — as
-lockstep array operations over ``K`` independent streams, so that stream
-``i`` emits *exactly* the values ``random.Random(seed_i)`` would.  The
+:class:`MTStreams` therefore keeps one ``random.Random(seed_i)`` per run
+and takes its 32-bit words straight from CPython's generator, a block at
+a time; only ``_randbelow_with_getrandbits``'s top-bits rejection walk is
+re-implemented, as lockstep array operations over ``K`` streams, so that
+stream ``i`` emits *exactly* the values ``random.Random(seed_i)`` would.  The
 batch kernels mirror the scheduler's append order and swap-pop, so every
 run's delivery sequence — and with it every metric — is identical to its
 fastpath twin.  The differential suite
@@ -26,7 +26,7 @@ a seed list, subdivides the group wherever the seed actually changes the
 topology, vectorizes the subgroups its kernels can express, and falls
 back to per-spec fastpath execution for everything else (protocols
 without a batch kernel, non-random schedulers, fault/trace/state-bit
-requests, out-of-range seeds).  Records come back input-ordered either
+requests).  Records come back input-ordered either
 way, and every spec that takes the fallback is tallied by reason into
 the caller's ``fallbacks`` dict so silent per-seed execution is
 observable (surfaced as ``batch_fallbacks`` in
@@ -36,14 +36,14 @@ observable (surfaced as ``batch_fallbacks`` in
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import fields
-from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..api.registry import GRAPHS, SCHEDULERS
+from ..api.registry import GRAPHS
 from ..api.spec import (
     RunRecord,
     RunSpec,
@@ -70,16 +70,12 @@ BATCH_KERNEL_EXEMPT: frozenset = frozenset(
 )
 
 _N = 624
-_M = 397
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
 #: Rejection-scan horizon of :meth:`MTStreams.randbelow_dense`: how many
 #: buffered words each stream inspects per vectorized call.  Acceptance
 #: probability per word is >= 1/2, so P(no accept in _H) <= 2**-_H.
 _H = 8
-#: Per-stream buffer size: two tempered blocks, so the horizon gather
-#: never straddles a refill (see :meth:`MTStreams._advance`).
+#: Per-stream buffer size: two blocks, so the horizon gather never
+#: straddles a refill (see :meth:`MTStreams._advance`).
 _N2 = 2 * _N
 
 #: Ceiling on the ``bit_length`` lookup table (4 MiB of uint32).  Draw
@@ -88,73 +84,34 @@ _N2 = 2 * _N
 #: table whose allocation would dwarf the draw it serves.
 _SHIFT_TABLE_MAX = 1 << 20
 
-#: Seeds a single-word ``init_by_array`` key can express.  CPython chunks
-#: ``abs(seed)`` into 32-bit words; multi-word keys would vectorize too,
-#: but no campaign uses them, so such specs take the fastpath fallback.
-MAX_STREAM_SEED = 2**32
 
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit outputs of ``rng``, in draw order.
 
-@lru_cache(maxsize=1)
-def _base_state() -> np.ndarray:
-    """The stream-independent ``init_genrand(19650218)`` state vector."""
-    base = np.empty(_N, dtype=np.uint32)
-    base[0] = 19650218
-    with np.errstate(over="ignore"):  # uint32 wraparound is the algorithm
-        for i in range(1, _N):
-            prev = base[i - 1]
-            base[i] = np.uint32(1812433253) * (prev ^ (prev >> np.uint32(30))) + np.uint32(i)
-    return base
-
-
-@lru_cache(maxsize=32)
-def _seeded_state(seeds: Tuple[int, ...]) -> np.ndarray:
-    """Pristine post-``init_by_array`` MT state, one column per seed.
-
-    The seeding loops are 1247 sequential array steps — several
-    milliseconds per group — and campaigns reuse the same seed list
-    across every spec of a sweep, so the pristine state is cached by
-    seed tuple (read-only; callers copy).
+    ``getrandbits`` fills its result from the least significant 32-bit
+    word up, one generator output per word, so the little-endian bytes
+    are exactly the words ``count`` successive ``getrandbits(32)`` calls
+    (and hence ``randrange``) would consume.
     """
-    k = len(seeds)
-    mt = np.repeat(_base_state()[:, None], k, axis=1)
-    # init_by_array with one single-word key per stream.  key_length is
-    # 1, so the key index j is 0 at every use.
-    key = np.asarray(seeds, dtype=np.uint32)
-    i = 1
-    for _ in range(_N):
-        prev = mt[i - 1]
-        mt[i] = (mt[i] ^ ((prev ^ (prev >> np.uint32(30))) * np.uint32(1664525))) + key
-        i += 1
-        if i >= _N:
-            mt[0] = mt[_N - 1]
-            i = 1
-    for _ in range(_N - 1):
-        prev = mt[i - 1]
-        mt[i] = (mt[i] ^ ((prev ^ (prev >> np.uint32(30))) * np.uint32(1566083941))) - np.uint32(i)
-        i += 1
-        if i >= _N:
-            mt[0] = mt[_N - 1]
-            i = 1
-    mt[0] = _UPPER
-    mt.setflags(write=False)
-    return mt
+    bits = rng.getrandbits(32 * count)
+    return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
 
 
 class MTStreams:
-    """``K`` MT19937 streams advanced in lockstep as ``(624, K)`` arrays.
+    """``K`` CPython Mersenne Twister streams drawn from in lockstep.
 
-    Stream ``i`` reproduces ``random.Random(seeds[i])`` exactly:
-    :meth:`randbelow` consumes one 32-bit word per call per stream (plus
-    the occasional rejection redraw, per stream), just like
-    ``Random.randrange``.  Streams consume words at different rates once
-    rejections diverge, so each stream keeps its own cursor into its
-    block of tempered output and re-twists independently (in vectorized
-    sub-batches) when its block runs dry.
+    Stream ``i`` *is* ``random.Random(seeds[i])``: its words come from that
+    generator's own ``getrandbits``, 624 at a time, and :meth:`randbelow`
+    consumes one word per call per stream (plus the occasional rejection
+    redraw, per stream), just like ``Random.randrange``.  Streams consume
+    words at different rates once rejections diverge, so each stream keeps
+    its own cursor into its buffered words and refills independently when
+    its first block runs dry.
     """
 
     __slots__ = (
         "k",
-        "_mt",
+        "_rngs",
         "_buf",
         "_abs",
         "_all",
@@ -164,23 +121,20 @@ class MTStreams:
         "_until",
         "_shift",
         "_scratch",
-        "_have2",
     )
 
-    def __init__(self, seeds: Sequence[int]) -> None:
-        for seed in seeds:
-            if not isinstance(seed, int) or not 0 <= seed < MAX_STREAM_SEED:
-                raise ValueError(
-                    f"MTStreams seeds must be ints in [0, 2**32), got {seed!r}"
-                )
+    def __init__(self, seeds: Sequence[Any]) -> None:
         k = len(seeds)
         self.k = k
-        self._mt = _seeded_state(tuple(int(s) for s in seeds)).copy()
-        # Tempered output, flat and stream-major, double-buffered: stream
-        # j's words live in ``_buf[j*1248 : (j+1)*1248]`` and always hold
-        # two consecutive tempered blocks, so the dense path's horizon
-        # gather (cursor..cursor+_H) never straddles a refill.
-        self._buf = np.zeros(k * _N2, dtype=np.uint32)
+        self._rngs = [random.Random(seed) for seed in seeds]
+        # Output words, flat and stream-major, double-buffered: stream j's
+        # words live in ``_buf[j*1248 : (j+1)*1248]`` and always hold two
+        # consecutive blocks, so the dense path's horizon gather
+        # (cursor..cursor+_H) never straddles a refill.
+        self._buf = np.empty(k * _N2, dtype=np.uint32)
+        rows = self._buf.reshape(k, _N2)
+        for row, rng in zip(rows, self._rngs):
+            row[:] = _words(rng, _N2)
         self._all = np.arange(k, dtype=np.int64)
         self._rowbase = self._all * _N2
         # Cursors are kept pre-offset into the flat buffer (stream j's
@@ -196,20 +150,6 @@ class MTStreams:
         # demand (an out-of-range gather raises, which is the grow signal).
         self._shift = np.array([32, 31], dtype=np.uint32)
         self._alloc_scratch()
-        rows = self._buf.reshape(k, _N2)
-        rows[:, :_N] = self._twist(self._all).T
-        # The second block is tempered lazily: a typical kernel run
-        # consumes a few hundred words per stream, nowhere near the first
-        # block's 624, so eagerly filling both halves would double the
-        # up-front tempering cost for nothing.
-        self._have2 = False
-
-    def _ensure_second(self) -> None:
-        """Temper the deferred second block (all streams) before any read
-        of it — via :meth:`_advance`, a near-block-end horizon gather, or
-        a straggler walk past a block boundary."""
-        self._buf.reshape(self.k, _N2)[:, _N:] = self._twist(self._all).T
-        self._have2 = True
 
     def _alloc_scratch(self) -> None:
         """Reusable dense-path buffers (every shape is ``k``-determined,
@@ -227,53 +167,18 @@ class MTStreams:
             np.empty(k, dtype=np.int64),  # words consumed
         )
 
-    def _twist(self, cols: np.ndarray) -> np.ndarray:
-        """Advance ``mt`` one block for the given streams; return the
-        ``(624, m)`` tempered output.
-
-        The twist's second range reads values the first range just wrote,
-        so it is split at the points where the read window crosses into
-        the write window — three slice assignments reproduce the scalar
-        loop's in-place semantics.
-        """
-        mt = self._mt[:, cols]
-        y = (mt[0 : _N - _M] & _UPPER) | (mt[1 : _N - _M + 1] & _LOWER)
-        mt[0 : _N - _M] = mt[_M:_N] ^ (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * _MATRIX_A)
-        y = (mt[_N - _M : _N - 1] & _UPPER) | (mt[_N - _M + 1 : _N] & _LOWER)
-        low, mid = _N - _M, 2 * (_N - _M)
-        mt[low:mid] = (
-            mt[0 : _N - _M]
-            ^ (y[0 : _N - _M] >> np.uint32(1))
-            ^ ((y[0 : _N - _M] & np.uint32(1)) * _MATRIX_A)
-        )
-        mt[mid : _N - 1] = (
-            mt[_N - _M : _M - 1]
-            ^ (y[_N - _M :] >> np.uint32(1))
-            ^ ((y[_N - _M :] & np.uint32(1)) * _MATRIX_A)
-        )
-        y = (mt[_N - 1] & _UPPER) | (mt[0] & _LOWER)
-        mt[_N - 1] = mt[_M - 1] ^ (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * _MATRIX_A)
-        self._mt[:, cols] = mt
-
-        out = mt.copy()
-        out ^= out >> np.uint32(11)
-        out ^= (out << np.uint32(7)) & np.uint32(0x9D2C5680)
-        out ^= (out << np.uint32(15)) & np.uint32(0xEFC60000)
-        out ^= out >> np.uint32(18)
-        return out
-
     def _advance(self, cols: np.ndarray) -> None:
         """Slide the double buffer one block for the given streams.
 
         The consumed first block is dropped, the second becomes the
-        first, a fresh block is tempered into the vacated half, and the
-        cursors shift back with the words they index.
+        first, each stream's own generator refills the vacated half, and
+        the cursors shift back with the words they index.
         """
-        if not self._have2:
-            self._ensure_second()
         rows = self._buf.reshape(self.k, _N2)
-        rows[cols, :_N] = rows[cols, _N:]
-        rows[cols, _N:] = self._twist(cols).T
+        for j in cols.tolist():
+            row = rows[j]
+            row[:_N] = row[_N:]
+            row[_N:] = _words(self._rngs[j], _N)
         self._abs[cols] -= _N
 
     def _draw(self, cols: np.ndarray) -> np.ndarray:
@@ -348,23 +253,11 @@ class MTStreams:
             # back one block.  A gather stays in-bounds while every
             # cursor is <= 2*_N - _H, and each dense call moves a cursor
             # at most _H words, so after this check the next _N//_H - 1
-            # calls can skip it.  Before the second block exists the
-            # budget is tighter — no gather may pass the *first* block
-            # end, so the safe call count is paced off the deepest
-            # cursor — and once that budget hits zero the block is
-            # tempered and the steady-state rule takes over.
-            if not self._have2:
-                maxpos = int((self._abs - self._rowbase).max())
-                safe = (_N - _H - maxpos) // _H
-                if safe <= 0:
-                    self._ensure_second()
-            if self._have2:
-                high = np.nonzero(self._abs - self._rowbase >= _N)[0]
-                if high.size:
-                    self._advance(high)
-                self._until = _N // _H - 1
-            else:
-                self._until = safe
+            # calls can skip it.
+            high = np.nonzero(self._abs - self._rowbase >= _N)[0]
+            if high.size:
+                self._advance(high)
+            self._until = _N // _H - 1
         self._until -= 1
         np.add(self._abs[:, None], self._hspan, out=span)
         self._buf.take(span, out=words)
@@ -394,11 +287,6 @@ class MTStreams:
         double buffer in the (astronomically unlikely) event a walk
         consumes it whole.
         """
-        if not self._have2:
-            # A straggler's cursor already moved _H past its gather start
-            # and the walk continues from there — it may read past the
-            # first block end.
-            self._ensure_second()
         buf = self._buf
         cur = self._abs
         for j in cols.tolist():
@@ -426,7 +314,7 @@ class MTStreams:
         surviving streams keep their exact word positions, so draws after
         a compaction continue each stream's sequence unbroken.
         """
-        self._mt = self._mt[:, keep]
+        self._rngs = [self._rngs[j] for j in keep.tolist()]
         self._buf = self._buf.reshape(self.k, _N2)[keep].reshape(-1)
         positions = self._abs[keep] - self._rowbase[keep]
         self.k = int(keep.size)
@@ -469,43 +357,13 @@ def _seed_variants(spec: RunSpec, seeds: Sequence[Any]) -> List[RunSpec]:
     return out
 
 
-def _scheduler_seed(spec: RunSpec) -> Optional[int]:
-    """The seed the spec's RandomScheduler would be constructed with,
-    or ``None`` when the spec does not drive a stock RandomScheduler."""
-    scheduler = spec.build_scheduler()
-    if type(scheduler) is not RandomScheduler:
+def _group_scheduler_seeds(group: Sequence[RunSpec]) -> Optional[List[Any]]:
+    """Per-run RNG stream seeds for a same-shape group, or ``None`` when
+    any member does not drive a stock :class:`RandomScheduler`."""
+    schedulers = [s.build_scheduler() for s in group]
+    if any(type(scheduler) is not RandomScheduler for scheduler in schedulers):
         return None
-    return scheduler.seed
-
-
-def _group_scheduler_seeds(
-    spec: RunSpec, group: Sequence[RunSpec]
-) -> Optional[List[int]]:
-    """Per-run RNG stream seeds for a same-shape group, or ``None``.
-
-    Seed injection (:meth:`RunSpec._params_with_seed`) makes a stock
-    scheduler's seed either the spec seed (factory accepts ``seed`` and
-    the params don't pin it) or a group-wide constant, so one probe
-    construction classifies the whole group; a probe that contradicts
-    the injection rule (an exotic factory) falls back to constructing
-    every scheduler.  Any seed :class:`MTStreams` can't express rejects
-    the group.
-    """
-    factory = SCHEDULERS.get(spec.scheduler)
-    probe = group[0].build_scheduler()
-    if type(probe) is not RandomScheduler:
-        return None
-    injected = "seed" not in spec.scheduler_params and _accepts_param(factory, "seed")
-    if injected and probe.seed == group[0].seed:
-        seeds: List[Any] = [s.seed for s in group]
-    elif not injected:
-        seeds = [probe.seed] * len(group)
-    else:
-        seeds = [_scheduler_seed(s) for s in group]
-    for seed in seeds:
-        if not isinstance(seed, int) or not 0 <= seed < MAX_STREAM_SEED:
-            return None
-    return seeds
+    return [scheduler.seed for scheduler in schedulers]
 
 
 #: Batch kernels keyed by (topology key, protocol name, protocol params).
@@ -548,11 +406,6 @@ def _shape_fallback_reason(spec: RunSpec) -> Optional[str]:
     if spec.track_state_bits:
         return "state_bits"
     return None
-
-
-def _vectorizable_shape(spec: RunSpec) -> bool:
-    """Whether the spec *shape* (seed aside) can run on a batch kernel."""
-    return _shape_fallback_reason(spec) is None
 
 
 def _records_from_outcome(
@@ -632,18 +485,17 @@ def run_many_batched(
     The group is subdivided by topology key first (a seed-sensitive graph
     family turns one seed-group into several same-topology subgroups),
     then each subgroup is vectorized when every precondition holds —
-    stock :class:`RandomScheduler`, a protocol with a batch kernel, plain
-    single-word seeds, no faults or tracing — and executed one spec at a
-    time through :func:`~repro.api.spec.execute_spec` (the engine's
-    fastpath ``run_one``) otherwise.
+    stock :class:`RandomScheduler`, a protocol with a batch kernel, no
+    faults or tracing — and executed one spec at a time through
+    :func:`~repro.api.spec.execute_spec` (the engine's fastpath
+    ``run_one``) otherwise.
 
     ``fallbacks``, when given, is a mutable counter dict the function
     increments once per spec that takes the per-seed fallback, keyed by
     reason: ``faults`` / ``trace`` / ``state_bits`` (shape can't
-    vectorize), ``seed_range`` (seed not a plain word), ``small_group``
-    (nothing to batch with after topology subdivision), ``scheduler``
-    (not a stock :class:`RandomScheduler`), ``no_kernel`` (protocol
-    without a batch kernel).
+    vectorize), ``small_group`` (nothing to batch with after topology
+    subdivision), ``scheduler`` (not a stock :class:`RandomScheduler`),
+    ``no_kernel`` (protocol without a batch kernel).
     """
     specs = _seed_variants(spec, list(seeds))
     records: List[Optional[RunRecord]] = [None] * len(specs)
@@ -656,43 +508,35 @@ def run_many_batched(
     shape_reason = _shape_fallback_reason(spec)
     if shape_reason is not None:
         fell_back(shape_reason, len(specs))
+    elif len(specs) < 2:
+        fell_back("small_group", len(specs))
     else:
-        eligible = [
-            i
-            for i, s in enumerate(specs)
-            if isinstance(s.seed, int) and 0 <= s.seed < MAX_STREAM_SEED
-        ]
-        fell_back("seed_range", len(specs) - len(eligible))
-        if len(eligible) < 2:
-            fell_back("small_group", len(eligible))
-        else:
-            ensure_registered()
-            # The run seed reaches the topology only through injection
-            # into the graph factory; when that path is closed (seed
-            # pinned in graph_params, or the factory takes none) every
-            # run shares one topology and the K topology-key hashes are
-            # skipped wholesale.
-            seed_shapes_topology = "seed" not in spec.graph_params and _accepts_param(
-                GRAPHS.get(spec.graph), "seed"
+        ensure_registered()
+        # The run seed reaches the topology only through injection into
+        # the graph factory; when that path is closed (seed pinned in
+        # graph_params, or the factory takes none) every run shares one
+        # topology and the K topology-key hashes are skipped wholesale.
+        seed_shapes_topology = "seed" not in spec.graph_params and _accepts_param(
+            GRAPHS.get(spec.graph), "seed"
+        )
+        if seed_shapes_topology:
+            by_topology: Dict[Any, List[int]] = {}
+            for i, s in enumerate(specs):
+                by_topology.setdefault(topology_key(s), []).append(i)
+            # Singleton groups fall through: per-run fastpath is strictly
+            # cheaper than a K=1 kernel set-up.
+            groups = [g for g in by_topology.values() if len(g) >= 2]
+            fell_back(
+                "small_group",
+                sum(len(g) for g in by_topology.values() if len(g) < 2),
             )
-            if seed_shapes_topology:
-                by_topology: Dict[Any, List[int]] = {}
-                for i in eligible:
-                    by_topology.setdefault(topology_key(specs[i]), []).append(i)
-                # Singleton groups fall through: per-run fastpath is
-                # strictly cheaper than a K=1 kernel set-up.
-                groups = [g for g in by_topology.values() if len(g) >= 2]
-                fell_back(
-                    "small_group",
-                    sum(len(g) for g in by_topology.values() if len(g) < 2),
-                )
-            else:
-                groups = [eligible]
+        else:
+            groups = [list(range(len(specs)))]
 
     for indices in groups:
         group = [specs[i] for i in indices]
         rep = group[0]
-        scheduler_seeds = _group_scheduler_seeds(spec, group)
+        scheduler_seeds = _group_scheduler_seeds(group)
         if scheduler_seeds is None:
             # Not a stock RandomScheduler: fastpath fallback below.
             fell_back("scheduler", len(group))

@@ -7,7 +7,7 @@ with that seed — same outcome, same step and message counts, every
 metric equal — modulo the wall-clock :data:`~repro.api.spec.TIMING_FIELDS`
 and the ``engine`` field itself.  That holds both when the group truly
 vectorizes (every flat-kernel protocol under a stock random scheduler:
-one state tensor, RNG streams bit-identical to CPython's MT19937) and
+one state tensor, RNG words taken from CPython's own generator) and
 when it falls back to per-spec execution (non-random schedulers,
 protocols without a batch kernel, graphs a kernel declines), so callers
 never need to know which path ran.  The protocol axis is registry-driven:
@@ -16,10 +16,12 @@ every registered protocol outside
 protocol joins this matrix (and the batch completeness gate below)
 automatically.
 
-The MT19937 claim is load-bearing enough to test directly:
-:class:`~repro.network.batchpath.MTStreams` is compared word for word
-against ``random.Random`` over adversarial call patterns (rejection
-stragglers, buffer-boundary reseeds, subset draws, stream compaction).
+The words come from ``random.Random`` itself; only ``_randbelow``'s
+top-bits rejection walk is re-implemented, and that claim is load-bearing
+enough to test directly: :class:`~repro.network.batchpath.MTStreams` is
+compared draw for draw against ``random.Random`` over adversarial call
+patterns (rejection stragglers, buffer-boundary refills, subset draws,
+stream compaction) and seeds of every size and sign.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def test_exempt_protocol_falls_back_and_still_matches():
 
 @pytest.mark.parametrize("protocol", PROTOCOLS_UNDER_TEST)
 def test_ragged_group_with_none_and_duplicate_seeds(protocol):
-    """Unvectorizable members (seed=None draws entropy) execute as
-    leftovers; duplicates must each get their own identical record."""
+    """A ``None`` seed leaves the scheduler at its default seed 0, so it
+    batches and matches its fastpath twin like any other member;
+    duplicates must each get their own identical record."""
     spec = RunSpec(
         graph="path-network",
         graph_params={"length": 6},
@@ -217,7 +220,29 @@ def test_ragged_group_with_none_and_duplicate_seeds(protocol):
     assert comparable(records[0]) == comparable(records[2]) == fastpath_twin(spec, 3)
     assert comparable(records[1]) == fastpath_twin(spec, 5)
     assert comparable(records[4]) == fastpath_twin(spec, 8)
-    assert records[3].spec.seed is None  # entropy-seeded, still executed
+    assert records[3].spec.seed is None
+    assert comparable(records[3]) == fastpath_twin(spec, None)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS_UNDER_TEST)
+def test_seeds_of_any_size_and_sign_vectorize(protocol):
+    """Seeds past 32 bits and negative seeds batch with no fallback."""
+    spec = RunSpec(
+        graph="random-dag",
+        graph_params={"num_internal": 7, "seed": 3},
+        protocol=protocol,
+        scheduler="random",
+        engine="batch",
+        max_steps=4000,
+    )
+    seeds = [2**40 + k for k in range(8)] + [-3, -4, 2**100]
+    fallbacks = {}
+    records = run_many_batched(spec, seeds, fallbacks)
+    assert fallbacks == {}
+    for record, seed in zip(records, seeds):
+        assert comparable(record) == fastpath_twin(spec, seed), (
+            f"batch != fastpath for {protocol} seed {seed}"
+        )
 
 
 def test_records_round_trip_through_json():
@@ -307,7 +332,7 @@ class TestBatchKernelCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# MTStreams vs random.Random: exact MT19937 parity
+# MTStreams vs random.Random: draw-for-draw parity
 # ---------------------------------------------------------------------------
 
 
@@ -317,6 +342,7 @@ class TestMTStreamsParity:
 
     def test_dense_walk_matches_cpython(self):
         seeds = [0, 1, 2**31, 2**32 - 1, 12345, 424242, 7, 99]
+        seeds += [-5, 2**32, 2**40 + 3, 2**100]
         streams = MTStreams(seeds)
         refs = self._references(seeds)
         rng = random.Random(2027)
@@ -373,8 +399,8 @@ class TestMTStreamsParity:
                 ref._randbelow(10) for ref in kept_refs
             ]
 
-    def test_seed_cache_returns_fresh_state(self):
-        """The lru-cached seeded state must not alias between instances."""
+    def test_same_seeds_draw_same_words(self):
+        """Two instances over the same seeds draw identical sequences."""
         a = MTStreams([1, 2])
         n = np.full(2, 5, dtype=np.int64)
         first = [a.randbelow_dense(n).tolist() for _ in range(10)]
