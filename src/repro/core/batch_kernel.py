@@ -5,22 +5,30 @@ A *batch kernel* is the multi-run analogue of a
 state of one run as Python int arrays, a batch kernel holds the state of
 ``K`` simultaneous runs of the *same compiled topology* as one numpy
 tensor per field, and advances all ``K`` runs with array operations — one
-delivery per active run per "super-step", chosen by ``K`` vectorized
-per-run RNG streams (:class:`~repro.network.batchpath.MTStreams`) that
-reproduce each run's :class:`~repro.network.scheduler.RandomScheduler`
-choices bit for bit.
+delivery per run per "super-step", chosen by ``K`` vectorized per-run RNG
+streams (:class:`~repro.network.batchpath.MTStreams`) that reproduce each
+run's :class:`~repro.network.scheduler.RandomScheduler` choices bit for
+bit.
 
 Protocols opt in by implementing
 :meth:`~repro.core.model.AnonymousProtocol.compile_batch` and returning
 an object with this interface:
 
-``run(streams, max_steps, capture=None, stop_at_termination=False) -> BatchRunOutcome``
-    Execute one run per RNG stream under the random-scheduler delivery
-    order, each with delivery budget ``max_steps``, and return the
-    per-run metric arrays.  ``capture``, when given, is a list of ``K``
-    lists the kernel appends each run's delivered edge ids to — the
-    differential tests use it to hold the vectorized delivery order to
-    the fastpath trace, delivery for delivery.
+``num_steps``
+    The structural step count: every run of the topology delivers
+    exactly this many messages, in some order, before it drains.
+``can_terminate``
+    Whether a full run's termination predicate fires.
+``run(streams) -> BatchRunOutcome``
+    Drain one run per RNG stream under the random-scheduler delivery
+    order — all ``K`` runs in lockstep for ``num_steps`` super-steps —
+    and return the per-run metric arrays.
+
+A kernel models full drains only.  A budget below ``num_steps`` would
+cut runs short, and ``stop_at_termination`` on a shape that
+``can_terminate`` would stop each run at its own latch; the engine
+(:func:`~repro.network.batchpath.run_many_batched`) sends both to the
+per-spec fastpath fallback instead of asking the kernel.
 
 The contract mirrors the fastpath kernels' exactness bar: a batch kernel
 must be *result-equivalent* to running the same specs one at a time on
@@ -28,9 +36,9 @@ the fastpath engine — same outcome, same step counts, same metric values
 per (spec, seed).
 
 The shared machinery (compiled-topology tables, the padded
-``(k, capacity)`` swap-remove queue planes, the rectangular and ragged
-frontier scatters, the drain assertion) lives in :class:`BatchFlatKernel`;
-three kernels build on it:
+``(k, capacity)`` swap-remove queue planes, the rectangular frontier
+scatter, the drain assertion) lives in :class:`BatchFlatKernel`; three
+kernels build on it:
 
 * :class:`BatchFloodingKernel` — flooding state is one receipt bit per
   (run, vertex) and every message costs the same constant bits, so the
@@ -84,19 +92,15 @@ ENUM_CAP = 1 << 15
 class BatchRunOutcome:
     """Per-run metric arrays from one batch-kernel execution (length ``K``).
 
+    Every run drained, so ``steps`` is also the run's message count.
     ``termination_step`` uses ``-1`` for "never terminated" (flooding
-    always reports ``-1``); ``exhausted`` marks runs stopped by the step
-    budget with messages still in flight.  ``messages_at_termination`` /
+    always reports ``-1``).  ``messages_at_termination`` /
     ``bits_at_termination`` carry the latched values for runs whose
     termination predicate fired and the run totals otherwise, matching
-    :func:`~repro.network.fastpath._materialise_result` — note a run can be
-    both exhausted *and* carry a termination step (budget bound after the
-    latch), exactly as on the fastpath engine.
+    :func:`~repro.network.fastpath._materialise_result`.
     """
 
     steps: np.ndarray
-    exhausted: np.ndarray
-    total_messages: np.ndarray
     total_bits: np.ndarray
     max_message_bits: np.ndarray
     max_edge_messages: np.ndarray
@@ -114,10 +118,10 @@ class BatchFlatKernel:
     ``(K, capacity)`` int plane: appends go at the end (mirroring the
     scheduler's push order), removal is the scheduler's swap-pop, and the
     slot to pop is chosen by the vectorized per-run RNG streams.  The
-    base owns the per-vertex CSR out-edge layout, the degree-padded
-    rectangular scatter used by the dense loops, the ragged CSR scatter
-    used by the general loops, and the drain assertion that pins the
-    queue simulation to the precomputed structure.
+    base owns the per-vertex out-degrees, the degree-padded rectangular
+    scatter that appends a burst, and the drain assertion that pins the
+    queue simulation to the precomputed structure.  Subclasses set
+    ``num_steps`` and ``can_terminate`` (see the module docstring).
     """
 
     __slots__ = (
@@ -128,10 +132,10 @@ class BatchFlatKernel:
         "edge_head",
         "edge_tail",
         "out_degree",
-        "out_start",
-        "out_flat",
         "max_degree",
         "arange_pad",
+        "num_steps",
+        "can_terminate",
     )
 
     def __init__(self, compiled: Any) -> None:
@@ -145,13 +149,6 @@ class BatchFlatKernel:
             [len(eids) for eids in compiled.out_edge_ids], dtype=np.int64
         )
         self.out_degree = out_degree
-        starts = np.zeros(self.num_vertices, dtype=np.int64)
-        np.cumsum(out_degree[:-1], out=starts[1:])
-        self.out_start = starts
-        self.out_flat = np.asarray(
-            [eid for eids in compiled.out_edge_ids for eid in eids] or [0],
-            dtype=np.int64,
-        )
         self.max_degree = int(out_degree.max()) if self.num_vertices else 0
         self.arange_pad = np.arange(self.max_degree, dtype=np.int64)
 
@@ -177,28 +174,6 @@ class BatchFlatKernel:
         q_flat[dest[mask]] = src_pad.reshape(-1)[mask]
 
     @staticmethod
-    def _push_csr(
-        q: np.ndarray,
-        qlen: np.ndarray,
-        fcols: np.ndarray,
-        starts: np.ndarray,
-        counts: np.ndarray,
-        flat_ids: np.ndarray,
-    ) -> None:
-        """Append the CSR block ``flat_ids[starts[i] : starts[i]+counts[i]]``
-        onto queue row ``fcols[i]`` (ragged scatter); updates ``qlen``."""
-        total = int(counts.sum())
-        if not total:
-            return
-        rep_cols = np.repeat(fcols, counts)
-        ends = np.cumsum(counts)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        src = flat_ids[np.repeat(starts, counts) + ramp]
-        dest = np.repeat(qlen[fcols], counts) + ramp
-        q[rep_cols, dest] = src
-        qlen[fcols] += counts
-
-    @staticmethod
     def _assert_drained(qlen: np.ndarray) -> None:
         if qlen.any():
             raise RuntimeError(
@@ -211,14 +186,12 @@ class BatchFloodingKernel(BatchFlatKernel):
     """SoA machine for the no-termination flooding baseline.
 
     Per-run state across ``K`` runs: a ``(K, capacity)`` in-flight queue
-    mirroring the :class:`RandomScheduler`'s append order (the dense
-    path queues head vertices, the general path edge ids), a ``(K, |V|)``
-    receipt-bit matrix and — in the general path — a ``(K, |E|)``
-    per-edge delivery count.  Every super-step delivers exactly one
-    message in each still-active run: a vectorized ``randrange(len)``
-    per run picks the queue slot, the swap-pop mirrors the scheduler's,
-    and the fresh receivers' out-edges are appended with one padded
-    rectangular scatter (dense) or ragged CSR scatter (general).
+    of head vertices mirroring the :class:`RandomScheduler`'s append
+    order, and a ``(K, |V|)`` receipt bitmap.  Every super-step delivers
+    exactly one message in each run: a vectorized ``randrange(len)`` per
+    run picks the queue slot, the swap-pop mirrors the scheduler's, and
+    the fresh receivers' out-neighbours are appended with one padded
+    rectangular scatter.
 
     ``capacity`` is the exact worst case: every message ever pushed is
     the root burst plus one burst per first receipt, so the in-flight
@@ -227,40 +200,34 @@ class BatchFloodingKernel(BatchFlatKernel):
 
     __slots__ = (
         "message_bits",
-        "root_edge_bonus",
         "head_pad",
         "capacity",
         "reached",
-        "drain_steps",
         "max_edge_count",
     )
 
     def __init__(self, protocol: Any, compiled: Any) -> None:
         super().__init__(compiled)
         self.message_bits = 1 + protocol.payload_bits
-        # The root's initial burst pushes each of its out-edges once
-        # before any receipt; every later push of edge e comes from a
-        # first receipt at tail(e).
-        self.root_edge_bonus = (self.edge_tail == self.root).astype(np.int64)
+        self.can_terminate = False  # flooding's terminal predicate is constant-false
         out_degree = self.out_degree
-        # Degree-padded out-neighbour matrix: the dense loop appends a
-        # burst with one rectangular masked scatter instead of ragged CSR
-        # math.  It stores head *vertices*, not edge ids: the dense loop
-        # never needs the edge identity (per-edge counts are analytic),
-        # so queueing heads directly saves an ``edge_head`` gather per
-        # super-step.
+        # Degree-padded out-neighbour matrix: the loop appends a burst
+        # with one rectangular masked scatter instead of ragged CSR math.
+        # It stores head *vertices*, not edge ids: the loop never needs
+        # the edge identity (per-edge counts are analytic), so queueing
+        # heads directly saves an ``edge_head`` gather per super-step.
         head_pad = np.zeros((self.num_vertices, self.max_degree), dtype=np.int64)
         for vertex, eids in enumerate(compiled.out_edge_ids):
             head_pad[vertex, : len(eids)] = self.edge_head[list(eids)]
         self.head_pad = head_pad
         self.capacity = max(1, self.num_edges + int(out_degree[self.root]))
-        # Under a full budget, flooding's observables are structural:
-        # every pushed message is delivered, the set of vertices that
-        # ever receive one is the set reachable from the root by >= 1
-        # edge (order-independent), and with it the drain step — the
-        # root burst plus one burst per reached vertex — and every
-        # per-edge delivery count.  Precomputing them here is what lets
-        # :meth:`_run_dense` drop all per-step accounting.
+        # Flooding's observables are structural: every pushed message is
+        # delivered, the set of vertices that ever receive one is the set
+        # reachable from the root by >= 1 edge (order-independent), and
+        # with it the drain step — the root burst plus one burst per
+        # reached vertex — and every per-edge delivery count.
+        # Precomputing them here is what lets :meth:`run` drop all
+        # per-step accounting.
         reached = np.zeros(self.num_vertices, dtype=bool)
         if self.num_vertices:
             heads = [
@@ -278,67 +245,49 @@ class BatchFloodingKernel(BatchFlatKernel):
                         reached[head] = True
                         stack.append(head)
         self.reached = reached
-        self.drain_steps = int(out_degree[self.root]) + int(
+        self.num_steps = int(out_degree[self.root]) + int(
             out_degree[reached].sum()
         )
         if self.num_edges:
-            per_edge = reached[self.edge_tail].astype(np.int64) + self.root_edge_bonus
+            # The root's initial burst pushes each of its out-edges once
+            # before any receipt; every later push of edge e comes from a
+            # first receipt at tail(e).
+            per_edge = reached[self.edge_tail].astype(np.int64) + (
+                self.edge_tail == self.root
+            )
             self.max_edge_count = int(per_edge.max())
         else:
             self.max_edge_count = 0
 
-    def run(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]] = None,
-        stop_at_termination: bool = False,
-    ) -> BatchRunOutcome:
-        # Total pops never exceed `capacity` pushes, so when the budget is
-        # at least that large it cannot bind and all per-step accounting
-        # can move out of the hot loop (the common case: the default
-        # budget is 64 + 16|E|(|V|+2) >> 2|E|).  Capture requests take the
-        # general loop too — they need the per-pop edge ids.
-        # ``stop_at_termination`` is accepted for interface uniformity;
-        # flooding's terminal predicate is constant-false, so the flag can
-        # never bind and both loops ignore it.
-        if max_steps >= self.capacity and capture is None:
-            return self._run_dense(streams)
-        return self._run_general(streams, max_steps, capture)
+    def run(self, streams: Any) -> BatchRunOutcome:
+        """Drain every run; see the class docstring.
 
-    def _run_dense(self, streams: Any) -> BatchRunOutcome:
-        """Hot path: every run gets the full budget, no capture.
-
-        With a full budget every flooding observable is structural
-        (precomputed in ``__init__``): every run drains at exactly
-        ``drain_steps`` regardless of delivery order, and receives on
-        exactly the reachable set.  The loop therefore carries *no*
-        accounting at all — its job is to advance the ``K`` queues and
-        RNG streams exactly as the per-run schedulers would (each pop
-        feeds the next ``randrange`` its queue length, so the simulation
-        itself cannot be skipped), which is what keeps the streams'
-        word consumption and the general path's delivery order honest.
-        The terminal drain assertion would catch any divergence between
-        the simulated queues and the precomputed structure.  Note this
-        consumes ``streams``.
+        Every flooding observable is structural (precomputed in
+        ``__init__``): every run drains at exactly ``num_steps``
+        regardless of delivery order, and receives on exactly the
+        reachable set.  The loop therefore carries *no* accounting at
+        all — its job is to advance the ``K`` queues and RNG streams
+        exactly as the per-run schedulers would (each pop feeds the next
+        ``randrange`` its queue length, so the simulation itself cannot
+        be skipped).  The terminal drain assertion would catch any
+        divergence between the simulated queues and the precomputed
+        structure.  Note this consumes ``streams``.
         """
         k = streams.k
         cap = self.capacity
         num_vertices = self.num_vertices
+        num_steps = self.num_steps
         q = np.zeros((k, cap), dtype=np.int64)
         q_flat = q.reshape(-1)
         qlen = np.zeros(k, dtype=np.int64)
         notgot_flat = np.ones(k * num_vertices, dtype=bool)
 
-        root_degree = int(self.out_degree[self.root])
-        if root_degree:
-            start = self.out_start[self.root]
-            root_edges = self.out_flat[start : start + root_degree]
-            q[:, :root_degree] = self.edge_head[root_edges]
-            qlen[:] = root_degree
-
         out_degree = self.out_degree
         head_pad = self.head_pad
+        root_degree = int(out_degree[self.root])
+        q[:, :root_degree] = head_pad[self.root, :root_degree]
+        qlen[:] = root_degree
+
         arange_pad = self.arange_pad
         row_cap = np.arange(k, dtype=np.int64) * cap
         row_v = np.arange(k, dtype=np.int64) * num_vertices
@@ -359,7 +308,7 @@ class BatchFloodingKernel(BatchFlatKernel):
         # drops the pop/swap bookkeeping entirely.
         remaining = k * int(self.reached.sum())
         step = 0
-        while step < self.drain_steps and remaining:
+        while step < num_steps and remaining:
             step += 1
             idx = streams.randbelow_dense(qlen)
             np.add(row_cap, idx, out=addr)
@@ -384,7 +333,7 @@ class BatchFloodingKernel(BatchFlatKernel):
                     head_pad[fheads],
                     arange_pad,
                 )
-        while step < self.drain_steps:
+        while step < num_steps:
             step += 1
             streams.randbelow_dense(qlen)
             qlen -= 1
@@ -392,96 +341,13 @@ class BatchFloodingKernel(BatchFlatKernel):
         self._assert_drained(qlen)
 
         bits = self.message_bits
-        steps = np.full(k, self.drain_steps, dtype=np.int64)
+        steps = np.full(k, num_steps, dtype=np.int64)
         total_bits = steps * bits
         max_edge_messages = np.full(k, self.max_edge_count, dtype=np.int64)
         return BatchRunOutcome(
             steps=steps,
-            exhausted=np.zeros(k, dtype=bool),
-            total_messages=steps,
             total_bits=total_bits,
-            max_message_bits=np.where(steps > 0, bits, 0),
-            max_edge_messages=max_edge_messages,
-            max_edge_bits=max_edge_messages * bits,
-            termination_step=np.full(k, -1, dtype=np.int64),
-            messages_at_termination=steps,
-            bits_at_termination=total_bits,
-        )
-
-    def _run_general(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]],
-    ) -> BatchRunOutcome:
-        """Per-pop accounting loop: binding budgets and capture requests.
-
-        Draws RNG words in exactly the same order as :meth:`_run_dense`
-        (one ``randbelow`` per active run per super-step), so the two
-        loops make identical scheduler choices for identical streams.
-        """
-        k = streams.k
-        q = np.zeros((k, self.capacity), dtype=np.int64)
-        qlen = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        got = np.zeros((k, self.num_vertices), dtype=bool)
-        edge_messages = np.zeros((k, max(1, self.num_edges)), dtype=np.int64)
-
-        root_degree = int(self.out_degree[self.root])
-        if root_degree:
-            start = self.out_start[self.root]
-            q[:, :root_degree] = self.out_flat[start : start + root_degree]
-            qlen[:] = root_degree
-
-        edge_head = self.edge_head
-        out_degree = self.out_degree
-        out_start = self.out_start
-        out_flat = self.out_flat
-
-        while True:
-            cols = np.nonzero((qlen > 0) & (steps < max_steps))[0]
-            if cols.size == 0:
-                break
-            n = qlen[cols]
-            idx = streams.randbelow(n, cols)
-            last = n - 1
-            eid = q[cols, idx]
-            q[cols, idx] = q[cols, last]
-            qlen[cols] = last
-            steps[cols] += 1
-            edge_messages[cols, eid] += 1
-            if capture is not None:
-                for col, edge in zip(cols.tolist(), eid.tolist()):
-                    capture[col].append(edge)
-
-            head = edge_head[eid]
-            fresh = ~got[cols, head]
-            if fresh.any():
-                fcols = cols[fresh]
-                fheads = head[fresh]
-                got[fcols, fheads] = True
-                self._push_csr(
-                    q,
-                    qlen,
-                    fcols,
-                    out_start[fheads],
-                    out_degree[fheads],
-                    out_flat,
-                )
-
-        bits = self.message_bits
-        total_bits = steps * bits
-        max_edge_messages = (
-            edge_messages.max(axis=1)
-            if self.num_edges
-            else np.zeros(k, dtype=np.int64)
-        )
-        return BatchRunOutcome(
-            steps=steps,
-            exhausted=qlen > 0,
-            total_messages=steps,
-            total_bits=total_bits,
-            max_message_bits=np.where(steps > 0, bits, 0),
+            max_message_bits=np.full(k, bits if num_steps else 0, dtype=np.int64),
             max_edge_messages=max_edge_messages,
             max_edge_bits=max_edge_messages * bits,
             termination_step=np.full(k, -1, dtype=np.int64),
@@ -507,41 +373,24 @@ class _TerminationLatch:
     full enumeration.
     """
 
-    __slots__ = ("ttarget", "tcount", "tstep", "bits_at", "latched")
+    __slots__ = ("ttarget", "tcount", "tstep", "bits_at")
 
     def __init__(self, k: int, ttarget: int) -> None:
         self.ttarget = ttarget
         self.tcount = np.zeros(k, dtype=np.int64)
         self.tstep = np.full(k, -1, dtype=np.int64)
         self.bits_at = np.zeros(k, dtype=np.int64)
-        self.latched = np.zeros(k, dtype=bool)
 
-    def update_dense(
-        self, step: int, is_term: np.ndarray, bits_run: np.ndarray
-    ) -> None:
-        """Lockstep form: all runs delivered one message at ``step``."""
+    def update(self, step: int, is_term: np.ndarray, bits_run: np.ndarray) -> None:
+        """All runs delivered one message at ``step``; ``is_term`` is 1
+        where that message reached the terminal."""
         self.tcount += is_term
-        newly = np.nonzero((self.tcount == self.ttarget) & ~self.latched)[0]
+        # Only the terminal delivery that reaches the target latches, so
+        # each run latches exactly once.
+        newly = np.nonzero(is_term & (self.tcount == self.ttarget))[0]
         if newly.size:
-            self.latched[newly] = True
             self.tstep[newly] = step
             self.bits_at[newly] = bits_run[newly]
-
-    def update_general(
-        self,
-        cols: np.ndarray,
-        is_term: np.ndarray,
-        steps: np.ndarray,
-        bits_run: np.ndarray,
-    ) -> None:
-        """Active-columns form: runs in ``cols`` delivered one message."""
-        self.tcount[cols] += is_term
-        newly = (self.tcount[cols] == self.ttarget) & ~self.latched[cols]
-        if newly.any():
-            ncols = cols[newly]
-            self.latched[ncols] = True
-            self.tstep[ncols] = steps[ncols]
-            self.bits_at[ncols] = bits_run[ncols]
 
 
 class BatchSplitKernel(BatchFlatKernel):
@@ -555,7 +404,7 @@ class BatchSplitKernel(BatchFlatKernel):
     and :meth:`build` enumerates it exactly once at compile time by
     driving the protocol's scalar flat kernel with a FIFO worklist — the
     exact dyadic / rational token arithmetic (arbitrary-precision Python
-    ints) happens there, and the SoA loops only ever move small int
+    ints) happens there, and the SoA loop only ever moves small int
     *message ids* whose edge, bit cost and children are table lookups.
 
     The in-flight queues mirror the scalar scheduler id for id: initial
@@ -572,17 +421,11 @@ class BatchSplitKernel(BatchFlatKernel):
     """
 
     __slots__ = (
-        "num_messages",
         "num_initial",
-        "capacity",
-        "msg_edge",
         "msg_bits",
         "msg_terminal",
-        "child_start",
         "child_count",
-        "child_flat",
         "child_pad",
-        "can_terminate",
         "ttarget",
         "total_bits_const",
         "max_message_bits_const",
@@ -651,27 +494,20 @@ class BatchSplitKernel(BatchFlatKernel):
     ) -> None:
         super().__init__(compiled)
         m = len(msg_edge)
-        self.num_messages = m
+        # Every run delivers the whole multiset, one message per step, and
+        # total pushes are exactly the multiset size, so ``num_steps`` is
+        # also the queue capacity.
+        self.num_steps = m
         self.num_initial = num_initial
-        # Total pushes over a full run is exactly the multiset size, so
-        # the in-flight count can never exceed it.
-        self.capacity = m
-        self.msg_edge = np.asarray(msg_edge, dtype=np.int64)
+        edges = np.asarray(msg_edge, dtype=np.int64)
         self.msg_bits = np.asarray(msg_bits, dtype=np.int64)
-        self.msg_terminal = (
-            self.edge_head[self.msg_edge] == self.terminal
-        ).astype(np.int64)
-        counts = np.asarray([len(kids) for kids in children], dtype=np.int64)
-        self.child_count = counts
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        self.child_start = starts
-        self.child_flat = np.asarray(
-            [kid for kids in children for kid in kids] or [0], dtype=np.int64
+        self.msg_terminal = (self.edge_head[edges] == self.terminal).astype(np.int64)
+        self.child_count = np.asarray(
+            [len(kids) for kids in children], dtype=np.int64
         )
-        # Message-indexed padded child matrix for the dense loop's
-        # rectangular scatter (a message's children count is its head's
-        # out-degree, so the base pad width fits).
+        # Message-indexed padded child matrix for the loop's rectangular
+        # scatter (a message's children count is its head's out-degree,
+        # so the base pad width fits).
         child_pad = np.zeros((m, self.max_degree), dtype=np.int64)
         for mid, kids in enumerate(children):
             child_pad[mid, : len(kids)] = kids
@@ -683,33 +519,14 @@ class BatchSplitKernel(BatchFlatKernel):
         self.total_bits_const = int(self.msg_bits.sum())
         self.max_message_bits_const = int(self.msg_bits.max())
         edge_msgs = np.zeros(max(1, self.num_edges), dtype=np.int64)
-        np.add.at(edge_msgs, self.msg_edge, 1)
+        np.add.at(edge_msgs, edges, 1)
         edge_bits = np.zeros(max(1, self.num_edges), dtype=np.int64)
-        np.add.at(edge_bits, self.msg_edge, self.msg_bits)
+        np.add.at(edge_bits, edges, self.msg_bits)
         self.max_edge_messages_const = int(edge_msgs.max())
         self.max_edge_bits_const = int(edge_bits.max())
 
-    def run(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]] = None,
-        stop_at_termination: bool = False,
-    ) -> BatchRunOutcome:
-        # The dense loop runs all K queues in lockstep for exactly
-        # `num_messages` super-steps (every run delivers the whole
-        # multiset, so all drain together); it needs the budget to never
-        # bind and every run to keep draining past its latch.
-        if (
-            max_steps >= self.capacity
-            and capture is None
-            and not (stop_at_termination and self.can_terminate)
-        ):
-            return self._run_dense(streams)
-        return self._run_general(streams, max_steps, capture, stop_at_termination)
-
-    def _run_dense(self, streams: Any) -> BatchRunOutcome:
-        """Lockstep full-drain loop: budget slack, no capture, no early stop.
+    def run(self, streams: Any) -> BatchRunOutcome:
+        """Lockstep full drain: all ``K`` queues for ``num_steps`` super-steps.
 
         Everything except the termination latch is structural, so the
         per-step work is the queue simulation itself plus — only for
@@ -718,9 +535,8 @@ class BatchSplitKernel(BatchFlatKernel):
         delivery counter.
         """
         k = streams.k
-        cap = self.capacity
-        m = self.num_messages
-        q = np.zeros((k, cap), dtype=np.int64)
+        m = self.num_steps
+        q = np.zeros((k, m), dtype=np.int64)
         q_flat = q.reshape(-1)
         qlen = np.zeros(k, dtype=np.int64)
         ninit = self.num_initial
@@ -732,11 +548,10 @@ class BatchSplitKernel(BatchFlatKernel):
         arange_pad = self.arange_pad
         msg_bits = self.msg_bits
         msg_terminal = self.msg_terminal
-        row_cap = np.arange(k, dtype=np.int64) * cap
+        row_cap = np.arange(k, dtype=np.int64) * m
         rows = np.arange(k, dtype=np.int64)
 
-        can_term = self.can_terminate
-        latch = _TerminationLatch(k, self.ttarget) if can_term else None
+        latch = _TerminationLatch(k, self.ttarget) if self.can_terminate else None
         bits_run = np.zeros(k, dtype=np.int64)
 
         addr = np.empty(k, dtype=np.int64)
@@ -762,7 +577,7 @@ class BatchSplitKernel(BatchFlatKernel):
             )
             if latch is not None:
                 bits_run += msg_bits.take(mid)
-                latch.update_dense(step, msg_terminal.take(mid), bits_run)
+                latch.update(step, msg_terminal.take(mid), bits_run)
 
         self._assert_drained(qlen)
 
@@ -780,105 +595,12 @@ class BatchSplitKernel(BatchFlatKernel):
             bits_at = total_bits
         return BatchRunOutcome(
             steps=steps,
-            exhausted=np.zeros(k, dtype=bool),
-            total_messages=steps,
             total_bits=total_bits,
             max_message_bits=np.full(k, self.max_message_bits_const, dtype=np.int64),
             max_edge_messages=np.full(
                 k, self.max_edge_messages_const, dtype=np.int64
             ),
             max_edge_bits=np.full(k, self.max_edge_bits_const, dtype=np.int64),
-            termination_step=tstep,
-            messages_at_termination=messages_at,
-            bits_at_termination=bits_at,
-        )
-
-    def _run_general(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]],
-        stop_at_termination: bool,
-    ) -> BatchRunOutcome:
-        """Per-pop accounting loop: binding budgets, capture, early stop.
-
-        Needs the full ``(K, |E|)`` per-edge planes — under a partial
-        drain the per-edge message counts and bit sums are order-
-        dependent (a split protocol can put many messages on one edge).
-        """
-        k = streams.k
-        q = np.zeros((k, self.capacity), dtype=np.int64)
-        qlen = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        ninit = self.num_initial
-        q[:, :ninit] = np.arange(ninit, dtype=np.int64)
-        qlen[:] = ninit
-
-        total_bits = np.zeros(k, dtype=np.int64)
-        max_msg_bits = np.zeros(k, dtype=np.int64)
-        edge_msgs = np.zeros((k, max(1, self.num_edges)), dtype=np.int64)
-        edge_bits = np.zeros((k, max(1, self.num_edges)), dtype=np.int64)
-        latch = _TerminationLatch(k, self.ttarget) if self.can_terminate else None
-
-        msg_edge = self.msg_edge
-        msg_bits = self.msg_bits
-        msg_terminal = self.msg_terminal
-        child_start = self.child_start
-        child_count = self.child_count
-        child_flat = self.child_flat
-        stop = bool(stop_at_termination)
-
-        while True:
-            active = (qlen > 0) & (steps < max_steps)
-            if stop and latch is not None:
-                active &= ~latch.latched
-            cols = np.nonzero(active)[0]
-            if cols.size == 0:
-                break
-            n = qlen[cols]
-            idx = streams.randbelow(n, cols)
-            last = n - 1
-            mid = q[cols, idx]
-            q[cols, idx] = q[cols, last]
-            qlen[cols] = last
-            steps[cols] += 1
-            eid = msg_edge[mid]
-            bits = msg_bits[mid]
-            edge_msgs[cols, eid] += 1
-            edge_bits[cols, eid] += bits
-            total_bits[cols] += bits
-            max_msg_bits[cols] = np.maximum(max_msg_bits[cols], bits)
-            if capture is not None:
-                for col, edge in zip(cols.tolist(), eid.tolist()):
-                    capture[col].append(edge)
-            self._push_csr(
-                q, qlen, cols, child_start[mid], child_count[mid], child_flat
-            )
-            if latch is not None:
-                latch.update_general(cols, msg_terminal[mid], steps, total_bits)
-
-        exhausted = qlen > 0
-        if latch is not None:
-            if stop:
-                # A run that latched broke out of its loop at the latch,
-                # before any budget check could declare it exhausted.
-                exhausted &= ~latch.latched
-            tstep = latch.tstep
-            not_latched = ~latch.latched
-            messages_at = np.where(not_latched, steps, latch.tstep)
-            bits_at = np.where(not_latched, total_bits, latch.bits_at)
-        else:
-            tstep = np.full(k, -1, dtype=np.int64)
-            messages_at = steps
-            bits_at = total_bits
-        return BatchRunOutcome(
-            steps=steps,
-            exhausted=exhausted,
-            total_messages=steps,
-            total_bits=total_bits,
-            max_message_bits=max_msg_bits,
-            max_edge_messages=edge_msgs.max(axis=1),
-            max_edge_bits=edge_bits.max(axis=1),
             termination_step=tstep,
             messages_at_termination=messages_at,
             bits_at_termination=bits_at,
@@ -905,14 +627,11 @@ class BatchDagKernel(BatchFlatKernel):
     """
 
     __slots__ = (
-        "num_messages",
-        "capacity",
         "init_edges",
         "edge_msg_bits",
         "is_term_edge",
         "fire_need",
         "edge_pad",
-        "can_terminate",
         "ttarget",
         "total_bits_const",
         "max_message_bits_const",
@@ -976,9 +695,10 @@ class BatchDagKernel(BatchFlatKernel):
         can_terminate: bool,
     ) -> None:
         super().__init__(compiled)
-        m = len(edge_bits)
-        self.num_messages = m
-        self.capacity = max(1, m)
+        # One message per carrying edge, one delivery per step; ``build``
+        # guarantees at least one, and total pushes bound the queue, so
+        # ``num_steps`` is also the queue capacity.
+        self.num_steps = len(edge_bits)
         self.init_edges = np.asarray(init_edges, dtype=np.int64)
         bits_table = np.zeros(max(1, self.num_edges), dtype=np.int64)
         for eid, bits in edge_bits.items():
@@ -1009,30 +729,14 @@ class BatchDagKernel(BatchFlatKernel):
         self.total_bits_const = int(bits_table.sum())
         self.max_message_bits_const = int(bits_table.max())
 
-    def run(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]] = None,
-        stop_at_termination: bool = False,
-    ) -> BatchRunOutcome:
-        if (
-            max_steps >= self.capacity
-            and capture is None
-            and not (stop_at_termination and self.can_terminate)
-        ):
-            return self._run_dense(streams)
-        return self._run_general(streams, max_steps, capture, stop_at_termination)
-
-    def _run_dense(self, streams: Any) -> BatchRunOutcome:
-        """Lockstep full-drain loop (see :meth:`BatchSplitKernel._run_dense`):
-        every run delivers every carrying edge exactly once, so all K runs
-        drain together at the structural step count."""
+    def run(self, streams: Any) -> BatchRunOutcome:
+        """Lockstep full drain (see :meth:`BatchSplitKernel.run`): every
+        run delivers every carrying edge exactly once, so all K runs drain
+        together at the structural step count."""
         k = streams.k
-        cap = self.capacity
-        m = self.num_messages
+        m = self.num_steps
         num_vertices = self.num_vertices
-        q = np.zeros((k, cap), dtype=np.int64)
+        q = np.zeros((k, m), dtype=np.int64)
         q_flat = q.reshape(-1)
         qlen = np.zeros(k, dtype=np.int64)
         heard_flat = np.zeros(k * num_vertices, dtype=np.int64)
@@ -1048,11 +752,10 @@ class BatchDagKernel(BatchFlatKernel):
         arange_pad = self.arange_pad
         edge_msg_bits = self.edge_msg_bits
         is_term_edge = self.is_term_edge
-        row_cap = np.arange(k, dtype=np.int64) * cap
+        row_cap = np.arange(k, dtype=np.int64) * m
         row_v = np.arange(k, dtype=np.int64) * num_vertices
 
-        can_term = self.can_terminate
-        latch = _TerminationLatch(k, self.ttarget) if can_term else None
+        latch = _TerminationLatch(k, self.ttarget) if self.can_terminate else None
         bits_run = np.zeros(k, dtype=np.int64)
 
         addr = np.empty(k, dtype=np.int64)
@@ -1087,7 +790,7 @@ class BatchDagKernel(BatchFlatKernel):
                 )
             if latch is not None:
                 bits_run += edge_msg_bits.take(eid)
-                latch.update_dense(step, is_term_edge.take(eid), bits_run)
+                latch.update(step, is_term_edge.take(eid), bits_run)
 
         self._assert_drained(qlen)
 
@@ -1101,117 +804,13 @@ class BatchDagKernel(BatchFlatKernel):
             tstep = np.full(k, -1, dtype=np.int64)
             messages_at = steps
             bits_at = total_bits
-        has_steps = np.int64(1) if m > 0 else np.int64(0)
         return BatchRunOutcome(
             steps=steps,
-            exhausted=np.zeros(k, dtype=bool),
-            total_messages=steps,
             total_bits=total_bits,
             max_message_bits=np.full(k, self.max_message_bits_const, dtype=np.int64),
             # Each carrying edge delivers exactly once per full drain.
-            max_edge_messages=np.full(k, has_steps, dtype=np.int64),
+            max_edge_messages=np.ones(k, dtype=np.int64),
             max_edge_bits=np.full(k, self.max_message_bits_const, dtype=np.int64),
-            termination_step=tstep,
-            messages_at_termination=messages_at,
-            bits_at_termination=bits_at,
-        )
-
-    def _run_general(
-        self,
-        streams: Any,
-        max_steps: int,
-        capture: Optional[List[List[int]]],
-        stop_at_termination: bool,
-    ) -> BatchRunOutcome:
-        """Per-pop accounting loop: binding budgets, capture, early stop.
-
-        One message per edge keeps even the partial-drain accounting
-        plane-free: a run's ``max_edge_messages`` is 1 as soon as it
-        delivered anything, and its ``max_edge_bits`` is the max bit cost
-        over delivered messages — the same running max as
-        ``max_message_bits``.
-        """
-        k = streams.k
-        q = np.zeros((k, self.capacity), dtype=np.int64)
-        qlen = np.zeros(k, dtype=np.int64)
-        steps = np.zeros(k, dtype=np.int64)
-        heard = np.zeros((k, self.num_vertices), dtype=np.int64)
-
-        ninit = self.init_edges.size
-        q[:, :ninit] = self.init_edges
-        qlen[:] = ninit
-
-        total_bits = np.zeros(k, dtype=np.int64)
-        max_msg_bits = np.zeros(k, dtype=np.int64)
-        latch = _TerminationLatch(k, self.ttarget) if self.can_terminate else None
-
-        edge_head = self.edge_head
-        out_degree = self.out_degree
-        out_start = self.out_start
-        out_flat = self.out_flat
-        fire_need = self.fire_need
-        edge_msg_bits = self.edge_msg_bits
-        is_term_edge = self.is_term_edge
-        stop = bool(stop_at_termination)
-
-        while True:
-            active = (qlen > 0) & (steps < max_steps)
-            if stop and latch is not None:
-                active &= ~latch.latched
-            cols = np.nonzero(active)[0]
-            if cols.size == 0:
-                break
-            n = qlen[cols]
-            idx = streams.randbelow(n, cols)
-            last = n - 1
-            eid = q[cols, idx]
-            q[cols, idx] = q[cols, last]
-            qlen[cols] = last
-            steps[cols] += 1
-            bits = edge_msg_bits[eid]
-            total_bits[cols] += bits
-            max_msg_bits[cols] = np.maximum(max_msg_bits[cols], bits)
-            if capture is not None:
-                for col, edge in zip(cols.tolist(), eid.tolist()):
-                    capture[col].append(edge)
-
-            head = edge_head[eid]
-            heard[cols, head] += 1
-            fire = heard[cols, head] == fire_need[head]
-            if fire.any():
-                fcols = cols[fire]
-                fheads = head[fire]
-                self._push_csr(
-                    q,
-                    qlen,
-                    fcols,
-                    out_start[fheads],
-                    out_degree[fheads],
-                    out_flat,
-                )
-            if latch is not None:
-                latch.update_general(cols, is_term_edge[eid], steps, total_bits)
-
-        exhausted = qlen > 0
-        if latch is not None:
-            if stop:
-                exhausted &= ~latch.latched
-            tstep = latch.tstep
-            not_latched = ~latch.latched
-            messages_at = np.where(not_latched, steps, latch.tstep)
-            bits_at = np.where(not_latched, total_bits, latch.bits_at)
-        else:
-            tstep = np.full(k, -1, dtype=np.int64)
-            messages_at = steps
-            bits_at = total_bits
-        return BatchRunOutcome(
-            steps=steps,
-            exhausted=exhausted,
-            total_messages=steps,
-            total_bits=total_bits,
-            max_message_bits=max_msg_bits,
-            max_edge_messages=np.where(steps > 0, 1, 0).astype(np.int64),
-            max_edge_bits=max_msg_bits,
             termination_step=tstep,
             messages_at_termination=messages_at,
             bits_at_termination=bits_at,

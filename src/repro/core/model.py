@@ -152,19 +152,19 @@ class AnonymousProtocol(abc.ABC, Generic[State, Message]):
 
         ``compiled`` is a :class:`~repro.network.fastpath.CompiledNetwork`.
         A protocol may return a batch kernel (see
-        :mod:`repro.core.batch_kernel`) whose
-        ``run(streams, max_steps, capture=None, stop_at_termination=False)``
-        executes K simultaneous runs of this topology — one per RNG
-        stream — under the random scheduler's delivery order, with every
-        per-run result *exactly* equal to a fastpath run of the same
-        (spec, seed), including the early-stop semantics of
-        ``stop_at_termination`` and the per-delivery edge-id ``capture``
-        hook the differential tests use.  Return ``None`` (the default)
-        and the batch engine falls back to per-spec fastpath execution,
-        which is always correct — kernels whose exact tables can't
-        express a particular compiled shape (e.g. cyclic graphs under
-        the broadcast kernels) return ``None`` per shape for the same
-        fallback.
+        :mod:`repro.core.batch_kernel`) whose ``run(streams)`` drains K
+        simultaneous runs of this topology — one per RNG stream — under
+        the random scheduler's delivery order, with every per-run result
+        *exactly* equal to a fastpath run of the same (spec, seed).  The
+        kernel also declares its structural step count ``num_steps`` and
+        whether a full run ``can_terminate``; the batch engine sends a
+        budget below ``num_steps``, or ``stop_at_termination`` on a shape
+        that terminates, to per-spec fastpath execution instead.  Return
+        ``None`` (the default) and the batch engine falls back to
+        per-spec fastpath execution, which is always correct — kernels
+        whose exact tables can't express a particular compiled shape
+        (e.g. cyclic graphs under the broadcast kernels) return ``None``
+        per shape for the same fallback.
         """
         return None
 

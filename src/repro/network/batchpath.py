@@ -26,11 +26,12 @@ a seed list, subdivides the group wherever the seed actually changes the
 topology, vectorizes the subgroups its kernels can express, and falls
 back to per-spec fastpath execution for everything else (protocols
 without a batch kernel, non-random schedulers, fault/trace/state-bit
-requests).  Records come back input-ordered either
-way, and every spec that takes the fallback is tallied by reason into
-the caller's ``fallbacks`` dict so silent per-seed execution is
-observable (surfaced as ``batch_fallbacks`` in
-:class:`~repro.api.runner.BatchStats` and the CLI summary lines).
+requests, budgets that cut runs short, early stops at termination).
+Records come back input-ordered either way, and every spec that takes
+the fallback is tallied by reason into the caller's ``fallbacks`` dict
+so silent per-seed execution is observable (surfaced as
+``batch_fallbacks`` in :class:`~repro.api.runner.BatchStats` and the CLI
+summary lines).
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ class MTStreams:
     """``K`` CPython Mersenne Twister streams drawn from in lockstep.
 
     Stream ``i`` *is* ``random.Random(seeds[i])``: its words come from that
-    generator's own ``getrandbits``, 624 at a time, and :meth:`randbelow`
-    consumes one word per call per stream (plus the occasional rejection
-    redraw, per stream), just like ``Random.randrange``.  Streams consume
-    words at different rates once rejections diverge, so each stream keeps
-    its own cursor into its buffered words and refills independently when
-    its first block runs dry.
+    generator's own ``getrandbits``, 624 at a time, and
+    :meth:`randbelow_dense` consumes one word per call per stream (plus
+    the occasional rejection redraw, per stream), just like
+    ``Random.randrange``.  Streams consume words at different rates once
+    rejections diverge, so each stream keeps its own cursor into its
+    buffered words and refills independently when its first block runs
+    dry.
     """
 
     __slots__ = (
@@ -181,37 +183,6 @@ class MTStreams:
             row[_N:] = _words(self._rngs[j], _N)
         self._abs[cols] -= _N
 
-    def _draw(self, cols: np.ndarray) -> np.ndarray:
-        """One 32-bit word per stream in ``cols`` (each cursor advances)."""
-        self._until = 0  # cursors move unevenly; dense path must re-check
-        pos = self._abs[cols]
-        high = pos - self._rowbase[cols] >= _N
-        if high.any():
-            self._advance(cols[high])
-            pos = self._abs[cols]
-        words = self._buf[pos]
-        self._abs[cols] = pos + 1
-        return words
-
-    def randbelow(self, n: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``Random.randrange(n[i])`` for each stream in ``cols`` (n >= 1).
-
-        CPython's ``_randbelow_with_getrandbits``: draw ``bit_length(n)``
-        top bits, redraw while the value is >= n.  Each retry consumes one
-        word in the rejected streams only, keeping them word-for-word in
-        sync with their scalar twins.
-        """
-        n = np.asarray(n, dtype=np.int64)
-        # frexp's exponent is exactly bit_length for ints below 2**53.
-        k_bits = np.frexp(n.astype(np.float64))[1].astype(np.uint32)
-        shift = np.uint32(32) - k_bits
-        r = (self._draw(cols) >> shift).astype(np.int64)
-        bad = np.nonzero(r >= n)[0]
-        while bad.size:
-            r[bad] = (self._draw(cols[bad]) >> shift[bad]).astype(np.int64)
-            bad = bad[r[bad] >= n[bad]]
-        return r
-
     def _shift_for(self, n: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``32 - bit_length(n[i])`` per stream, from the cached table.
 
@@ -232,16 +203,16 @@ class MTStreams:
             return self._shift.take(n, out=out)
 
     def randbelow_dense(self, n: np.ndarray) -> np.ndarray:
-        """:meth:`randbelow` over *all* streams at once — the hot-loop form.
+        """``Random.randrange(n[i])`` for every stream ``i`` at once (n >= 1).
 
-        Identical draws to ``randbelow(n, arange(k))`` (the batch kernels
-        rely on this to keep their fast and general loops word-for-word
-        aligned), but instead of redrawing rejected streams round by
-        round, it gathers each stream's next ``_H`` buffered words in one
-        shot and resolves the whole rejection walk with an ``argmax`` —
-        the accepted word is the first one whose top bits fall below
-        ``n``, and each cursor advances by exactly the words its stream
-        inspected, preserving word-for-word parity.  Streams that reject
+        CPython's ``_randbelow_with_getrandbits`` draws ``bit_length(n)``
+        top bits and redraws while the value is >= n.  Instead of
+        redrawing rejected streams round by round, this gathers each
+        stream's next ``_H`` buffered words in one shot and resolves the
+        whole rejection walk with an ``argmax`` — the accepted word is the
+        first one whose top bits fall below ``n``, and each cursor
+        advances by exactly the words its stream inspected, preserving
+        word-for-word parity with the scalar generator.  Streams that reject
         all ``_H`` words (p < 1%) or sit within ``_H`` words of their
         block end finish on the exact scalar path.  ``n`` must be a
         ``(k,)`` int64 array of values >= 1; the result dtype is uint32.
@@ -307,29 +278,10 @@ class MTStreams:
             cur[j] = cj
         self._until = 0  # cursors moved unevenly; next dense call re-checks
 
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop every stream not in ``keep`` (kernel drain compaction).
-
-        ``keep`` is a sorted index array into the current streams; the
-        surviving streams keep their exact word positions, so draws after
-        a compaction continue each stream's sequence unbroken.
-        """
-        self._rngs = [self._rngs[j] for j in keep.tolist()]
-        self._buf = self._buf.reshape(self.k, _N2)[keep].reshape(-1)
-        positions = self._abs[keep] - self._rowbase[keep]
-        self.k = int(keep.size)
-        self._all = self._all[: self.k]
-        self._rowbase = self._all * _N2
-        self._abs = self._rowbase + positions
-        self._rowh = self._all * _H
-        self._until = 0  # rowh/rowbase changed under the cached bound
-        self._alloc_scratch()  # shapes are k-determined
-
 
 _SPEC_FIELD_NAMES = tuple(f.name for f in fields(RunSpec))
 
 _TERMINATED = Outcome.TERMINATED.value
-_EXHAUSTED = Outcome.BUDGET_EXHAUSTED.value
 _QUIESCENT = Outcome.QUIESCENT.value
 
 
@@ -397,8 +349,9 @@ def _group_kernel(rep: RunSpec, compiled: Any) -> Optional[Any]:
 
 def _shape_fallback_reason(spec: RunSpec) -> Optional[str]:
     """Why the spec *shape* (seed aside) can't run on a batch kernel, or
-    ``None`` when it can.  ``stop_at_termination`` never blocks
-    vectorization: the kernels latch and stop per run."""
+    ``None`` when it can.  The budget and ``stop_at_termination`` are
+    judged later, per group, against the kernel's structural step count
+    and ``can_terminate`` (see :func:`run_many_batched`)."""
     if spec.faults is not None:
         return "faults"
     if spec.trace is not None or spec.record_trace:
@@ -415,7 +368,9 @@ def _records_from_outcome(
     elapsed: float,
 ) -> List[RunRecord]:
     """Materialise per-run :class:`RunRecord`\\ s from kernel arrays,
-    freezing metrics exactly as the fastpath engine would.
+    freezing metrics exactly as the fastpath engine would.  Every run
+    drained, so it either terminated or went quiescent, and its message
+    count is its step count.
 
     The metric dicts are written literally, in
     :class:`~repro.network.metrics.RunMetrics` field order — the same
@@ -425,8 +380,6 @@ def _records_from_outcome(
     records: List[RunRecord] = []
     per_run = elapsed / max(1, len(specs))
     steps = outcome.steps.tolist()
-    exhausted = outcome.exhausted.tolist()
-    total_messages = outcome.total_messages.tolist()
     total_bits = outcome.total_bits.tolist()
     max_message_bits = outcome.max_message_bits.tolist()
     max_edge_messages = outcome.max_edge_messages.tolist()
@@ -438,19 +391,9 @@ def _records_from_outcome(
     num_edges = network.num_edges
     for i, spec in enumerate(specs):
         tstep = termination_step[i]
-        # Budget exhaustion wins even over a latched termination: the
-        # fastpath driver declares BUDGET_EXHAUSTED at the top of the
-        # loop whenever in-flight messages outlive the budget, however
-        # the run latched earlier — but keeps the latched
-        # ``termination_step`` and at-termination metrics in either case.
-        if exhausted[i]:
-            run_outcome = _EXHAUSTED
-        elif tstep >= 0:
-            run_outcome = _TERMINATED
-        else:
-            run_outcome = _QUIESCENT
+        run_outcome = _TERMINATED if tstep >= 0 else _QUIESCENT
         metrics = {
-            "total_messages": total_messages[i],
+            "total_messages": steps[i],
             "total_bits": total_bits[i],
             "max_message_bits": max_message_bits[i],
             "max_edge_bits": max_edge_bits[i],
@@ -486,16 +429,21 @@ def run_many_batched(
     family turns one seed-group into several same-topology subgroups),
     then each subgroup is vectorized when every precondition holds —
     stock :class:`RandomScheduler`, a protocol with a batch kernel, no
-    faults or tracing — and executed one spec at a time through
-    :func:`~repro.api.spec.execute_spec` (the engine's fastpath
-    ``run_one``) otherwise.
+    faults or tracing, a budget that lets every run drain, no early stop
+    at a termination the kernel would reach — and executed one spec at a
+    time through :func:`~repro.api.spec.execute_spec` (the engine's
+    fastpath ``run_one``) otherwise.  A kernel only ever runs full
+    drains in lockstep (see :mod:`repro.core.batch_kernel`).
 
     ``fallbacks``, when given, is a mutable counter dict the function
     increments once per spec that takes the per-seed fallback, keyed by
     reason: ``faults`` / ``trace`` / ``state_bits`` (shape can't
     vectorize), ``small_group`` (nothing to batch with after topology
     subdivision), ``scheduler`` (not a stock :class:`RandomScheduler`),
-    ``no_kernel`` (protocol without a batch kernel).
+    ``no_kernel`` (protocol without a batch kernel), ``budget``
+    (``max_steps`` below the kernel's structural step count),
+    ``early_stop`` (``stop_at_termination`` on a shape whose runs
+    terminate).
     """
     specs = _seed_variants(spec, list(seeds))
     records: List[Optional[RunRecord]] = [None] * len(specs)
@@ -552,11 +500,16 @@ def run_many_batched(
         max_steps = rep.max_steps
         if max_steps is None:
             max_steps = default_step_budget(network)
+        if max_steps < kernel.num_steps:
+            # The budget would cut runs short of their drain.
+            fell_back("budget", len(group))
+            continue
+        if rep.stop_at_termination and kernel.can_terminate:
+            # Each run would stop at its own termination step.
+            fell_back("early_stop", len(group))
+            continue
         start = time.perf_counter()
-        streams = MTStreams(scheduler_seeds)
-        outcome = kernel.run(
-            streams, max_steps, stop_at_termination=rep.stop_at_termination
-        )
+        outcome = kernel.run(MTStreams(scheduler_seeds))
         elapsed = time.perf_counter() - start
         for i, record in zip(indices, _records_from_outcome(group, network, outcome, elapsed)):
             records[i] = record

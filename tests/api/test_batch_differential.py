@@ -9,8 +9,9 @@ and the ``engine`` field itself.  That holds both when the group truly
 vectorizes (every flat-kernel protocol under a stock random scheduler:
 one state tensor, RNG words taken from CPython's own generator) and
 when it falls back to per-spec execution (non-random schedulers,
-protocols without a batch kernel, graphs a kernel declines), so callers
-never need to know which path ran.  The protocol axis is registry-driven:
+protocols without a batch kernel, graphs a kernel declines, budgets that
+cut runs short, early stops at termination), so callers never need to
+know which path ran.  The protocol axis is registry-driven:
 every registered protocol outside
 :data:`~repro.network.batchpath.BATCH_KERNEL_EXEMPT` is swept, so a new
 protocol joins this matrix (and the batch completeness gate below)
@@ -20,8 +21,8 @@ The words come from ``random.Random`` itself; only ``_randbelow``'s
 top-bits rejection walk is re-implemented, and that claim is load-bearing
 enough to test directly: :class:`~repro.network.batchpath.MTStreams` is
 compared draw for draw against ``random.Random`` over adversarial call
-patterns (rejection stragglers, buffer-boundary refills, subset draws,
-stream compaction) and seeds of every size and sign.
+patterns (rejection stragglers, buffer-boundary refills) and seeds of
+every size and sign.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def test_pinned_scheduler_seed_still_matches():
         assert comparable(record) == fastpath_twin(spec, seed)
 
 
-def test_bounded_budget_takes_general_loop_and_matches():
-    """A small ``max_steps`` forces the per-pop loop; identity still holds."""
+def test_bounded_budget_falls_back_and_matches():
+    """A binding ``max_steps`` takes the per-spec fallback; identity holds."""
     spec = RunSpec(
         graph="geometric-sensor-field",
         graph_params={"num_sensors": 12, "seed": 1},
@@ -148,10 +149,47 @@ def test_bounded_budget_takes_general_loop_and_matches():
         engine="batch",
         max_steps=30,
     )
-    for record, seed in zip(run_group(spec, SEEDS), SEEDS):
+    fallbacks = {}
+    records = run_many_batched(spec, SEEDS, fallbacks)
+    assert fallbacks == {"budget": len(SEEDS)}
+    for record, seed in zip(records, SEEDS):
         record_dict = comparable(record)
         assert record_dict == fastpath_twin(spec, seed)
         assert record_dict["metrics"]["steps"] <= 30
+
+
+#: One tree and one DAG family on which every batch kernel compiles.
+BOUNDARY_FAMILIES = (GRAPH_FAMILIES[2], GRAPH_FAMILIES[3])
+
+
+@pytest.mark.parametrize("graph,graph_params", BOUNDARY_FAMILIES)
+@pytest.mark.parametrize("protocol", PROTOCOLS_UNDER_TEST)
+def test_budget_boundary_matches(protocol, graph, graph_params):
+    """At ``max_steps`` = S-1 the budget binds and the group falls back;
+    at S and S+1 every run drains and the group vectorizes.  S, the
+    structural step count, is read off full-budget fastpath runs."""
+    seeds = SEEDS[:6]
+    full = RunSpec(
+        graph=graph,
+        graph_params=graph_params,
+        protocol=protocol,
+        scheduler="random",
+        engine="batch",
+        max_steps=4000,
+    )
+    drained = {fastpath_twin(full, seed)["metrics"]["steps"] for seed in seeds}
+    assert len(drained) == 1, drained
+    (structural,) = drained
+    for max_steps in (structural - 1, structural, structural + 1):
+        spec = dataclasses.replace(full, max_steps=max_steps)
+        fallbacks = {}
+        records = run_many_batched(spec, seeds, fallbacks)
+        expected = {"budget": len(seeds)} if max_steps < structural else {}
+        assert fallbacks == expected, (protocol, max_steps)
+        for record, seed in zip(records, seeds):
+            assert comparable(record) == fastpath_twin(spec, seed), (
+                f"batch != fastpath for {protocol} at max_steps={max_steps}"
+            )
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS_UNDER_TEST)
@@ -169,7 +207,8 @@ def test_k1_group_is_exactly_one_fastpath_run(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS_UNDER_TEST)
 def test_stop_at_termination_matches(protocol):
-    """The early-exit path through every batch kernel's termination latch."""
+    """An early stop falls back per spec exactly where runs terminate;
+    shapes that never terminate (flooding) still vectorize."""
     spec = RunSpec(
         graph=GRAPH_FAMILIES[2][0],
         graph_params=GRAPH_FAMILIES[2][1],
@@ -179,8 +218,19 @@ def test_stop_at_termination_matches(protocol):
         stop_at_termination=True,
         max_steps=4000,
     )
-    for record, seed in zip(run_group(spec, SEEDS), SEEDS):
-        assert comparable(record) == fastpath_twin(spec, seed), (
+    fallbacks = {}
+    records = run_many_batched(spec, SEEDS, fallbacks)
+    twins = [fastpath_twin(spec, seed) for seed in SEEDS]
+    terminated = {twin["terminated"] for twin in twins}
+    assert len(terminated) == 1, terminated
+    expected = {"early_stop": len(SEEDS)} if terminated.pop() else {}
+    if protocol == "flooding":
+        assert expected == {}
+    if protocol == "tree-broadcast":
+        assert expected == {"early_stop": len(SEEDS)}
+    assert fallbacks == expected
+    for record, twin, seed in zip(records, twins, SEEDS):
+        assert comparable(record) == twin, (
             f"stop_at_termination mismatch for {protocol} seed {seed}"
         )
 
@@ -366,38 +416,6 @@ class TestMTStreamsParity:
             got = streams.randbelow_dense(n)
             expected = [ref._randbelow(3) for ref in refs]
             assert got.tolist() == expected
-
-    def test_subset_draws_match(self):
-        seeds = [11, 22, 33, 44, 55]
-        streams = MTStreams(seeds)
-        refs = self._references(seeds)
-        rng = random.Random(9)
-        for _ in range(1500):
-            cols = np.array(
-                sorted(rng.sample(range(5), rng.randint(1, 5))), dtype=np.int64
-            )
-            n = np.array([rng.randint(1, 50) for _ in cols], dtype=np.int64)
-            got = streams.randbelow(n, cols)
-            expected = [refs[c]._randbelow(int(m)) for c, m in zip(cols, n)]
-            assert got.tolist() == expected
-
-    def test_compact_preserves_stream_positions(self):
-        seeds = [5, 6, 7, 8]
-        streams = MTStreams(seeds)
-        refs = self._references(seeds)
-        n = np.full(4, 10, dtype=np.int64)
-        for _ in range(700):
-            assert streams.randbelow_dense(n).tolist() == [
-                ref._randbelow(10) for ref in refs
-            ]
-        keep = np.array([0, 2], dtype=np.int64)
-        streams.compact(keep)
-        kept_refs = [refs[0], refs[2]]
-        n2 = np.full(2, 10, dtype=np.int64)
-        for _ in range(1400):  # crosses the next buffer boundary
-            assert streams.randbelow_dense(n2).tolist() == [
-                ref._randbelow(10) for ref in kept_refs
-            ]
 
     def test_same_seeds_draw_same_words(self):
         """Two instances over the same seeds draw identical sequences."""
