@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from ..store.store import StoreError
 from .registry import AGGREGATORS, EXPERIMENTS
-from .runner import BatchRunner, BatchStats
+from .runner import BatchRunner, BatchStats, _cache_delta
 from .spec import (
     RunRecord,
     RunSpec,
@@ -549,19 +549,14 @@ class CampaignRunner:
                 runs.append(run)
                 if self.progress is not None:
                     self.progress(len(runs), len(specs), run.record)
-            cache_after = topology_cache_stats()
+            stats = BatchStats(
+                total=len(specs), executed=len(specs), reused=0, **_cache_delta(cache_before)
+            )
             records = [run.record for run in runs]
             if runs_path:
                 with open(runs_path, "w", encoding="utf-8") as handle:
                     for record in records:
                         handle.write(record.to_json() + "\n")
-            stats = BatchStats(
-                total=len(specs),
-                executed=len(specs),
-                reused=0,
-                cache_hits=cache_after.hits - cache_before.hits,
-                cache_misses=cache_after.misses - cache_before.misses,
-            )
             rows = aggregate(runs, **experiment.aggregator_params)
         else:
             runner = BatchRunner(
@@ -629,6 +624,44 @@ class CampaignRunner:
             rows_path=rows_path,
             applied_engine=None,
         )
+
+
+def campaign_summary(
+    runner: CampaignRunner, results: Sequence[CampaignResult], elapsed: float
+) -> Dict[str, Any]:
+    """The ``EXPERIMENT_SUMMARY`` payload of ``results`` run by ``runner``.
+
+    One vocabulary for the CLI line and the service's job summaries: the
+    runner's settings, the merged :meth:`BatchStats.counters` (``total``
+    reported as ``total_specs``) and the row counts.
+    """
+    counters = BatchStats.merge(result.stats for result in results).counters()
+    counters["total_specs"] = counters.pop("total")
+    store = runner.store
+    return {
+        "experiments": [result.experiment.name for result in results],
+        "scale": runner.scale,
+        # "engine" is the requested override; "engines_applied" is what each
+        # campaign actually ran under (None = campaign ignored the override:
+        # engine-locked grids and driver experiments).
+        "engine": runner.engine,
+        "engines_applied": {
+            result.experiment.name: result.applied_engine for result in results
+        },
+        "trace": runner.trace,
+        **counters,
+        "store": store.root if store is not None else None,
+        "store_hit_rate": (
+            round(counters["store_hits"] / counters["total_specs"], 4)
+            if store is not None and counters["total_specs"]
+            else None
+        ),
+        # Experiments answered from the store's row cache (nothing ran).
+        "rows_cached": sum(result.rows_cached for result in results),
+        "rows": sum(len(result.rows) for result in results),
+        "elapsed_seconds": round(elapsed, 3),
+        "output": runner.out_dir,
+    }
 
 
 # ----------------------------------------------------------------------

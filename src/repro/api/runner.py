@@ -8,6 +8,11 @@ IPC), returns :class:`~repro.api.spec.RunRecord` objects **in input
 order** regardless of completion order, and — when given an output path —
 persists one deterministic JSON line per record.
 
+Serial and pooled runs share one execution path: the pending specs are
+split into units (a seed-group for an engine's ``run_many``, or a single
+spec), and one module-level worker runs a unit either in-process or in a
+pool process.  Specs and records cross the pool as pickled objects.
+
 Resume semantics: records are keyed by :attr:`RunSpec.spec_id` (a content
 hash).  When the output file already holds a record for a spec, that spec
 is not re-executed; freshly computed records are appended as they finish
@@ -31,12 +36,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..store.store import ResultStore, StoreError
 from .engines import ENGINES
-from .spec import RunRecord, RunSpec, execute_spec, topology_cache_stats
+from .spec import RunRecord, RunSpec, TopologyCacheStats, execute_spec, topology_cache_stats
 
 __all__ = [
     "BatchRunner",
@@ -60,44 +65,55 @@ DEFAULT_MIN_GROUP_SIZE = 8
 PUBLISH_CHUNK = 256
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: dicts in, dicts out (cheap, version-tolerant IPC).
+class _UnitResult(NamedTuple):
+    """What :func:`_run_unit` hands back for one unit of work."""
 
-    Alongside the record, each result carries the run's topology-cache
-    hit/miss *delta* — caches are process-local, so per-run deltas are the
-    only aggregation that composes across a worker pool.
+    records: List[RunRecord]
+    cache_hits: int
+    cache_misses: int
+    batch_fallbacks: Dict[str, int]
+    #: Whether at least one seed of a group ran on a batch kernel.
+    batched: bool
+
+
+def _cache_delta(before: TopologyCacheStats) -> Dict[str, int]:
+    """Topology-cache events since ``before``, as ``BatchStats`` counters.
+
+    Caches are process-local, so per-unit deltas are the only aggregation
+    that composes across a worker pool.
     """
-    before = topology_cache_stats()
-    record = execute_spec(RunSpec.from_dict(payload)).to_dict()
     after = topology_cache_stats()
     return {
-        "record": record,
         "cache_hits": after.hits - before.hits,
         "cache_misses": after.misses - before.misses,
     }
 
 
-def _execute_group_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point for one seed-group: ``{"specs": [...]}`` in,
-    ``{"records": [...], "cache_hits", "cache_misses"}`` out.
+def _run_unit(specs: Sequence[RunSpec]) -> _UnitResult:
+    """Execute one unit of work: a single spec, or a whole seed-group.
 
-    The whole group runs through the engine's ``run_many`` capability in
-    this one worker — that is the point: the vectorized engines only pay
-    off when the seed-group reaches them intact.
+    The one worker both execution modes share: :class:`BatchRunner` maps
+    it in-process (builtin ``map``) or across its process pool (specs and
+    records cross as pickled objects).  A seed-group goes whole through
+    its engine's ``run_many`` capability in this one process — the
+    vectorized engines only pay off when the group reaches them intact.
+    ``run_many`` tallies each seed it runs per-spec instead, so the group
+    ran on a kernel exactly when it tallied fewer seeds than it was given.
     """
-    specs = [RunSpec.from_dict(d) for d in payload["specs"]]
     before = topology_cache_stats()
     fallbacks: Dict[str, int] = {}
-    records = ENGINES.get(specs[0].engine).run_many(
-        specs[0], [spec.seed for spec in specs], fallbacks
+    if len(specs) == 1:
+        records = [execute_spec(specs[0])]
+    else:
+        records = ENGINES.get(specs[0].engine).run_many(
+            specs[0], [spec.seed for spec in specs], fallbacks
+        )
+    return _UnitResult(
+        records,
+        batch_fallbacks=fallbacks,
+        batched=len(specs) > 1 and sum(fallbacks.values()) < len(specs),
+        **_cache_delta(before),
     )
-    after = topology_cache_stats()
-    return {
-        "records": [record.to_dict() for record in records],
-        "cache_hits": after.hits - before.hits,
-        "cache_misses": after.misses - before.misses,
-        "batch_fallbacks": fallbacks,
-    }
 
 
 def load_records(path: str) -> List[RunRecord]:
@@ -142,8 +158,10 @@ class BatchStats:
 
     ``batched_groups`` counts the seed-groups dispatched whole through an
     engine's ``run_many`` capability (see
-    :class:`~repro.api.engines.EngineInfo`); the specs they contain are
-    still counted individually in ``executed``.
+    :class:`~repro.api.engines.EngineInfo`) in which at least one seed ran
+    on a batch kernel; a group whose every seed fell back is tallied in
+    ``batch_fallbacks`` only.  The specs a group contains are still
+    counted individually in ``executed``.
 
     ``batch_fallbacks`` tallies, by reason, every executed spec that was
     *eligible* for batching but ran per-seed anyway: ``small_group``
@@ -165,6 +183,28 @@ class BatchStats:
     store_write_errors: int = 0
     batched_groups: int = 0
     batch_fallbacks: Dict[str, int] = field(default_factory=dict)
+
+    def counters(self) -> Dict[str, Any]:
+        """Every field by name, as a fresh dict.
+
+        The one counter vocabulary that ``BATCH_SUMMARY``,
+        ``EXPERIMENT_SUMMARY`` and the service's job summaries share.
+        """
+        return asdict(self)
+
+    @classmethod
+    def merge(cls, many: Iterable["BatchStats"]) -> "BatchStats":
+        """The field-wise sum of ``many`` (fallbacks summed per reason)."""
+        totals = cls(total=0, executed=0, reused=0).counters()
+        fallbacks = totals["batch_fallbacks"]
+        for stats in many:
+            for name, value in stats.counters().items():
+                if name == "batch_fallbacks":
+                    for reason, count in value.items():
+                        fallbacks[reason] = fallbacks.get(reason, 0) + count
+                else:
+                    totals[name] += value
+        return cls(**totals)
 
 
 class BatchRunner:
@@ -414,54 +454,34 @@ class BatchRunner:
                 singles.extend(members)
         return singles, groups
 
-    def _execute(self, pending: Sequence[RunSpec]) -> Iterable[RunRecord]:
+    def _execute(self, pending: Sequence[RunSpec]) -> Iterator[RunRecord]:
+        """Run every pending spec as a unit (see :func:`_run_unit`).
+
+        Serial runs map the units in-process; pooled runs map the same
+        units across one process pool — groups one per task, singles at
+        :meth:`effective_chunksize` per task.
+        """
         if not pending:
             return
         singles, groups = self._plan(pending)
+        units = [[spec] for spec in singles]
         if not self.parallel or len(pending) == 1:
-            for members in groups:
-                before = topology_cache_stats()
-                records = ENGINES.get(members[0].engine).run_many(
-                    members[0],
-                    [spec.seed for spec in members],
-                    self._batch_fallbacks,
-                )
-                after = topology_cache_stats()
-                self._cache_hits += after.hits - before.hits
-                self._cache_misses += after.misses - before.misses
-                self._batched_groups += 1
-                yield from records
-            for spec in singles:
-                before = topology_cache_stats()
-                record = execute_spec(spec)
-                after = topology_cache_stats()
-                self._cache_hits += after.hits - before.hits
-                self._cache_misses += after.misses - before.misses
-                yield record
+            yield from self._absorb(map(_run_unit, groups + units))
             return
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            if groups:
-                group_payloads = [
-                    {"specs": [spec.to_dict() for spec in members]}
-                    for members in groups
-                ]
-                for result in pool.map(_execute_group_payload, group_payloads):
-                    self._cache_hits += result["cache_hits"]
-                    self._cache_misses += result["cache_misses"]
-                    self._batched_groups += 1
-                    for reason, count in result.get("batch_fallbacks", {}).items():
-                        self._batch_fallbacks[reason] = (
-                            self._batch_fallbacks.get(reason, 0) + count
-                        )
-                    for record in result["records"]:
-                        yield RunRecord.from_dict(record)
-            if singles:
-                payloads = [spec.to_dict() for spec in singles]
-                chunksize = self.effective_chunksize(len(payloads))
-                for result in pool.map(_execute_payload, payloads, chunksize=chunksize):
-                    self._cache_hits += result["cache_hits"]
-                    self._cache_misses += result["cache_misses"]
-                    yield RunRecord.from_dict(result["record"])
+            yield from self._absorb(pool.map(_run_unit, groups))
+            chunksize = self.effective_chunksize(len(units))
+            yield from self._absorb(pool.map(_run_unit, units, chunksize=chunksize))
+
+    def _absorb(self, results: Iterable[_UnitResult]) -> Iterator[RunRecord]:
+        """Fold each unit's counters into this run's stats; yield its records."""
+        for result in results:
+            self._cache_hits += result.cache_hits
+            self._cache_misses += result.cache_misses
+            self._batched_groups += result.batched
+            for reason, count in result.batch_fallbacks.items():
+                self._batch_fallbacks[reason] = self._batch_fallbacks.get(reason, 0) + count
+            yield from result.records
 
     def map_payloads(
         self,

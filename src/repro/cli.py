@@ -38,6 +38,7 @@ exposes campaign submission over HTTP (see :mod:`repro.service`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -58,10 +59,10 @@ from .api import (
     all_registries,
     check_registered_names,
     ensure_registered,
-    execute_spec,
     load_experiment,
     load_specs,
 )
+from .api.campaign import campaign_summary
 from .store import STORE_ENV_VAR, ResultStore, StoreError, resolve_store
 
 __all__ = ["main", "build_parser"]
@@ -589,18 +590,6 @@ def _apply_trace_policy(specs, trace: Optional[str]):
         raise SystemExit(f"cannot apply --trace {trace}: {exc}") from None
 
 
-def _publish(
-    store: Optional[ResultStore], record, stream: IO[str], extra: Optional[IO[str]]
-) -> None:
-    """Store a freshly executed record; a failed write is reported, not fatal."""
-    if store is None:
-        return
-    try:
-        store.put(record)
-    except StoreError as exc:
-        _emit(f"(record not stored: {exc})", stream, extra)
-
-
 def _cmd_run_spec(
     path: str,
     stream: IO[str],
@@ -618,19 +607,28 @@ def _cmd_run_spec(
         )
     specs = _apply_trace_policy(specs, trace)
     spec = specs[0]
-    if spec.trace is not None:
-        # Recording is the point of a traced run: never serve it from the
-        # store (a cache hit would produce no artifact).
+    traced = spec.trace is not None
+    recording = contextlib.nullcontext()
+    if traced:
         from .tracing import capture_traces
 
         destination = trace_out or os.path.splitext(path)[0] + ".rtrace"
-        try:
-            with capture_traces(file=destination):
-                record = execute_spec(spec)
-        except SpecError as exc:
-            raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
-        _publish(store, record, stream, extra)
-        _emit(_record_summary(record), stream, extra)
+        recording = capture_traces(file=destination)
+    runner = BatchRunner(parallel=False, store=store)
+    try:
+        with recording:
+            # Recording is the point of a traced run: never serve it from
+            # the store (a cache hit would produce no artifact).
+            (record,) = runner.run(specs, resume=not traced)
+    except SpecError as exc:
+        # defects only detectable at build time (fault vertex out of range,
+        # unregistered adversary) get the same one-line treatment
+        raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
+    if runner.stats.store_write_errors:
+        _emit("(record not stored: the result store refused the write)", stream, extra)
+    served = "(served from store) " if runner.stats.store_hits else ""
+    _emit(served + _record_summary(record), stream, extra)
+    if traced:
         metrics = record.metrics
         _emit(
             f"trace written to {destination} "
@@ -640,22 +638,21 @@ def _cmd_run_spec(
             stream,
             extra,
         )
-        _emit(json.dumps(record.to_dict(), sort_keys=True, indent=2), stream, extra)
-        return 0
-    record = store.get(spec) if store is not None else None
-    if record is not None:
-        _emit(f"(served from store) {_record_summary(record)}", stream, extra)
-    else:
-        try:
-            record = execute_spec(spec)
-        except SpecError as exc:
-            # defects only detectable at build time (fault vertex out of range,
-            # unregistered adversary) get the same one-line treatment
-            raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
-        _publish(store, record, stream, extra)
-        _emit(_record_summary(record), stream, extra)
     _emit(json.dumps(record.to_dict(), sort_keys=True, indent=2), stream, extra)
     return 0
+
+
+def _store_traces(store: Optional[ResultStore]):
+    """Route traced runs' ``.rtrace`` artifacts beside the result store.
+
+    Keyed (spec_id, seed, engine) under ``<store>/traces``; untraced runs
+    are unaffected, and without a store this is a no-op.
+    """
+    if store is None:
+        return contextlib.nullcontext()
+    from .tracing import capture_traces
+
+    return capture_traces(directory=os.path.join(store.root, "traces"))
 
 
 def _cmd_batch(args, stream: IO[str]) -> int:
@@ -676,20 +673,7 @@ def _cmd_batch(args, stream: IO[str]) -> int:
 
     start = time.time()
     try:
-        if store is not None:
-            # Traced specs in the batch drop their .rtrace artifacts beside
-            # the result store, keyed (spec_id, seed, engine); untraced
-            # specs are unaffected.
-            from .tracing import capture_traces
-
-            with capture_traces(directory=os.path.join(store.root, "traces")):
-                records = runner.run(
-                    specs,
-                    output_path=args.out,
-                    resume=not args.no_resume,
-                    progress=progress,
-                )
-        else:
+        with _store_traces(store):
             records = runner.run(
                 specs,
                 output_path=args.out,
@@ -711,23 +695,14 @@ def _cmd_batch(args, stream: IO[str]) -> int:
     # prefix, JSON payload with sorted keys.  The prose line above may be
     # reworded freely; this one is an interface.
     summary = {
-        "total": stats.total,
-        "executed": stats.executed,
-        "reused": stats.reused,
+        **stats.counters(),
         "terminated": terminated,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "batched_groups": stats.batched_groups,
-        "batch_fallbacks": stats.batch_fallbacks,
         "store": store.root if store is not None else None,
-        "store_hits": stats.store_hits,
-        "store_misses": stats.store_misses,
         "store_hit_rate": (
             round(stats.store_hits / stats.total, 4)
             if store is not None and stats.total
             else None
         ),
-        "store_write_errors": stats.store_write_errors,
         "elapsed_seconds": round(elapsed, 3),
         "output": args.out,
     }
@@ -871,89 +846,32 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
         store=store,
     )
 
-    def _run_experiment(experiment):
-        if store is None:
-            return runner.run(experiment)
-        # Same convention as `repro batch`: campaign runs that carry a
-        # trace policy write their .rtrace beside the result store.
-        from .tracing import capture_traces
-
-        with capture_traces(directory=os.path.join(store.root, "traces")):
-            return runner.run(experiment)
-
     start = time.time()
-    total_specs = executed = reused = total_rows = 0
-    cache_hits = cache_misses = store_hits = store_misses = batched_groups = 0
-    rows_cached = store_write_errors = 0
-    batch_fallbacks: Dict[str, int] = {}
-    engines_applied: Dict[str, Optional[str]] = {}
-    for experiment in experiments:
-        exp_start = time.time()
-        try:
-            result = _run_experiment(experiment)
-        except SpecError as exc:
-            # e.g. an engine override a campaign's fault model rejects:
-            # surface it as a one-line error, not a mid-campaign traceback.
-            raise SystemExit(f"experiment {experiment.name!r}: {exc}") from None
-        exp_elapsed = time.time() - exp_start
-        engines_applied[experiment.name] = result.applied_engine
-        title = (
-            f"== {experiment.name} — {experiment.title or 'experiment'} "
-            f"({exp_elapsed:.1f}s) =="
-        )
-        print(render_table(result.rows, title=title), file=stream)
-        print(file=stream)
-        total_specs += result.stats.total
-        executed += result.stats.executed
-        reused += result.stats.reused
-        cache_hits += result.stats.cache_hits
-        cache_misses += result.stats.cache_misses
-        store_hits += result.stats.store_hits
-        store_misses += result.stats.store_misses
-        rows_cached += result.rows_cached
-        store_write_errors += result.stats.store_write_errors
-        batched_groups += getattr(result.stats, "batched_groups", 0)
-        for reason, count in getattr(result.stats, "batch_fallbacks", {}).items():
-            batch_fallbacks[reason] = batch_fallbacks.get(reason, 0) + count
-        total_rows += len(result.rows)
-    elapsed = time.time() - start
+    results = []
+    # Same convention as `repro batch`: campaign runs that carry a trace
+    # policy write their .rtrace beside the result store.
+    with _store_traces(store):
+        for experiment in experiments:
+            exp_start = time.time()
+            try:
+                result = runner.run(experiment)
+            except SpecError as exc:
+                # e.g. an engine override a campaign's fault model rejects:
+                # surface it as a one-line error, not a mid-campaign traceback.
+                raise SystemExit(f"experiment {experiment.name!r}: {exc}") from None
+            results.append(result)
+            title = (
+                f"== {experiment.name} — {experiment.title or 'experiment'} "
+                f"({time.time() - exp_start:.1f}s) =="
+            )
+            print(render_table(result.rows, title=title), file=stream)
+            print(file=stream)
 
     # Stable machine-readable summary for CI and scripting: one line, fixed
     # prefix, JSON payload with sorted keys (the campaign twin of
     # BATCH_SUMMARY).  The tables above may be reworded freely; this line
     # is an interface.
-    summary = {
-        "experiments": [experiment.name for experiment in experiments],
-        "scale": scale,
-        # "engine" is the requested override; "engines_applied" is what each
-        # campaign actually ran under (None = campaign ignored the override:
-        # engine-locked grids and driver experiments).
-        "engine": args.engine,
-        "engines_applied": engines_applied,
-        "trace": args.trace,
-        "total_specs": total_specs,
-        "executed": executed,
-        "reused": reused,
-        "cache_hits": cache_hits,
-        "cache_misses": cache_misses,
-        "batched_groups": batched_groups,
-        "batch_fallbacks": batch_fallbacks,
-        "store": store.root if store is not None else None,
-        "store_hits": store_hits,
-        "store_misses": store_misses,
-        "store_hit_rate": (
-            round(store_hits / total_specs, 4)
-            if store is not None and total_specs
-            else None
-        ),
-        # Experiments answered from the store's row cache (nothing ran).
-        "rows_cached": rows_cached,
-        # Failed store writes; those results were returned uncached.
-        "store_write_errors": store_write_errors,
-        "rows": total_rows,
-        "elapsed_seconds": round(elapsed, 3),
-        "output": args.out,
-    }
+    summary = campaign_summary(runner, results, time.time() - start)
     print("EXPERIMENT_SUMMARY " + json.dumps(summary, sort_keys=True), file=stream)
     return 0
 

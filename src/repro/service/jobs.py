@@ -43,7 +43,7 @@ from ..api import (
     check_registered_names,
     ensure_registered,
 )
-from ..api.campaign import CampaignRunner, DriverExperiment, ExperimentSpec
+from ..api.campaign import CampaignRunner, DriverExperiment, ExperimentSpec, campaign_summary
 from ..api.spec import RunRecord, SpecError
 
 __all__ = ["JobError", "Job", "ExperimentService"]
@@ -418,57 +418,21 @@ class ExperimentService:
             )
 
             start = time.time()
-            total_specs = executed = reused = total_rows = 0
-            cache_hits = cache_misses = store_hits = store_misses = rows_cached = 0
-            store_write_errors = 0
-            engines_applied: Dict[str, Optional[str]] = {}
+            results = []
             for experiment in experiments:
                 result = runner.run(experiment)
+                results.append(result)
                 offset += result.stats.total
-                engines_applied[experiment.name] = result.applied_engine
                 with job._cond:
                     job.rows[experiment.name] = result.rows
                     job.titles[experiment.name] = getattr(experiment, "title", "") or ""
                     job.done = offset
                     job._bump()
-                total_specs += result.stats.total
-                executed += result.stats.executed
-                reused += result.stats.reused
-                cache_hits += result.stats.cache_hits
-                cache_misses += result.stats.cache_misses
-                store_hits += result.stats.store_hits
-                store_misses += result.stats.store_misses
-                rows_cached += result.rows_cached
-                store_write_errors += result.stats.store_write_errors
-                total_rows += len(result.rows)
-            elapsed = time.time() - start
 
-            # The EXPERIMENT_SUMMARY shape the CLI prints, as data — the
-            # service's status/result bodies and the CLI line stay one
-            # vocabulary (CI parses both the same way).
-            summary = {
-                "experiments": [experiment.name for experiment in experiments],
-                "scale": job.scale,
-                "engine": job.engine,
-                "engines_applied": engines_applied,
-                "total_specs": total_specs,
-                "executed": executed,
-                "reused": reused,
-                "cache_hits": cache_hits,
-                "cache_misses": cache_misses,
-                "store_hits": store_hits,
-                "store_misses": store_misses,
-                "store_hit_rate": (
-                    round(store_hits / total_specs, 4)
-                    if self.store is not None and total_specs
-                    else None
-                ),
-                "rows_cached": rows_cached,
-                "store_write_errors": store_write_errors,
-                "rows": total_rows,
-                "elapsed_seconds": round(elapsed, 3),
-                "output": out_dir,
-            }
+            # The EXPERIMENT_SUMMARY the CLI prints, as data — the service's
+            # status/result bodies and the CLI line stay one vocabulary (CI
+            # parses both the same way).
+            summary = campaign_summary(runner, results, time.time() - start)
             with job._cond:
                 job.summary = summary
                 job.total = max(job.total, job.done)

@@ -340,7 +340,7 @@ class TestBatchFallbackCounters:
         specs = batch_specs(8, protocol="general-broadcast")
         runner = BatchRunner(parallel=False)
         runner.run(specs)
-        assert runner.stats.batched_groups == 1  # dispatched, then fell back
+        assert runner.stats.batched_groups == 0  # every seed fell back
         assert runner.stats.batch_fallbacks == {"no_kernel": 8}
 
     def test_trace_shape_counted(self, tmp_path):
@@ -366,6 +366,66 @@ class TestBatchFallbackCounters:
         runner.run(batch_specs(8))
         assert runner.stats.batched_groups == 1
         assert runner.stats.batch_fallbacks == {}
+
+
+class TestSerialPooledEquivalence:
+    """Serial and pooled runs map the same units through the same worker,
+    so they agree on records and on every counter."""
+
+    def test_mixed_workload_records_and_stats_agree(self, tmp_path):
+        pytest.importorskip("numpy")
+        import dataclasses
+
+        from repro.store import ResultStore
+
+        hit = tree_specs(1, size=12)[0]
+        specs = (
+            batch_specs(8)  # vectorised group
+            + batch_specs(8, protocol="general-broadcast")  # no_kernel group
+            + batch_specs(3, graph_params={"length": 8})  # small_group
+            + [dataclasses.replace(s, engine="fastpath") for s in tree_specs(4)]
+            + [hit]  # served from the store
+        )
+
+        def run(name, **kwargs):
+            store = ResultStore(str(tmp_path / name))
+            BatchRunner(parallel=False, store=store).run([hit])
+            runner = BatchRunner(store=store, **kwargs)
+            return runner.run(specs), runner.stats
+
+        serial, serial_stats = run("serial", parallel=False)
+        pooled, pooled_stats = run("pooled", max_workers=2)
+        assert [r.comparable_dict() for r in serial] == [
+            r.comparable_dict() for r in pooled
+        ]
+        assert serial_stats.batched_groups == 1
+        assert serial_stats.batch_fallbacks == {"no_kernel": 8, "small_group": 3}
+        assert serial_stats.store_hits == 1
+        # Topology caches are per process (forked workers inherit the
+        # parent's), so only the number of cache events must agree.
+        counters = [serial_stats.counters(), pooled_stats.counters()]
+        lookups = [c.pop("cache_hits") + c.pop("cache_misses") for c in counters]
+        assert lookups[0] == lookups[1]
+        assert counters[0] == counters[1]
+
+
+def test_stats_merge_sums_every_counter():
+    from repro.api import BatchStats
+
+    a = BatchStats(
+        total=3, executed=2, reused=1, cache_hits=1, batched_groups=1,
+        batch_fallbacks={"no_kernel": 2},
+    )
+    b = BatchStats(
+        total=4, executed=4, reused=0, store_hits=2,
+        batch_fallbacks={"no_kernel": 1, "budget": 3},
+    )
+    assert BatchStats.merge([a, b]) == BatchStats(
+        total=7, executed=6, reused=1, cache_hits=1, store_hits=2, batched_groups=1,
+        batch_fallbacks={"no_kernel": 3, "budget": 3},
+    )
+    assert a.batch_fallbacks == {"no_kernel": 2}
+    assert BatchStats.merge([]) == BatchStats(total=0, executed=0, reused=0)
 
 
 def counting(fget):

@@ -189,6 +189,17 @@ PINNED_SPECS = [
         ),
         "2b98e1a549f6133b",
     ),
+    (
+        RunSpec(
+            graph="random-digraph",
+            graph_params={"num_internal": 8},
+            protocol="general-broadcast",
+            seed=5,
+            faults={"drop_probability": 0.2, "crashes": [{"vertex": 1, "step": 3}]},
+            trace="full",
+        ),
+        "e6a020385e856688",
+    ),
 ]
 PINNED_IDS = [f"spec{index}" for index in range(len(PINNED_SPECS))]
 

@@ -176,6 +176,25 @@ class TestJobLifecycle:
             job1.result_payload()["experiments"]
         )
 
+    def test_summary_has_the_cli_vocabulary(self, service, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        job, _ = service.submit({"experiment": "e01", "quick": True})
+        assert job.wait(timeout=120) and job.state == "completed"
+        summary = job.snapshot()["summary"]
+        stream = io.StringIO()
+        argv = ["experiment", "e01", "--quick", "--serial", "--store", str(tmp_path / "cli")]
+        assert main(argv, stream=stream) == 0
+        (line,) = [
+            l for l in stream.getvalue().splitlines() if l.startswith("EXPERIMENT_SUMMARY ")
+        ]
+        printed = json.loads(line[len("EXPERIMENT_SUMMARY ") :])
+        assert set(summary) == set(printed)
+        for key in ("total_specs", "executed", "batched_groups", "batch_fallbacks"):
+            assert summary[key] == printed[key], key
+
     def test_inline_spec_payload(self, service):
         job, _ = service.submit(
             {
