@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..store.store import ResultStore, StoreError
@@ -438,7 +438,8 @@ class BatchRunner:
         for spec in pending:
             info = ENGINES.get(spec.engine)
             if getattr(info, "supports_batching", False):
-                by_shape.setdefault(spec.with_seed(None).spec_id, []).append(spec)
+                shape = RunSpec._unchecked({**vars(spec), "seed": None})
+                by_shape.setdefault(shape.spec_id, []).append(spec)
             else:
                 singles.append(spec)
         threshold = max(2, self.min_group_size)
@@ -466,22 +467,31 @@ class BatchRunner:
         singles, groups = self._plan(pending)
         units = [[spec] for spec in singles]
         if not self.parallel or len(pending) == 1:
-            yield from self._absorb(map(_run_unit, groups + units))
+            units = groups + units
+            yield from self._absorb(units, map(_run_unit, units))
             return
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            yield from self._absorb(pool.map(_run_unit, groups))
+            yield from self._absorb(groups, pool.map(_run_unit, groups))
             chunksize = self.effective_chunksize(len(units))
-            yield from self._absorb(pool.map(_run_unit, units, chunksize=chunksize))
+            yield from self._absorb(units, pool.map(_run_unit, units, chunksize=chunksize))
 
-    def _absorb(self, results: Iterable[_UnitResult]) -> Iterator[RunRecord]:
-        """Fold each unit's counters into this run's stats; yield its records."""
-        for result in results:
+    def _absorb(
+        self, units: Sequence[Sequence[RunSpec]], results: Iterable[_UnitResult]
+    ) -> Iterator[RunRecord]:
+        """Fold each unit's counters into this run's stats; yield its records.
+
+        Each record is yielded with its unit's own spec, whose ``spec_id``
+        is already memoised — an unpickled or ``run_many``-cloned spec
+        would be hashed afresh by every caller that keys the record.
+        """
+        for specs, result in zip(units, results):
             self._cache_hits += result.cache_hits
             self._cache_misses += result.cache_misses
             self._batched_groups += result.batched
             for reason, count in result.batch_fallbacks.items():
                 self._batch_fallbacks[reason] = self._batch_fallbacks.get(reason, 0) + count
-            yield from result.records
+            for spec, record in zip(specs, result.records):
+                yield record if record.spec is spec else replace(record, spec=spec)
 
     def map_payloads(
         self,

@@ -95,6 +95,11 @@ def _check_fields(cls: Any, payload: Any, what: str) -> None:
         raise SpecError(f"missing required {what} field(s): {', '.join(missing)}")
 
 
+def _is_name(value: Any) -> bool:
+    """Whether ``value`` can be a registry name (a non-empty string)."""
+    return isinstance(value, str) and value != ""
+
+
 #: Set once :func:`ensure_registered` has imported every registering module.
 _REGISTERED = False
 
@@ -125,8 +130,8 @@ def check_registered_names(specs: Iterable["RunSpec"]) -> None:
     Checks each distinct graph, graph-transform, protocol and scheduler
     name once; the error lists the registered names.  Front ends (spec
     files, service submissions) call this before anything runs.  It is
-    deliberately not part of :meth:`RunSpec.__post_init__`, which runs on
-    every store read.
+    deliberately not part of :meth:`RunSpec.__post_init__`, which also
+    runs when records are parsed back and specs are copied.
     """
     ensure_registered()
     seen: Set[Tuple[Any, str]] = set()
@@ -261,8 +266,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         for key in ("graph", "protocol", "scheduler"):
-            value = getattr(self, key)
-            if not isinstance(value, str) or not value:
+            if not _is_name(getattr(self, key)):
                 raise SpecError(f"{key} must be a non-empty registry name")
         if self.engine not in ENGINES:
             raise SpecError(
@@ -409,6 +413,21 @@ class RunSpec:
         """A copy differing only in :attr:`seed` (sweep convenience)."""
         return replace(self, seed=seed)
 
+    @classmethod
+    def _unchecked(cls, fields: Dict[str, Any]) -> "RunSpec":
+        """A spec holding ``fields`` as given, without :meth:`__post_init__`.
+
+        Only for values validation would leave unchanged: a checked spec's
+        own fields under another seed (``seed`` takes part in no check),
+        or a store payload :meth:`RunRecord.from_stored` admits.
+        ``fields`` must name every field; a memoised ``_spec_id`` among
+        them is dropped, so the identity is hashed from the fields.
+        """
+        spec = object.__new__(cls)
+        spec.__dict__.update(fields)
+        spec.__dict__.pop("_spec_id", None)
+        return spec
+
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
@@ -509,12 +528,50 @@ class RunRecord:
         """Parse one :meth:`to_json` line back into a record."""
         return cls.from_dict(json.loads(text))
 
+    @classmethod
+    def from_stored(cls, text: str) -> "RunRecord":
+        """:meth:`from_json` for a payload the result store has hash-checked.
+
+        Same result, and the same refusals, as :meth:`from_json`.  A
+        payload of the shape :meth:`to_json` writes for a fault-free,
+        untraced spec skips :meth:`RunSpec.__post_init__`: its checks hold
+        by that shape, and its ``_json_safe`` round trips cannot change a
+        value ``json.loads`` just returned.  Any other payload goes
+        through :meth:`from_dict`.
+        """
+        payload = json.loads(text)
+        spec = payload.get("spec") if type(payload) is dict else None
+        if (
+            type(spec) is dict
+            and payload.keys() == _RECORD_KEYS
+            and spec.keys() == _SPEC_KEYS
+            and spec["faults"] is None
+            and spec["trace"] is None
+            and spec["engine"] in ENGINES
+            and type(spec["graph_transforms"]) is list
+            and _is_name(spec["graph"])
+            and _is_name(spec["protocol"])
+            and _is_name(spec["scheduler"])
+            and type(spec["graph_params"]) is dict
+            and type(spec["protocol_params"]) is dict
+            and type(spec["scheduler_params"]) is dict
+        ):
+            spec["graph_transforms"] = tuple(spec["graph_transforms"])
+            payload["spec"] = RunSpec._unchecked(spec)
+            return cls(**payload)
+        return cls.from_dict(payload)
+
     def comparable_dict(self) -> Dict[str, Any]:
         """:meth:`to_dict` minus :data:`TIMING_FIELDS` (determinism checks)."""
         payload = self.to_dict()
         for key in TIMING_FIELDS:
             payload.pop(key, None)
         return payload
+
+
+#: The exact key sets :meth:`RunRecord.from_stored` admits unchecked.
+_RECORD_KEYS = frozenset(f.name for f in fields(RunRecord))
+_SPEC_KEYS = frozenset(f.name for f in fields(RunSpec))
 
 
 # ----------------------------------------------------------------------

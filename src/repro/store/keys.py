@@ -161,4 +161,9 @@ class StoreKey(NamedTuple):
         records; storing the JSON text keeps the uniqueness constraint
         honest for every seed value.
         """
-        return json.dumps(self.seed)
+        seed = self.seed
+        if seed is None:
+            return "null"
+        if type(seed) is int:  # not bool: json.dumps(True) is "true"
+            return str(seed)
+        return json.dumps(seed)

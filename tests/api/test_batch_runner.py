@@ -503,3 +503,58 @@ class TestStorePublishing:
         runner.run(specs)
         assert runner.stats.store_hits == k
         assert runner.stats.executed == len(specs) - k
+
+
+def counting_fresh_hashes(fget):
+    """``fget`` wrapped to record each id it computes afresh (no memo yet)."""
+
+    def wrapped(spec):
+        if "_spec_id" not in vars(spec):
+            wrapped.fresh.append(fget(spec))
+        return fget(spec)
+
+    wrapped.fresh = []
+    return wrapped
+
+
+class TestReturnedRecordsAreNotRehashed:
+    """Records come back carrying the caller's own, already hashed, specs."""
+
+    def run_counted(self, monkeypatch, runner, specs):
+        for spec in specs:
+            spec.spec_id  # prehash, as a caller keying its specs would
+        fget = counting_fresh_hashes(RunSpec.spec_id.fget)
+        monkeypatch.setattr(RunSpec, "spec_id", property(fget))
+        records = runner.run(specs)
+        monkeypatch.undo()
+        ids = {spec.spec_id for spec in specs}
+        assert [spec_id for spec_id in fget.fresh if spec_id in ids] == []
+        assert all(record.spec is spec for record, spec in zip(records, specs))
+        return records
+
+    def test_pooled_run(self, monkeypatch, tmp_path):
+        from repro.store import ResultStore
+
+        specs = tree_specs(6)
+        store = ResultStore(str(tmp_path / "store"))
+        runner = BatchRunner(max_workers=2, chunksize=2, store=store)
+        records = self.run_counted(monkeypatch, runner, specs)
+        expected = BatchRunner(parallel=False).run(tree_specs(6))
+        assert [r.comparable_dict() for r in records] == [
+            r.comparable_dict() for r in expected
+        ]
+        assert runner.stats.executed == 6 and runner.stats.store_misses == 6
+        assert store.contains_many(specs) == {spec.spec_id for spec in specs}
+
+    def test_serial_batched_seed_group(self, monkeypatch):
+        pytest.importorskip("numpy")
+        specs = [
+            RunSpec.from_dict({**spec.to_dict(), "label": f"member-{spec.seed}"})
+            for spec in batch_specs(8)
+        ]
+        runner = BatchRunner(parallel=False)
+        records = self.run_counted(monkeypatch, runner, specs)
+        assert runner.stats.batched_groups == 1
+        assert runner.stats.batch_fallbacks == {}
+        # each member's record carries its own label, not the group's first
+        assert [r.spec.label for r in records] == [s.label for s in specs]

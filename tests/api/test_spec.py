@@ -391,3 +391,125 @@ class TestExecution:
         record = digraph_spec().run()
         assert isinstance(record, RunRecord)
         assert record.terminated
+
+
+def executed_record_texts():
+    """``to_json`` lines of executed records: every registered engine, plus
+    transforms, a trace policy, a fault model, no seed, a label and nested
+    params."""
+    from repro.api.engines import ENGINES
+
+    specs = [
+        RunSpec(
+            graph="path-network",
+            graph_params={"length": 5},
+            protocol="flooding",
+            scheduler="random",
+            engine=engine,
+            seed=4,
+        )
+        for engine in ENGINES.names()
+    ] + [
+        digraph_spec(graph_transforms=("with-dead-end-vertex",), label="dead end"),
+        digraph_spec(engine="fastpath", trace="sample:3"),
+        digraph_spec(engine="fastpath", faults={"drop_probability": 0.2, "seed": 1}),
+        digraph_spec(seed=None, protocol_params={"broadcast_payload": {"a": [1, {"b": 2.5}]}}),
+    ]
+    return [execute_spec(spec).to_json() for spec in specs]
+
+
+def stored_texts():
+    return executed_record_texts() + [pinned_record(spec).to_json() for spec, _ in PINNED_SPECS]
+
+
+class TestStoredRecordLoader:
+    """``RunRecord.from_stored`` is ``RunRecord.from_json``, only cheaper."""
+
+    def test_equals_from_json(self):
+        for text in stored_texts():
+            stored, parsed = RunRecord.from_stored(text), RunRecord.from_json(text)
+            assert stored == parsed
+            assert type(stored.spec.graph_transforms) is tuple
+            assert stored.spec.spec_id == parsed.spec.spec_id
+            assert stored.to_json() == text
+
+    def test_plain_payloads_skip_revalidation(self, monkeypatch):
+        checked = []
+        post_init = RunSpec.__post_init__
+        monkeypatch.setattr(
+            RunSpec, "__post_init__", lambda spec: checked.append(spec) or post_init(spec)
+        )
+        for text in stored_texts():
+            checked.clear()
+            spec = json.loads(text)["spec"]
+            plain = spec["faults"] is None and spec["trace"] is None
+            RunRecord.from_stored(text)
+            assert len(checked) == (0 if plain else 1), spec
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p["spec"].update(graph_params=[["num_internal", 12]]),
+            lambda p: p["spec"].update(graph_transforms=None),
+            lambda p: p["spec"].update(trace="off"),
+            lambda p: p["spec"].pop("label"),
+        ],
+        ids=["params-as-pairs", "transforms-null", "trace-off", "no-label"],
+    )
+    def test_odd_but_accepted_payloads_agree(self, mutate):
+        payload = execute_spec(digraph_spec()).to_dict()
+        mutate(payload)
+        text = json.dumps(payload)
+        assert RunRecord.from_stored(text) == RunRecord.from_json(text)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p["spec"].update(colour="red"),
+            lambda p: p["spec"].pop("protocol"),
+            lambda p: p["spec"].update(graph=5),
+            lambda p: p["spec"].update(scheduler=""),
+            lambda p: p["spec"].update(engine="nope"),
+            lambda p: p["spec"].update(graph_transforms="abc"),
+            lambda p: p["spec"].update(protocol_params="abc"),
+            lambda p: p["spec"].update(faults={"drop_probability": 2}),
+            lambda p: p["spec"].update(trace="sample:0"),
+            lambda p: p.update(colour="red"),
+            lambda p: p.pop("metrics"),
+            lambda p: p.update(spec=[1]),
+        ],
+        ids=[
+            "unknown-spec-key",
+            "missing-spec-key",
+            "graph-not-a-string",
+            "empty-scheduler",
+            "unknown-engine",
+            "transforms-a-string",
+            "params-a-string",
+            "bad-faults",
+            "bad-trace",
+            "unknown-record-key",
+            "missing-record-key",
+            "spec-not-a-dict",
+        ],
+    )
+    def test_refuses_what_from_json_refuses(self, mutate):
+        payload = execute_spec(digraph_spec()).to_dict()
+        mutate(payload)
+        text = json.dumps(payload)
+        with pytest.raises((ValueError, KeyError, TypeError)) as expected:
+            RunRecord.from_json(text)
+        with pytest.raises(expected.type):
+            RunRecord.from_stored(text)
+
+    @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
+    def test_seed_variants_equal_with_seed(self, spec, spec_id):
+        from repro.network.batchpath import _seed_variants
+
+        assert spec.spec_id == spec_id  # memoised: clones must not inherit it
+        seeds = [0, 7, None, 2**70]
+        clones = _seed_variants(spec, seeds)
+        expected = [spec.with_seed(seed) for seed in seeds]
+        assert clones == expected
+        assert [c.spec_id for c in clones] == [e.spec_id for e in expected]
+        assert [c.to_json() for c in clones] == [e.to_json() for e in expected]

@@ -61,6 +61,17 @@ class TestKeys:
         assert store.put_many([record, record]) == 1
         assert store.put(record) and store.stats().records == 1
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**70, None, True, 1.5, "7"])
+    def test_seed_text_is_the_seed_as_json(self, seed, tmp_path):
+        import json
+
+        key = StoreKey.for_spec(make_spec(seed=seed))
+        assert key.seed_text == json.dumps(seed)
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(execute_spec(make_spec(seed=seed)))
+        assert store.contains_many_keys([key]) == {key: store.ls()[0]["sha256"]}
+        assert store.get(make_spec(seed=seed)).spec.seed == seed
+
 
 class TestRoundTrip:
     def test_put_get_exact_json(self, tmp_path):

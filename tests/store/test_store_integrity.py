@@ -1,5 +1,7 @@
 """Store integrity: verify, gc, corruption recompute and failing writes."""
 
+import hashlib
+import json
 import os
 import sqlite3
 
@@ -37,6 +39,27 @@ def flip_payload_byte(store, spec):
     )
 
 
+def set_payload(store, spec, payload):
+    """Store ``payload`` as ``spec``'s record text, with a matching sha256."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    sql = "UPDATE records SET payload = ?, sha256 = ? WHERE spec_id = ?"
+    return tamper(store, sql, text, sha, spec.spec_id)
+
+
+#: In-place edits that turn a valid record payload into one
+#: ``RunRecord.from_json`` refuses.
+MALFORMED = {
+    "not-a-record": lambda p: p.clear() or p.update({"not": "a record"}),
+    "unknown-spec-key": lambda p: p["spec"].update(colour="red"),
+    "missing-spec-key": lambda p: p["spec"].pop("protocol"),
+    "graph-not-a-string": lambda p: p["spec"].update(graph=5),
+    "unknown-engine": lambda p: p["spec"].update(engine="nope"),
+    "transforms-a-string": lambda p: p["spec"].update(graph_transforms="abc"),
+    "unknown-record-key": lambda p: p.update(colour="red"),
+}
+
+
 class TestVerify:
     def test_clean_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -55,22 +78,28 @@ class TestVerify:
         assert report.corrupt_records == [store.key_for(records[1].spec)]
         assert report.to_dict()["corrupt_records"] == [list(store.key_for(records[1].spec))]
 
-    def test_unparseable_payload_is_reported(self, tmp_path):
-        import hashlib
+    @pytest.mark.parametrize("malform", MALFORMED.values(), ids=list(MALFORMED))
+    def test_unparseable_payload_is_reported(self, tmp_path, malform):
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        records = populate(store, seeds=(0, 1))
+        for record in records:
+            # hash-consistent but not a record: still refused
+            payload = record.to_dict()
+            malform(payload)
+            set_payload(store, record.spec, payload)
+        keys = sorted(store.key_for(record.spec) for record in records)
+        assert sorted(store.verify().corrupt_records) == keys
+        assert store.get(records[0].spec) is None
+        assert store.verify().corrupt_records == [store.key_for(records[1].spec)]
 
-        store = ResultStore(str(tmp_path / "store"))
-        [record] = populate(store, seeds=(0,))
-        # hash-consistent but not a record: still refused
-        text = '{"not": "a record"}'
-        tamper(
-            store,
-            "UPDATE records SET payload = ?, sha256 = ?",
-            text,
-            hashlib.sha256(text.encode()).hexdigest(),
-        )
-        assert store.verify().corrupt_records == [store.key_for(record.spec)]
-        assert store.get(record.spec) is None
+        runner = BatchRunner(parallel=False, store=ResultStore(root))
+        resumed = runner.run([record.spec for record in records])
+        assert runner.stats.executed == 2 and runner.stats.store_hits == 0
+        for fresh, original in zip(resumed, records):
+            assert fresh.comparable_dict() == original.comparable_dict()
         assert store.verify().clean
+        assert store.get(records[1].spec).to_json() == resumed[1].to_json()
 
 
 class TestGc:
