@@ -95,11 +95,6 @@ def _check_fields(cls: Any, payload: Any, what: str) -> None:
         raise SpecError(f"missing required {what} field(s): {', '.join(missing)}")
 
 
-def _is_name(value: Any) -> bool:
-    """Whether ``value`` can be a registry name (a non-empty string)."""
-    return isinstance(value, str) and value != ""
-
-
 #: Set once :func:`ensure_registered` has imported every registering module.
 _REGISTERED = False
 
@@ -130,8 +125,8 @@ def check_registered_names(specs: Iterable["RunSpec"]) -> None:
     Checks each distinct graph, graph-transform, protocol and scheduler
     name once; the error lists the registered names.  Front ends (spec
     files, service submissions) call this before anything runs.  It is
-    deliberately not part of :meth:`RunSpec.__post_init__`, which also
-    runs when records are parsed back and specs are copied.
+    deliberately not part of :meth:`RunSpec._validate`, which runs on
+    every spec built and every record read back.
     """
     ensure_registered()
     seen: Set[Tuple[Any, str]] = set()
@@ -184,6 +179,10 @@ def _json_safe(value: Any, where: str) -> Any:
         return json.loads(json.dumps(value))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where} is not JSON-serializable: {exc}") from None
+
+
+#: The spec fields :func:`_json_safe` normalises.
+_PARAM_FIELDS = ("graph_params", "protocol_params", "scheduler_params")
 
 
 @dataclass(frozen=True)
@@ -265,15 +264,23 @@ class RunSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        self._validate()
+        for key in _PARAM_FIELDS:
+            object.__setattr__(self, key, dict(_json_safe(getattr(self, key), key)))
+
+    def _validate(self) -> None:
+        """Every check :meth:`__post_init__` makes but the ``_json_safe``
+        round trips of the params; normalises ``graph_transforms`` to a
+        tuple, ``faults`` to a ``FaultSpec`` and ``trace`` to its canonical
+        policy in place."""
         for key in ("graph", "protocol", "scheduler"):
-            if not _is_name(getattr(self, key)):
+            value = getattr(self, key)
+            if not isinstance(value, str) or not value:
                 raise SpecError(f"{key} must be a non-empty registry name")
         if self.engine not in ENGINES:
             raise SpecError(
                 f"engine must be one of {ENGINES.names()}, got {self.engine!r}"
             )
-        for key in ("graph_params", "protocol_params", "scheduler_params"):
-            object.__setattr__(self, key, dict(_json_safe(getattr(self, key), key)))
         transforms = getattr(self, "graph_transforms") or ()
         if isinstance(transforms, str):
             raise SpecError("graph_transforms must be a sequence of names, not a string")
@@ -417,11 +424,11 @@ class RunSpec:
     def _unchecked(cls, fields: Dict[str, Any]) -> "RunSpec":
         """A spec holding ``fields`` as given, without :meth:`__post_init__`.
 
-        Only for values validation would leave unchanged: a checked spec's
-        own fields under another seed (``seed`` takes part in no check),
-        or a store payload :meth:`RunRecord.from_stored` admits.
-        ``fields`` must name every field; a memoised ``_spec_id`` among
-        them is dropped, so the identity is hashed from the fields.
+        Only for a checked spec's own fields under another seed (``seed``
+        takes part in no check), or for fields that :meth:`_validate` is
+        run on next (:meth:`RunRecord.from_json`).  ``fields`` must name
+        every field; a memoised ``_spec_id`` among them is dropped, so the
+        identity is hashed from the fields.
         """
         spec = object.__new__(cls)
         spec.__dict__.update(fields)
@@ -525,39 +532,23 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        """Parse one :meth:`to_json` line back into a record."""
-        return cls.from_dict(json.loads(text))
+        """Parse one :meth:`to_json` line back into a record.
 
-    @classmethod
-    def from_stored(cls, text: str) -> "RunRecord":
-        """:meth:`from_json` for a payload the result store has hash-checked.
-
-        Same result, and the same refusals, as :meth:`from_json`.  A
-        payload of the shape :meth:`to_json` writes for a fault-free,
-        untraced spec skips :meth:`RunSpec.__post_init__`: its checks hold
-        by that shape, and its ``_json_safe`` round trips cannot change a
-        value ``json.loads`` just returned.  Any other payload goes
-        through :meth:`from_dict`.
+        A spec object with exactly :class:`RunSpec`'s keys and dict params
+        is checked by :meth:`RunSpec._validate` alone: the ``_json_safe``
+        round trips :meth:`RunSpec.__post_init__` adds cannot change a
+        value ``json.loads`` has just returned.  Any other payload goes
+        through :meth:`from_dict`, so the same payloads are refused.
         """
         payload = json.loads(text)
         spec = payload.get("spec") if type(payload) is dict else None
         if (
             type(spec) is dict
-            and payload.keys() == _RECORD_KEYS
             and spec.keys() == _SPEC_KEYS
-            and spec["faults"] is None
-            and spec["trace"] is None
-            and spec["engine"] in ENGINES
-            and type(spec["graph_transforms"]) is list
-            and _is_name(spec["graph"])
-            and _is_name(spec["protocol"])
-            and _is_name(spec["scheduler"])
-            and type(spec["graph_params"]) is dict
-            and type(spec["protocol_params"]) is dict
-            and type(spec["scheduler_params"]) is dict
+            and all(type(spec[key]) is dict for key in _PARAM_FIELDS)
         ):
-            spec["graph_transforms"] = tuple(spec["graph_transforms"])
             payload["spec"] = RunSpec._unchecked(spec)
+            payload["spec"]._validate()
             return cls(**payload)
         return cls.from_dict(payload)
 
@@ -569,8 +560,7 @@ class RunRecord:
         return payload
 
 
-#: The exact key sets :meth:`RunRecord.from_stored` admits unchecked.
-_RECORD_KEYS = frozenset(f.name for f in fields(RunRecord))
+#: The spec keys :meth:`RunRecord.from_json` checks with ``_validate`` alone.
 _SPEC_KEYS = frozenset(f.name for f in fields(RunSpec))
 
 

@@ -397,7 +397,7 @@ class ResultStore:
         for rowid, spec_id, sha, payload in self._select_keys(
             "rowid, spec_id, sha256, payload", list(unique.values())
         ):
-            record = _load_checked(payload, sha, RunRecord.from_stored)
+            record = _load_checked(payload, sha, RunRecord.from_json)
             if record is None:
                 damaged.append((rowid,))
             else:
@@ -522,7 +522,7 @@ class ResultStore:
             "FROM records ORDER BY spec_id, seed, engine, code_version"
         ):
             checked += 1
-            if _load_checked(payload, sha, RunRecord.from_stored) is None:
+            if _load_checked(payload, sha, RunRecord.from_json) is None:
                 key = StoreKey(spec_id, json.loads(seed_text), engine, code_version)
                 records.append((rowid, key))
         rows = [

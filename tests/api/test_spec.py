@@ -422,29 +422,40 @@ def stored_texts():
     return executed_record_texts() + [pinned_record(spec).to_json() for spec, _ in PINNED_SPECS]
 
 
-class TestStoredRecordLoader:
-    """``RunRecord.from_stored`` is ``RunRecord.from_json``, only cheaper."""
+def parse_in_full(text):
+    """The parse every record had before ``from_json`` skipped re-rounding
+    params through JSON: ``from_dict`` runs the whole ``__post_init__``."""
+    return RunRecord.from_dict(json.loads(text))
 
-    def test_equals_from_json(self):
+
+class TestRecordLoader:
+    """``RunRecord.from_json`` equals a fully validating parse, only cheaper."""
+
+    def test_equals_full_parse(self):
         for text in stored_texts():
-            stored, parsed = RunRecord.from_stored(text), RunRecord.from_json(text)
-            assert stored == parsed
-            assert type(stored.spec.graph_transforms) is tuple
-            assert stored.spec.spec_id == parsed.spec.spec_id
-            assert stored.to_json() == text
+            parsed, full = RunRecord.from_json(text), parse_in_full(text)
+            assert parsed == full
+            assert type(parsed.spec.graph_transforms) is tuple
+            assert parsed.spec.faults == full.spec.faults
+            assert parsed.spec.spec_id == full.spec.spec_id
+            assert parsed.to_json() == text
 
-    def test_plain_payloads_skip_revalidation(self, monkeypatch):
-        checked = []
-        post_init = RunSpec.__post_init__
+    def test_validates_without_rerounding_params(self, monkeypatch):
+        import repro.api.spec as spec_module
+
+        texts = stored_texts()
+        rounded, validated = [], []
+        json_safe, validate = spec_module._json_safe, RunSpec._validate
         monkeypatch.setattr(
-            RunSpec, "__post_init__", lambda spec: checked.append(spec) or post_init(spec)
+            spec_module, "_json_safe", lambda *a: rounded.append(a) or json_safe(*a)
         )
-        for text in stored_texts():
-            checked.clear()
-            spec = json.loads(text)["spec"]
-            plain = spec["faults"] is None and spec["trace"] is None
-            RunRecord.from_stored(text)
-            assert len(checked) == (0 if plain else 1), spec
+        monkeypatch.setattr(
+            RunSpec, "_validate", lambda spec: validated.append(spec) or validate(spec)
+        )
+        for text in texts:
+            RunRecord.from_json(text)
+        assert rounded == []
+        assert len(validated) == len(texts)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -460,7 +471,7 @@ class TestStoredRecordLoader:
         payload = execute_spec(digraph_spec()).to_dict()
         mutate(payload)
         text = json.dumps(payload)
-        assert RunRecord.from_stored(text) == RunRecord.from_json(text)
+        assert RunRecord.from_json(text) == parse_in_full(text)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -493,14 +504,14 @@ class TestStoredRecordLoader:
             "spec-not-a-dict",
         ],
     )
-    def test_refuses_what_from_json_refuses(self, mutate):
+    def test_refuses_what_a_full_parse_refuses(self, mutate):
         payload = execute_spec(digraph_spec()).to_dict()
         mutate(payload)
         text = json.dumps(payload)
         with pytest.raises((ValueError, KeyError, TypeError)) as expected:
-            RunRecord.from_json(text)
+            parse_in_full(text)
         with pytest.raises(expected.type):
-            RunRecord.from_stored(text)
+            RunRecord.from_json(text)
 
     @pytest.mark.parametrize("spec, spec_id", PINNED_SPECS, ids=PINNED_IDS)
     def test_seed_variants_equal_with_seed(self, spec, spec_id):
