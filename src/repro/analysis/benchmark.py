@@ -534,7 +534,7 @@ def run_trace_benchmarks(
     template = bench_spec(n, "fastpath")
     network = template.build_graph()
     protocol = template.build_protocol()
-    compiled = compiled_topology(template, network)
+    compiled = compiled_topology(network)
     full_spec = replace(template, trace="full")
     sample_spec = replace(template, trace=f"sample:{sample_k}")
     sample_arm = f"traced-sample:{sample_k}"

@@ -219,7 +219,7 @@ def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str
         spec,
         network,
         protocol,
-        compiled=compiled_topology(spec, network),
+        compiled=compiled_topology(network),
     )
 
 

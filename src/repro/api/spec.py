@@ -606,6 +606,10 @@ class _TopologyCache:
     on first use, and the per-run hit/miss deltas are shipped back with
     each record so :class:`~repro.api.runner.BatchStats` can aggregate
     them across the pool.
+
+    A run is keyed once, when :meth:`entry` serves its network; the
+    fastpath adapter then finds the compilation by the network object
+    itself (:meth:`compiled`), so the params are serialised once per run.
     """
 
     __slots__ = ("maxsize", "_entries", "hits", "misses")
@@ -643,18 +647,20 @@ class _TopologyCache:
     def network(self, spec: "RunSpec") -> Any:
         return self.entry(spec).network
 
-    def compiled(self, spec: "RunSpec", network: Any) -> Any:
+    def compiled(self, network: Any) -> Any:
         """The :class:`CompiledNetwork` for ``network``, cached per topology.
 
         Only the entry whose network *is* the given object may serve (or
         store) a compilation — a caller-built network bypassing the cache
         gets a fresh, uncached compilation instead of poisoning an entry.
+        The search starts at the entry :meth:`entry` served last, which is
+        the run's own.
         """
         from ..network.fastpath import CompiledNetwork
 
-        key = self._key(spec)
-        entry = self._entries.get(key)
-        if entry is not None and entry.network is network:
+        entries = reversed(self._entries.values())
+        entry = next((e for e in entries if e.network is network), None)
+        if entry is not None:
             if entry.compiled is None:
                 entry.compiled = CompiledNetwork(network)
             return entry.compiled
@@ -682,13 +688,13 @@ def clear_topology_cache() -> None:
     _TOPOLOGY_CACHE.clear()
 
 
-def compiled_topology(spec: RunSpec, network: Any) -> Any:
+def compiled_topology(network: Any) -> Any:
     """The cached :class:`~repro.network.fastpath.CompiledNetwork` for a run.
 
     Used by the fastpath engine adapter; see :meth:`_TopologyCache.compiled`
     for the safety rule.
     """
-    return _TOPOLOGY_CACHE.compiled(spec, network)
+    return _TOPOLOGY_CACHE.compiled(network)
 
 
 def topology_key(spec: RunSpec) -> Any:

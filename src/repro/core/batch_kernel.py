@@ -145,10 +145,7 @@ class BatchFlatKernel:
         self.terminal = compiled.terminal
         self.edge_head = np.asarray(compiled.edge_head, dtype=np.int64)
         self.edge_tail = np.asarray(compiled.edge_tail, dtype=np.int64)
-        out_degree = np.asarray(
-            [len(eids) for eids in compiled.out_edge_ids], dtype=np.int64
-        )
-        self.out_degree = out_degree
+        self.out_degree = out_degree = np.asarray(compiled.out_degree, dtype=np.int64)
         self.max_degree = int(out_degree.max()) if self.num_vertices else 0
         self.arange_pad = np.arange(self.max_degree, dtype=np.int64)
 
@@ -682,15 +679,13 @@ class BatchDagKernel(BatchFlatKernel):
                     work.append((oeid, out_payload))
         can_terminate = bool(machine.check_terminal(compiled.terminal))
         init_edges = [root_ports[out_port] for out_port, _, _ in initial]
-        in_degree = [view.in_degree for view in compiled.views]
-        return cls(compiled, edge_bits, fired, in_degree, init_edges, can_terminate)
+        return cls(compiled, edge_bits, fired, init_edges, can_terminate)
 
     def __init__(
         self,
         compiled: Any,
         edge_bits: Dict[int, int],
         fired: List[bool],
-        in_degree: List[int],
         init_edges: List[int],
         can_terminate: bool,
     ) -> None:
@@ -709,7 +704,7 @@ class BatchDagKernel(BatchFlatKernel):
         # -1 (unreachable by a counter) everywhere else.  A firing
         # vertex's in-edges all carry exactly one message, so its counter
         # hits the target exactly once per run.
-        need = np.asarray(in_degree, dtype=np.int64)
+        need = np.asarray(compiled.in_degree, dtype=np.int64)
         self.fire_need = np.where(
             np.asarray(fired, dtype=bool), need, np.int64(-1)
         )

@@ -129,9 +129,7 @@ class FlatKernel:
     def __init__(self, protocol: Any, compiled: Any) -> None:
         self.protocol = protocol
         self.terminal = compiled.terminal
-        self.out_degree: List[int] = [
-            len(ports) for ports in compiled.out_edge_ids
-        ]
+        self.out_degree: List[int] = compiled.out_degree
         self.payload_bits: int = int(getattr(protocol, "payload_bits", 0))
 
     def output(self, terminal: int) -> Any:
@@ -245,7 +243,7 @@ class DagBroadcastKernel(FlatKernel):
         self.acc: List[Tuple[int, int]] = [(0, 0)] * n
         self.fired: List[bool] = [False] * n
         self.got: List[bool] = [False] * n
-        self.in_degree: List[int] = [view.in_degree for view in compiled.views]
+        self.in_degree: List[int] = compiled.in_degree
         self.port_exponents = _split_exponent_table(self.out_degree)
 
     def initial_emissions(self, root: int) -> List[Tuple[int, Any, int]]:

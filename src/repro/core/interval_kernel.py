@@ -321,7 +321,7 @@ class IntervalKernel:
         self.root_plain = root_plain
         self.d0_plain = d0_plain
         n = compiled.num_vertices
-        self.out_degree = [len(ports) for ports in compiled.out_edge_ids]
+        self.out_degree: List[int] = compiled.out_degree
         self.virgin = [True] * n
         self.received = [False] * n
         self.alphas: List[List[_FlatUnion]] = [[_EMPTY] * d for d in self.out_degree]

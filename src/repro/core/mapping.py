@@ -86,9 +86,13 @@ class VertexFact:
     label: Identity
     out_degree: int
 
+    def __post_init__(self) -> None:
+        cost = _identity_cost(self.label) + unsigned_cost(self.out_degree)
+        object.__setattr__(self, "_bits", cost)
+
     def bits(self) -> int:
-        """Encoded size used in message accounting."""
-        return _identity_cost(self.label) + unsigned_cost(self.out_degree)
+        """Encoded size used in message accounting (computed once)."""
+        return self._bits
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,18 @@ class EdgeFact:
     head: Identity
     head_port: int
 
-    def bits(self) -> int:
-        """Encoded size used in message accounting."""
-        return (
+    def __post_init__(self) -> None:
+        cost = (
             _identity_cost(self.tail)
             + _identity_cost(self.head)
             + unsigned_cost(self.tail_port)
             + unsigned_cost(self.head_port)
         )
+        object.__setattr__(self, "_bits", cost)
+
+    def bits(self) -> int:
+        """Encoded size used in message accounting (computed once)."""
+        return self._bits
 
 
 #: Memo of :func:`_identity_cost`, keyed by the identity object's ``id``.

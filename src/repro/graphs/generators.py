@@ -43,21 +43,8 @@ __all__ = [
 Edge = Tuple[int, int]
 
 
-@GRAPHS.register()
-def random_grounded_tree(
-    num_internal: int, seed: int = 0, *, max_children: int = 4
-) -> DirectedNetwork:
-    """A random grounded tree with ``num_internal`` internal vertices.
-
-    Construction: vertex 0 is the root ``s``, vertex 1 the terminal ``t``.
-    Internal vertices ``2 .. num_internal+1`` attach by uniform choice of an
-    existing internal parent with remaining child capacity (capacity drawn in
-    ``[1, max_children]``); after attachment, every internal vertex with no
-    children yet is wired to ``t``, and every internal vertex additionally
-    gets a ``t`` edge with probability ½ — matching the paper's picture where
-    the terminal may have many in-edges.  Every internal vertex has in-degree
-    exactly 1 and is connected to ``t``.
-    """
+def _grounded_tree_edges(num_internal: int, seed: int) -> List[Edge]:
+    """The edge list of :func:`random_grounded_tree` (its own seeded stream)."""
     if num_internal < 1:
         raise ValueError("need at least one internal vertex")
     rng = random.Random(seed)
@@ -76,8 +63,44 @@ def random_grounded_tree(
     for v in range(first_internal, n):
         if not children_of[v] or rng.random() < 0.5:
             edges.append((v, terminal))
+    return edges
 
-    return DirectedNetwork(n, edges, root=root, terminal=terminal, strict_root=True)
+
+def _dag_edges(num_internal: int, seed: int, extra_edge_factor: float) -> List[Edge]:
+    """The edge list of :func:`random_dag`: the tree's edges plus forward edges."""
+    rng = random.Random(seed)
+    edges = _grounded_tree_edges(num_internal, seed)
+    n = num_internal + 2
+    first_internal = 2
+    if num_internal >= 2:
+        for _ in range(int(extra_edge_factor * num_internal)):
+            a = rng.randrange(first_internal, n - 1)
+            b = rng.randrange(a + 1, n)
+            edges.append((a, b))
+    return edges
+
+
+def _grounded(num_vertices: int, edges: List[Edge]) -> DirectedNetwork:
+    """The one network a family builds: root 0, terminal 1, strict root."""
+    return DirectedNetwork(num_vertices, edges, root=0, terminal=1, strict_root=True)
+
+
+@GRAPHS.register()
+def random_grounded_tree(
+    num_internal: int, seed: int = 0, *, max_children: int = 4
+) -> DirectedNetwork:
+    """A random grounded tree with ``num_internal`` internal vertices.
+
+    Construction: vertex 0 is the root ``s``, vertex 1 the terminal ``t``.
+    Internal vertices ``2 .. num_internal+1`` attach by uniform choice of an
+    existing internal parent with remaining child capacity (capacity drawn in
+    ``[1, max_children]``); after attachment, every internal vertex with no
+    children yet is wired to ``t``, and every internal vertex additionally
+    gets a ``t`` edge with probability ½ — matching the paper's picture where
+    the terminal may have many in-edges.  Every internal vertex has in-degree
+    exactly 1 and is connected to ``t``.
+    """
+    return _grounded(num_internal + 2, _grounded_tree_edges(num_internal, seed))
 
 
 @GRAPHS.register()
@@ -95,19 +118,7 @@ def random_dag(
     in-degree-greater-than-one structure that distinguishes DAGs from
     grounded trees.
     """
-    rng = random.Random(seed)
-    base = random_grounded_tree(num_internal, seed=seed)
-    edges = list(base.edges)
-    n = base.num_vertices
-    first_internal = 2
-    extra = int(extra_edge_factor * num_internal)
-    for _ in range(extra):
-        if num_internal < 2:
-            break
-        a = rng.randrange(first_internal, n - 1)
-        b = rng.randrange(a + 1, n)
-        edges.append((a, b))
-    return DirectedNetwork(n, edges, root=base.root, terminal=base.terminal, strict_root=True)
+    return _grounded(num_internal + 2, _dag_edges(num_internal, seed, extra_edge_factor))
 
 
 @GRAPHS.register()
@@ -126,18 +137,15 @@ def random_digraph(
     Connectivity to ``t`` is preserved (back edges only add paths).
     """
     rng = random.Random(seed + 7919)
-    base = random_dag(num_internal, seed=seed, extra_edge_factor=extra_edge_factor)
-    edges = list(base.edges)
-    n = base.num_vertices
+    edges = _dag_edges(num_internal, seed, extra_edge_factor)
+    n = num_internal + 2
     first_internal = 2
-    back = int(back_edge_factor * num_internal)
-    for _ in range(back):
-        if num_internal < 2:
-            break
-        a = rng.randrange(first_internal + 1, n)
-        b = rng.randrange(first_internal, a)
-        edges.append((a, b))
-    return DirectedNetwork(n, edges, root=base.root, terminal=base.terminal, strict_root=True)
+    if num_internal >= 2:
+        for _ in range(int(back_edge_factor * num_internal)):
+            a = rng.randrange(first_internal + 1, n)
+            b = rng.randrange(first_internal, a)
+            edges.append((a, b))
+    return _grounded(n, edges)
 
 
 @GRAPHS.register()
@@ -168,7 +176,7 @@ def layered_diamond_dag(depth: int) -> DirectedNetwork:
         prev_layer = [a, b]
     for u in prev_layer:
         edges.append((u, terminal))
-    return DirectedNetwork(next_id, edges, root=root, terminal=terminal, strict_root=True)
+    return _grounded(next_id, edges)
 
 
 @GRAPHS.register()
@@ -181,7 +189,7 @@ def path_network(length: int) -> DirectedNetwork:
     for i in range(length - 1):
         edges.append((2 + i, 3 + i))
     edges.append((1 + length, terminal))
-    return DirectedNetwork(length + 2, edges, root=root, terminal=terminal, strict_root=True)
+    return _grounded(length + 2, edges)
 
 
 @GRAPHS.register()
@@ -237,12 +245,9 @@ def geometric_sensor_field(
         if (1 - x) ** 2 + (1 - y) ** 2 <= ranges[v] ** 2:
             edges.append((v, terminal))
 
-    def build() -> DirectedNetwork:
-        return DirectedNetwork(n, edges, root=root, terminal=terminal, strict_root=True)
-
     # Patch reachability from s: attach stragglers to an already-reachable
     # sensor (deterministic order).
-    net = build()
+    net = _grounded(n, edges)
     while True:
         reachable = net.reachable_from(root)
         missing = [v for v in range(first, n) if v not in reachable]
@@ -250,7 +255,7 @@ def geometric_sensor_field(
             break
         anchor = sorted(r for r in reachable if r not in (root, terminal))[0]
         edges.append((anchor, missing[0]))
-        net = build()
+        net = _grounded(n, edges)
     # Patch connectivity to t: give stranded sensors a long-range uplink.
     while True:
         coreach = net.coreachable_to(terminal)
@@ -258,7 +263,7 @@ def geometric_sensor_field(
         if not missing:
             break
         edges.append((missing[0], terminal))
-        net = build()
+        net = _grounded(n, edges)
     return net
 
 

@@ -469,7 +469,7 @@ def run_many_batched(
             fell_back("scheduler", len(group))
             continue
         network = cached_network(rep)
-        compiled = compiled_topology(rep, network)
+        compiled = compiled_topology(network)
         kernel = _group_kernel(rep, compiled)
         if kernel is None:
             # No batch kernel for this protocol (or a topology the

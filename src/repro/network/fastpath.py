@@ -10,8 +10,7 @@ on flat, preprocessed data instead of per-event objects:
   flattens the :class:`~repro.network.graph.DirectedNetwork` into plain
   lists: ``edge_head[eid]``, ``in_port[eid]`` (the reference simulator
   recomputes the in-port with an ``O(degree)`` ``.index`` call per
-  delivery), CSR-style per-vertex out-edge-id lists and prebuilt
-  :class:`~repro.core.model.VertexView` rows.
+  delivery), CSR-style per-vertex out-edge-id lists and the in-degrees.
 * **Two delivery loops** — under the stock FIFO (default) and LIFO
   schedulers the scheduler object is bypassed entirely: in-flight
   ``(edge_id, payload, bits)`` tuples live in one
@@ -22,7 +21,8 @@ on flat, preprocessed data instead of per-event objects:
 * **Inlined metrics** — per-delivery accounting updates local integers and
   two flat per-edge arrays; the immutable
   :class:`~repro.network.metrics.RunMetrics` is materialised once at the
-  end, as is the :class:`~repro.network.simulator.RunResult`.
+  end, as is the :class:`~repro.network.simulator.RunResult`, whose
+  per-vertex states the kernel builds only when they are first read.
 * **Termination-check elision** — the reference engine evaluates the
   stopping predicate ``S`` on every delivery to the terminal even after
   termination was already recorded; the result of those calls is
@@ -55,7 +55,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
-from ..core.model import VertexView
 from .graph import DirectedNetwork
 from .metrics import RunMetrics
 from .scheduler import FifoScheduler, LifoScheduler, Scheduler
@@ -77,9 +76,12 @@ __all__ = [
 class CompiledNetwork:
     """Flat-array view of a :class:`DirectedNetwork` for the inner loop.
 
-    Construction is ``O(|V| + |E|)`` and done once per run; afterwards every
-    per-delivery topology query is a list index instead of a method call
-    (and for :attr:`in_port`, instead of an ``O(degree)`` search).
+    Construction is one ``O(|V| + |E|)`` pass and done once per topology;
+    afterwards every per-delivery topology query is a list index instead of
+    a method call (and for :attr:`in_port`, instead of an ``O(degree)``
+    search).  The model grants a vertex only its degrees and its port
+    numbering, so that is all there is: per vertex its degrees and
+    out-edge ids in port order, per edge its endpoints and in-port.
     """
 
     __slots__ = (
@@ -91,8 +93,9 @@ class CompiledNetwork:
         "edge_head",
         "edge_tail",
         "in_port",
+        "in_degree",
+        "out_degree",
         "out_edge_ids",
-        "views",
     )
 
     def __init__(self, network: DirectedNetwork) -> None:
@@ -105,20 +108,18 @@ class CompiledNetwork:
         edges = network.edges
         self.edge_tail: List[int] = [tail for tail, _ in edges]
         self.edge_head: List[int] = [head for _, head in edges]
-        in_port = [0] * len(edges)
-        for v in range(n):
-            for idx, eid in enumerate(network.in_edge_ids(v)):
-                in_port[eid] = idx
-        self.in_port: List[int] = in_port
-        self.out_edge_ids: List[Tuple[int, ...]] = [
-            network.out_edge_ids(v) for v in range(n)
-        ]
-        self.views: List[VertexView] = [
-            VertexView(
-                in_degree=network.in_degree(v), out_degree=network.out_degree(v)
-            )
-            for v in range(n)
-        ]
+        # Port order is edge order, so an edge's in-port is the number of
+        # earlier edges into its head, and the final counts are in-degrees.
+        in_degree = [0] * n
+        in_port: List[int] = []
+        for head in self.edge_head:
+            in_port.append(in_degree[head])
+            in_degree[head] += 1
+        self.in_port = in_port
+        self.in_degree: List[int] = in_degree
+        out_edge_ids = network.out_edge_ids
+        self.out_edge_ids: List[Tuple[int, ...]] = [out_edge_ids(v) for v in range(n)]
+        self.out_degree: List[int] = [len(ports) for ports in self.out_edge_ids]
 
 
 class FastEvent:
@@ -237,8 +238,8 @@ def _materialise_result(
     messages_at_termination: int,
     bits_at_termination: int,
 ) -> RunResult:
-    """Materialise the immutable result objects (the only allocation-heavy
-    part of the engine, deferred to run end)."""
+    """Materialise the immutable result objects at run end; the states,
+    the allocation-heavy part, wait for their first reader."""
     terminated = termination_step is not None
     metrics = RunMetrics(
         total_messages=total_messages,
@@ -260,7 +261,7 @@ def _materialise_result(
     return RunResult(
         outcome=outcome,
         metrics=metrics,
-        states=kernel.finalize_states(),
+        states=kernel.finalize_states,
         output=output,
         trace=None,
     )

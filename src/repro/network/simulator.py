@@ -82,6 +82,25 @@ class Outcome(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
+class _ResolvedOnRead:
+    """The :attr:`RunResult.states` field (a descriptor-typed dataclass field).
+
+    It may be set to a zero-argument function instead of the dict; the
+    function is called on the first read and its result kept.
+    """
+
+    def __get__(self, result: Any, owner: Any = None) -> Dict[int, Any]:
+        if result is None:
+            raise AttributeError("states")  # no default: the field is required
+        states = result.__dict__["states"]
+        if callable(states):
+            states = result.__dict__["states"] = states()
+        return states
+
+    def __set__(self, result: Any, states: Any) -> None:
+        result.__dict__["states"] = states
+
+
 @dataclass
 class RunResult:
     """Everything observable from one execution."""
@@ -89,8 +108,11 @@ class RunResult:
     outcome: Outcome
     metrics: RunMetrics
     #: Final state of every vertex, by vertex id (for white-box assertions in
-    #: tests and experiments; protocols themselves never see this).
-    states: Dict[int, Any]
+    #: tests and experiments; protocols themselves never see this).  The
+    #: compiled engine passes its kernel's ``finalize_states`` here, so the
+    #: state objects are built on the first read, never for callers that
+    #: only want the counters; equality and ``repr`` read it like any field.
+    states: Dict[int, Any] = _ResolvedOnRead()  # type: ignore[assignment]
     #: The protocol's output — the terminal's state passed through
     #: :meth:`~repro.core.model.AnonymousProtocol.output` — when terminated.
     output: Optional[Any]

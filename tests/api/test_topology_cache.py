@@ -102,8 +102,8 @@ class TestCompiledCache:
     def test_fastpath_reuses_one_compiled_network(self):
         spec = spec_with(engine="fastpath")
         _, _, network = execute_spec_full(spec)
-        compiled_a = compiled_topology(spec, network)
-        compiled_b = compiled_topology(spec, network)
+        compiled_a = compiled_topology(network)
+        compiled_b = compiled_topology(network)
         assert compiled_a is compiled_b
         assert compiled_a.network is network
 
@@ -111,11 +111,34 @@ class TestCompiledCache:
         spec = spec_with(engine="fastpath")
         execute_spec_full(spec)
         foreign = spec.build_graph()  # bypasses the cache: distinct object
-        compiled = compiled_topology(spec, foreign)
+        compiled = compiled_topology(foreign)
         assert compiled.network is foreign
         # The cached entry was not poisoned.
         cached_net = _TOPOLOGY_CACHE.network(spec)
-        assert compiled_topology(spec, cached_net).network is cached_net
+        assert compiled_topology(cached_net).network is cached_net
+
+    def test_never_serves_another_networks_compilation(self):
+        def check(network):
+            compiled = compiled_topology(network)
+            assert compiled.network is network
+            assert list(zip(compiled.edge_tail, compiled.edge_head)) == list(network.edges)
+
+        kept = []
+        for seed in range(_TOPOLOGY_CACHE.maxsize + 8):
+            _, _, network = execute_spec_full(spec_with(engine="fastpath", seed=seed))
+            check(network)
+            kept.append(network)
+        # Evicted entries' networks (still alive here) compile afresh.
+        for network in kept:
+            check(network)
+        clear_topology_cache()
+        for network in kept[:3]:
+            check(network)
+        _, _, rebuilt = execute_spec_full(spec_with(engine="fastpath", seed=0))
+        assert rebuilt is not kept[0]
+        check(rebuilt)
+        assert compiled_topology(rebuilt) is compiled_topology(rebuilt)
+        assert compiled_topology(kept[0]) is not compiled_topology(kept[0])
 
     def test_fastpath_and_async_records_agree_through_the_cache(self):
         async_rec = spec_with(engine="async").run()

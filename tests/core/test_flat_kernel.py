@@ -31,6 +31,7 @@ from repro.core.flat_kernel import (
     _sub,
     _ucost,
 )
+from repro.core.model import VertexView
 from repro.core.tree_broadcast import TreeBroadcastProtocol, pow2_split_exponents
 from repro.network.fastpath import CompiledNetwork
 from repro.network.graph import DirectedNetwork
@@ -83,8 +84,9 @@ class TestTreeKernel:
         protocol = TreeBroadcastProtocol(broadcast_payload="hi")
         kernel = TreeBroadcastKernel(protocol, CompiledNetwork(diamond()))
         emissions = kernel.initial_emissions(0)
+        net = diamond()
         reference = protocol.initial_emissions(
-            CompiledNetwork(diamond()).views[0]
+            VertexView(in_degree=net.in_degree(0), out_degree=net.out_degree(0))
         )
         assert [(p, e) for p, e, _ in emissions] == [
             (p, tok.exponent) for p, tok in reference

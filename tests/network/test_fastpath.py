@@ -9,8 +9,11 @@ routing of every non-kernel run to the reference loop.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.api import GRAPH_TRANSFORMS, GRAPHS, ensure_registered
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.core.interval_kernel import (
     IntervalKernel,
@@ -30,7 +33,7 @@ from repro.core.intervals import (
     union_cost,
 )
 from repro.core.dyadic import Dyadic
-from repro.core.model import AnonymousProtocol, VertexView
+from repro.core.model import AnonymousProtocol
 from repro.network import fastpath
 from repro.network.fastpath import (
     CompiledNetwork,
@@ -41,6 +44,23 @@ from repro.network.faults import FaultSpec
 from repro.network.graph import DirectedNetwork
 from repro.network.scheduler import FifoScheduler, LifoScheduler, RandomScheduler
 from repro.network.simulator import Outcome, SimulationError, run_protocol
+
+ensure_registered()
+
+
+#: Small params for every registered graph family (seeded ones get seeds 0-2).
+FAMILY_PARAMS = {
+    "random-grounded-tree": {"num_internal": 9},
+    "random-dag": {"num_internal": 9},
+    "random-digraph": {"num_internal": 9},
+    "geometric-sensor-field": {"num_sensors": 9},
+    "layered-diamond-dag": {"depth": 3},
+    "path-network": {"length": 4},
+    "caterpillar-gn": {"n": 4},
+    "skeleton-tree": {"n": 3, "subset": [0, 2]},
+    "full-tree-with-terminal": {"degree": 3, "height": 2},
+    "pruned-tree": {"degree": 3, "height": 3},
+}
 
 
 def diamond():
@@ -64,9 +84,33 @@ class TestCompiledNetwork:
             assert compiled.in_port[eid] == net.in_port_of_edge(eid)
         for v in range(net.num_vertices):
             assert compiled.out_edge_ids[v] == net.out_edge_ids(v)
-            assert compiled.views[v] == VertexView(
-                in_degree=net.in_degree(v), out_degree=net.out_degree(v)
-            )
+            assert compiled.in_degree[v] == net.in_degree(v)
+            assert len(compiled.out_edge_ids[v]) == net.out_degree(v)
+        assert len(compiled.in_degree) == net.num_vertices
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_every_registered_family_compiles_to_its_queries(self, family):
+        assert set(FAMILY_PARAMS) == set(GRAPHS.names())
+        factory = GRAPHS.get(family)
+        seeds = [{"seed": s} for s in range(3)]
+        for seed in seeds if "seed" in inspect.signature(factory).parameters else [{}]:
+            base = factory(**FAMILY_PARAMS[family], **seed)
+            nets = [base] + [
+                GRAPH_TRANSFORMS.create(name, base) for name in GRAPH_TRANSFORMS.names()
+            ]
+            for net in nets:
+                compiled = CompiledNetwork(net)
+                assert compiled.edge_tail == [net.edge_tail(e) for e in range(net.num_edges)]
+                assert compiled.edge_head == [net.edge_head(e) for e in range(net.num_edges)]
+                assert compiled.in_port == [
+                    net.in_port_of_edge(e) for e in range(net.num_edges)
+                ]
+                assert compiled.in_degree == [
+                    net.in_degree(v) for v in range(net.num_vertices)
+                ]
+                assert compiled.out_edge_ids == [
+                    net.out_edge_ids(v) for v in range(net.num_vertices)
+                ]
 
     def test_multi_edges_get_distinct_in_ports(self):
         net = DirectedNetwork(3, [(0, 1), (1, 2), (1, 2)], root=0, terminal=2)

@@ -73,6 +73,42 @@ class TestKeys:
         assert store.get(make_spec(seed=seed)).spec.seed == seed
 
 
+    def test_keys_sharing_a_spec_id_match_only_exactly(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"), code_version="1.0")
+        key = store.put(execute_spec(make_spec(seed=3)))
+        variants = {
+            "seed": key._replace(seed=4),
+            "engine": key._replace(engine="fastpath"),
+            "code_version": key._replace(code_version="2.0"),
+        }
+        # Rows a spec-derived key never produces: the same spec_id filed
+        # under another seed, engine or code version, each with its own sha.
+        conn = sqlite3.connect(os.path.join(store.root, "index.sqlite"))
+        with conn:
+            sha, payload, created_at, nbytes = conn.execute(
+                "SELECT sha256, payload, created_at, nbytes FROM records"
+            ).fetchone()
+            conn.executemany(
+                "INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                [
+                    (other.spec_id, other.seed_text, other.engine, other.code_version,
+                     name, payload, created_at, nbytes)
+                    for name, other in variants.items()
+                ],
+            )
+        conn.close()
+        everything = [key, *variants.values()]
+        assert store.contains_many_keys(everything) == {
+            key: sha, **{other: name for name, other in variants.items()}
+        }
+        for name, other in variants.items():
+            assert store.contains_many_keys([other]) == {other: name}
+            assert store.contains_many_keys([other._replace(seed=5)]) == {}
+        assert store.contains_many_keys([key]) == {key: sha}
+        assert store.get(make_spec(seed=3)).spec.seed == 3
+        assert store.contains_many([make_spec(seed=3)]) == {key.spec_id}
+
+
 class TestRoundTrip:
     def test_put_get_exact_json(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
