@@ -10,7 +10,7 @@ on flat, preprocessed data instead of per-event objects:
   flattens the :class:`~repro.network.graph.DirectedNetwork` into plain
   lists: ``edge_head[eid]``, ``in_port[eid]`` (the reference simulator
   recomputes the in-port with an ``O(degree)`` ``.index`` call per
-  delivery), CSR-style per-vertex out-edge-id lists and the in-degrees.
+  delivery), CSR-style per-vertex out-edge-id lists and the degree lists.
 * **Two delivery loops** — under the stock FIFO (default) and LIFO
   schedulers the scheduler object is bypassed entirely: in-flight
   ``(edge_id, payload, bits)`` tuples live in one
@@ -82,6 +82,8 @@ class CompiledNetwork:
     search).  The model grants a vertex only its degrees and its port
     numbering, so that is all there is: per vertex its degrees and
     out-edge ids in port order, per edge its endpoints and in-port.
+    Kernels share these lists across every run of the topology, so they
+    only read them.
     """
 
     __slots__ = (

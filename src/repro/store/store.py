@@ -78,12 +78,9 @@ CREATE TABLE IF NOT EXISTS rows (
 #: record payloads in files outside ``index.sqlite``.
 LAYOUT_VERSION = "2"
 
-#: Keys joined per query (four bound parameters each).
+#: Keys matched per query (four bound parameters each).
 _KEY_CHUNK = 200
-_KEY_JOIN = (
-    "CROSS JOIN records ON spec_id = column1 AND seed = column2 "
-    "AND engine = column3 AND code_version = column4"
-)
+_KEY_MATCH = "(spec_id = ? AND seed = ? AND engine = ? AND code_version = ?)"
 
 
 class StoreError(RuntimeError):
@@ -301,21 +298,19 @@ class ResultStore:
         return StoreKey.for_spec(spec, self.code_version)
 
     def _select_keys(self, columns: str, keys: Sequence[StoreKey]) -> List[Tuple[Any, ...]]:
-        """``columns`` of every stored record whose key is among ``keys``:
-        the keys, as an inline table, join the records on the primary key
-        (one query per :data:`_KEY_CHUNK` keys)."""
+        """``columns`` of every stored record whose key is among ``keys``
+        (one indexed query per :data:`_KEY_CHUNK` keys)."""
         conn = self._connection()
-        unique = list(dict.fromkeys(keys))
         found: List[Tuple[Any, ...]] = []
-        for start in range(0, len(unique), _KEY_CHUNK):
-            part = unique[start : start + _KEY_CHUNK]
+        for start in range(0, len(keys), _KEY_CHUNK):
+            part = keys[start : start + _KEY_CHUNK]
             params = [
                 value
                 for key in part
                 for value in (key.spec_id, key.seed_text, key.engine, key.code_version)
             ]
-            rows = ",".join(["(?, ?, ?, ?)"] * len(part))
-            found.extend(conn.execute(f"SELECT {columns} FROM (VALUES {rows}) {_KEY_JOIN}", params))
+            clause = " OR ".join([_KEY_MATCH] * len(part))
+            found.extend(conn.execute(f"SELECT {columns} FROM records WHERE {clause}", params))
         return found
 
     # ------------------------------------------------------------------
@@ -400,7 +395,7 @@ class ResultStore:
         found: Dict[str, RunRecord] = {}
         damaged: List[Tuple[int]] = []
         for rowid, spec_id, sha, payload in self._select_keys(
-            "records.rowid, spec_id, sha256, payload", list(unique.values())
+            "rowid, spec_id, sha256, payload", list(unique.values())
         ):
             record = _load_checked(payload, sha, RunRecord.from_json)
             if record is None:
