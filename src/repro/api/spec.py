@@ -606,10 +606,6 @@ class _TopologyCache:
     on first use, and the per-run hit/miss deltas are shipped back with
     each record so :class:`~repro.api.runner.BatchStats` can aggregate
     them across the pool.
-
-    A run is keyed once, when :meth:`entry` serves its network; the
-    fastpath adapter then finds the compilation by the network object
-    itself (:meth:`compiled`), so the params are serialised once per run.
     """
 
     __slots__ = ("maxsize", "_entries", "hits", "misses")
@@ -644,17 +640,14 @@ class _TopologyCache:
             self._entries.popitem(last=False)
         return entry
 
-    def network(self, spec: "RunSpec") -> Any:
-        return self.entry(spec).network
-
     def compiled(self, network: Any) -> Any:
         """The :class:`CompiledNetwork` for ``network``, cached per topology.
 
         Only the entry whose network *is* the given object may serve (or
         store) a compilation — a caller-built network bypassing the cache
         gets a fresh, uncached compilation instead of poisoning an entry.
-        The search starts at the entry :meth:`entry` served last, which is
-        the run's own.
+        The search starts at the entry :meth:`entry` served last, the run's
+        own, so a run's params are keyed once, not again here.
         """
         from ..network.fastpath import CompiledNetwork
 
@@ -710,7 +703,7 @@ def topology_key(spec: RunSpec) -> Any:
 
 def cached_network(spec: RunSpec) -> Any:
     """The spec's network, served from the process-local topology cache."""
-    return _TOPOLOGY_CACHE.network(spec)
+    return _TOPOLOGY_CACHE.entry(spec).network
 
 
 def execute_spec(spec: RunSpec) -> RunRecord:
@@ -738,7 +731,7 @@ def execute_spec_full(spec: RunSpec):
     immutable, so sharing one object across runs is sound); see
     :class:`_TopologyCache` and :func:`topology_cache_stats`.
     """
-    network = _TOPOLOGY_CACHE.network(spec)
+    network = cached_network(spec)
     protocol = spec.build_protocol()
     engine = ENGINES.get(spec.engine)
     start = time.perf_counter()

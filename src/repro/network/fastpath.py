@@ -218,18 +218,19 @@ def run_protocol_fastpath(
     return _materialise_result(compiled, kernel, *counters)
 
 
-#: What a delivery loop hands to :func:`_materialise_result`: outcome, steps,
-#: total messages / bits, max message bits, per-edge bits / messages,
-#: termination step, messages / bits at termination.
+#: What a delivery loop hands to :func:`_materialise_result`: outcome
+#: (``None`` when the messages drained), steps, total messages / bits, max
+#: message bits, per-edge bits / messages, termination step, messages /
+#: bits at termination.
 _Counters = Tuple[
-    Outcome, int, int, int, int, List[int], List[int], Optional[int], int, int
+    Optional[Outcome], int, int, int, int, List[int], List[int], Optional[int], int, int
 ]
 
 
 def _materialise_result(
     compiled: CompiledNetwork,
     kernel: Any,
-    outcome: Outcome,
+    outcome: Optional[Outcome],
     step: int,
     total_messages: int,
     total_bits: int,
@@ -243,6 +244,8 @@ def _materialise_result(
     """Materialise the immutable result objects at run end; the states,
     the allocation-heavy part, wait for their first reader."""
     terminated = termination_step is not None
+    if outcome is None:
+        outcome = Outcome.TERMINATED if terminated else Outcome.QUIESCENT
     metrics = RunMetrics(
         total_messages=total_messages,
         total_bits=total_bits,
@@ -343,10 +346,6 @@ def _drive_flat(
                 bits_at_termination = total_bits
                 if stop_at_termination:
                     break
-    if outcome is None:
-        outcome = (
-            Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
-        )
     return (
         outcome,
         step,
@@ -432,10 +431,6 @@ def _drive_scheduler(
                 bits_at_termination = total_bits
                 if stop_at_termination:
                     break
-    if outcome is None:
-        outcome = (
-            Outcome.TERMINATED if termination_step is not None else Outcome.QUIESCENT
-        )
     return (
         outcome,
         step,

@@ -83,11 +83,8 @@ class Outcome(enum.Enum):
 
 
 class _ResolvedOnRead:
-    """The :attr:`RunResult.states` field (a descriptor-typed dataclass field).
-
-    It may be set to a zero-argument function instead of the dict; the
-    function is called on the first read and its result kept.
-    """
+    """Descriptor of the :attr:`RunResult.states` dataclass field: a
+    zero-argument function stored there is called on the first read."""
 
     def __get__(self, result: Any, owner: Any = None) -> Dict[int, Any]:
         if result is None:

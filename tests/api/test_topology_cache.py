@@ -22,7 +22,7 @@ from repro.api import (
     execute_spec_full,
     topology_cache_stats,
 )
-from repro.api.spec import _TOPOLOGY_CACHE, compiled_topology
+from repro.api.spec import _TOPOLOGY_CACHE, cached_network, compiled_topology
 
 
 @pytest.fixture(autouse=True)
@@ -114,7 +114,7 @@ class TestCompiledCache:
         compiled = compiled_topology(foreign)
         assert compiled.network is foreign
         # The cached entry was not poisoned.
-        cached_net = _TOPOLOGY_CACHE.network(spec)
+        cached_net = cached_network(spec)
         assert compiled_topology(cached_net).network is cached_net
 
     def test_never_serves_another_networks_compilation(self):
