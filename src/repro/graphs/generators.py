@@ -81,7 +81,7 @@ def _dag_edges(num_internal: int, seed: int, extra_edge_factor: float) -> List[E
 
 
 def _grounded(num_vertices: int, edges: List[Edge]) -> DirectedNetwork:
-    """The one network a family builds: root 0, terminal 1, strict root."""
+    """A family's network: root 0, terminal 1, root out-degree exactly 1."""
     return DirectedNetwork(num_vertices, edges, root=0, terminal=1, strict_root=True)
 
 
