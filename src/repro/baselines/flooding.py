@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from ..core.model import AnonymousProtocol, Emission, VertexView
+from ..core.model import AnonymousProtocol, Emission, VertexView, payload_bit_size
 from ..api.registry import PROTOCOLS
 
 __all__ = ["FloodToken", "FloodingProtocol"]
@@ -47,12 +47,7 @@ class FloodingProtocol(AnonymousProtocol[FloodState, FloodToken]):
 
     def __init__(self, broadcast_payload: Any = None, payload_bits: Optional[int] = None) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
 
     def create_state(self, view: VertexView) -> FloodState:
         return FloodState()

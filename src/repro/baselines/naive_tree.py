@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Tuple
 
 from ..core.encoding import signed_cost, unsigned_cost
-from ..core.model import AnonymousProtocol, Emission, VertexView
+from ..core.model import AnonymousProtocol, Emission, VertexView, payload_bit_size
 from ..api.registry import PROTOCOLS
 
 __all__ = ["RationalToken", "NaiveTreeBroadcastProtocol"]
@@ -63,14 +63,7 @@ class NaiveTreeBroadcastProtocol(AnonymousProtocol[NaiveTreeState, RationalToken
 
     def __init__(self, broadcast_payload: Any = None, payload_bits: Optional[int] = None) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        if payload_bits < 0:
-            raise ValueError("payload_bits must be non-negative")
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
 
     def create_state(self, view: VertexView) -> NaiveTreeState:
         return NaiveTreeState(received_sum=Fraction(0))

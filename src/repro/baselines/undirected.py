@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.encoding import unsigned_cost
+from ..core.model import payload_bit_size
 from ..network.graph import DirectedNetwork
 
 __all__ = [
@@ -277,12 +278,7 @@ class EchoBroadcastProtocol(UndirectedProtocol):
 
     def __init__(self, broadcast_payload: Any = None, payload_bits: Optional[int] = None) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
 
     def create_state(self, view: UVertexView) -> _EchoState:
         return _EchoState(degree=view.degree, informed=view.is_initiator)

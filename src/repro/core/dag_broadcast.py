@@ -34,7 +34,7 @@ from typing import Any, List, Optional, Tuple
 
 from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from .messages import ScalarToken
-from .model import AnonymousProtocol, Emission, VertexView
+from .model import AnonymousProtocol, Emission, VertexView, payload_bit_size
 from ..api.registry import PROTOCOLS
 from .tree_broadcast import pow2_split_exponents
 
@@ -73,14 +73,7 @@ class DagBroadcastProtocol(AnonymousProtocol[DagState, ScalarToken]):
 
     def __init__(self, broadcast_payload: Any = None, payload_bits: Optional[int] = None) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        if payload_bits < 0:
-            raise ValueError("payload_bits must be non-negative")
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
 
     def create_state(self, view: VertexView) -> DagState:
         return DagState(heard=0, acc=DYADIC_ZERO)

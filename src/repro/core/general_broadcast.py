@@ -58,7 +58,7 @@ from .intervals import (
     union_cost,
 )
 from .messages import IntervalMessage
-from .model import AnonymousProtocol, Emission, VertexView
+from .model import AnonymousProtocol, Emission, VertexView, payload_bit_size
 from ..api.registry import PROTOCOLS
 
 __all__ = ["GeneralState", "GeneralBroadcastProtocol"]
@@ -188,14 +188,7 @@ class GeneralBroadcastProtocol(AnonymousProtocol[GeneralState, IntervalMessage])
         partition_rule: str = "repaired",
     ) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        if payload_bits < 0:
-            raise ValueError("payload_bits must be non-negative")
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
         self._reserve_label = reserve_label
         if partition_rule == "repaired":
             self._partition = canonical_partition

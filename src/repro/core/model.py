@@ -38,6 +38,7 @@ __all__ = [
     "Emission",
     "AnonymousProtocol",
     "FunctionalProtocol",
+    "payload_bit_size",
 ]
 
 State = TypeVar("State")
@@ -45,6 +46,17 @@ Message = TypeVar("Message")
 
 #: An outgoing transmission: ``(out_port, payload)``.
 Emission = Tuple[int, Any]
+
+
+def payload_bit_size(payload: Any, payload_bits: Optional[int]) -> int:
+    """The bits a broadcast protocol charges for its payload: ``payload_bits``
+    when given, else 8 per character or byte of a ``str``/``bytes`` payload,
+    else 0."""
+    if payload_bits is None:
+        return 8 * len(payload) if isinstance(payload, (str, bytes)) else 0
+    if payload_bits < 0:
+        raise ValueError("payload_bits must be non-negative")
+    return payload_bits
 
 
 @dataclass(frozen=True)

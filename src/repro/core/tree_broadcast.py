@@ -40,7 +40,7 @@ from typing import Any, List, Optional, Tuple
 
 from .dyadic import DYADIC_ONE, DYADIC_ZERO, Dyadic
 from .messages import TreeToken
-from .model import AnonymousProtocol, Emission, VertexView
+from .model import AnonymousProtocol, Emission, VertexView, payload_bit_size
 from ..api.registry import PROTOCOLS
 
 __all__ = ["TreeState", "TreeBroadcastProtocol", "pow2_split_exponents"]
@@ -95,14 +95,7 @@ class TreeBroadcastProtocol(AnonymousProtocol[TreeState, TreeToken]):
 
     def __init__(self, broadcast_payload: Any = None, payload_bits: Optional[int] = None) -> None:
         self.broadcast_payload = broadcast_payload
-        if payload_bits is None:
-            if isinstance(broadcast_payload, (str, bytes)):
-                payload_bits = 8 * len(broadcast_payload)
-            else:
-                payload_bits = 0
-        if payload_bits < 0:
-            raise ValueError("payload_bits must be non-negative")
-        self.payload_bits = payload_bits
+        self.payload_bits = payload_bit_size(broadcast_payload, payload_bits)
 
     def create_state(self, view: VertexView) -> TreeState:
         return TreeState(received_sum=DYADIC_ZERO)

@@ -80,11 +80,6 @@ def _dag_edges(num_internal: int, seed: int, extra_edge_factor: float) -> List[E
     return edges
 
 
-def _grounded(num_vertices: int, edges: List[Edge]) -> DirectedNetwork:
-    """A family's network: root 0, terminal 1, root out-degree exactly 1."""
-    return DirectedNetwork(num_vertices, edges, root=0, terminal=1, strict_root=True)
-
-
 @GRAPHS.register()
 def random_grounded_tree(
     num_internal: int, seed: int = 0, *, max_children: int = 4
@@ -100,7 +95,8 @@ def random_grounded_tree(
     the terminal may have many in-edges.  Every internal vertex has in-degree
     exactly 1 and is connected to ``t``.
     """
-    return _grounded(num_internal + 2, _grounded_tree_edges(num_internal, seed))
+    edges = _grounded_tree_edges(num_internal, seed)
+    return DirectedNetwork(num_internal + 2, edges, root=0, terminal=1, strict_root=True)
 
 
 @GRAPHS.register()
@@ -118,7 +114,8 @@ def random_dag(
     in-degree-greater-than-one structure that distinguishes DAGs from
     grounded trees.
     """
-    return _grounded(num_internal + 2, _dag_edges(num_internal, seed, extra_edge_factor))
+    edges = _dag_edges(num_internal, seed, extra_edge_factor)
+    return DirectedNetwork(num_internal + 2, edges, root=0, terminal=1, strict_root=True)
 
 
 @GRAPHS.register()
@@ -145,7 +142,7 @@ def random_digraph(
             a = rng.randrange(first_internal + 1, n)
             b = rng.randrange(first_internal, a)
             edges.append((a, b))
-    return _grounded(n, edges)
+    return DirectedNetwork(n, edges, root=0, terminal=1, strict_root=True)
 
 
 @GRAPHS.register()
@@ -176,7 +173,7 @@ def layered_diamond_dag(depth: int) -> DirectedNetwork:
         prev_layer = [a, b]
     for u in prev_layer:
         edges.append((u, terminal))
-    return _grounded(next_id, edges)
+    return DirectedNetwork(next_id, edges, root=root, terminal=terminal, strict_root=True)
 
 
 @GRAPHS.register()
@@ -189,7 +186,7 @@ def path_network(length: int) -> DirectedNetwork:
     for i in range(length - 1):
         edges.append((2 + i, 3 + i))
     edges.append((1 + length, terminal))
-    return _grounded(length + 2, edges)
+    return DirectedNetwork(length + 2, edges, root=root, terminal=terminal, strict_root=True)
 
 
 @GRAPHS.register()
@@ -245,9 +242,12 @@ def geometric_sensor_field(
         if (1 - x) ** 2 + (1 - y) ** 2 <= ranges[v] ** 2:
             edges.append((v, terminal))
 
+    def build() -> DirectedNetwork:
+        return DirectedNetwork(n, edges, root=root, terminal=terminal, strict_root=True)
+
     # Patch reachability from s: attach stragglers to an already-reachable
     # sensor (deterministic order).
-    net = _grounded(n, edges)
+    net = build()
     while True:
         reachable = net.reachable_from(root)
         missing = [v for v in range(first, n) if v not in reachable]
@@ -255,7 +255,7 @@ def geometric_sensor_field(
             break
         anchor = sorted(r for r in reachable if r not in (root, terminal))[0]
         edges.append((anchor, missing[0]))
-        net = _grounded(n, edges)
+        net = build()
     # Patch connectivity to t: give stranded sensors a long-range uplink.
     while True:
         coreach = net.coreachable_to(terminal)
@@ -263,7 +263,7 @@ def geometric_sensor_field(
         if not missing:
             break
         edges.append((missing[0], terminal))
-        net = _grounded(n, edges)
+        net = build()
     return net
 
 

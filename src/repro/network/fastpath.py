@@ -112,13 +112,11 @@ class CompiledNetwork:
         self.edge_head: List[int] = [head for _, head in edges]
         # Port order is edge order, so an edge's in-port is the number of
         # earlier edges into its head, and the final counts are in-degrees.
-        in_degree = [0] * n
-        in_port: List[int] = []
-        for head in self.edge_head:
-            in_port.append(in_degree[head])
+        in_degree = self.in_degree = [0] * n
+        in_port = self.in_port = [0] * len(edges)
+        for eid, head in enumerate(self.edge_head):
+            in_port[eid] = in_degree[head]
             in_degree[head] += 1
-        self.in_port = in_port
-        self.in_degree: List[int] = in_degree
         out_edge_ids = network.out_edge_ids
         self.out_edge_ids: List[Tuple[int, ...]] = [out_edge_ids(v) for v in range(n)]
         self.out_degree: List[int] = [len(ports) for ports in self.out_edge_ids]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Dict, Optional
 
 from ..core.model import AnonymousProtocol, VertexView
@@ -83,14 +84,15 @@ class Outcome(enum.Enum):
 
 
 class _ResolvedOnRead:
-    """Descriptor of the :attr:`RunResult.states` dataclass field: a
-    zero-argument function stored there is called on the first read."""
+    """Descriptor of the :attr:`RunResult.states` dataclass field: a bound
+    method stored there (a kernel's ``finalize_states``) is called on the
+    first read and replaced by the states it returns."""
 
     def __get__(self, result: Any, owner: Any = None) -> Dict[int, Any]:
         if result is None:
             raise AttributeError("states")  # no default: the field is required
         states = result.__dict__["states"]
-        if callable(states):
+        if isinstance(states, MethodType):
             states = result.__dict__["states"] = states()
         return states
 
@@ -109,6 +111,8 @@ class RunResult:
     #: compiled engine passes its kernel's ``finalize_states`` here, so the
     #: state objects are built on the first read, never for callers that
     #: only want the counters; equality and ``repr`` read it like any field.
+    #: Until then the result holds the kernel (its arrays, protocol and
+    #: compiled topology) alive, and copying or pickling it copies them.
     states: Dict[int, Any] = _ResolvedOnRead()  # type: ignore[assignment]
     #: The protocol's output — the terminal's state passed through
     #: :meth:`~repro.core.model.AnonymousProtocol.output` — when terminated.

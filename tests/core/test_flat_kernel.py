@@ -81,12 +81,15 @@ class TestCosts:
 
 class TestTreeKernel:
     def test_initial_emission_bits_match_protocol(self):
-        protocol = TreeBroadcastProtocol(broadcast_payload="hi")
-        kernel = TreeBroadcastKernel(protocol, CompiledNetwork(diamond()))
-        emissions = kernel.initial_emissions(0)
         net = diamond()
+        compiled = CompiledNetwork(net)
+        assert compiled.in_degree[0] == net.in_degree(0)
+        assert compiled.out_degree[0] == net.out_degree(0)
+        protocol = TreeBroadcastProtocol(broadcast_payload="hi")
+        kernel = TreeBroadcastKernel(protocol, compiled)
+        emissions = kernel.initial_emissions(0)
         reference = protocol.initial_emissions(
-            VertexView(in_degree=net.in_degree(0), out_degree=net.out_degree(0))
+            VertexView(in_degree=compiled.in_degree[0], out_degree=compiled.out_degree[0])
         )
         assert [(p, e) for p, e, _ in emissions] == [
             (p, tok.exponent) for p, tok in reference

@@ -85,8 +85,8 @@ class TestCompiledNetwork:
         for v in range(net.num_vertices):
             assert compiled.out_edge_ids[v] == net.out_edge_ids(v)
             assert compiled.in_degree[v] == net.in_degree(v)
-            assert len(compiled.out_edge_ids[v]) == net.out_degree(v)
-        assert len(compiled.in_degree) == net.num_vertices
+            assert compiled.out_degree[v] == net.out_degree(v)
+        assert len(compiled.in_degree) == len(compiled.out_degree) == net.num_vertices
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_every_registered_family_compiles_to_its_queries(self, family):
@@ -107,6 +107,9 @@ class TestCompiledNetwork:
                 ]
                 assert compiled.in_degree == [
                     net.in_degree(v) for v in range(net.num_vertices)
+                ]
+                assert compiled.out_degree == [
+                    net.out_degree(v) for v in range(net.num_vertices)
                 ]
                 assert compiled.out_edge_ids == [
                     net.out_edge_ids(v) for v in range(net.num_vertices)
