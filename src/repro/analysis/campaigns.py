@@ -6,17 +6,17 @@ experiment becomes a registry entry, so ``repro list``, ``repro experiment``
 and the benches all draw from one source of truth and a registered
 experiment can never be missing from a listing.
 
-Three kinds of entry:
+Two kinds of entry:
 
 * **Grid campaigns** — :class:`~repro.api.campaign.ExperimentSpec` whose
   axes expand to :class:`~repro.api.spec.RunSpec` lists and whose rows come
   from a records-level aggregator (E1, E3, E5, E8, E9, E10, E13, E15, E16,
-  and the fault campaign E17, whose axes sweep ``faults`` payloads).
-  These are pure data: serializable, resumable, engine-overridable.
-* **White-box campaigns** — the same grid expansion, but the aggregator
-  (registered here with ``white_box = True``) consumes live engine results
-  because the rows inspect per-vertex states or protocol output
-  (E6 labeling, E11 mapping, E12 label gap, E18 churn safety).
+  and the fault campaigns E17 and E18, whose axes sweep ``faults``
+  payloads).  These are pure data: serializable, resumable,
+  engine-overridable.  E6 labeling, E11 mapping, E12 label gap and E18
+  churn safety read facts off the final vertex states; their specs set
+  ``observe``, so the protocol's observables are in the records and the
+  aggregators registered here read them there.
 * **Driver experiments** — :class:`~repro.api.campaign.DriverExperiment`
   wrapping the lower-bound, exhaustive and schedule-search harnesses that
   do not execute spec grids (E2, E4, E7, E14, E19), referenced lazily by
@@ -30,11 +30,12 @@ pre-campaign imperative drivers in
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..api.aggregators import grouped_by_spec_path
-from ..api.campaign import DriverExperiment, ExperimentSpec, WhiteBoxRun, register_experiment
+from ..api.campaign import DriverExperiment, ExperimentSpec, register_experiment
 from ..api.registry import AGGREGATORS
+from ..api.spec import RunRecord, cached_network
 from ..network.scheduler import standard_scheduler_specs
 
 __all__ = [
@@ -146,37 +147,38 @@ STATE_SPACE_WORKLOADS: List[Dict[str, str]] = [
 
 
 # ----------------------------------------------------------------------
-# white-box aggregators (need live states, not just records)
+# aggregators over observed records (specs set ``observe`` or
+# ``record_trace``, so the facts they read are in the record's metrics)
 # ----------------------------------------------------------------------
 
 
-def _grouped_runs(
-    runs: Sequence[WhiteBoxRun], path: str = "graph_params.num_internal"
-) -> List[Tuple[Any, List[WhiteBoxRun]]]:
-    return grouped_by_spec_path(runs, path, record_of=lambda run: run.record)
+def _metrics_with(record: RunRecord, key: str, field: str) -> Dict[str, Any]:
+    """The record's metrics, or a one-line error naming the spec field
+    that puts ``key`` there."""
+    if key not in record.metrics:
+        raise ValueError(
+            f"metric {key!r} is missing: spec {record.spec.spec_id} must set {field}=True"
+        )
+    return record.metrics
 
 
 @AGGREGATORS.register("labeling-quality")
-def labeling_quality(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
+def labeling_quality(records: Sequence[RunRecord]) -> List[Dict]:
     """E6: label uniqueness and size vs the ``|V| log d_out`` bound."""
     from ..core.complexity import label_length_bits_bound
-    from ..core.intervals import union_cost
-    from ..core.labeling import extract_labels, labels_pairwise_disjoint
 
     rows: List[Dict] = []
-    for record, result, net in runs:
+    for record in records:
         assert record.terminated
-        labels = extract_labels(result.states)
-        label_list = list(labels.values())
-        disjoint = labels_pairwise_disjoint(label_list)
-        max_bits = max(union_cost(label) for label in label_list)
-        bound = label_length_bits_bound(net)
+        metrics = _metrics_with(record, "max_label_bits", "observe")
+        max_bits = metrics["max_label_bits"]
+        bound = label_length_bits_bound(cached_network(record.spec))
         rows.append(
             {
                 "n_internal": record.spec.graph_params["num_internal"],
                 "V": record.num_vertices,
-                "all_labeled": set(labels) == set(net.internal_vertices()),
-                "labels_disjoint": disjoint,
+                "all_labeled": metrics["all_labeled"],
+                "labels_disjoint": metrics["labels_disjoint"],
                 "max_label_bits": max_bits,
                 "bound_VlogD": round(bound),
                 "ratio": max_bits / bound,
@@ -185,64 +187,44 @@ def labeling_quality(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
     return rows
 
 
-labeling_quality.white_box = True
-
-
 @AGGREGATORS.register("mapping-accuracy")
-def mapping_accuracy(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
+def mapping_accuracy(records: Sequence[RunRecord]) -> List[Dict]:
     """E11: exact topology reconstructions and worst-case cost per size."""
-    from ..core.mapping import ROOT_MARKER, TERMINAL_MARKER
-
     rows: List[Dict] = []
-    for n, group in _grouped_runs(runs):
-        successes = 0
-        count = 0
-        messages = 0
-        bits = 0
-        for record, result, net in group:
-            count += 1
-            if record.terminated and result.output is not None:
-                ident = {net.root: ROOT_MARKER, net.terminal: TERMINAL_MARKER}
-                for v in net.internal_vertices():
-                    ident[v] = result.states[v].base.label
-                if result.output.matches_network(net, ident):
-                    successes += 1
-            messages = max(messages, record.metrics["total_messages"])
-            bits = max(bits, record.metrics["total_bits"])
+    for n, group in grouped_by_spec_path(records, "graph_params.num_internal"):
         rows.append(
             {
                 "n_internal": n,
-                "runs": count,
-                "exact_reconstructions": successes,
-                "messages_max": messages,
-                "total_bits_max": bits,
+                "runs": len(group),
+                "exact_reconstructions": sum(
+                    1 for record in group
+                    if _metrics_with(record, "mapping_exact", "observe")["mapping_exact"]
+                ),
+                "messages_max": max(record.metrics["total_messages"] for record in group),
+                "total_bits_max": max(record.metrics["total_bits"] for record in group),
             }
         )
     return rows
 
 
-mapping_accuracy.white_box = True
-
-
 @AGGREGATORS.register("label-gap")
-def label_gap(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
-    """E12: directed Θ(|V|) vs undirected Θ(log |V|) label length."""
+def label_gap(records: Sequence[RunRecord]) -> List[Dict]:
+    """E12: directed Θ(|V|) vs undirected Θ(log |V|) label length.
+
+    On the pruned tree the longest directed label is the deepest leaf's;
+    the undirected DFS labeling runs on the same graph's undirected view.
+    """
     from ..baselines.undirected import (
         DfsLabelingProtocol,
         UndirectedNetwork,
         run_undirected_protocol,
     )
-    from ..core.intervals import union_cost
 
     rows: List[Dict] = []
-    for record, directed, net in runs:
+    for record in records:
         assert record.terminated
-        height = record.spec.graph_params["height"]
-        label = directed.states[2 + height].label
-        assert label is not None
-        directed_bits = union_cost(label)
-
-        undirected = UndirectedNetwork.from_directed(net)
+        directed_bits = _metrics_with(record, "max_label_bits", "observe")["max_label_bits"]
+        undirected = UndirectedNetwork.from_directed(cached_network(record.spec))
         dfs = run_undirected_protocol(undirected, DfsLabelingProtocol(), seed=0)
         assert dfs.finished
         max_label = max(state["label"] for state in dfs.states.values())
@@ -258,12 +240,9 @@ def label_gap(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
     return rows
 
 
-label_gap.white_box = True
-
-
 @AGGREGATORS.register("churn-labeling")
-def churn_labeling(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
-    """E18: label uniqueness under node churn (white-box safety check).
+def churn_labeling(records: Sequence[RunRecord]) -> List[Dict]:
+    """E18: label uniqueness under node churn (a safety check).
 
     Churn breaks liveness — a vertex that leaves mid-run takes received
     commodity with it, so the terminal's accounting usually never closes —
@@ -271,54 +250,42 @@ def churn_labeling(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
     stay pairwise disjoint even across state resets, because a reset only
     discards commodity and can never mint overlapping intervals.
     """
-    from ..core.invariants import coverage_within_unit, labels_disjoint_globally
-
     rows: List[Dict] = []
-    for record, result, net in runs:
+    for record in records:
         faults = record.spec.faults
+        metrics = _metrics_with(record, "labels_disjoint", "observe")
         rows.append(
             {
                 "scenario": record.spec.label or "baseline",
                 "seed": record.spec.seed,
                 "churn_events": len(faults.churn) if faults is not None else 0,
                 "terminated": record.terminated,
-                "labels_disjoint": labels_disjoint_globally(result.states),
-                "coverage_safe": coverage_within_unit(result.states),
-                "messages": record.metrics["total_messages"],
-                "churned_deliveries": record.metrics.get("fault_churned", 0),
-                "rejoins": record.metrics.get("fault_rejoined", 0),
+                "labels_disjoint": metrics["labels_disjoint"],
+                "coverage_safe": metrics["coverage_safe"],
+                "messages": metrics["total_messages"],
+                "churned_deliveries": metrics.get("fault_churned", 0),
+                "rejoins": metrics.get("fault_rejoined", 0),
             }
         )
     return rows
 
 
-churn_labeling.white_box = True
-
-
 @AGGREGATORS.register("trace-profile")
-def trace_profile(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
-    """Per-run trace histogramming (message sizes, loads, termination).
+def trace_profile(records: Sequence[RunRecord]) -> List[Dict]:
+    """Per-run trace profile (message sizes, loads, termination).
 
-    White-box: profiles the live in-memory :class:`~repro.network.trace.
-    Trace` of each run (the campaign's specs must set ``record_trace``),
-    so no ``.rtrace`` artifact is needed — the same
-    :class:`~repro.tracing.profiler.TraceProfiler` also reads recorded
-    files for ``repro trace profile``.  Rows carry the scalar profile
-    plus the histogram spreads that summarize the distributions.
+    The campaign's specs must set ``record_trace``: the engines then fold
+    the trace's distinct message sizes and maximal vertex load into the
+    record (see :mod:`repro.api.engines`), and the rest of the profile is
+    the record's own metrics.  The same scalars come out of
+    :class:`~repro.tracing.profiler.TraceProfiler` for ``repro trace
+    profile`` over a recorded file.
     """
-    from ..tracing.profiler import TraceProfiler
-
     rows: List[Dict] = []
-    for record, result, net in runs:
-        trace = getattr(result, "trace", None)
-        if trace is None:
-            raise ValueError(
-                "trace-profile is white-box over recorded traces: spec "
-                f"{record.spec.spec_id} must set record_trace=True"
-            )
-        profile = TraceProfiler.from_trace(
-            trace, net, termination_step=record.metrics.get("termination_step")
-        ).profile()
+    for record in records:
+        metrics = _metrics_with(record, "max_vertex_load", "record_trace")
+        messages = metrics["total_messages"]
+        mean_bits = metrics["total_bits"] / messages if messages else 0.0
         rows.append(
             {
                 "protocol": record.spec.protocol,
@@ -326,20 +293,17 @@ def trace_profile(runs: Sequence[WhiteBoxRun]) -> List[Dict]:
                 "seed": record.spec.seed,
                 "V": record.num_vertices,
                 "E": record.num_edges,
-                "events": profile.events,
-                "total_bits": profile.total_bits,
-                "max_message_bits": profile.max_message_bits,
-                "mean_message_bits": round(profile.mean_message_bits, 2),
-                "distinct_sizes": len(profile.message_size_histogram),
-                "max_edge_messages": profile.max_edge_messages,
-                "max_vertex_load": profile.max_vertex_load,
-                "termination_step": profile.termination_step,
+                "events": messages,
+                "total_bits": metrics["total_bits"],
+                "max_message_bits": metrics["max_message_bits"],
+                "mean_message_bits": round(mean_bits, 2),
+                "distinct_sizes": metrics["distinct_message_sizes"],
+                "max_edge_messages": metrics["max_edge_messages"],
+                "max_vertex_load": metrics["max_vertex_load"],
+                "termination_step": metrics["termination_step"],
             }
         )
     return rows
-
-
-trace_profile.white_box = True
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +376,7 @@ register_experiment(
     ExperimentSpec(
         name="e06",
         title="Thm 5.1  unique labeling upper bound",
-        base={"graph": "random-digraph", "protocol": "label-assignment"},
+        base={"graph": "random-digraph", "protocol": "label-assignment", "observe": True},
         axes={"graph_params.num_internal": [10, 20, 40, 80], "seed": [0]},
         aggregator="labeling-quality",
         scales={"quick": {"graph_params.num_internal": [10, 20]}},
@@ -469,7 +433,7 @@ register_experiment(
     ExperimentSpec(
         name="e11",
         title="§6       topology mapping",
-        base={"graph": "random-digraph", "protocol": "topology-mapping"},
+        base={"graph": "random-digraph", "protocol": "topology-mapping", "observe": True},
         axes={"graph_params.num_internal": [10, 20, 40], "seed": [0, 1, 2]},
         aggregator="mapping-accuracy",
         scales={"quick": {"graph_params.num_internal": [10], "seed": [0, 1]}},
@@ -484,6 +448,7 @@ register_experiment(
             "graph": "pruned-tree",
             "graph_params": {"degree": 2},
             "protocol": "label-assignment",
+            "observe": True,
         },
         axes={"graph_params.height": [4, 8, 16, 32, 64]},
         aggregator="label-gap",
@@ -565,6 +530,7 @@ register_experiment(
             "graph": "random-digraph",
             "graph_params": {"num_internal": 12},
             "protocol": "label-assignment",
+            "observe": True,
         },
         axes={
             "@scenario": churn_scenarios(),

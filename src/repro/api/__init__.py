@@ -75,7 +75,6 @@ from .campaign import (
     CampaignRunner,
     DriverExperiment,
     ExperimentSpec,
-    WhiteBoxRun,
     load_experiment,
     register_experiment,
     run_experiment,
@@ -122,7 +121,6 @@ __all__ = [
     # campaigns
     "ExperimentSpec",
     "DriverExperiment",
-    "WhiteBoxRun",
     "CampaignResult",
     "CampaignRunner",
     "register_experiment",

@@ -21,13 +21,12 @@ reductions the E-experiment drivers historically hand-rolled:
   :func:`eager_ablation` (E10), :func:`round_complexity` (E13),
   :func:`state_space` (E15) and :func:`scheduler_spread` (E16);
 * fault-model reductions: :func:`loss_termination` (E17's termination
-  rate vs. message-loss rate; the churn aggregator is white-box and lives
-  in :mod:`repro.analysis.campaigns`).
+  rate vs. message-loss rate).
 
-White-box aggregators — which need the live engine results, not just
-records — are registered from :mod:`repro.analysis.campaigns` and carry a
-``white_box = True`` attribute; see
-:class:`~repro.api.campaign.CampaignRunner` for the calling convention.
+The aggregators over protocol observables (E6, E11, E12, E18's churn
+safety) and traced runs are registered from
+:mod:`repro.analysis.campaigns`; they are record aggregators too, reading
+what ``observe=True`` or ``record_trace=True`` put in the metrics.
 
 Rows are compared verbatim against the pre-campaign imperative drivers in
 ``tests/analysis/test_campaign_differential.py``; treat the row shapes as
@@ -94,25 +93,17 @@ def _spec_value(record: RunRecord, path: str) -> Any:
 
 
 def grouped_by_spec_path(
-    items: Sequence[Any],
-    path: str,
-    *,
-    record_of: Callable[[Any], RunRecord] = lambda item: item,
-) -> List[Tuple[Any, List[Any]]]:
-    """Group items by a dotted spec path, in first-occurrence order.
-
-    ``record_of`` extracts the :class:`RunRecord` from each item, so the
-    white-box aggregators (whose items are ``WhiteBoxRun`` tuples) share
-    this exact grouping semantics instead of re-implementing it.
-    """
+    records: Sequence[RunRecord], path: str
+) -> List[Tuple[Any, List[RunRecord]]]:
+    """Group records by a dotted spec path, in first-occurrence order."""
     order: List[Any] = []
-    groups: Dict[Any, List[Any]] = {}
-    for item in items:
-        key = _spec_value(record_of(item), path)
+    groups: Dict[Any, List[RunRecord]] = {}
+    for record in records:
+        key = _spec_value(record, path)
         if key not in groups:
             order.append(key)
             groups[key] = []
-        groups[key].append(item)
+        groups[key].append(record)
     return [(key, groups[key]) for key in order]
 
 

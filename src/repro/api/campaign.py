@@ -32,11 +32,12 @@ directory.  Experiments registered in
 :mod:`repro.analysis.campaigns`) are addressable by name from the CLI:
 ``repro experiment e05 --engine fastpath --quick``.
 
-Two escape hatches keep the registry complete for experiments the grid
-cannot express: aggregators marked ``white_box = True`` receive live
-engine results (per-vertex states) instead of records, and
-:class:`DriverExperiment` wraps an imperative driver by dotted name
-(the lower-bound and search harnesses E2/E4/E7/E14/E19).
+Experiments whose rows read facts off the final vertex states (label
+uniqueness, exact reconstruction) set ``observe`` in their ``base``, so
+those facts arrive in the records like any other metric.  One escape
+hatch keeps the registry complete for experiments the grid cannot
+express: :class:`DriverExperiment` wraps an imperative driver by dotted
+name (the lower-bound and search harnesses E2/E4/E7/E14/E19).
 """
 
 from __future__ import annotations
@@ -48,25 +49,16 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..store.store import StoreError
 from .registry import AGGREGATORS, EXPERIMENTS
-from .runner import BatchRunner, BatchStats, _cache_delta
-from .spec import (
-    RunRecord,
-    RunSpec,
-    SpecError,
-    _check_fields,
-    _json_safe,
-    execute_spec_full,
-    topology_cache_stats,
-)
+from .runner import BatchRunner, BatchStats
+from .spec import RunRecord, RunSpec, SpecError, _check_fields, _json_safe
 
 __all__ = [
     "ExperimentSpec",
     "DriverExperiment",
-    "WhiteBoxRun",
     "CampaignResult",
     "CampaignRunner",
     "register_experiment",
@@ -293,14 +285,6 @@ class DriverExperiment:
         return getattr(importlib.import_module(module_name), attr)
 
 
-class WhiteBoxRun(NamedTuple):
-    """One executed spec with its live engine result (white-box consumers)."""
-
-    record: RunRecord
-    result: Any
-    network: Any
-
-
 @dataclass(frozen=True)
 class CampaignResult:
     """Everything one campaign execution produced.
@@ -350,8 +334,6 @@ class CampaignRunner:
     resume:
         Reuse completed spec_ids found in ``<name>.runs.jsonl`` instead of
         re-executing them, and look up the store's row cache first.
-        White-box campaigns cannot resume from records (their rows need
-        live states); only the row cache spares them a run.
     parallel / max_workers / chunksize / min_group_size:
         Forwarded to the :class:`~repro.api.runner.BatchRunner`
         (``chunksize=None`` auto-tunes per dispatch;
@@ -366,11 +348,9 @@ class CampaignRunner:
         On a miss, grid campaigns resolve every expanded spec against
         the store index before executing anything and publish fresh
         records back (see :class:`~repro.api.runner.BatchRunner`);
-        white-box campaigns execute every spec — their rows need live
-        engine states, which records cannot carry — and driver
-        experiments execute no specs at all.  The rows are then cached;
-        a store that refuses the write leaves the result uncached and
-        counted in ``stats.store_write_errors``.
+        driver experiments execute no specs at all.  The rows are then
+        cached; a store that refuses the write leaves the result uncached
+        and counted in ``stats.store_write_errors``.
         The row cache is bypassed when ``trace`` is set (the traces must
         be produced) and when the aggregator or driver is not
         :func:`~repro.store.keys.fingerprinted` (user code can change
@@ -537,45 +517,22 @@ class CampaignRunner:
         applied_engine = self._applied_engine(experiment)
         runs_path, rows_path = self._artifact_paths(experiment.name)
         aggregate = AGGREGATORS.get(experiment.aggregator)
-
-        if getattr(aggregate, "white_box", False):
-            # Live states cannot be persisted, so white-box campaigns always
-            # execute serially in-process; records are still written for
-            # inspection (not resume).
-            cache_before = topology_cache_stats()
-            runs: List[WhiteBoxRun] = []
-            for spec in specs:
-                run = WhiteBoxRun(*execute_spec_full(spec))
-                runs.append(run)
-                if self.progress is not None:
-                    self.progress(len(runs), len(specs), run.record)
-            stats = BatchStats(
-                total=len(specs), executed=len(specs), reused=0, **_cache_delta(cache_before)
-            )
-            records = [run.record for run in runs]
-            if runs_path:
-                with open(runs_path, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(record.to_json() + "\n")
-            rows = aggregate(runs, **experiment.aggregator_params)
-        else:
-            runner = BatchRunner(
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-                chunksize=self.chunksize,
-                min_group_size=self.min_group_size,
-                store=self.store,
-            )
-            records = runner.run(
-                specs,
-                output_path=runs_path,
-                resume=self.resume,
-                progress=self.progress,
-            )
-            stats = runner.stats
-            assert stats is not None  # BatchRunner.run always sets it
-            rows = aggregate(records, **experiment.aggregator_params)
-
+        runner = BatchRunner(
+            parallel=self.parallel,
+            max_workers=self.max_workers,
+            chunksize=self.chunksize,
+            min_group_size=self.min_group_size,
+            store=self.store,
+        )
+        records = runner.run(
+            specs,
+            output_path=runs_path,
+            resume=self.resume,
+            progress=self.progress,
+        )
+        stats = runner.stats
+        assert stats is not None  # BatchRunner.run always sets it
+        rows = aggregate(records, **experiment.aggregator_params)
         self._write_rows(rows_path, experiment, rows, stats, applied_engine)
         return CampaignResult(
             experiment=experiment,

@@ -41,6 +41,7 @@ numpy dependency is only required when the batch engine actually runs).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -161,11 +162,22 @@ def _extra_metrics(faults: Any, capture: Any) -> Dict[str, Any]:
     return extra
 
 
+def _trace_extras(trace: Any, network: Any) -> Dict[str, Any]:
+    """The trace-profile scalars a record's metrics lack (the in-memory
+    trace itself never reaches the record)."""
+    loads = Counter(network.edge_head(delivery.edge_id) for delivery in trace.deliveries)
+    return {
+        "distinct_message_sizes": len({delivery.bits for delivery in trace.deliveries}),
+        "max_vertex_load": max(loads.values(), default=0),
+    }
+
+
 def _run_loop(
     run: Callable[..., Any], spec: Any, network: Any, protocol: Any, **extra: Any
 ) -> Tuple[Any, Dict[str, Any]]:
     """Drive ``run`` (``run_protocol`` or ``run_protocol_fastpath``) with
-    the spec's scheduler, run options, fault injector and trace capture."""
+    the spec's scheduler, run options, fault injector and trace capture;
+    a ``record_trace`` run also reports :func:`_trace_extras`."""
     faults, scheduler = _faults_and_scheduler(spec, network)
     capture = _trace_capture(spec, network)
     try:
@@ -187,7 +199,10 @@ def _run_loop(
         raise
     if capture is not None:
         capture.finalize(result)
-    return result, _extra_metrics(faults, capture)
+    metrics = _extra_metrics(faults, capture)
+    if spec.record_trace:
+        metrics.update(_trace_extras(result.trace, network))
+    return result, metrics
 
 
 def _run_async(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:

@@ -20,8 +20,10 @@ Two entry points:
   processes.
 * :func:`execute_spec_full` — additionally returns the live
   :class:`~repro.network.simulator.RunResult` and the constructed network
-  for white-box consumers (experiment drivers that inspect per-vertex
-  states, protocol output or graph structure).
+  (per-vertex states, protocol output, graph structure).
+
+Facts read off the final vertex states reach the record only through
+the protocol's ``observe`` hook, for specs that set ``observe=True``.
 """
 
 from __future__ import annotations
@@ -235,6 +237,13 @@ class RunSpec:
         Off-spellings (``"off"``/``"none"``/``""``) normalise to ``None``
         and ``"sample:08"`` to ``"sample:8"``, so equal policies always
         hash equally.
+    observe:
+        Merge the protocol's observables
+        (:meth:`~repro.core.model.AnonymousProtocol.observe`: label
+        uniqueness, exact reconstruction, ...) into the record's
+        metrics.  Off by default, since it builds the per-vertex states
+        a fast-path run otherwise never builds; ``False`` is excluded
+        from :attr:`spec_id` like ``faults=None``.
     label:
         Free-form human tag.  Not part of the spec's identity: two specs
         differing only in label share a :attr:`spec_id`.
@@ -261,6 +270,7 @@ class RunSpec:
     stop_at_termination: bool = False
     faults: Optional[Any] = None
     trace: Optional[str] = None
+    observe: bool = False
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -338,8 +348,8 @@ class RunSpec:
         output on this, so re-labelling specs never invalidates results.
         ``faults=None`` is excluded from the hash: fault-free specs keep
         the spec_id they had before the fault layer existed, so legacy
-        resume files and caches stay valid.  ``trace=None`` is excluded
-        the same way for the trace-capture layer.
+        resume files and caches stay valid.  ``trace=None`` and
+        ``observe=False`` are excluded the same way.
 
         Computed on first access and memoised on the instance (the spec is
         frozen), so a spec must never be mutated in place after that;
@@ -368,6 +378,8 @@ class RunSpec:
             payload["faults"] = self.faults.to_dict()
         if self.trace is not None:
             payload["trace"] = self.trace
+        if self.observe:
+            payload["observe"] = True
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         spec_id = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         object.__setattr__(self, "_spec_id", spec_id)
@@ -398,6 +410,7 @@ class RunSpec:
             "stop_at_termination": self.stop_at_termination,
             "faults": self.faults.to_dict() if self.faults is not None else None,
             "trace": self.trace,
+            "observe": self.observe,
             "label": self.label,
         }
 
@@ -494,9 +507,10 @@ class RunRecord:
     """Structured result of executing one :class:`RunSpec`.
 
     ``metrics`` is the flattened :class:`~repro.network.metrics.RunMetrics`
-    (plus ``rounds`` / ``termination_round`` under the synchronous engine).
-    ``elapsed_seconds`` is the only non-deterministic field — see
-    :data:`TIMING_FIELDS`.
+    (plus ``rounds`` / ``termination_round`` under the synchronous engine,
+    fault and trace counters, and the protocol's observables when the spec
+    sets ``observe``).  ``elapsed_seconds`` is the only non-deterministic
+    field — see :data:`TIMING_FIELDS`.
     """
 
     spec: RunSpec
@@ -720,8 +734,12 @@ def execute_spec_full(spec: RunSpec):
     per-vertex states, protocol output and the optional trace, none of
     which survive serialization; ``network`` is the
     :class:`~repro.network.graph.DirectedNetwork` the run executed on (so
-    white-box callers need not rebuild it).  Callers that only need
-    numbers should use :func:`execute_spec` (or the batch runner) instead.
+    callers need not rebuild it).  Callers that only need numbers should
+    use :func:`execute_spec` (or the batch runner) instead.
+
+    For a spec with ``observe=True`` the protocol's
+    :meth:`~repro.core.model.AnonymousProtocol.observe` facts join the
+    record's metrics; this is the one place the hook is called.
 
     The engine is resolved through :data:`~repro.api.registry.ENGINES`
     (see :mod:`repro.api.engines`), so ``engine="fastpath"`` — or any
@@ -743,6 +761,8 @@ def execute_spec_full(spec: RunSpec):
         f.name: getattr(run_metrics, f.name) for f in fields(run_metrics)
     }
     metrics.update(extra)
+    if spec.observe:
+        metrics.update(protocol.observe(result, network))
     record = RunRecord(
         spec=spec,
         outcome=result.outcome.value,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from .general_broadcast import GeneralBroadcastProtocol, GeneralState
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, union_cost
 from .model import VertexView
 from ..api.registry import PROTOCOLS
 
@@ -113,6 +113,21 @@ class LabelAssignmentProtocol(GeneralBroadcastProtocol):
             root_plain=plain,
             d0_plain=plain,
         )
+
+    def observe(self, result, network) -> Dict[str, Any]:
+        """Theorem 5.1's facts: every internal vertex holds a label, the
+        labels are disjoint, the longest label's bits (0 when none is
+        held), and no vertex holds points outside ``[0, 1)``."""
+        from .invariants import coverage_within_unit, labels_disjoint_globally
+
+        states = result.states
+        labels = extract_labels(states)
+        return {
+            "all_labeled": all(v in labels for v in network.internal_vertices()),
+            "labels_disjoint": labels_disjoint_globally(states),
+            "max_label_bits": max(map(union_cost, labels.values()), default=0),
+            "coverage_safe": coverage_within_unit(states),
+        }
 
 
 def extract_labels(states: Dict[int, GeneralState]) -> Dict[int, IntervalUnion]:

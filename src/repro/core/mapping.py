@@ -180,6 +180,16 @@ class MappingState:
         self.identity: Optional[Identity] = None
         self.out_degree = out_degree
 
+    def __repr__(self) -> str:
+        # Containers sorted, so the text is free of hash order: trace
+        # digests and the schedule walker's state keys are built on it.
+        return (
+            f"MappingState(base={self.base!r}, facts={sorted(map(repr, self.facts))}, "
+            f"in_info={sorted(self.in_info.items())}, "
+            f"recorded_ports={sorted(self.recorded_ports)}, "
+            f"identity={self.identity!r}, out_degree={self.out_degree})"
+        )
+
 
 @dataclass
 class NetworkMap:
@@ -244,7 +254,7 @@ class NetworkMap:
 
     def matches_network(self, network, vertex_identity: Dict[int, Identity]) -> bool:
         """True iff this map is exactly the ground-truth topology under the
-        given vertex→identity correspondence (white-box check for tests)."""
+        given vertex→identity correspondence (the ``mapping_exact`` observable)."""
         if len(vertex_identity) != network.num_vertices:
             return False
         if set(vertex_identity.values()) != set(self.vertices):
@@ -457,3 +467,15 @@ class MappingProtocol(AnonymousProtocol[MappingState, MappingMessage]):
         for fact in state.facts:
             total += fact.bits()
         return total
+
+    def observe(self, result: Any, network: Any) -> Dict[str, Any]:
+        """§6's fact: the terminal's map is exactly the network, with each
+        internal vertex identified by its label."""
+        exact = False
+        if result.terminated and result.output is not None:
+            states = result.states
+            ident = {network.root: ROOT_MARKER, network.terminal: TERMINAL_MARKER}
+            for v in network.internal_vertices():
+                ident[v] = states[v].base.label
+            exact = result.output.matches_network(network, ident)
+        return {"mapping_exact": exact}

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "VertexView",
@@ -135,6 +135,19 @@ class AnonymousProtocol(abc.ABC, Generic[State, Message]):
         leave the default, which reports zero.
         """
         return 0
+
+    def observe(self, result: Any, network: Any) -> Dict[str, Any]:
+        """Named facts read off a finished run's vertices, as JSON scalars.
+
+        ``result`` is the engine's run result (its ``states``, ``output``
+        and ``terminated``), ``network`` the graph it ran on.  A spec that
+        sets ``observe=True`` gets these merged into its record's metrics
+        (see :func:`~repro.api.spec.execute_spec_full`), so quantities such
+        as label uniqueness are cached and served like any other metric.
+        Reading ``result.states`` builds the fast-path states, which is why
+        specs opt in.  The default observes nothing.
+        """
+        return {}
 
     def compile_fastpath(self, compiled: Any) -> Optional[Any]:
         """Optional accelerated kernel for the fast-path engine.

@@ -81,15 +81,13 @@ def _dag_edges(num_internal: int, seed: int, extra_edge_factor: float) -> List[E
 
 
 @GRAPHS.register()
-def random_grounded_tree(
-    num_internal: int, seed: int = 0, *, max_children: int = 4
-) -> DirectedNetwork:
+def random_grounded_tree(num_internal: int, seed: int = 0) -> DirectedNetwork:
     """A random grounded tree with ``num_internal`` internal vertices.
 
     Construction: vertex 0 is the root ``s``, vertex 1 the terminal ``t``.
-    Internal vertices ``2 .. num_internal+1`` attach by uniform choice of an
-    existing internal parent with remaining child capacity (capacity drawn in
-    ``[1, max_children]``); after attachment, every internal vertex with no
+    Internal vertices ``2 .. num_internal+1`` attach, in order, to a parent
+    drawn uniformly from the internal vertices before them (no cap on a
+    parent's children); after attachment, every internal vertex with no
     children yet is wired to ``t``, and every internal vertex additionally
     gets a ``t`` edge with probability ½ — matching the paper's picture where
     the terminal may have many in-edges.  Every internal vertex has in-degree

@@ -66,15 +66,15 @@ _ACTIVE_DIR: Optional[str] = None
 def workload_id(spec: Any) -> str:
     """Engine- and policy-neutral identity of a traced run.
 
-    sha256[:16] over the canonical spec dict with ``label``, ``engine``
-    and ``trace`` always excluded and ``faults`` excluded when ``None``
-    (the :attr:`~repro.api.spec.RunSpec.spec_id` conventions, minus the
-    two fields that must not distinguish recordings of the same run).
+    sha256[:16] over the canonical spec dict with ``label``, ``engine``,
+    ``trace`` and ``observe`` always excluded and ``faults`` excluded when
+    ``None`` (the :attr:`~repro.api.spec.RunSpec.spec_id` conventions,
+    minus the fields that must not distinguish recordings of the same run:
+    ``observe`` only reads the final states).
     """
     payload = spec.to_dict()
-    payload.pop("label", None)
-    payload.pop("engine", None)
-    payload.pop("trace", None)
+    for key in ("label", "engine", "trace", "observe"):
+        payload.pop(key, None)
     if payload.get("faults") is None:
         payload.pop("faults", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -1,4 +1,4 @@
-"""The trace-profile white-box aggregator: campaign rows from live traces."""
+"""The trace-profile aggregator: campaign rows from traced runs' records."""
 
 import pytest
 
@@ -24,10 +24,31 @@ def _experiment(**base_extra):
 
 
 class TestTraceProfileAggregator:
-    def test_registered_and_white_box(self):
+    def test_registered_record_aggregator_matches_the_profiler(self):
+        from repro.api import execute_spec_full
+        from repro.tracing.profiler import TraceProfiler
+
         ensure_registered()
-        aggregate = AGGREGATORS.get("trace-profile")
-        assert getattr(aggregate, "white_box", False)
+        experiment = _experiment()
+        records, profiles = [], []
+        for spec in experiment.expand():
+            record, result, network = execute_spec_full(spec)
+            records.append(record)
+            profiles.append(
+                TraceProfiler.from_trace(
+                    result.trace, network, termination_step=record.metrics["termination_step"]
+                ).profile()
+            )
+        rows = AGGREGATORS.get("trace-profile")(records)
+        for row, profile in zip(rows, profiles):
+            assert row["events"] == profile.events
+            assert row["total_bits"] == profile.total_bits
+            assert row["max_message_bits"] == profile.max_message_bits
+            assert row["mean_message_bits"] == round(profile.mean_message_bits, 2)
+            assert row["distinct_sizes"] == len(profile.message_size_histogram)
+            assert row["max_edge_messages"] == profile.max_edge_messages
+            assert row["max_vertex_load"] == profile.max_vertex_load
+            assert row["termination_step"] == profile.termination_step
 
     def test_one_row_per_run_with_profile_columns(self):
         result = run_experiment(_experiment(), parallel=False)

@@ -245,11 +245,14 @@ class TestRegisteredExperiments:
         for driver in drivers:
             assert callable(driver.resolve())
 
-    def test_white_box_campaign_runs(self):
-        result = run_experiment("e06", scale="quick", parallel=False)
-        assert result.rows and all(row["labels_disjoint"] for row in result.rows)
-        # white-box campaigns always execute (no resumable record cache)
-        assert result.stats.reused == 0
+    def test_observing_campaign_resumes_from_its_records(self, tmp_path):
+        cold = run_experiment("e06", scale="quick", parallel=False, out_dir=str(tmp_path))
+        assert cold.rows and all(row["labels_disjoint"] for row in cold.rows)
+        assert cold.stats.executed == cold.stats.total
+        # the observables are in the records, so the runs file resumes them
+        warm = run_experiment("e06", scale="quick", parallel=False, out_dir=str(tmp_path))
+        assert warm.stats.executed == 0 and warm.stats.reused == cold.stats.total
+        assert warm.rows == cold.rows
 
     def test_driver_experiment_quick_scale(self):
         result = run_experiment("e02", scale="quick")

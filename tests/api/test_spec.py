@@ -129,6 +129,8 @@ def reference_spec_id(spec: RunSpec) -> str:
     for key in ("faults", "trace"):
         if payload[key] is None:
             payload.pop(key)
+    if not payload["observe"]:
+        payload.pop("observe")
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -199,6 +201,16 @@ PINNED_SPECS = [
             trace="full",
         ),
         "e6a020385e856688",
+    ),
+    (
+        RunSpec(
+            graph="random-digraph",
+            graph_params={"num_internal": 8},
+            protocol="label-assignment",
+            seed=5,
+            observe=True,
+        ),
+        "7e71118b2b526df6",
     ),
 ]
 PINNED_IDS = [f"spec{index}" for index in range(len(PINNED_SPECS))]

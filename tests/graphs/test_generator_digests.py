@@ -31,7 +31,7 @@ FAMILIES = {
     "random-grounded-tree": [
         ({"num_internal": 1}, True),
         ({"num_internal": 12}, True),
-        ({"num_internal": 30, "max_children": 2}, True),
+        ({"num_internal": 30}, True),
     ],
     "random-dag": [
         ({"num_internal": 1}, True),

@@ -1,8 +1,12 @@
 """Deterministic replay: recordings are executable, verifiable certificates."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.api import RunSpec, execute_spec
+from repro.api import PROTOCOLS, RunSpec, ensure_registered, execute_spec
 from repro.tracing import ReplayError, TraceReader, capture_traces, replay_trace
 
 
@@ -54,6 +58,50 @@ class TestScriptedReplay:
         assert report.events_seen == record.metrics["trace_events"]
         assert report.events_written == record.metrics["trace_sampled"]
         assert report.outcome == record.outcome
+
+
+ensure_registered()
+
+
+@pytest.mark.parametrize("engine", ["async", "fastpath"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
+def test_every_protocol_records_and_replays(protocol, engine, tmp_path):
+    """A recording of any registered protocol replays: the footer's states
+    digest is free of memory addresses and hash order."""
+    spec = _spec(
+        protocol=protocol,
+        graph_params={"num_internal": 4},
+        seed=1,
+        max_steps=2000,
+        trace="full",
+        engine=engine,
+    )
+    _, path = _record(spec, tmp_path)
+    report = replay_trace(None, path)
+    assert report.ok, report.failures
+
+
+def test_mapping_states_digest_is_stable_across_hash_seeds():
+    script = (
+        "from repro.api import RunSpec, execute_spec_full\n"
+        "from repro.tracing.format import states_digest\n"
+        "for engine in ('async', 'fastpath'):\n"
+        "    spec = RunSpec(graph='random-dag', graph_params={'num_internal': 4},\n"
+        "                   protocol='topology-mapping', seed=1, engine=engine)\n"
+        "    print(states_digest(execute_spec_full(spec)[1].states))\n"
+    )
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    digests = set()
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert len(out) == 2
+        digests.update(out)
+    assert len(digests) == 1
 
 
 class TestSampledReplay:
