@@ -112,7 +112,7 @@ def test_micro_batchrunner_serial_16(benchmark):
 
 
 def test_micro_batchrunner_pool_16(benchmark):
-    runner = BatchRunner(max_workers=2, chunksize=4)
+    runner = BatchRunner(max_workers=2)
     records = benchmark.pedantic(
         lambda: runner.run(_BATCH_SPECS), rounds=3, iterations=1
     )

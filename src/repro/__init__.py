@@ -59,8 +59,8 @@ Registry names (see ``repro registry`` for the live list): protocols
 ``caterpillar-gn``, ``skeleton-tree``, ``full-tree-with-terminal``,
 ``pruned-tree``; transforms ``with-dead-end-vertex``,
 ``with-stranded-cycle``; schedulers ``fifo``, ``lifo``, ``random``,
-``terminal-last``, ``terminal-first``, ``port-biased``, ``latency``,
-``dropping``; engines ``async``, ``fastpath``, ``synchronous``.
+``terminal-last``, ``terminal-first``, ``port-biased``, ``latency``;
+engines ``async``, ``fastpath``, ``synchronous``.
 
 Choosing an engine: ``RunSpec(engine="fastpath")`` runs the compiled
 flat-state engine (:mod:`repro.network.fastpath`) — result-identical to
@@ -120,7 +120,6 @@ from .api import (
     execute_spec,
     execute_spec_full,
     run_experiment,
-    run_specs,
 )
 
 __version__ = "1.8.0"
@@ -169,7 +168,6 @@ __all__ = [
     "BatchRunner",
     "execute_spec",
     "execute_spec_full",
-    "run_specs",
     "PROTOCOLS",
     "GRAPHS",
     "GRAPH_TRANSFORMS",

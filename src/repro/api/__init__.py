@@ -68,9 +68,10 @@ from .spec import (
     topology_cache_stats,
 )
 from .engines import EngineInfo, fault_capable_engines
-from .runner import BatchRunner, BatchStats, load_records, run_specs
+from .runner import BatchRunner, BatchStats, load_records
 from . import aggregators as _aggregators  # noqa: F401  (populates AGGREGATORS)
 from .campaign import (
+    CampaignRequest,
     CampaignResult,
     CampaignRunner,
     DriverExperiment,
@@ -116,11 +117,11 @@ __all__ = [
     # batch execution
     "BatchRunner",
     "BatchStats",
-    "run_specs",
     "load_records",
     # campaigns
     "ExperimentSpec",
     "DriverExperiment",
+    "CampaignRequest",
     "CampaignResult",
     "CampaignRunner",
     "register_experiment",

@@ -30,7 +30,10 @@ persistence) and aggregates rows, writing per-experiment artifacts
 directory.  Experiments registered in
 :data:`~repro.api.registry.EXPERIMENTS` (see
 :mod:`repro.analysis.campaigns`) are addressable by name from the CLI:
-``repro experiment e05 --engine fastpath --quick``.
+``repro experiment e05 --engine fastpath --quick``.  Both front doors —
+that command and ``POST /experiments`` on ``repro serve`` — turn what the
+user asked for into a :class:`CampaignRequest` through one parser,
+:meth:`CampaignRequest.parse`, before anything runs.
 
 Experiments whose rows read facts off the final vertex states (label
 uniqueness, exact reconstruction) set ``observe`` in their ``base``, so
@@ -47,18 +50,30 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..store.store import StoreError
-from .registry import AGGREGATORS, EXPERIMENTS
+from .engines import ENGINES
+from .registry import AGGREGATORS, EXPERIMENTS, UnknownNameError
 from .runner import BatchRunner, BatchStats
-from .spec import RunRecord, RunSpec, SpecError, _check_fields, _json_safe
+from .spec import (
+    RunRecord,
+    RunSpec,
+    SpecError,
+    _check_fields,
+    _json_safe,
+    check_registered_names,
+    ensure_registered,
+)
 
 __all__ = [
     "ExperimentSpec",
     "DriverExperiment",
+    "CampaignRequest",
     "CampaignResult",
     "CampaignRunner",
     "register_experiment",
@@ -77,6 +92,24 @@ def _assign(payload: Dict[str, Any], path: str, value: Any) -> None:
             raise SpecError(f"axis path {path!r} descends into non-dict {part!r}")
         target = node
     target[parts[-1]] = value
+
+
+def _scale_overrides(
+    experiment: Union["ExperimentSpec", "DriverExperiment"], scale: Optional[str]
+) -> Dict[str, Any]:
+    """What ``scale`` overrides in ``experiment`` (``{}`` for no scale).
+
+    The one scale check: grid axes for an :class:`ExperimentSpec`, driver
+    keyword arguments for a :class:`DriverExperiment`.
+    """
+    if scale is None:
+        return {}
+    if scale not in experiment.scales:
+        known = ", ".join(sorted(experiment.scales)) or "<none defined>"
+        raise SpecError(
+            f"experiment {experiment.name!r} has no scale {scale!r}; known: {known}"
+        )
+    return experiment.scales[scale]
 
 
 @dataclass(frozen=True)
@@ -186,14 +219,13 @@ class ExperimentSpec:
 
     def grid(self, scale: Optional[str] = None) -> Dict[str, List[Any]]:
         """The effective axes after applying a named scale override."""
-        if scale is None:
-            return dict(self.axes)
-        if scale not in self.scales:
-            known = ", ".join(sorted(self.scales)) or "<none defined>"
-            raise SpecError(f"{self.name} has no scale {scale!r}; known: {known}")
         axes = dict(self.axes)
-        axes.update(self.scales[scale])
+        axes.update(_scale_overrides(self, scale))
         return axes
+
+    def size(self, scale: Optional[str] = None) -> int:
+        """``len(self.expand(scale=scale))``, without building a spec."""
+        return math.prod(len(values) for values in self.grid(scale).values())
 
     def expand(
         self,
@@ -285,6 +317,106 @@ class DriverExperiment:
         return getattr(importlib.import_module(module_name), attr)
 
 
+def _registered_name(raw: str) -> str:
+    """``raw`` as an :data:`EXPERIMENTS` name: itself, or ``E5``/``e5`` → ``e05``."""
+    match = re.fullmatch(r"[eE](\d+)", raw)
+    for candidate in (raw, f"e{int(match.group(1)):02d}" if match else None):
+        if candidate in EXPERIMENTS:
+            return candidate
+    raise SpecError(
+        f"unknown experiment {raw!r}; registered: "
+        f"{', '.join(EXPERIMENTS.names())} or 'all'"
+    )
+
+
+@dataclass(frozen=True)
+class CampaignRequest:
+    """A validated request to run campaigns: what, at which scale, on which engine.
+
+    The one place that decides whether a request is valid, shared by
+    ``repro experiment``/``run``/``report`` and ``POST /experiments`` on
+    ``repro serve``; each front door maps the :class:`SpecError` that
+    :meth:`parse` raises to its own one-line error (exit 1, HTTP 400).
+    """
+
+    experiments: Tuple[Union[ExperimentSpec, DriverExperiment], ...]
+    scale: Optional[str] = None
+    engine: Optional[str] = None
+
+    #: The payload fields :meth:`parse` accepts.
+    FIELDS = ("experiment", "experiments", "spec", "scale", "quick", "engine")
+
+    @classmethod
+    def parse(cls, payload: Any) -> "CampaignRequest":
+        """Validate a request payload; raise :class:`SpecError` on any defect.
+
+        ``payload`` is a JSON object with exactly one of ``experiment`` (a
+        name), ``experiments`` (a list of names, or ``"all"``) and ``spec``
+        (an inline :class:`ExperimentSpec` dict), plus optional ``scale``,
+        ``quick`` (shorthand for ``scale="quick"``) and ``engine``; a field
+        set to ``None`` counts as absent.  A name is a registry name or
+        ``E5``/``e5`` for ``e05``; ``all`` anywhere means every registered
+        experiment.  Every experiment must define the scale.  An inline
+        spec's grid is expanded once, so its run specs and every graph,
+        transform, protocol, scheduler and aggregator name are checked
+        before anything runs.
+        """
+        if not isinstance(payload, dict):
+            raise SpecError(f"payload must be a JSON object, got {type(payload).__name__}")
+        unknown = set(payload) - set(cls.FIELDS)
+        if unknown:
+            raise SpecError(f"unknown payload field(s): {', '.join(sorted(unknown))}")
+        ensure_registered()
+        engine = payload.get("engine")
+        if engine is not None and not isinstance(engine, str):
+            raise SpecError(f"engine must be a string, got {type(engine).__name__}")
+        if engine is not None and engine not in ENGINES:
+            raise SpecError(
+                f"unknown engine {engine!r}; registered: {', '.join(ENGINES.names())}"
+            )
+        scale = payload.get("scale")
+        if scale is not None and not isinstance(scale, str):
+            raise SpecError(f"scale must be a string, got {type(scale).__name__}")
+        quick = payload.get("quick")
+        if quick is not None and not isinstance(quick, bool):
+            raise SpecError(f"quick must be true or false, got {quick!r}")
+        if quick:
+            if scale not in (None, "quick"):
+                raise SpecError("'quick' is shorthand for scale 'quick'; give one of them")
+            scale = "quick"
+
+        names = payload.get("experiments")
+        if payload.get("experiment") is not None:
+            if names is not None:
+                raise SpecError("give either 'experiment' or 'experiments', not both")
+            names = [payload["experiment"]]
+        inline = payload.get("spec")
+        if (names is None) == (inline is None):
+            raise SpecError("give exactly one of experiment names or an experiment spec")
+        if inline is not None:
+            try:
+                spec = ExperimentSpec.from_dict(inline)
+                check_registered_names(spec.expand(scale=scale, engine=engine))
+                AGGREGATORS.get(spec.aggregator)
+            except (SpecError, UnknownNameError) as exc:
+                raise SpecError(f"invalid experiment spec: {exc}") from None
+            return cls((spec,), scale, engine)
+
+        if isinstance(names, str):
+            names = [names]
+        if not isinstance(names, list) or not names:
+            raise SpecError("'experiments' must be a non-empty list of names")
+        for name in names:
+            if not isinstance(name, str):
+                raise SpecError(f"experiment names must be strings, got {type(name).__name__}")
+        if any(name.lower() == "all" for name in names):
+            names = EXPERIMENTS.names()
+        experiments = tuple(EXPERIMENTS.get(_registered_name(name)) for name in names)
+        for experiment in experiments:
+            _scale_overrides(experiment, scale)
+        return cls(experiments, scale, engine)
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     """Everything one campaign execution produced.
@@ -334,10 +466,8 @@ class CampaignRunner:
     resume:
         Reuse completed spec_ids found in ``<name>.runs.jsonl`` instead of
         re-executing them, and look up the store's row cache first.
-    parallel / max_workers / chunksize / min_group_size:
-        Forwarded to the :class:`~repro.api.runner.BatchRunner`
-        (``chunksize=None`` auto-tunes per dispatch;
-        ``min_group_size=None`` keeps the runner's batching threshold).
+    parallel / max_workers:
+        Forwarded to the :class:`~repro.api.runner.BatchRunner`.
         The default is in-process serial execution — the right mode
         inside drivers, tests and benches; the CLI turns parallelism on.
     store:
@@ -368,8 +498,6 @@ class CampaignRunner:
         resume: bool = True,
         parallel: bool = False,
         max_workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        min_group_size: Optional[int] = None,
         progress: Optional[Callable[[int, int, RunRecord], None]] = None,
         store: Optional[Any] = None,
     ) -> None:
@@ -380,8 +508,6 @@ class CampaignRunner:
         self.resume = resume
         self.parallel = parallel
         self.max_workers = max_workers
-        self.chunksize = chunksize
-        self.min_group_size = min_group_size
         self.progress = progress
         self.store = store
 
@@ -390,8 +516,6 @@ class CampaignRunner:
     def run(self, experiment: Union[ExperimentSpec, DriverExperiment, str]) -> CampaignResult:
         """Execute one campaign (an object, or a registered name)."""
         if isinstance(experiment, str):
-            from .spec import ensure_registered
-
             ensure_registered()
             experiment = EXPERIMENTS.get(experiment)
         digest = self.rows_digest(experiment)
@@ -520,8 +644,6 @@ class CampaignRunner:
         runner = BatchRunner(
             parallel=self.parallel,
             max_workers=self.max_workers,
-            chunksize=self.chunksize,
-            min_group_size=self.min_group_size,
             store=self.store,
         )
         records = runner.run(
@@ -548,14 +670,7 @@ class CampaignRunner:
         )
 
     def _run_driver(self, experiment: DriverExperiment) -> CampaignResult:
-        kwargs: Dict[str, Any] = {}
-        if self.scale is not None:
-            if self.scale not in experiment.scales:
-                known = ", ".join(sorted(experiment.scales)) or "<none defined>"
-                raise SpecError(
-                    f"{experiment.name} has no scale {self.scale!r}; known: {known}"
-                )
-            kwargs = dict(experiment.scales[self.scale])
+        kwargs = dict(_scale_overrides(experiment, self.scale))
         driver = experiment.resolve()
         # Drivers that emit store artifacts (e19's schedule certificates) or
         # fan work out across processes declare store=/max_workers= keywords;

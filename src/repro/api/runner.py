@@ -47,12 +47,11 @@ __all__ = [
     "BatchRunner",
     "BatchStats",
     "DEFAULT_MIN_GROUP_SIZE",
-    "run_specs",
     "load_records",
 ]
 
-#: Default :class:`BatchRunner` batching threshold: seed-groups smaller
-#: than this run per-spec instead of through ``run_many``.  Measured
+#: :class:`BatchRunner` batching threshold: seed-groups smaller than this
+#: run per-spec instead of through ``run_many``.  Measured
 #: batch-vs-fastpath ratios (BENCH_engines.json) only reach ~1.7x at
 #: K=16 and the SoA set-up cost is flat per group, so tiny groups pay
 #: the overhead for little gain; 8 keeps every campaign-scale sweep
@@ -165,8 +164,8 @@ class BatchStats:
 
     ``batch_fallbacks`` tallies, by reason, every executed spec that was
     *eligible* for batching but ran per-seed anyway: ``small_group``
-    (seed-group under the runner's ``min_group_size`` or a singleton
-    after topology subdivision), plus the engine-reported reasons from
+    (a seed-group of 2 to :data:`DEFAULT_MIN_GROUP_SIZE` - 1 members),
+    plus the engine-reported reasons from
     :func:`~repro.network.batchpath.run_many_batched` (``no_kernel``,
     ``faults``, ``trace``, ``state_bits``, ``scheduler``).  Empty when
     nothing fell back — so silent per-seed execution is observable
@@ -213,12 +212,8 @@ class BatchRunner:
     Parameters
     ----------
     max_workers:
-        Worker processes (``None`` = ``os.cpu_count()``).
-    chunksize:
-        Specs per IPC round-trip.  ``None`` (the default) auto-tunes to
-        ``max(4, pending // (8 * workers))`` when the batch is dispatched,
-        so huge quick-scale campaigns stop paying one IPC round-trip per
-        4 tiny runs while each worker still gets ~8 chunks to balance load.
+        Worker processes (``None`` = ``os.cpu_count()``).  Single specs
+        cross the pool :meth:`effective_chunksize` at a time.
     parallel:
         ``False`` runs everything in-process — the right mode inside
         experiment drivers and tests (no fork overhead, full determinism
@@ -237,35 +232,24 @@ class BatchRunner:
         ``stats.store_write_errors`` and the rest of the run goes
         uncached.  The store is only touched from this parent process,
         never from pool workers.
-    min_group_size:
-        Smallest seed-group worth dispatching through ``run_many``
-        (default :data:`DEFAULT_MIN_GROUP_SIZE`); smaller groups run
-        per-spec and are tallied under ``batch_fallbacks["small_group"]``.
-        Exposed on the CLI as ``--batch-min-group``.
+
+    Seed-groups of at least :data:`DEFAULT_MIN_GROUP_SIZE` specs go
+    through their engine's ``run_many``; smaller groups run per-spec and
+    are tallied under ``batch_fallbacks["small_group"]``.
     """
 
     def __init__(
         self,
         *,
         max_workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         parallel: bool = True,
         store: Optional[ResultStore] = None,
-        min_group_size: Optional[int] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1 (use parallel=False for serial)")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1 (or None to auto-tune)")
-        if min_group_size is not None and min_group_size < 1:
-            raise ValueError("min_group_size must be >= 1 (or None for the default)")
         self.max_workers = max_workers
-        self.chunksize = chunksize
         self.parallel = parallel
         self.store = store
-        self.min_group_size = (
-            DEFAULT_MIN_GROUP_SIZE if min_group_size is None else min_group_size
-        )
         #: Stats of the most recent :meth:`run` call.
         self.stats: Optional[BatchStats] = None
         self._cache_hits = 0
@@ -274,9 +258,12 @@ class BatchRunner:
         self._batch_fallbacks: Dict[str, int] = {}
 
     def effective_chunksize(self, pending: int) -> int:
-        """The chunksize a dispatch of ``pending`` specs will use."""
-        if self.chunksize is not None:
-            return self.chunksize
+        """Specs per IPC round-trip when ``pending`` single specs are dispatched.
+
+        ``max(4, pending // (8 * workers))``: huge quick-scale campaigns
+        stop paying one round-trip per 4 tiny runs, while each worker still
+        gets ~8 chunks to balance load.
+        """
         workers = self.max_workers or os.cpu_count() or 1
         return max(4, pending // (8 * workers))
 
@@ -426,9 +413,9 @@ class BatchRunner:
         "spec minus seed" (the ``spec_id`` with the seed nulled out).
         Grouping happens strictly *after* store/JSONL resume filtering, so
         a store hit inside a group shrinks the group instead of forcing a
-        re-execution; groups that shrink below ``min_group_size`` (always
-        at least 2) fall back to the ordinary per-spec path, where
-        dispatch is cheaper than the SoA set-up — multi-spec groups the
+        re-execution; groups that shrink below :data:`DEFAULT_MIN_GROUP_SIZE`
+        fall back to the ordinary per-spec path, where dispatch is cheaper
+        than the SoA set-up — multi-spec groups the
         threshold turned away are tallied under
         ``batch_fallbacks["small_group"]`` (singletons had nothing to
         batch with and are not).
@@ -442,10 +429,9 @@ class BatchRunner:
                 by_shape.setdefault(shape.spec_id, []).append(spec)
             else:
                 singles.append(spec)
-        threshold = max(2, self.min_group_size)
         groups: List[List[RunSpec]] = []
         for members in by_shape.values():
-            if len(members) >= threshold:
+            if len(members) >= DEFAULT_MIN_GROUP_SIZE:
                 groups.append(members)
             else:
                 if len(members) >= 2:
@@ -524,23 +510,3 @@ class BatchRunner:
             for record in records:
                 handle.write(record.to_json() + "\n")
         os.replace(tmp, path)
-
-
-def run_specs(
-    specs: Iterable[RunSpec],
-    *,
-    output_path: Optional[str] = None,
-    resume: bool = True,
-    max_workers: Optional[int] = None,
-    parallel: bool = True,
-    store: Optional[ResultStore] = None,
-    min_group_size: Optional[int] = None,
-) -> List[RunRecord]:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    runner = BatchRunner(
-        max_workers=max_workers,
-        parallel=parallel,
-        store=store,
-        min_group_size=min_group_size,
-    )
-    return runner.run(specs, output_path=output_path, resume=resume)

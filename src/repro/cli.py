@@ -51,6 +51,7 @@ from .api import (
     ENGINES,
     EXPERIMENTS,
     BatchRunner,
+    CampaignRequest,
     CampaignRunner,
     RunRecord,
     RunSpec,
@@ -59,7 +60,6 @@ from .api import (
     all_registries,
     check_registered_names,
     ensure_registered,
-    load_experiment,
     load_specs,
 )
 from .api.campaign import campaign_summary
@@ -131,10 +131,17 @@ def _legacy_id(name: str) -> str:
     return f"E{int(match.group(1))}" if match else name
 
 
-def _campaign_name(key: str) -> Optional[str]:
-    """Any of ``E1``/``e1``/``e01`` → the registry name ``e01``."""
-    match = re.fullmatch(r"[eE](\d+)", key)
-    return f"e{int(match.group(1)):02d}" if match else None
+def _request_or_die(payload: Dict) -> CampaignRequest:
+    """:meth:`CampaignRequest.parse`, mapping a defect to a one-line exit."""
+    try:
+        return CampaignRequest.parse(payload)
+    except SpecError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: cpu count)",
     )
     batch.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="specs per worker dispatch (default: auto-tuned to batch size)",
-    )
-    batch.add_argument(
         "--serial",
         action="store_true",
         help="run in-process instead of a process pool",
@@ -230,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ENGINE",
         help="override the execution engine for every spec in the file",
-    )
-    batch.add_argument(
-        "--batch-min-group",
-        type=int,
-        default=None,
-        metavar="K",
-        help="smallest seed-group dispatched through an engine's run_many "
-        "(default 8); smaller groups run per-seed",
     )
     _add_store_flags(batch)
 
@@ -301,14 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help="re-execute every run even if the artifact dir has its record",
-    )
-    experiment.add_argument(
-        "--batch-min-group",
-        type=int,
-        default=None,
-        metavar="K",
-        help="smallest seed-group dispatched through an engine's run_many "
-        "(default 8); smaller groups run per-seed",
     )
     _add_store_flags(experiment)
 
@@ -660,13 +645,7 @@ def _cmd_batch(args, stream: IO[str]) -> int:
     if not specs:
         raise SystemExit(f"no specs found in {args.specs!r}")
     store = _store_or_die(args)
-    runner = BatchRunner(
-        max_workers=args.workers,
-        chunksize=args.chunksize,
-        parallel=not args.serial,
-        store=store,
-        min_group_size=args.batch_min_group,
-    )
+    runner = BatchRunner(max_workers=args.workers, parallel=not args.serial, store=store)
 
     def progress(done: int, total: int, record: RunRecord) -> None:
         print(f"[{done}/{total}] {_record_summary(record)}", file=stream)
@@ -754,72 +733,32 @@ def _cmd_registry(stream: IO[str]) -> int:
     return 0
 
 
-def _resolve_experiments(names: Sequence[str]) -> List[str]:
-    """Map CLI experiment arguments onto EXPERIMENTS registry names."""
-    ensure_registered()
-    if any(name.lower() == "all" for name in names):
-        return list(EXPERIMENTS.names())
-    resolved: List[str] = []
-    for raw in names:
-        canonical = _campaign_name(raw)
-        for candidate in (raw, canonical):
-            if candidate is not None and candidate in EXPERIMENTS:
-                resolved.append(candidate)
-                break
-        else:
-            raise SystemExit(
-                f"unknown experiment {raw!r}; registered: "
-                f"{', '.join(EXPERIMENTS.names())} or 'all'"
-            )
-    return resolved
-
-
 def _run_tables(names: Sequence[str]) -> Iterator[Tuple[str, str, List[Dict], float]]:
     """Run registered experiments for ``run``/``report``.
 
-    Serial, at the default (full) scale and without a store.  Yields
-    ``(legacy id, title, rows, seconds)`` per experiment, in order.
+    ``names`` are resolved like ``repro experiment``'s.  Serial, at the
+    default (full) scale and without a store.  Yields ``(legacy id,
+    title, rows, seconds)`` per experiment, in order.
     """
+    request = _request_or_die({"experiments": list(names)})
     runner = CampaignRunner(parallel=False)
-    for name in names:
-        experiment = EXPERIMENTS.get(name)
+    for experiment in request.experiments:
         start = time.time()
         rows = runner.run(experiment).rows
-        yield _legacy_id(name), experiment.title or name, rows, time.time() - start
+        name = _legacy_id(experiment.name)
+        yield name, experiment.title or experiment.name, rows, time.time() - start
 
 
 def _cmd_experiment(args, stream: IO[str]) -> int:
-    ensure_registered()
-    if args.quick and args.scale not in (None, "quick"):
-        raise SystemExit("--quick is shorthand for --scale quick; give one of them")
-    scale = "quick" if args.quick else args.scale
-    if args.engine is not None and args.engine not in ENGINES:
-        raise SystemExit(
-            f"unknown engine {args.engine!r}; registered: {', '.join(ENGINES.names())}"
-        )
-
+    payload = {
+        "experiments": args.names or None,
+        "scale": args.scale,
+        "quick": args.quick,
+        "engine": args.engine,
+    }
     if args.spec is not None:
-        if args.names:
-            raise SystemExit("give either experiment names or --spec, not both")
-        experiments = [_load_or_die(args.spec, load_experiment, "experiment")]
-    else:
-        if not args.names:
-            raise SystemExit(
-                "nothing to run: give experiment names (e01..e19, 'all') or --spec FILE"
-            )
-        experiments = [EXPERIMENTS.get(name) for name in _resolve_experiments(args.names)]
-
-    if scale is not None:
-        # Validate up front: a typo'd scale must be a clean one-line error
-        # before any experiment runs, not a traceback mid-campaign.
-        for experiment in experiments:
-            scales = getattr(experiment, "scales", {}) or {}
-            if scale not in scales:
-                known = ", ".join(sorted(scales)) or "<none defined>"
-                raise SystemExit(
-                    f"experiment {experiment.name!r} has no scale {scale!r}; "
-                    f"known: {known}"
-                )
+        payload["spec"] = _load_or_die(args.spec, _read_json, "experiment")
+    request = _request_or_die(payload)
 
     def progress(done: int, total: int, record: RunRecord) -> None:
         print(f"[{done}/{total}] {_record_summary(record)}", file=stream)
@@ -834,14 +773,13 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
 
     store = _store_or_die(args)
     runner = CampaignRunner(
-        engine=args.engine,
-        scale=scale,
+        engine=request.engine,
+        scale=request.scale,
         trace=args.trace,
         out_dir=args.out,
         resume=not args.no_resume,
         parallel=not args.serial,
         max_workers=args.workers,
-        min_group_size=args.batch_min_group,
         progress=progress,
         store=store,
     )
@@ -851,7 +789,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
     # Same convention as `repro batch`: campaign runs that carry a trace
     # policy write their .rtrace beside the result store.
     with _store_traces(store):
-        for experiment in experiments:
+        for experiment in request.experiments:
             exp_start = time.time()
             try:
                 result = runner.run(experiment)
@@ -1153,7 +1091,7 @@ def main(argv: Optional[Sequence[str]] = None, stream: IO[str] = sys.stdout) -> 
             "(see the Campaigns section of README.md for what each one reproduces).",
             "",
         ]
-        for name, title, rows, elapsed in _run_tables(_resolve_experiments(["all"])):
+        for name, title, rows, elapsed in _run_tables(["all"]):
             lines.append(f"## {name} — {title.strip()}")
             lines.append("")
             lines.append("```")
@@ -1196,7 +1134,7 @@ def main(argv: Optional[Sequence[str]] = None, stream: IO[str] = sys.stdout) -> 
             )
         if not args.experiments:
             raise SystemExit("nothing to run: give experiment ids or --spec FILE")
-        for name, title, rows, elapsed in _run_tables(_resolve_experiments(args.experiments)):
+        for name, title, rows, elapsed in _run_tables(args.experiments):
             header = f"== {name} — {title} ({elapsed:.1f}s) =="
             _emit(render_table(rows, title=header), stream, extra)
             _emit("", stream, extra)

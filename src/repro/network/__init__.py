@@ -4,8 +4,6 @@ from .events import MessageEvent
 from .graph import DirectedNetwork, NetworkValidationError
 from .metrics import MetricsCollector, RunMetrics
 from .scheduler import (
-    ALL_SCHEDULER_FACTORIES,
-    DroppingScheduler,
     FifoScheduler,
     LatencyScheduler,
     LifoScheduler,
@@ -42,11 +40,9 @@ __all__ = [
     "LifoScheduler",
     "RandomScheduler",
     "LatencyScheduler",
-    "DroppingScheduler",
     "TerminalLastScheduler",
     "TerminalFirstScheduler",
     "PortBiasedScheduler",
-    "ALL_SCHEDULER_FACTORIES",
     "make_standard_schedulers",
     "standard_scheduler_specs",
     "FaultSpec",

@@ -32,9 +32,10 @@ Implementations:
 from __future__ import annotations
 
 import abc
+import heapq
 import random
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from ..api.registry import SCHEDULERS
 from .events import MessageEvent
@@ -49,8 +50,6 @@ __all__ = [
     "TerminalFirstScheduler",
     "PortBiasedScheduler",
     "LatencyScheduler",
-    "DroppingScheduler",
-    "ALL_SCHEDULER_FACTORIES",
     "make_standard_schedulers",
     "standard_scheduler_specs",
 ]
@@ -200,35 +199,42 @@ class TerminalFirstScheduler(_TerminalAwareScheduler):
 
 @SCHEDULERS.register()
 class PortBiasedScheduler(Scheduler):
-    """Prefer in-flight messages on high out-port edges (deterministic skew)."""
+    """Prefer in-flight messages on high out-port edges (deterministic skew).
+
+    Pops the message whose edge has the highest out-port index at its
+    tail, the lowest ``seq`` among those (``seq`` is unique per run, so
+    the heap never compares events).  Ports are looked up once, at
+    :meth:`bind`; until then the scheduler delivers newest first.
+    """
 
     name = "port-biased"
 
     def __init__(self) -> None:
         self._events: List[MessageEvent] = []
-        self._network: Optional[DirectedNetwork] = None
+        #: ``(-out_port, seq, event)``; a min-heap once bound.
+        self._heap: List[Tuple[int, int, MessageEvent]] = []
+        self._out_port: Optional[List[int]] = None
 
     def bind(self, network: DirectedNetwork) -> None:
-        self._network = network
+        out_port = [0] * network.num_edges
+        for vertex in range(network.num_vertices):
+            for port, edge_id in enumerate(network.out_edge_ids(vertex)):
+                out_port[edge_id] = port
+        self._out_port = out_port
 
     def push(self, event: MessageEvent) -> None:
-        self._events.append(event)
+        if self._out_port is None:
+            self._events.append(event)
+            return
+        heapq.heappush(self._heap, (-self._out_port[event.edge_id], event.seq, event))
 
     def pop(self) -> MessageEvent:
-        if self._network is None:
+        if self._out_port is None:
             return self._events.pop()
-        best = max(
-            range(len(self._events)),
-            key=lambda i: (
-                self._network.out_port_of_edge(self._events[i].edge_id),
-                -self._events[i].seq,
-            ),
-        )
-        self._events[best], self._events[-1] = self._events[-1], self._events[best]
-        return self._events.pop()
+        return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) + len(self._heap)
 
 
 @SCHEDULERS.register()
@@ -266,14 +272,10 @@ class LatencyScheduler(Scheduler):
         return self._latencies[edge_id]
 
     def push(self, event: MessageEvent) -> None:
-        import heapq
-
         arrival = self.virtual_time + self._latency(event.edge_id)
         heapq.heappush(self._heap, (arrival, event.seq, event))
 
     def pop(self) -> MessageEvent:
-        import heapq
-
         arrival, _, event = heapq.heappop(self._heap)
         self.virtual_time = arrival
         return event
@@ -282,82 +284,27 @@ class LatencyScheduler(Scheduler):
         return len(self._heap)
 
 
-@SCHEDULERS.register()
-class DroppingScheduler(Scheduler):
-    """Failure injection: silently lose a fraction of messages.
-
-    The asynchronous model *assumes reliable delivery* — every sent message
-    eventually arrives.  This scheduler deliberately violates that
-    assumption (each pushed message is dropped with probability
-    ``drop_probability``, seeded) so tests can document what the paper's
-    protocols do **not** promise: with lost commodity, the terminal's
-    accounting can never close and the protocols sit in quiescence — they
-    *fail safe* (no false termination), but they do fail.  Making them
-    loss-tolerant would require acknowledgements, i.e. feedback, i.e.
-    exactly what directedness removes — the paper's §6 point, inverted.
-    """
-
-    name = "dropping"
-
-    def __init__(self, seed: int = 0, *, drop_probability: float = 0.1) -> None:
-        if not (0.0 <= drop_probability <= 1.0):
-            raise ValueError("drop_probability must be in [0, 1]")
-        self._rng = random.Random(seed)
-        self._queue: Deque[MessageEvent] = deque()
-        self.drop_probability = drop_probability
-        #: Messages lost so far.
-        self.dropped = 0
-
-    def push(self, event: MessageEvent) -> None:
-        if self._rng.random() < self.drop_probability:
-            self.dropped += 1
-            return
-        self._queue.append(event)
-
-    def pop(self) -> MessageEvent:
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-#: Factories for one scheduler of every kind (fresh instances per run).
-ALL_SCHEDULER_FACTORIES = (
-    FifoScheduler,
-    LifoScheduler,
-    lambda: RandomScheduler(seed=0),
-    TerminalLastScheduler,
-    TerminalFirstScheduler,
-    PortBiasedScheduler,
-    lambda: LatencyScheduler(seed=0),
-)
-
-
 def make_standard_schedulers(random_seeds: int = 3) -> List[Scheduler]:
     """A fresh batch of schedulers covering every implemented adversary.
 
-    Includes FIFO, LIFO, terminal-last, terminal-first, port-biased, one
-    latency-model scheduler, and ``random_seeds`` seeded random schedulers.  Used by tests and experiments
-    that quantify over schedules.
+    :func:`standard_scheduler_specs` built through :data:`SCHEDULERS`:
+    FIFO, LIFO, terminal-last, terminal-first, port-biased, one
+    latency-model scheduler, and ``random_seeds`` seeded random
+    schedulers.  Used by tests and experiments that quantify over
+    schedules.
     """
-    schedulers: List[Scheduler] = [
-        FifoScheduler(),
-        LifoScheduler(),
-        TerminalLastScheduler(),
-        TerminalFirstScheduler(),
-        PortBiasedScheduler(),
-        LatencyScheduler(seed=0),
+    return [
+        SCHEDULERS.get(name)(**params)
+        for name, params in standard_scheduler_specs(random_seeds)
     ]
-    schedulers.extend(RandomScheduler(seed=s) for s in range(random_seeds))
-    return schedulers
 
 
 def standard_scheduler_specs(random_seeds: int = 3) -> List[tuple]:
     """The standard-adversary batch as ``(registry name, params)`` pairs.
 
-    The spec-layer twin of :func:`make_standard_schedulers` (same adversaries
-    in the same order) for experiments that quantify over schedules with
-    serializable :class:`~repro.api.spec.RunSpec`\\ s.
+    The serializable form of :func:`make_standard_schedulers`, for
+    experiments that quantify over schedules with
+    :class:`~repro.api.spec.RunSpec`\\ s.
     """
     specs: List[tuple] = [
         ("fifo", {}),

@@ -5,10 +5,13 @@ The service layer splits cleanly in two: this module knows *experiments*
 nothing about HTTP; :mod:`repro.service.server` knows HTTP and nothing
 about campaigns.  The seam is the :class:`ExperimentService`:
 
-* :meth:`ExperimentService.submit` validates a JSON payload — registered
-  experiment names and/or an inline
+* :meth:`ExperimentService.submit` validates a JSON payload with
+  :meth:`~repro.api.campaign.CampaignRequest.parse` — the parser ``repro
+  experiment`` uses, so both accept the same requests (registered names
+  such as ``e05``/``e5``/``E5``/``all``, or an inline
   :class:`~repro.api.campaign.ExperimentSpec`, plus optional
-  ``scale``/``engine`` — and schedules a :class:`Job` on a thread pool.
+  ``scale``/``quick``/``engine``) and reject the rest with the same
+  message — and schedules a :class:`Job` on a thread pool.
   Submitting a payload identical to one still pending/running returns
   the in-flight job instead of a duplicate.
 * Each job runs through the ordinary
@@ -33,17 +36,10 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..api import (
-    ENGINES,
-    EXPERIMENTS,
-    UnknownNameError,
-    check_registered_names,
-    ensure_registered,
-)
-from ..api.campaign import CampaignRunner, DriverExperiment, ExperimentSpec, campaign_summary
+from ..api.campaign import CampaignRequest, CampaignRunner, ExperimentSpec, campaign_summary
 from ..api.spec import RunRecord, SpecError
 
 __all__ = ["JobError", "Job", "ExperimentService"]
@@ -56,10 +52,6 @@ class JobError(ValueError):
     """A submission payload is malformed (HTTP 400 at the server layer)."""
 
 
-def _canonical(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass
 class Job:
     """One submitted campaign execution and its observable state.
@@ -70,7 +62,6 @@ class Job:
     """
 
     id: str
-    payload: Dict[str, Any]
     experiments: List[str]
     scale: Optional[str]
     engine: Optional[str]
@@ -194,99 +185,6 @@ class ExperimentService:
     # submission
     # ------------------------------------------------------------------
 
-    def _parse(self, payload: Any) -> Tuple[List[Union[str, Dict[str, Any]]], Optional[str], Optional[str]]:
-        """Validate a submission payload; raise :class:`JobError` on defects.
-
-        Accepted fields: ``experiment`` (one registered name) or
-        ``experiments`` (a list of names, or ``"all"``), xor ``spec`` (an
-        inline :class:`ExperimentSpec` dict); optional ``scale`` (name) or
-        ``quick`` (bool shorthand), and ``engine``.  An inline spec's
-        grid is expanded here, so its run specs and every graph, transform,
-        protocol and scheduler name in them are checked before a job exists.
-        """
-        if not isinstance(payload, dict):
-            raise JobError(f"payload must be a JSON object, got {type(payload).__name__}")
-        known = {"experiment", "experiments", "spec", "scale", "quick", "engine"}
-        unknown = set(payload) - known
-        if unknown:
-            raise JobError(f"unknown payload field(s): {', '.join(sorted(unknown))}")
-
-        ensure_registered()
-        engine = payload.get("engine")
-        if engine is not None and not isinstance(engine, str):
-            raise JobError(f"engine must be a string, got {type(engine).__name__}")
-        if engine is not None and engine not in ENGINES:
-            raise JobError(
-                f"unknown engine {engine!r}; registered: {', '.join(ENGINES.names())}"
-            )
-        scale = payload.get("scale")
-        if payload.get("quick"):
-            if scale not in (None, "quick"):
-                raise JobError("'quick' is shorthand for scale='quick'; give one of them")
-            scale = "quick"
-        if scale is not None and not isinstance(scale, str):
-            raise JobError("scale must be a string")
-
-        names = payload.get("experiments")
-        if payload.get("experiment") is not None:
-            if names is not None:
-                raise JobError("give either 'experiment' or 'experiments', not both")
-            names = [payload["experiment"]]
-        spec_payload = payload.get("spec")
-        if (names is None) == (spec_payload is None):
-            raise JobError("give exactly one of 'experiment(s)' or 'spec'")
-
-        experiments: List[Union[str, Dict[str, Any]]] = []
-        inline: Optional[ExperimentSpec] = None
-        if spec_payload is not None:
-            try:
-                inline = ExperimentSpec.from_dict(spec_payload)
-            except SpecError as exc:
-                raise JobError(f"invalid experiment spec: {exc}") from None
-            experiments.append(dict(spec_payload))
-        else:
-            if isinstance(names, str):
-                names = [names]
-            if not isinstance(names, list) or not names:
-                raise JobError("'experiments' must be a non-empty list of names")
-            for name in names:
-                if not isinstance(name, str):
-                    raise JobError(
-                        f"experiment names must be strings, got {type(name).__name__}"
-                    )
-            if any(name.lower() == "all" for name in names):
-                names = list(EXPERIMENTS.names())
-            for name in names:
-                if name not in EXPERIMENTS:
-                    raise JobError(
-                        f"unknown experiment {name!r}; registered: "
-                        f"{', '.join(EXPERIMENTS.names())}"
-                    )
-                experiments.append(name)
-
-        if scale is not None:
-            for entry in experiments:
-                experiment = (
-                    EXPERIMENTS.get(entry)
-                    if isinstance(entry, str)
-                    else ExperimentSpec.from_dict(entry)
-                )
-                scales = getattr(experiment, "scales", {}) or {}
-                if scale not in scales:
-                    known_scales = ", ".join(sorted(scales)) or "<none defined>"
-                    raise JobError(
-                        f"experiment {experiment.name!r} has no scale {scale!r}; "
-                        f"known: {known_scales}"
-                    )
-        if inline is not None:
-            # Expand the grid once so a typo'd registry name (or a bad run
-            # spec) is rejected here, not by a job that fails later.
-            try:
-                check_registered_names(inline.expand(scale=scale, engine=engine))
-            except (SpecError, UnknownNameError) as exc:
-                raise JobError(f"invalid experiment spec: {exc}") from None
-        return experiments, scale, engine
-
     def submit(self, payload: Any) -> Tuple[Job, bool]:
         """Queue a validated submission; return ``(job, created)``.
 
@@ -296,9 +194,18 @@ class ExperimentService:
         re-submission gets a fresh job, which resolves against the
         result store and completes in milliseconds when warm.
         """
-        experiments, scale, engine = self._parse(payload)
-        canonical = _canonical(
-            {"experiments": experiments, "scale": scale, "engine": engine}
+        try:
+            request = CampaignRequest.parse(payload)
+        except SpecError as exc:
+            raise JobError(str(exc)) from None
+        canonical = json.dumps(
+            {
+                "experiments": [asdict(experiment) for experiment in request.experiments],
+                "scale": request.scale,
+                "engine": request.engine,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
         with self._lock:
@@ -308,18 +215,14 @@ class ExperimentService:
                     return job, False
             job = Job(
                 id=f"{digest}-{next(self._seq)}",
-                payload=json.loads(canonical),
-                experiments=[
-                    entry if isinstance(entry, str) else entry.get("name", "<inline>")
-                    for entry in experiments
-                ],
-                scale=scale,
-                engine=engine,
+                experiments=[experiment.name for experiment in request.experiments],
+                scale=request.scale,
+                engine=request.engine,
                 created_at=time.time(),
             )
             self._jobs[job.id] = job
             self._order.append(job.id)
-        self._executor.submit(self._run, job, experiments)
+        self._executor.submit(self._run, job, request)
         return job, True
 
     # ------------------------------------------------------------------
@@ -368,32 +271,17 @@ class ExperimentService:
     # execution
     # ------------------------------------------------------------------
 
-    def _materialise(
-        self, entries: List[Union[str, Dict[str, Any]]]
-    ) -> List[Union[ExperimentSpec, DriverExperiment]]:
-        ensure_registered()
-        experiments: List[Union[ExperimentSpec, DriverExperiment]] = []
-        for entry in entries:
-            if isinstance(entry, str):
-                experiments.append(EXPERIMENTS.get(entry))
-            else:
-                experiments.append(ExperimentSpec.from_dict(entry))
-        return experiments
-
-    def _run(self, job: Job, entries: List[Union[str, Dict[str, Any]]]) -> None:
+    def _run(self, job: Job, request: CampaignRequest) -> None:
         """Execute one job end to end (runs on the job pool)."""
         try:
-            experiments = self._materialise(entries)
-            grid_total = 0
-            for experiment in experiments:
-                if isinstance(experiment, ExperimentSpec):
-                    grid_total += len(
-                        experiment.expand(scale=job.scale, engine=job.engine)
-                    )
             with job._cond:
                 job.state = "running"
                 job.started_at = time.time()
-                job.total = grid_total
+                job.total = sum(
+                    experiment.size(request.scale)
+                    for experiment in request.experiments
+                    if isinstance(experiment, ExperimentSpec)
+                )
                 job._bump()
 
             offset = 0
@@ -407,8 +295,8 @@ class ExperimentService:
             if self.out_dir is not None:
                 out_dir = os.path.join(self.out_dir, job.id)
             runner = CampaignRunner(
-                engine=job.engine,
-                scale=job.scale,
+                engine=request.engine,
+                scale=request.scale,
                 out_dir=out_dir,
                 resume=True,
                 parallel=self.parallel,
@@ -419,13 +307,13 @@ class ExperimentService:
 
             start = time.time()
             results = []
-            for experiment in experiments:
+            for experiment in request.experiments:
                 result = runner.run(experiment)
                 results.append(result)
                 offset += result.stats.total
                 with job._cond:
                     job.rows[experiment.name] = result.rows
-                    job.titles[experiment.name] = getattr(experiment, "title", "") or ""
+                    job.titles[experiment.name] = experiment.title
                     job.done = offset
                     job._bump()
 

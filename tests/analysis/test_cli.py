@@ -12,8 +12,8 @@ import pytest
 import repro
 from repro.analysis.report import render_table
 from repro.api import EXPERIMENTS, ensure_registered
-from repro.api.campaign import run_experiment
-from repro.cli import _campaign_name, _legacy_id, build_parser, main
+from repro.api.campaign import _registered_name, run_experiment
+from repro.cli import _legacy_id, build_parser, main
 
 
 def _untimed(text):
@@ -69,7 +69,7 @@ class TestRegistryListParity:
     def test_name_mapping_round_trips(self):
         ensure_registered()
         for name in EXPERIMENTS.names():
-            assert _campaign_name(_legacy_id(name)) == name
+            assert _registered_name(_legacy_id(name)) == name
 
 
 class TestMain:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import BatchRunner, RunSpec, load_records, run_specs
+from repro.api import BatchRunner, RunSpec, load_records
 
 
 def tree_specs(n: int, size: int = 10):
@@ -34,7 +34,7 @@ class TestOrderingAndDeterminism:
     def test_serial_and_parallel_agree_modulo_timing(self):
         specs = tree_specs(6)
         serial = BatchRunner(parallel=False).run(specs)
-        parallel = BatchRunner(max_workers=2, chunksize=2).run(specs)
+        parallel = BatchRunner(max_workers=2).run(specs)
         assert [r.comparable_dict() for r in serial] == [
             r.comparable_dict() for r in parallel
         ]
@@ -159,16 +159,9 @@ class TestEdges:
         )
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
-    def test_run_specs_convenience(self):
-        records = run_specs(tree_specs(2), parallel=False)
-        assert len(records) == 2
-        assert all(r.terminated for r in records)
-
     def test_bad_constructor_args(self):
         with pytest.raises(ValueError):
             BatchRunner(max_workers=0)
-        with pytest.raises(ValueError):
-            BatchRunner(chunksize=0)
 
 
 def batch_specs(n: int, **overrides):
@@ -194,11 +187,11 @@ class TestSeedGrouping:
 
         from repro.api import execute_spec
 
-        specs = batch_specs(6)
-        runner = BatchRunner(parallel=False, min_group_size=2)
+        specs = batch_specs(8)
+        runner = BatchRunner(parallel=False)
         records = runner.run(specs)
         assert runner.stats.batched_groups == 1
-        assert runner.stats.executed == 6
+        assert runner.stats.executed == 8
         assert runner.stats.batch_fallbacks == {}
         for record, spec in zip(records, specs):
             twin = execute_spec(dataclasses.replace(spec, engine="fastpath"))
@@ -208,8 +201,8 @@ class TestSeedGrouping:
 
     def test_distinct_shapes_form_distinct_groups(self):
         pytest.importorskip("numpy")
-        specs = batch_specs(3) + batch_specs(3, graph_params={"length": 8})
-        runner = BatchRunner(parallel=False, min_group_size=2)
+        specs = batch_specs(8) + batch_specs(8, graph_params={"length": 8})
+        runner = BatchRunner(parallel=False)
         runner.run(specs)
         assert runner.stats.batched_groups == 2
 
@@ -242,33 +235,33 @@ class TestSeedGrouping:
         pytest.importorskip("numpy")
         from repro.store import ResultStore
 
-        specs = batch_specs(5)
+        specs = batch_specs(9)
         store = ResultStore(str(tmp_path / "store"))
         # Pre-populate the store with the *middle* member of the group.
         seeded = BatchRunner(parallel=False, store=store)
-        seeded.run([specs[2]])
-        runner = BatchRunner(parallel=False, store=store, min_group_size=2)
+        seeded.run([specs[4]])
+        runner = BatchRunner(parallel=False, store=store)
         records = runner.run(specs)
         assert runner.stats.store_hits == 1
-        assert runner.stats.executed == 4  # the hit shrank the group
+        assert runner.stats.executed == 8  # the hit shrank the group
         assert runner.stats.batched_groups == 1
         assert [r.spec for r in records] == specs
 
     def test_jsonl_resume_shrinks_group(self, tmp_path):
         pytest.importorskip("numpy")
-        specs = batch_specs(5)
+        specs = batch_specs(10)
         out = tmp_path / "records.jsonl"
         BatchRunner(parallel=False).run(specs[:2], output_path=str(out))
-        runner = BatchRunner(parallel=False, min_group_size=2)
+        runner = BatchRunner(parallel=False)
         records = runner.run(specs, output_path=str(out))
         assert runner.stats.reused == 2
-        assert runner.stats.executed == 3
+        assert runner.stats.executed == 8
         assert runner.stats.batched_groups == 1
-        assert len(records) == 5
+        assert len(records) == 10
 
 
 class TestMinGroupSize:
-    """Seed-groups below ``min_group_size`` run per-spec (SoA set-up
+    """Seed-groups below ``DEFAULT_MIN_GROUP_SIZE`` run per-spec (SoA set-up
     overhead beats the speedup at tiny K) and are tallied as fallbacks."""
 
     def test_default_threshold_turns_small_groups_away(self):
@@ -299,34 +292,10 @@ class TestMinGroupSize:
         assert runner.stats.batched_groups == 1
         assert runner.stats.batch_fallbacks == {}
 
-    def test_threshold_override(self):
-        pytest.importorskip("numpy")
-        specs = batch_specs(3)
-        runner = BatchRunner(parallel=False, min_group_size=3)
-        runner.run(specs)
-        assert runner.stats.batched_groups == 1
-
-        strict = BatchRunner(parallel=False, min_group_size=50)
-        strict.run(batch_specs(3, graph_params={"length": 7}))
-        assert strict.stats.batched_groups == 0
-        assert strict.stats.batch_fallbacks == {"small_group": 3}
-
-    def test_threshold_floor_is_two(self):
-        # min_group_size=1 cannot force singleton groups through run_many:
-        # there is nothing to batch a singleton with.
-        runner = BatchRunner(parallel=False, min_group_size=1)
-        runner.run(batch_specs(1))
-        assert runner.stats.batched_groups == 0
-        assert runner.stats.batch_fallbacks == {}
-
     def test_singletons_are_not_counted_as_fallbacks(self):
         runner = BatchRunner(parallel=False)
         runner.run(batch_specs(1))
         assert runner.stats.batch_fallbacks == {}
-
-    def test_bad_min_group_size(self):
-        with pytest.raises(ValueError):
-            BatchRunner(min_group_size=0)
 
 
 class TestBatchFallbackCounters:
@@ -537,7 +506,7 @@ class TestReturnedRecordsAreNotRehashed:
 
         specs = tree_specs(6)
         store = ResultStore(str(tmp_path / "store"))
-        runner = BatchRunner(max_workers=2, chunksize=2, store=store)
+        runner = BatchRunner(max_workers=2, store=store)
         records = self.run_counted(monkeypatch, runner, specs)
         expected = BatchRunner(parallel=False).run(tree_specs(6))
         assert [r.comparable_dict() for r in records] == [

@@ -130,7 +130,6 @@ class TestPopulatedRegistries:
             "terminal-first",
             "port-biased",
             "latency",
-            "dropping",
         ):
             assert name in SCHEDULERS
 

@@ -165,7 +165,7 @@ class TestBatchCounters:
         assert stats.cache_hits == 5
 
     def test_parallel_batch_ships_counters_from_workers(self):
-        runner = BatchRunner(max_workers=2, chunksize=2)
+        runner = BatchRunner(max_workers=2)
         runner.run(self.specs())
         stats = runner.stats
         # Each worker process compiles the topology at most once; every
@@ -194,16 +194,9 @@ class TestBatchCounters:
 
 
 class TestChunksizeAutotune:
-    def test_explicit_chunksize_respected(self):
-        assert BatchRunner(chunksize=7).effective_chunksize(10_000) == 7
-
     def test_autotune_floor_is_four(self):
         assert BatchRunner(max_workers=4).effective_chunksize(10) == 4
 
     def test_autotune_scales_with_batch_size(self):
         runner = BatchRunner(max_workers=4)
         assert runner.effective_chunksize(3200) == 100
-
-    def test_zero_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(chunksize=0)

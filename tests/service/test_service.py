@@ -222,7 +222,6 @@ class TestJobLifecycle:
     def test_watch_ends_terminal_when_job_finishes_mid_snapshot(self, service):
         job = Job(
             id="race",
-            payload={},
             experiments=["e01"],
             scale="quick",
             engine=None,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import BatchRunner, CampaignRunner, load_records, run_specs
+from repro.api import BatchRunner, CampaignRunner, load_records
 from repro.api.campaign import ExperimentSpec
 from repro.store import ResultStore
 
@@ -93,12 +93,6 @@ class TestBatchRunnerStore:
         runner.run(specs, resume=False)
         assert runner.stats.executed == len(specs)
         assert runner.stats.store_hits == 0 and runner.stats.store_misses == 0
-
-    def test_run_specs_passes_store_through(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        specs = grid_specs(2)
-        run_specs(specs, parallel=False, store=store)
-        assert store.stats().records == len(specs)
 
 
 class TestCampaignRunnerStore:
