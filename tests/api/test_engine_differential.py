@@ -5,9 +5,9 @@ The fast-path engine's contract is *result identity*: for any spec, the
 engine produces — same outcome, same step counts, every metric equal —
 modulo the wall-clock :data:`~repro.api.spec.TIMING_FIELDS`.  This suite
 enforces that contract over every registered protocol × three graph
-families × every registered scheduler, which covers both the generic
-machine (cheap protocols) and the compiled interval kernel
-(general-broadcast / label-assignment).
+families × every registered scheduler plus one message-loss case, which
+covers both the generic machine (cheap protocols) and the compiled
+interval kernel (general-broadcast / label-assignment).
 
 Some combinations are intentionally "wrong" for the protocol (a tree
 protocol on a cyclic digraph may spin until the budget runs out); the
@@ -33,6 +33,12 @@ GRAPH_FAMILIES = (
 #: staying far above the step count of every well-matched combination.
 MAX_STEPS = 4000
 
+#: The message-loss case: FIFO delivery with each message lost with
+#: probability 0.1.  Lost commodity keeps the accounting open, so both
+#: engines must agree on the fail-safe (non-terminated) record too.
+LOSSY = "dropping"
+LOSSY_FAULTS = {"drop_probability": 0.1}
+
 
 def _records(spec: RunSpec):
     """The comparable dicts of both engines, with the engine field removed."""
@@ -46,10 +52,13 @@ def _records(spec: RunSpec):
     return out
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS.names()))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS.names()) + [LOSSY])
 @pytest.mark.parametrize("graph,graph_params", GRAPH_FAMILIES)
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS.names()))
 def test_fastpath_matches_async(protocol, graph, graph_params, scheduler):
+    faults = None
+    if scheduler == LOSSY:
+        scheduler, faults = "fifo", LOSSY_FAULTS
     spec = RunSpec(
         graph=graph,
         graph_params=graph_params,
@@ -57,6 +66,7 @@ def test_fastpath_matches_async(protocol, graph, graph_params, scheduler):
         scheduler=scheduler,
         seed=11,
         max_steps=MAX_STEPS,
+        faults=faults,
     )
     reference, fast = _records(spec)
     assert fast == reference
