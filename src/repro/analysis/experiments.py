@@ -13,7 +13,7 @@ takes explicit size parameters; the defaults are the full-size run.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..api import PROTOCOLS
 from ..graphs.enumerate_graphs import all_grounded_trees, all_internal_wirings
@@ -174,7 +174,6 @@ def experiment_e19_schedule_search(
     max_nodes: int = 20_000,
     seed: int = 0,
     store=None,
-    max_workers: Optional[int] = None,
 ) -> List[Dict]:
     """E19 (beyond the paper): guided adversarial schedule search vs. n.
 
@@ -204,9 +203,7 @@ def experiment_e19_schedule_search(
             seed=seed,
         )
         network = spec.build_graph()
-        result, certificate = search_and_certify(
-            spec, objective=objective, max_nodes=max_nodes, max_workers=max_workers
-        )
+        result, certificate = search_and_certify(spec, objective=objective, max_nodes=max_nodes)
         row = {
             "n": n,
             "vertices": network.num_vertices,
@@ -221,7 +218,9 @@ def experiment_e19_schedule_search(
             "executions": result.executions,
             "exhausted": not result.truncated,
             "mode": result.mode,
-            "shards": result.shards,
+            # Always 0 since the search runs in one process; kept because
+            # the benchmark's pinned e19 row digests cover this key.
+            "shards": 0,
             "certificate": certificate.cert_id if certificate is not None else None,
         }
         if certificate is not None and store is not None:

@@ -672,15 +672,12 @@ class CampaignRunner:
     def _run_driver(self, experiment: DriverExperiment) -> CampaignResult:
         kwargs = dict(_scale_overrides(experiment, self.scale))
         driver = experiment.resolve()
-        # Drivers that emit store artifacts (e19's schedule certificates) or
-        # fan work out across processes declare store=/max_workers= keywords;
-        # the runner threads its own configuration through to them.
+        # Drivers that emit store artifacts (e19's schedule certificates)
+        # declare a store= keyword; the runner threads its store through.
         from .spec import _accepts_param
 
         if self.store is not None and "store" not in kwargs and _accepts_param(driver, "store"):
             kwargs["store"] = self.store
-        if "max_workers" not in kwargs and _accepts_param(driver, "max_workers"):
-            kwargs["max_workers"] = self.max_workers if self.parallel else 1
         rows = driver(**kwargs)
         stats = BatchStats(total=0, executed=0, reused=0)
         _, rows_path = self._artifact_paths(experiment.name)

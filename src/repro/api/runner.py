@@ -479,29 +479,6 @@ class BatchRunner:
             for spec, record in zip(specs, result.records):
                 yield record if record.spec is spec else replace(record, spec=spec)
 
-    def map_payloads(
-        self,
-        worker: Callable[[Dict[str, Any]], Dict[str, Any]],
-        payloads: Sequence[Dict[str, Any]],
-    ) -> List[Dict[str, Any]]:
-        """Run a picklable ``worker`` over JSON-safe payload dicts, in order.
-
-        The generic sibling of :meth:`run` for work that is not a
-        :class:`~repro.api.spec.RunSpec` — the guided schedule search
-        shards subtree roots across the same worker pool this way.
-        Results come back in input order; ``parallel=False`` (or a single
-        payload) runs in-process, preserving the determinism story of the
-        spec path.  ``worker`` must be a module-level function (it
-        crosses the process boundary).
-        """
-        items = list(payloads)
-        if not items:
-            return []
-        if not self.parallel or len(items) == 1:
-            return [worker(payload) for payload in items]
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(worker, items))
-
     @staticmethod
     def _rewrite(path: str, records: Sequence[RunRecord]) -> None:
         """Atomically replace ``path`` with the canonical input-order JSONL."""

@@ -466,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search node budget (default: 200000)",
     )
     schedule_search.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the frontier across N processes (default: serial)",
-    )
-    schedule_search.add_argument(
         "-o",
         "--out",
         default=None,
@@ -758,6 +751,9 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
     }
     if args.spec is not None:
         payload["spec"] = _load_or_die(args.spec, _read_json, "experiment")
+        if payload["spec"] is None:
+            # The request parser reads a null field as absent, not as a spec.
+            raise SystemExit("invalid experiment spec: experiment payload must be a dict, got null")
     request = _request_or_die(payload)
 
     def progress(done: int, total: int, record: RunRecord) -> None:
@@ -925,7 +921,6 @@ def _cmd_schedule(args, stream: IO[str]) -> int:
             specs[0],
             objective=args.objective,
             max_nodes=args.max_nodes,
-            max_workers=args.workers,
         )
         print(result.summary(), file=stream)
         if certificate is None:

@@ -153,6 +153,15 @@ class MappingMessage:
     sender_port: int
     facts: FrozenSet
 
+    def __repr__(self) -> str:
+        # Facts sorted, so equal messages have equal text whatever the
+        # hash order: the schedule walkers key in-flight messages by it.
+        return (
+            f"MappingMessage(alpha={self.alpha!r}, beta={self.beta!r}, "
+            f"payload={self.payload!r}, sender={self.sender!r}, "
+            f"sender_port={self.sender_port!r}, facts={sorted(map(repr, self.facts))})"
+        )
+
     def structure_bits(self) -> int:
         """Encoded size of everything except the broadcast payload."""
         total = union_cost(self.alpha) + union_cost(self.beta)

@@ -102,6 +102,19 @@ def _closed(facts: FrozenSet) -> bool:
     return True
 
 
+class _FactSet(frozenset):
+    """A message's fact set whose repr is sorted, so free of hash order.
+
+    The schedule walkers key in-flight messages by their repr; a plain
+    frozenset would give equal messages different texts.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"_FactSet({sorted(map(repr, self))})"
+
+
 class MappingKernel(FlatKernel):
     """Fast-path machine for :class:`MappingProtocol` semantics.
 
@@ -164,7 +177,7 @@ class MappingKernel(FlatKernel):
 
     def initial_emissions(self, root: int) -> List[Tuple[int, Any, int]]:
         root_fact = ("v", "s", self.out_degree[root])
-        facts = frozenset({root_fact})
+        facts = _FactSet({root_fact})
         fact_bits = self._bits_of(root_fact)
         emissions = []
         for port, token, inner_bits in self.inner.initial_emissions(root):
@@ -217,7 +230,7 @@ class MappingKernel(FlatKernel):
         # 5. Emit: wrap the labeling emissions; if the fact set grew, flood
         #    facts on the remaining ports too.
         facts_grew = len(facts) != facts_before
-        snapshot_facts = frozenset(facts)
+        snapshot_facts = _FactSet(facts)
         ident = self.identity[vertex]
         icost = self.ident_cost[vertex]
         fbits = self.facts_bits[vertex]
@@ -261,7 +274,7 @@ class MappingKernel(FlatKernel):
             self.inner.snapshot(),
             tuple(frozenset(f) for f in self.facts),
             tuple(self.facts_bits),
-            tuple(tuple(d.items()) for d in self.in_info),
+            tuple(tuple(sorted(d.items())) for d in self.in_info),
             tuple(frozenset(r) for r in self.recorded),
             tuple(self.identity),
             tuple(self.ident_cost),

@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .guided import GuidedSearchResult, extract_schedule, get_objective, search_spec_schedules
+from .guided import GuidedSearchResult, extract_schedule, get_objective, search_schedules
 
 __all__ = [
     "CERTIFICATE_VERSION",
@@ -200,14 +200,15 @@ def search_and_certify(
     *,
     objective: str = "max-steps",
     max_nodes: int = 200_000,
-    max_workers: Optional[int] = None,
     use_kernel: Optional[bool] = None,
     digest: Optional[Any] = None,
 ) -> Tuple[GuidedSearchResult, Optional[ScheduleCertificate]]:
     """Run the guided search and package the incumbent as a certificate.
 
-    Returns ``(result, certificate)``; the certificate is ``None`` when
-    the search observed no complete execution (nothing to certify).  The
+    Only the spec's graph/protocol fields matter (the search *is* the
+    scheduler).  Returns ``(result, certificate)``; the certificate is
+    ``None`` when the search observed no complete execution (nothing to
+    certify).  The
     certified aggregates come from re-walking the incumbent path through
     the live protocol objects (:func:`~repro.lowerbounds.guided.extract_schedule`),
     not from the search bookkeeping — a kernel/object divergence would
@@ -215,17 +216,17 @@ def search_and_certify(
     artifact.
     """
     chosen = get_objective(objective)
-    result = search_spec_schedules(
-        spec,
+    network = spec.build_graph()
+    result = search_schedules(
+        network,
+        spec.build_protocol,
         objective=objective,
         max_nodes=max_nodes,
-        max_workers=max_workers,
         use_kernel=use_kernel,
         digest=digest,
     )
     if result.best_path is None:
         return result, None
-    network = spec.build_graph()
     extracted = extract_schedule(network, spec.build_protocol, result.best_path)
     if extracted.steps != result.best_depth or extracted.outcome != result.best_outcome:
         raise CertificateError(
@@ -250,7 +251,6 @@ def search_and_certify(
             "executions": result.executions,
             "truncated": result.truncated,
             "mode": result.mode,
-            "shards": result.shards,
             "outcomes": sorted(result.outcomes),
             "table": dict(result.table),
         },

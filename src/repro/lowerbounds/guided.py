@@ -16,19 +16,17 @@ Three pieces:
   used to re-open transposition entries reached along a better path (a
   maximizing search must re-expand a known configuration found deeper,
   or it would under-report the worst case the exhaustive DFS can reach).
-* :func:`search_schedules` — the serial best-first loop, with a
-  forced-chain fast path that dives through single-choice configurations
-  without heap churn.  Run with a large budget it is *exhaustive*: the
-  frontier drains, the outcome set equals the DFS's, and the incumbent
-  dominates every DFS leaf — the differential suite in
+* :func:`search_schedules` — the best-first loop, with a forced-chain
+  fast path that dives through single-choice configurations without
+  heap churn.  Run with a large budget it is *exhaustive*: the frontier
+  drains, the outcome set equals the DFS's, and the incumbent dominates
+  every DFS leaf — the differential suite in
   ``tests/lowerbounds/test_guided.py`` asserts exactly that on every
-  enumerated small topology.
-* :func:`search_spec_schedules` — the spec-level entry with an optional
-  **parallel frontier**: the serial loop expands until it holds enough
-  frontier nodes, then shards those subtree roots across
-  :meth:`~repro.api.runner.BatchRunner.map_payloads` workers in waves,
-  threading the incumbent between waves (periodic incumbent exchange) so
-  later shards inherit the bound found by earlier ones.
+  enumerated small topology.  The search is a function of the workload,
+  the objective and the node budget alone: one process, one answer.
+  Parallelism belongs one level up, one whole search per unit of work.
+* :func:`extract_schedule` — replays a search path through the live
+  protocol objects.
 
 Every result carries ``best_path`` — the sequence of distinct-choice
 ranks from the initial configuration to the incumbent leaf.  Paths are
@@ -66,7 +64,6 @@ __all__ = [
     "get_objective",
     "register_objective",
     "search_schedules",
-    "search_spec_schedules",
 ]
 
 
@@ -213,8 +210,6 @@ class GuidedSearchResult:
     nodes_at_best: int
     #: Transposition-table counters.
     table: Dict[str, int] = field(default_factory=dict)
-    #: Subtree shards dispatched by the parallel frontier (0 = serial).
-    shards: int = 0
 
     def summary(self) -> str:
         """One line for the CLI."""
@@ -224,7 +219,6 @@ class GuidedSearchResult:
             f"bits={self.best_bits} outcome={self.best_outcome} "
             f"nodes={self.nodes} (best@{self.nodes_at_best}) "
             f"outcomes={sorted(self.outcomes)} mode={self.mode}"
-            + (f" shards={self.shards}" if self.shards else "")
             + (" TRUNCATED" if self.truncated else "")
         )
 
@@ -294,30 +288,36 @@ def _descend(
     return ctx, pending, depth, bits, ("quiescent" if not pending else None)
 
 
-def _best_first(
-    walker: Any,
-    objective: SearchObjective,
-    max_nodes: int,
-    table: TranspositionTable,
+def search_schedules(
+    network: DirectedNetwork,
+    protocol_factory: Callable[[], AnonymousProtocol],
     *,
-    root: Tuple[Any, List[Pending], int, int, Tuple[int, ...]],
-    incumbent: Optional[float] = None,
-    frontier_target: Optional[int] = None,
-) -> Tuple[GuidedSearchResult, List[Tuple[Any, ...]]]:
-    """The serial best-first loop shared by all entry points.
+    objective: str = "max-steps",
+    max_nodes: int = 200_000,
+    use_kernel: Optional[bool] = None,
+    compiled: Optional[Any] = None,
+    digest: Optional[Callable[[Any], int]] = None,
+) -> GuidedSearchResult:
+    """Best-first search for a worst-case schedule of ``protocol`` on ``network``.
 
-    ``root`` is ``(ctx, pending, depth, bits, path)``.  ``incumbent``
-    seeds the best value (parallel shards inherit the bound found by
-    earlier waves — only strictly better leaves update the incumbent).
-    With ``frontier_target`` set, the loop stops expanding as soon as the
-    frontier holds that many nodes and returns them (the parallel
-    frontier's shard roots); the returned result is then *partial*.
+    Parameters mirror :func:`~repro.lowerbounds.schedules.explore_all_schedules`
+    (``use_kernel``/``compiled``/``digest``) plus:
+
+    objective:
+        An :data:`OBJECTIVES` name; see :class:`SearchObjective`.
+    max_nodes:
+        Delivery budget.  An undrained frontier marks the result
+        ``truncated``; a drained one makes the search exhaustive.
     """
+    chosen = get_objective(objective)
+    walker = _make_walker(network, protocol_factory, use_kernel, compiled)
+    table = TranspositionTable(digest)
+
     outcomes: Set[str] = set()
     executions = 0
     nodes = 0
     truncated = False
-    best_value = incumbent
+    best_value: Optional[float] = None
     best_depth = 0
     best_bits = 0
     best_outcome: Optional[str] = None
@@ -332,7 +332,7 @@ def _best_first(
         nonlocal nodes_at_best, executions
         outcomes.add(outcome)
         executions += 1
-        value = objective.leaf_value(depth, bits, outcome)
+        value = chosen.leaf_value(depth, bits, outcome)
         if best_value is None or value > best_value:
             best_value = value
             best_depth = depth
@@ -351,7 +351,7 @@ def _best_first(
         heapq.heappush(
             frontier,
             (
-                -objective.priority(depth, bits, len(pending)),
+                -chosen.priority(depth, bits, len(pending)),
                 next(counter),
                 ctx,
                 pending,
@@ -361,16 +361,14 @@ def _best_first(
             ),
         )
 
-    ctx, pending, depth, bits, path = root
-    if not pending:
-        record_leaf(depth, bits, "quiescent", path)
+    ctx, pending = walker.initial()
+    if pending:
+        push(ctx, pending, 0, 0, ())
     else:
-        push(ctx, pending, depth, bits, path)
+        record_leaf(0, 0, "quiescent", ())
 
     while frontier:
-        if best_value is not None and objective.satisfied(best_value):
-            break
-        if frontier_target is not None and len(frontier) >= frontier_target:
+        if best_value is not None and chosen.satisfied(best_value):
             break
         if nodes >= max_nodes:
             truncated = True
@@ -402,10 +400,10 @@ def _best_first(
                     continue
                 child_ctx, state_key = walker.capture()
                 key = (_pending_sig(child_pending), state_key)
-                if not table.visit(key, objective.rank(child_depth, child_bits)):
+                if not table.visit(key, chosen.rank(child_depth, child_bits)):
                     continue
                 child = (
-                    objective.priority(child_depth, child_bits, len(child_pending)),
+                    chosen.priority(child_depth, child_bits, len(child_pending)),
                     child_ctx,
                     child_pending,
                     child_depth,
@@ -429,8 +427,8 @@ def _best_first(
     if nodes >= max_nodes and frontier:
         truncated = True
 
-    result = GuidedSearchResult(
-        objective=objective.name,
+    return GuidedSearchResult(
+        objective=chosen.name,
         outcomes=outcomes,
         nodes=nodes,
         executions=executions,
@@ -444,71 +442,6 @@ def _best_first(
         nodes_at_best=nodes_at_best,
         table=table.stats(),
     )
-    return result, frontier
-
-
-def search_schedules(
-    network: DirectedNetwork,
-    protocol_factory: Callable[[], AnonymousProtocol],
-    *,
-    objective: str = "max-steps",
-    max_nodes: int = 200_000,
-    use_kernel: Optional[bool] = None,
-    compiled: Optional[Any] = None,
-    digest: Optional[Callable[[Any], int]] = None,
-    root_path: Sequence[int] = (),
-    incumbent: Optional[float] = None,
-) -> GuidedSearchResult:
-    """Best-first search for a worst-case schedule of ``protocol`` on ``network``.
-
-    Parameters mirror :func:`~repro.lowerbounds.schedules.explore_all_schedules`
-    (``use_kernel``/``compiled``/``digest``) plus:
-
-    objective:
-        An :data:`OBJECTIVES` name; see :class:`SearchObjective`.
-    max_nodes:
-        Delivery budget.  An undrained frontier marks the result
-        ``truncated``; a drained one makes the search exhaustive.
-    root_path:
-        Start from the configuration this distinct-choice path reaches
-        instead of the initial one (parallel shards resume subtrees this
-        way).  Recorded ``best_path`` values stay global, i.e. they
-        include the prefix.
-    incumbent:
-        Seed incumbent value; only strictly better leaves are recorded
-        as the new best (the parallel frontier's bound exchange).
-    """
-    chosen = get_objective(objective)
-    walker = _make_walker(network, protocol_factory, use_kernel, compiled)
-    table = TranspositionTable(digest)
-    ctx, pending, depth, bits, outcome = _descend(walker, tuple(root_path))
-    if outcome is not None and tuple(root_path):
-        # The shard root itself is a leaf; report it and stop.
-        result = GuidedSearchResult(
-            objective=chosen.name,
-            outcomes={outcome},
-            nodes=0,
-            executions=1,
-            truncated=False,
-            mode=walker.mode,
-            best_value=chosen.leaf_value(depth, bits, outcome),
-            best_depth=depth,
-            best_bits=bits,
-            best_outcome=outcome,
-            best_path=tuple(root_path),
-            nodes_at_best=0,
-            table=table.stats(),
-        )
-        return result
-    result, _frontier = _best_first(
-        walker,
-        chosen,
-        max_nodes,
-        table,
-        root=(ctx, pending, depth, bits, tuple(root_path)),
-        incumbent=incumbent,
-    )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -546,178 +479,4 @@ def extract_schedule(
         steps=steps,
         total_bits=total_bits,
         outcome=outcome,
-    )
-
-
-# ----------------------------------------------------------------------
-# spec-level entry + parallel frontier
-# ----------------------------------------------------------------------
-
-
-def _search_shard_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry for one subtree shard (dict in / dict out, picklable)."""
-    from ..api.spec import RunSpec
-
-    spec = RunSpec.from_dict(payload["spec"])
-    network = spec.build_graph()
-    result = search_schedules(
-        network,
-        spec.build_protocol,
-        objective=payload["objective"],
-        max_nodes=payload["max_nodes"],
-        use_kernel=payload.get("use_kernel"),
-        root_path=tuple(payload["root_path"]),
-        incumbent=payload.get("incumbent"),
-    )
-    return {
-        "outcomes": sorted(result.outcomes),
-        "nodes": result.nodes,
-        "executions": result.executions,
-        "truncated": result.truncated,
-        "best_value": result.best_value,
-        "best_depth": result.best_depth,
-        "best_bits": result.best_bits,
-        "best_outcome": result.best_outcome,
-        "best_path": list(result.best_path) if result.best_path is not None else None,
-        "nodes_at_best": result.nodes_at_best,
-        "table": result.table,
-    }
-
-
-def search_spec_schedules(
-    spec: Any,
-    *,
-    objective: str = "max-steps",
-    max_nodes: int = 200_000,
-    max_workers: Optional[int] = None,
-    shard_target: Optional[int] = None,
-    use_kernel: Optional[bool] = None,
-    digest: Optional[Callable[[Any], int]] = None,
-) -> GuidedSearchResult:
-    """Guided search for a :class:`~repro.api.spec.RunSpec` workload.
-
-    Only the spec's graph/protocol fields matter (the search *is* the
-    scheduler).  With ``max_workers`` ≥ 2 the **parallel frontier**
-    engages: the serial loop expands until it holds ``shard_target``
-    frontier nodes (default ``4 × max_workers``), then those subtree
-    roots — serialized as distinct-choice paths, so nothing
-    protocol-specific crosses the process boundary — are dispatched in
-    waves across :class:`~repro.api.runner.BatchRunner` workers.  Between
-    waves the incumbent is merged and handed to the next wave as the
-    seed bound (periodic incumbent/bound exchange), so later shards skip
-    recording leaves an earlier wave already dominated.
-    """
-    chosen = get_objective(objective)
-    network = spec.build_graph()
-    if max_workers is None or max_workers <= 1:
-        return search_schedules(
-            network,
-            spec.build_protocol,
-            objective=objective,
-            max_nodes=max_nodes,
-            use_kernel=use_kernel,
-            digest=digest,
-        )
-
-    from ..api.runner import BatchRunner
-
-    walker = _make_walker(network, spec.build_protocol, use_kernel, None)
-    table = TranspositionTable(digest)
-    ctx, pending = walker.initial()
-    target = shard_target if shard_target is not None else 4 * max_workers
-    partial, frontier = _best_first(
-        walker,
-        chosen,
-        max_nodes,
-        table,
-        root=(ctx, pending, 0, 0, ()),
-        frontier_target=max(2, target),
-    )
-
-    outcomes = set(partial.outcomes)
-    executions = partial.executions
-    nodes = partial.nodes
-    truncated = partial.truncated
-    best = {
-        "value": partial.best_value,
-        "depth": partial.best_depth,
-        "bits": partial.best_bits,
-        "outcome": partial.best_outcome,
-        "path": partial.best_path,
-        "at": partial.nodes_at_best,
-    }
-    table_stats = dict(partial.table)
-    shards = 0
-
-    # Expansion-order frontier: best-priority subtrees dispatch first, so
-    # the first wave already produces a strong incumbent for later waves.
-    roots = [entry[-1] for entry in sorted(frontier)]
-    if roots and not truncated and not (
-        best["value"] is not None and chosen.satisfied(best["value"])
-    ):
-        budget_pool = max(0, max_nodes - nodes)
-        # Deep budgets sized for ~`target` shards; a flood of shallow
-        # subtree roots shrinks later waves' budgets rather than starving
-        # every shard equally.
-        per_shard = max(1, budget_pool // max(1, target))
-        runner = BatchRunner(max_workers=max_workers, parallel=True)
-        spec_dict = spec.to_dict()
-        # At most ~8 waves: each wave is one pool dispatch and one
-        # incumbent exchange, so exchange stays periodic without paying a
-        # pool spin-up per handful of subtrees.
-        wave_size = max(max_workers, -(-len(roots) // 8))
-        for start in range(0, len(roots), wave_size):
-            if nodes >= max_nodes:
-                truncated = True
-                break
-            if best["value"] is not None and chosen.satisfied(best["value"]):
-                break
-            wave = roots[start : start + wave_size]
-            wave_budget = min(per_shard, max(1, (max_nodes - nodes) // len(wave)))
-            payloads = [
-                {
-                    "spec": spec_dict,
-                    "objective": objective,
-                    "root_path": list(path),
-                    "max_nodes": wave_budget,
-                    "use_kernel": use_kernel,
-                    "incumbent": best["value"],
-                }
-                for path in wave
-            ]
-            for shard in runner.map_payloads(_search_shard_payload, payloads):
-                shards += 1
-                outcomes.update(shard["outcomes"])
-                executions += shard["executions"]
-                truncated = truncated or shard["truncated"]
-                for key, count in shard["table"].items():
-                    table_stats[key] = table_stats.get(key, 0) + count
-                if shard["best_path"] is not None and (
-                    best["value"] is None or shard["best_value"] > best["value"]
-                ):
-                    best = {
-                        "value": shard["best_value"],
-                        "depth": shard["best_depth"],
-                        "bits": shard["best_bits"],
-                        "outcome": shard["best_outcome"],
-                        "path": tuple(shard["best_path"]),
-                        "at": nodes + shard["nodes_at_best"],
-                    }
-                nodes += shard["nodes"]
-
-    return GuidedSearchResult(
-        objective=objective,
-        outcomes=outcomes,
-        nodes=nodes,
-        executions=executions,
-        truncated=truncated,
-        mode=walker.mode,
-        best_value=best["value"],
-        best_depth=best["depth"],
-        best_bits=best["bits"],
-        best_outcome=best["outcome"],
-        best_path=best["path"],
-        nodes_at_best=best["at"],
-        table=table_stats,
-        shards=shards,
     )

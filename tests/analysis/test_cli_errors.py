@@ -112,6 +112,15 @@ class TestMalformedSpecFile:
         message = _run_expecting_error(["experiment", "--spec", str(path)])
         assert "malformed JSON" in message
 
+    @pytest.mark.parametrize("text", ["[]", "null"], ids=["list", "null"])
+    def test_experiment_spec_not_an_object(self, tmp_path, text):
+        # A JSON null must not read as "no spec given".
+        path = tmp_path / "exp.json"
+        path.write_text(text, encoding="utf-8")
+        message = _run_expecting_error(["experiment", "--spec", str(path)])
+        assert message.startswith("invalid experiment spec: ")
+        assert "must be a dict" in message
+
     @pytest.mark.parametrize(
         "argv, payload, missing",
         [

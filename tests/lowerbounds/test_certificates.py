@@ -119,6 +119,24 @@ class TestVerification:
         assert not report.ok
         assert any("steps" in f for f in report.failures)
 
+    def test_certificate_with_shards_provenance_still_verifies(self, certified):
+        """Certificates issued while the search could shard its frontier
+        carry ``search.shards``; they load and verify unchanged, and only
+        that key separates them from a fresh certificate of the same
+        workload."""
+        path = os.path.join(os.path.dirname(__file__), "certificate_with_shards.json")
+        old = load_certificate(path)
+        assert old.search["shards"] == 0
+        report = verify_certificate(old)
+        assert report.ok, report.failures
+        _, fresh = certified
+        assert "shards" not in fresh.search
+        assert fresh.cert_id != old.cert_id
+        stripped = {key: value for key, value in old.search.items() if key != "shards"}
+        assert fresh.search == stripped
+        assert fresh.deliveries == old.deliveries
+        assert (fresh.steps, fresh.total_bits) == (old.steps, old.total_bits)
+
     def test_unknown_workload_is_a_verification_failure(self, certified):
         _, cert = certified
         payload = cert.to_dict()
@@ -170,3 +188,30 @@ class TestCampaignE19:
             path = os.path.join(copy.root, row["certificate_path"])
             assert os.path.isfile(path)
             assert load_certificate(path).cert_id == row["certificate"]
+
+    def test_pooled_runner_gives_the_serial_rows(self):
+        from repro.api.campaign import CampaignRunner
+
+        ensure_registered()
+        serial = CampaignRunner(scale="quick", parallel=False).run("e19")
+        pooled = CampaignRunner(scale="quick", parallel=True, max_workers=2).run("e19")
+        assert pooled.rows == serial.rows
+
+    def test_rows_cached_by_a_pooled_run_equal_a_fresh_serial_run(self, tmp_path):
+        """The worker count is not part of the row-cache key, so the rows a
+        pooled run caches must be the rows a serial run computes."""
+        from repro.api.campaign import CampaignRunner
+        from repro.store import ResultStore
+
+        ensure_registered()
+        store = ResultStore(str(tmp_path / "store"))
+        CampaignRunner(scale="quick", parallel=True, max_workers=2, store=store).run("e19")
+        cached = CampaignRunner(scale="quick", parallel=False, store=store).run("e19")
+        assert cached.rows_cached
+        fresh = CampaignRunner(scale="quick", parallel=False).run("e19")
+        # Only a run with a store writes certificates and names their paths.
+        served = [
+            {key: value for key, value in row.items() if key != "certificate_path"}
+            for row in cached.rows
+        ]
+        assert served == fresh.rows

@@ -5,7 +5,7 @@ enumerated topology small enough to exhaust, the guided search must
 reproduce the exhaustive DFS answers exactly — same outcome set, and an
 incumbent at least as deep as any leaf the DFS saw (equal, since both
 drain the tree).  Everything else (objectives, extraction, collision
-injection, parallel sharding) builds on that agreement.
+injection) builds on that agreement.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.lowerbounds.guided import (
     extract_schedule,
     get_objective,
     search_schedules,
-    search_spec_schedules,
 )
 from repro.lowerbounds.schedules import explore_all_schedules
 from repro.network.graph import DirectedNetwork
@@ -178,18 +177,6 @@ class TestTruncationAndIncumbents:
         assert result.best_path is not None
         assert result.best_depth > 0
 
-    def test_incumbent_bound_prunes(self):
-        # Passing the known optimum as the incumbent must not change it.
-        net = DirectedNetwork(4, [(0, 2), (2, 3), (3, 2), (2, 1)], root=0, terminal=1)
-        base = search_schedules(net, GeneralBroadcastProtocol, objective="max-steps")
-        bounded = search_schedules(
-            net,
-            GeneralBroadcastProtocol,
-            objective="max-steps",
-            incumbent=base.best_value,
-        )
-        assert bounded.best_value >= base.best_value
-
 
 class TestExtraction:
     def test_extracted_schedule_matches_search_leaf(self):
@@ -211,42 +198,3 @@ class TestExtraction:
         with pytest.raises(ValueError):
             # A strict prefix of a leaf path does not end at a leaf.
             extract_schedule(net, TreeBroadcastProtocol, result.best_path[:-1])
-
-
-class TestParallelFrontier:
-    def test_parallel_agrees_with_serial_on_exhaustible_space(self):
-        from repro.api.spec import RunSpec, ensure_registered
-
-        ensure_registered()
-        spec = RunSpec(
-            graph="random-dag",
-            graph_params={"num_internal": 3, "seed": 0},
-            protocol="general-broadcast",
-            seed=0,
-        )
-        serial = search_spec_schedules(spec, objective="max-steps", max_nodes=50_000)
-        parallel = search_spec_schedules(
-            spec, objective="max-steps", max_nodes=50_000, max_workers=2
-        )
-        assert not serial.truncated
-        assert parallel.outcomes == serial.outcomes
-        assert parallel.best_depth == serial.best_depth
-        assert parallel.best_value == serial.best_value
-
-    def test_parallel_incumbent_is_replayable(self):
-        from repro.api.spec import RunSpec, ensure_registered
-
-        ensure_registered()
-        spec = RunSpec(
-            graph="random-dag",
-            graph_params={"num_internal": 3, "seed": 0},
-            protocol="general-broadcast",
-            seed=0,
-        )
-        result = search_spec_schedules(
-            spec, objective="max-steps", max_nodes=50_000, max_workers=2
-        )
-        extracted = extract_schedule(
-            spec.build_graph(), spec.build_protocol, result.best_path
-        )
-        assert extracted.steps == result.best_depth

@@ -5,6 +5,7 @@ import pytest
 from repro.api import PROTOCOLS, RunSpec, ensure_registered
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.core.labeling import LabelAssignmentProtocol
+from repro.core.mapping import MappingProtocol
 from repro.core.tree_broadcast import TreeBroadcastProtocol
 from repro.graphs.enumerate_graphs import all_grounded_trees, all_internal_wirings
 from repro.graphs.properties import is_grounded_tree
@@ -195,6 +196,16 @@ class TestModeEquivalence:
                 continue
             self._assert_modes_agree(net, GeneralBroadcastProtocol)
             self._assert_modes_agree(net, LabelAssignmentProtocol)
+
+    @pytest.mark.parametrize(
+        "net",
+        [net for net in all_internal_wirings(2) if net.num_edges <= 5],
+        ids=lambda net: "-".join(f"{tail}{head}" for tail, head in net.edges),
+    )
+    def test_modes_agree_on_wirings_for_topology_mapping(self, net):
+        # Both walkers key a mapping configuration, and every in-flight
+        # message, by text free of hash and insertion order.
+        self._assert_modes_agree(net, MappingProtocol)
 
     def test_modes_agree_under_truncation(self):
         net = DirectedNetwork(
