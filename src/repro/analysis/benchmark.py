@@ -794,7 +794,9 @@ BENCH_SUITES: Dict[str, Callable[[bool], Dict[str, Any]]] = {
     "store": lambda quick: run_store_benchmarks(
         n_records=STORE_BENCH_RECORDS // 5 if quick else STORE_BENCH_RECORDS
     ),
-    "batch": lambda quick: run_batch_benchmarks(repeats=2 if quick else 3),
+    # Full repeats even when quick: the k=16 ratio sits near its floor,
+    # so one more round keeps a single loaded round from setting it.
+    "batch": lambda quick: run_batch_benchmarks(repeats=3),
     "batch_protocols": lambda quick: run_batch_protocol_matrix(repeats=2),
     "trace": lambda quick: run_trace_benchmarks(repeats=2 if quick else 3),
     "schedules": lambda quick: run_schedule_benchmarks(repeats=2 if quick else 3),

@@ -81,6 +81,12 @@ __all__ = [
     "run_experiment",
 ]
 
+#: The engine of an expanded grid spec that names none.  The kernels give
+#: the reference loop's records and hand it the runs they cannot serve
+#: (faults, traces, state bits); ``RunSpec`` itself still defaults to
+#: ``async``, the reference loop, which is the campaigns' oracle.
+CAMPAIGN_ENGINE = "fastpath"
+
 
 def _assign(payload: Dict[str, Any], path: str, value: Any) -> None:
     """Set a dotted path inside a nested dict, creating intermediate dicts."""
@@ -240,6 +246,9 @@ class ExperimentSpec:
         first axis outermost (``itertools.product`` semantics); aggregators
         may therefore rely on group adjacency.  ``engine`` rewrites every
         expanded spec's engine unless the campaign is ``engine_locked``;
+        without it, a spec that names no engine gets
+        :data:`CAMPAIGN_ENGINE`.  An ``engine_locked`` grid keeps its
+        specs' engines as expanded.
         ``trace`` rewrites every spec's capture policy (``"full"`` /
         ``"sample:k"``) so a whole campaign can be recorded.
         """
@@ -254,8 +263,10 @@ class ExperimentSpec:
                         _assign(payload, path, copy.deepcopy(patch_value))
                 else:
                     _assign(payload, key, copy.deepcopy(value))
-            if engine is not None and not self.engine_locked:
-                payload["engine"] = engine
+            if not self.engine_locked:
+                payload["engine"] = (
+                    engine if engine is not None else payload.get("engine", CAMPAIGN_ENGINE)
+                )
             if trace is not None:
                 payload["trace"] = trace
             specs.append(RunSpec.from_dict(payload))
@@ -451,7 +462,10 @@ class CampaignRunner:
     engine:
         Engine override applied to every expanded spec (ignored by
         ``engine_locked`` campaigns, and by driver experiments — their
-        harnesses do not run engines).
+        harnesses do not run engines).  ``None`` runs each grid on the
+        engine its specs name, else on :data:`CAMPAIGN_ENGINE`
+        (``fastpath``); ``"async"`` runs it on the reference loop, the
+        oracle.
     trace:
         Trace-capture policy (``"full"`` / ``"sample:k"``) applied to
         every expanded spec, recording the whole campaign; route the
@@ -569,9 +583,12 @@ class CampaignRunner:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def _applied_engine(self, experiment: Union[ExperimentSpec, DriverExperiment]) -> Optional[str]:
+        """The engine an unlocked grid's specs carry (see :meth:`ExperimentSpec.expand`)."""
         if isinstance(experiment, DriverExperiment) or experiment.engine_locked:
             return None
-        return self.engine
+        if self.engine is not None:
+            return self.engine
+        return experiment.base.get("engine", CAMPAIGN_ENGINE)
 
     def _cached(
         self, experiment: Union[ExperimentSpec, DriverExperiment], cached: Dict[str, Any]

@@ -8,7 +8,7 @@ Usage::
     python -m repro run E1 E9 --out report.txt
     python -m repro run --spec spec.json # execute one RunSpec file
     python -m repro batch specs.json -o out.jsonl   # parallel batch + resume
-    python -m repro experiment e05 --engine fastpath  # registered campaign
+    python -m repro experiment e05 --engine async  # registered campaign, reference loop
     python -m repro experiment all --quick --out artifacts/
     python -m repro registry             # list spec-addressable names
     python -m repro bench --quick        # engine throughput -> BENCH_engines.json
@@ -253,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         metavar="ENGINE",
-        help="override the execution engine for every expanded run "
-        "(ignored by engine-locked campaigns such as e13)",
+        help="override the execution engine for every expanded run; grids "
+        "run on fastpath by default, and --engine async runs them on the "
+        "reference loop, the oracle (ignored by engine-locked campaigns "
+        "such as e13)",
     )
     experiment.add_argument(
         "--scale",

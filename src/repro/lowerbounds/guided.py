@@ -48,7 +48,9 @@ from ..core.model import AnonymousProtocol
 from ..network.graph import DirectedNetwork
 from .schedules import (
     Pending,
+    PendingSig,
     TranspositionTable,
+    _child_sig,
     _distinct_choice_indices,
     _make_walker,
     _ObjectWalker,
@@ -344,6 +346,7 @@ def search_schedules(
     def push(
         ctx: Any,
         pending: List[Pending],
+        sig: PendingSig,
         depth: int,
         bits: int,
         path: Tuple[int, ...],
@@ -355,6 +358,7 @@ def search_schedules(
                 next(counter),
                 ctx,
                 pending,
+                sig,
                 depth,
                 bits,
                 path,
@@ -363,7 +367,7 @@ def search_schedules(
 
     ctx, pending = walker.initial()
     if pending:
-        push(ctx, pending, 0, 0, ())
+        push(ctx, pending, _pending_sig(pending), 0, 0, ())
     else:
         record_leaf(0, 0, "quiescent", ())
 
@@ -373,7 +377,7 @@ def search_schedules(
         if nodes >= max_nodes:
             truncated = True
             break
-        _, _, ctx, pending, depth, bits, path = heapq.heappop(frontier)
+        _, _, ctx, pending, sig, depth, bits, path = heapq.heappop(frontier)
         # Greedy dive: expand the node, keep walking the best surviving
         # child inline (pushing the siblings) until a leaf or a dead end.
         # Every pop therefore completes at least one execution, so the
@@ -385,7 +389,8 @@ def search_schedules(
             choices = _distinct_choice_indices(pending)
             best_child: Optional[Tuple[Any, ...]] = None
             for rank, index in enumerate(choices):
-                edge_id, payload, _text, mbits = pending[index]
+                item = pending[index]
+                edge_id, payload, _text, mbits = item
                 emissions, terminated = walker.deliver(ctx, edge_id, payload)
                 nodes += 1
                 child_depth = depth + 1
@@ -399,13 +404,15 @@ def search_schedules(
                     record_leaf(child_depth, child_bits, "quiescent", child_path)
                     continue
                 child_ctx, state_key = walker.capture()
-                key = (_pending_sig(child_pending), state_key)
+                child_sig = _child_sig(sig, item, emissions)
+                key = (child_sig, state_key)
                 if not table.visit(key, chosen.rank(child_depth, child_bits)):
                     continue
                 child = (
                     chosen.priority(child_depth, child_bits, len(child_pending)),
                     child_ctx,
                     child_pending,
+                    child_sig,
                     child_depth,
                     child_bits,
                     child_path,
@@ -419,7 +426,7 @@ def search_schedules(
                     push(*child[1:])
             if best_child is not None:
                 if nodes < max_nodes:
-                    _, ctx, pending, depth, bits, path = best_child
+                    _, ctx, pending, sig, depth, bits, path = best_child
                     diving = True
                 else:
                     push(*best_child[1:])

@@ -32,7 +32,7 @@ from ..graphs.constructions import (
     full_tree_with_terminal,
     pruned_tree,
 )
-from ..network.simulator import run_protocol
+from ..network.fastpath import run_protocol_fastpath
 
 __all__ = [
     "leaf_labels",
@@ -44,7 +44,7 @@ __all__ = [
 
 def _run_labeling(network, protocol_factory):
     protocol = protocol_factory() if protocol_factory is not None else LabelAssignmentProtocol()
-    result = run_protocol(network, protocol)
+    result = run_protocol_fastpath(network, protocol)
     if not result.terminated:
         raise AssertionError("labeling failed to terminate")
     return result

@@ -31,7 +31,9 @@ Confluent configurations are collapsed through a
 exact-compare bucket behind every digest so a hash collision can never
 merge two genuinely different configurations.  Payload reprs are computed
 once at emission time and reused across every branch that carries the
-message, replacing the old per-node re-``repr`` of the whole pending list.
+message, replacing the old per-node re-``repr`` of the whole pending list;
+a configuration's sorted in-flight signature is derived from its
+parent's (:func:`_child_sig`), so only a walk's root is sorted.
 
 Both walkers enumerate the same distinct choices in the same order and
 key configurations exactly, so outcome/execution/step counts agree —
@@ -50,6 +52,7 @@ graph, with the same walkers, lives in :mod:`repro.lowerbounds.guided`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -146,14 +149,36 @@ class TranspositionTable:
 Pending = Tuple[int, Any, str, int]
 
 
-def _pending_sig(pending: Sequence[Pending]) -> Tuple[Tuple[int, str], ...]:
+#: The order-free exact signature of an in-flight multiset: its
+#: ``(edge_id, payload_repr)`` pairs, sorted.
+PendingSig = Tuple[Tuple[int, str], ...]
+
+
+def _pending_sig(pending: Sequence[Pending]) -> PendingSig:
     """Order-free exact signature of the in-flight multiset.
 
     Items carry their payload repr from emission time, so the signature
     never re-``repr``\\ s a payload; sorting on (edge, text) makes equal
     multisets produce equal signatures regardless of delivery history.
+    A walk sorts only its root configuration this way; every other
+    signature is derived from its parent's by :func:`_child_sig`.
     """
     return tuple(sorted((item[0], item[2]) for item in pending))
+
+
+def _child_sig(sig: PendingSig, delivered: Pending, emissions: Sequence[Pending]) -> PendingSig:
+    """``sig`` after ``delivered`` left flight and ``emissions`` joined it.
+
+    Equal to ``_pending_sig`` of the child's pending list, without sorting
+    it again: one copy of the delivered ``(edge, text)`` pair goes (any copy
+    will do, equal pairs being equal), and each emission is inserted in
+    order.
+    """
+    items = list(sig)
+    del items[bisect_left(items, (delivered[0], delivered[2]))]
+    for item in emissions:
+        insort(items, (item[0], item[2]))
+    return tuple(items)
 
 
 def _distinct_choice_indices(pending: Sequence[Pending]) -> List[int]:
@@ -442,13 +467,14 @@ def explore_all_schedules(
     # recursion limits; each frame owns its configuration.  Configurations
     # are deduplicated at push time, collapsing confluent schedule branches.
     table = TranspositionTable(digest)
-    stack: List[Tuple[Any, List[Pending], int]] = [(ctx, initial, 0)]
-    table.visit((_pending_sig(initial), walker.key(ctx)))
+    sig = _pending_sig(initial)
+    stack: List[Tuple[Any, List[Pending], PendingSig, int]] = [(ctx, initial, sig, 0)]
+    table.visit((sig, walker.key(ctx)))
     deliver = walker.deliver
     capture = walker.capture
 
     while stack:
-        ctx, pending, depth = stack.pop()
+        ctx, pending, sig, depth = stack.pop()
         if not pending:
             outcomes.add("quiescent")
             executions += 1
@@ -459,7 +485,8 @@ def explore_all_schedules(
             break
 
         for index in _distinct_choice_indices(pending):
-            edge_id, payload, _text, _bits = pending[index]
+            item = pending[index]
+            edge_id, payload, _text, _bits = item
             emissions, terminated = deliver(ctx, edge_id, payload)
             steps += 1
             if terminated:
@@ -469,8 +496,9 @@ def explore_all_schedules(
                 continue
             branch_pending = pending[:index] + pending[index + 1 :] + emissions
             branch_ctx, state_key = capture()
-            if table.visit((_pending_sig(branch_pending), state_key)):
-                stack.append((branch_ctx, branch_pending, depth + 1))
+            branch_sig = _child_sig(sig, item, emissions)
+            if table.visit((branch_sig, state_key)):
+                stack.append((branch_ctx, branch_pending, branch_sig, depth + 1))
 
     return ScheduleExploration(
         outcomes=outcomes,

@@ -1,5 +1,7 @@
 """Tests for the schedule-space model checker and graph enumeration."""
 
+import random
+
 import pytest
 
 from repro.api import PROTOCOLS, RunSpec, ensure_registered
@@ -9,8 +11,12 @@ from repro.core.mapping import MappingProtocol
 from repro.core.tree_broadcast import TreeBroadcastProtocol
 from repro.graphs.enumerate_graphs import all_grounded_trees, all_internal_wirings
 from repro.graphs.properties import is_grounded_tree
+from repro.lowerbounds import guided, schedules
+from repro.lowerbounds.guided import search_schedules
 from repro.lowerbounds.schedules import (
     TranspositionTable,
+    _child_sig,
+    _pending_sig,
     explore_all_schedules,
 )
 from repro.network.graph import DirectedNetwork
@@ -327,6 +333,98 @@ class TestTranspositionTable:
             colliding.steps,
         )
         assert colliding.table["collisions"] > 0
+
+
+class TestPendingSignature:
+    """Child signatures derived from the parent's equal a fresh sort."""
+
+    @staticmethod
+    def _item(rng):
+        # Few edges and texts, so equal (edge, text) pairs recur often.
+        return (rng.randrange(4), None, rng.choice(["a", "b", "(1, 2)"]), rng.randrange(9))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_derived_signature_equals_sorted_child(self, seed):
+        # A random walk to quiescence, as the explorer takes one: each
+        # child's signature comes from its parent's, never from a sort.
+        rng = random.Random(seed)
+        pending = [self._item(rng) for _ in range(rng.randrange(1, 10))]
+        sig = _pending_sig(pending)
+        while pending:
+            index = rng.randrange(len(pending))
+            # Fewer than one emission per delivery on average: walks end.
+            emissions = [self._item(rng) for _ in range(rng.choice([0, 0, 0, 1, 3]))]
+            child = pending[:index] + pending[index + 1 :] + emissions
+            sig = _child_sig(sig, pending[index], emissions)
+            assert sig == _pending_sig(child)
+            pending = child
+
+    def test_one_copy_of_a_repeated_pair_goes(self):
+        pending = [(1, None, "m", 2), (0, None, "z", 2), (1, None, "m", 2), (1, None, "m", 2)]
+        sig = _pending_sig(pending)
+        assert _child_sig(sig, pending[2], []) == ((0, "z"), (1, "m"), (1, "m"))
+        assert _child_sig(sig, pending[1], []) == ((1, "m"),) * 3
+
+    def test_emissions_equal_to_the_delivered_pair(self):
+        pending = [(2, None, "m", 2), (1, None, "a", 2)]
+        emissions = [(2, None, "m", 2), (2, None, "m", 2)]
+        child = _child_sig(_pending_sig(pending), pending[0], emissions)
+        assert child == ((1, "a"), (2, "m"), (2, "m"))
+
+    def test_last_delivery_leaves_the_empty_signature(self):
+        pending = [(3, None, "x", 1)]
+        assert _child_sig(_pending_sig(pending), pending[0], []) == ()
+
+    def test_walks_sort_only_their_root(self, monkeypatch):
+        calls = []
+
+        def counting(pending):
+            calls.append(len(pending))
+            return _pending_sig(pending)
+
+        monkeypatch.setattr(schedules, "_pending_sig", counting)
+        monkeypatch.setattr(guided, "_pending_sig", counting)
+        spec = RunSpec(
+            graph="random-dag", graph_params={"num_internal": 3, "seed": 0},
+            protocol="general-broadcast",
+        )
+        net = spec.build_graph()
+        for use_kernel in (True, False):
+            calls.clear()
+            explored = explore_all_schedules(net, spec.build_protocol, use_kernel=use_kernel)
+            assert len(calls) == 1 and explored.steps == 1877
+            calls.clear()
+            searched = search_schedules(net, spec.build_protocol, use_kernel=use_kernel)
+            assert len(calls) == 1 and searched.nodes == 1877
+
+    @pytest.mark.parametrize("use_kernel", [True, False])
+    def test_walk_counts_are_unchanged(self, use_kernel):
+        # Counts from walks that sorted every configuration's in-flight
+        # multiset afresh (the bench's pinned workload, random-dag(3)).
+        spec = RunSpec(
+            graph="random-dag", graph_params={"num_internal": 3, "seed": 0},
+            protocol="general-broadcast",
+        )
+        net = spec.build_graph()
+        explored = explore_all_schedules(net, spec.build_protocol, use_kernel=use_kernel)
+        assert (explored.executions, explored.steps, explored.max_depth) == (6, 1877, 13)
+        assert explored.table == {"entries": 492, "hits": 1380, "collisions": 0, "reopened": 0}
+        searched = search_schedules(net, spec.build_protocol, use_kernel=use_kernel)
+        assert (searched.nodes, searched.executions, searched.best_value) == (1877, 6, 13.0)
+        assert searched.best_path == (0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+        assert searched.nodes_at_best == 55
+        assert searched.table == {"entries": 491, "hits": 1380, "collisions": 0, "reopened": 0}
+        mapping = RunSpec(
+            graph="random-dag", graph_params={"num_internal": 3, "seed": 0},
+            protocol="topology-mapping",
+        )
+        costliest = search_schedules(
+            mapping.build_graph(), mapping.build_protocol, objective="max-bits",
+            use_kernel=use_kernel, max_nodes=3000,
+        )
+        assert (costliest.nodes, costliest.executions, costliest.best_value) == (3001, 59, 3358.0)
+        assert costliest.nodes_at_best == 1757
+        assert costliest.table == {"entries": 912, "hits": 1920, "collisions": 0, "reopened": 110}
 
 
 class TestCloneState:

@@ -151,10 +151,24 @@ class TestInvalidation:
         if change == "scale":
             other, variant = CampaignRunner(store=store, scale="quick"), campaign
         elif change == "engine":
-            other, variant = CampaignRunner(store=store, engine="fastpath"), campaign
+            # Grids run on fastpath by default; the reference loop is another engine.
+            other, variant = CampaignRunner(store=store, engine="async"), campaign
         else:
             other, variant = base, campaign.with_overrides(axes={"seed": [2, 1, 0]})
         assert base.rows_digest(campaign) != other.rows_digest(variant)
+
+    def test_digest_keys_on_the_engine_that_ran(self, store):
+        # The default and an explicit fastpath run the same specs, so they
+        # share rows; so do a base that names async and an async override.
+        campaign = tiny_campaign()
+        default = CampaignRunner(store=store).rows_digest(campaign)
+        assert default == CampaignRunner(store=store, engine="fastpath").rows_digest(campaign)
+        on_async = ExperimentSpec.from_dict(
+            dict(campaign.to_dict(), base=dict(campaign.base, engine="async"))
+        )
+        assert CampaignRunner(store=store).rows_digest(on_async) == CampaignRunner(
+            store=store, engine="async"
+        ).rows_digest(on_async)
 
 
 class TestBypass:
