@@ -74,6 +74,7 @@ __all__ = [
     "ExperimentSpec",
     "DriverExperiment",
     "CampaignRequest",
+    "GridTooLarge",
     "CampaignResult",
     "CampaignRunner",
     "register_experiment",
@@ -340,6 +341,10 @@ def _registered_name(raw: str) -> str:
     )
 
 
+class GridTooLarge(SpecError):
+    """An inline grid declares more runs than the caller accepts."""
+
+
 @dataclass(frozen=True)
 class CampaignRequest:
     """A validated request to run campaigns: what, at which scale, on which engine.
@@ -358,7 +363,7 @@ class CampaignRequest:
     FIELDS = ("experiment", "experiments", "spec", "scale", "quick", "engine")
 
     @classmethod
-    def parse(cls, payload: Any) -> "CampaignRequest":
+    def parse(cls, payload: Any, max_specs: Optional[int] = None) -> "CampaignRequest":
         """Validate a request payload; raise :class:`SpecError` on any defect.
 
         ``payload`` is a JSON object with exactly one of ``experiment`` (a
@@ -370,7 +375,8 @@ class CampaignRequest:
         experiment.  Every experiment must define the scale.  An inline
         spec's grid is expanded once, so its run specs and every graph,
         transform, protocol, scheduler and aggregator name are checked
-        before anything runs.
+        before anything runs.  With ``max_specs``, an inline grid of more
+        runs is refused with :class:`GridTooLarge` before it is expanded.
         """
         if not isinstance(payload, dict):
             raise SpecError(f"payload must be a JSON object, got {type(payload).__name__}")
@@ -407,8 +413,15 @@ class CampaignRequest:
         if inline is not None:
             try:
                 spec = ExperimentSpec.from_dict(inline)
+                size = spec.size(scale)
+                if max_specs is not None and size > max_specs:
+                    raise GridTooLarge(
+                        f"inline grid of {size} runs exceeds the {max_specs}-run limit"
+                    )
                 check_registered_names(spec.expand(scale=scale, engine=engine))
                 AGGREGATORS.get(spec.aggregator)
+            except GridTooLarge:
+                raise
             except (SpecError, UnknownNameError) as exc:
                 raise SpecError(f"invalid experiment spec: {exc}") from None
             return cls((spec,), scale, engine)

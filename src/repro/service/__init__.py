@@ -6,9 +6,10 @@ Two layers with one seam:
   submission payloads, runs each as a background job through the ordinary
   :class:`~repro.api.campaign.CampaignRunner`, and exposes observable
   :class:`Job` state.  No HTTP anywhere.
-* :mod:`repro.service.server` — the stdlib :mod:`http.server` front end
-  (``repro serve``): ``POST /experiments``, ``GET /experiments/<id>``
-  (optionally a streaming NDJSON watch), ``GET /experiments/<id>/result``.
+* :mod:`repro.service.server` — the HTTP front end (``repro serve``), one
+  stdlib :mod:`asyncio` event loop for every connection: ``POST
+  /experiments``, ``GET /experiments/<id>`` (optionally a streaming NDJSON
+  watch), ``GET /experiments/<id>/result``.
 
 Attach a :class:`~repro.store.store.ResultStore` and a re-submitted
 completed campaign is answered from the store index without executing a

@@ -11,9 +11,11 @@ about campaigns.  The seam is the :class:`ExperimentService`:
   such as ``e05``/``e5``/``E5``/``all``, or an inline
   :class:`~repro.api.campaign.ExperimentSpec`, plus optional
   ``scale``/``quick``/``engine``) and reject the rest with the same
-  message — and schedules a :class:`Job` on a thread pool.
-  Submitting a payload identical to one still pending/running returns
-  the in-flight job instead of a duplicate.
+  message — and schedules a :class:`Job` on a thread pool.  An inline
+  grid of more than :data:`MAX_INLINE_SPECS` runs is refused
+  (:class:`JobTooLarge`) before it is expanded.  Submitting a payload
+  identical to one still pending/running returns the in-flight job
+  instead of a duplicate.
 * Each job runs through the ordinary
   :class:`~repro.api.campaign.CampaignRunner` with the service's
   :class:`~repro.store.store.ResultStore` attached, so a re-submitted
@@ -22,9 +24,11 @@ about campaigns.  The seam is the :class:`ExperimentService`:
   ``rows_cached`` counts such experiments).
 * Job state is observable two ways: :meth:`Job.snapshot` (a JSON-safe
   status dict whose terminal form embeds an
-  ``EXPERIMENT_SUMMARY``-shaped summary) and
-  :meth:`ExperimentService.watch` (an iterator of snapshots, one per
-  state change — the engine behind the streaming status endpoint).
+  ``EXPERIMENT_SUMMARY``-shaped summary) and :meth:`Job.changes` (the
+  snapshots a watcher sees, one per new version, ending with the
+  terminal one).  :meth:`ExperimentService.watch` follows them on a
+  blocked thread; the HTTP server follows them on its event loop, woken
+  through :meth:`Job.add_waker`.
 """
 
 from __future__ import annotations
@@ -37,28 +41,42 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..api.campaign import CampaignRequest, CampaignRunner, ExperimentSpec, campaign_summary
+from ..api.campaign import (
+    CampaignRequest,
+    CampaignRunner,
+    ExperimentSpec,
+    GridTooLarge,
+    campaign_summary,
+)
 from ..api.spec import RunRecord, SpecError
 
-__all__ = ["JobError", "Job", "ExperimentService"]
+__all__ = ["JobError", "JobTooLarge", "Job", "ExperimentService", "MAX_INLINE_SPECS"]
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("pending", "running", "completed", "failed")
+
+#: Most runs an inline ``{"spec": ...}`` grid may declare; registered
+#: campaigns are far below it, and ``repro experiment --spec`` has no cap.
+MAX_INLINE_SPECS = 10_000
 
 
 class JobError(ValueError):
     """A submission payload is malformed (HTTP 400 at the server layer)."""
 
 
+class JobTooLarge(JobError):
+    """A submission asks for too many runs (HTTP 413 at the server layer)."""
+
+
 @dataclass
 class Job:
     """One submitted campaign execution and its observable state.
 
-    All mutation happens under ``_cond``; every change bumps ``version``
-    and notifies waiters, which is what :meth:`ExperimentService.watch`
-    blocks on.
+    All mutation happens under ``_cond``; every change bumps ``version``,
+    notifies the threads waiting on ``_cond`` and calls (once) each waker
+    registered with :meth:`add_waker`.
     """
 
     id: str
@@ -77,6 +95,7 @@ class Job:
     error: Optional[str] = None
     version: int = 0
     _cond: threading.Condition = field(default_factory=threading.Condition, repr=False)
+    _wakers: List[Callable[[], None]] = field(default_factory=list, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -86,6 +105,50 @@ class Job:
     def _bump(self) -> None:
         self.version += 1
         self._cond.notify_all()
+        wakers, self._wakers = self._wakers, []
+        for wake in wakers:
+            wake()
+
+    def add_waker(self, version: int, wake: Callable[[], None]) -> bool:
+        """Call ``wake()`` once, from the job's thread, at the next change.
+
+        Returns ``False`` (and registers nothing) when the job is already
+        past ``version`` or terminal: there is nothing to wait for.
+        ``wake`` runs under the job's lock and must not block (the HTTP
+        server's resolves a future on its event loop).
+        """
+        with self._cond:
+            if self.version != version or self.terminal:
+                return False
+            self._wakers.append(wake)
+            return True
+
+    def remove_waker(self, wake: Callable[[], None]) -> None:
+        """Forget ``wake`` if it has not been called yet."""
+        with self._cond:
+            if wake in self._wakers:
+                self._wakers.remove(wake)
+
+    def changes(self) -> Iterator[Optional[Dict[str, Any]]]:
+        """The watch rule: one snapshot per new version, ending with the terminal one.
+
+        ``None`` means nothing changed since the last snapshot: the
+        consumer waits until ``version`` moves past that snapshot's
+        ``"version"`` (on ``_cond`` or through :meth:`add_waker`), then
+        resumes the iterator.
+        """
+        last_version = -1
+        while True:
+            # Read terminality before the snapshot: a job that finishes in
+            # between still gets its terminal snapshot on the next pass.
+            terminal = self.terminal
+            snap = self.snapshot()
+            if snap["version"] != last_version:
+                last_version = snap["version"]
+                yield snap
+            if terminal:
+                return
+            yield None
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-safe status view (the ``GET /experiments/<id>`` body)."""
@@ -173,8 +236,8 @@ class ExperimentService:
         self.out_dir = out_dir
         self.parallel = parallel
         self.max_workers = max_workers
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}  # in submission order
+        self._inflight: Dict[str, Job] = {}  # payload digest -> pending/running job
         self._lock = threading.Lock()
         self._seq = itertools.count()
         self._executor = ThreadPoolExecutor(
@@ -195,7 +258,9 @@ class ExperimentService:
         result store and completes in milliseconds when warm.
         """
         try:
-            request = CampaignRequest.parse(payload)
+            request = CampaignRequest.parse(payload, max_specs=MAX_INLINE_SPECS)
+        except GridTooLarge as exc:
+            raise JobTooLarge(str(exc)) from None
         except SpecError as exc:
             raise JobError(str(exc)) from None
         canonical = json.dumps(
@@ -209,10 +274,9 @@ class ExperimentService:
         )
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
         with self._lock:
-            for job_id in reversed(self._order):
-                job = self._jobs[job_id]
-                if job.id.startswith(digest) and not job.terminal:
-                    return job, False
+            job = self._inflight.get(digest)
+            if job is not None and not job.terminal:
+                return job, False
             job = Job(
                 id=f"{digest}-{next(self._seq)}",
                 experiments=[experiment.name for experiment in request.experiments],
@@ -221,8 +285,8 @@ class ExperimentService:
                 created_at=time.time(),
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
-        self._executor.submit(self._run, job, request)
+            self._inflight[digest] = job
+        self._executor.submit(self._run, job, request, digest)
         return job, True
 
     # ------------------------------------------------------------------
@@ -237,28 +301,22 @@ class ExperimentService:
     def jobs(self) -> List[Job]:
         """Every job, oldest first."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def watch(self, job_id: str, poll_seconds: float = 10.0) -> Iterator[Dict[str, Any]]:
-        """Yield status snapshots on every change until the job is terminal.
+        """Yield :meth:`Job.changes` snapshots until the job is terminal.
 
         The first snapshot is immediate; afterwards the iterator blocks
-        on the job's condition variable (waking at least every
-        ``poll_seconds`` to re-emit a heartbeat snapshot) and finishes
-        with the terminal snapshot.
+        on the job's condition variable (re-checking at least every
+        ``poll_seconds``) and finishes with the terminal snapshot.
         """
         job = self.get(job_id)
         last_version = -1
-        while True:
-            # Read terminality before the snapshot: a job that finishes in
-            # between still gets its terminal snapshot on the next pass.
-            terminal = job.terminal
-            snap = job.snapshot()
-            if snap["version"] != last_version:
+        for snap in job.changes():
+            if snap is not None:
                 last_version = snap["version"]
                 yield snap
-            if terminal:
-                return
+                continue
             with job._cond:
                 if job.version == last_version and not job.terminal:
                     job._cond.wait(poll_seconds)
@@ -271,7 +329,7 @@ class ExperimentService:
     # execution
     # ------------------------------------------------------------------
 
-    def _run(self, job: Job, request: CampaignRequest) -> None:
+    def _run(self, job: Job, request: CampaignRequest, digest: str) -> None:
         """Execute one job end to end (runs on the job pool)."""
         try:
             with job._cond:
@@ -321,6 +379,7 @@ class ExperimentService:
             # status/result bodies and the CLI line stay one vocabulary (CI
             # parses both the same way).
             summary = campaign_summary(runner, results, time.time() - start)
+            self._retire(job, digest)
             with job._cond:
                 job.summary = summary
                 job.total = max(job.total, job.done)
@@ -328,8 +387,15 @@ class ExperimentService:
                 job.finished_at = time.time()
                 job._bump()
         except Exception as exc:  # noqa: BLE001 - job must fail, not the pool
+            self._retire(job, digest)
             with job._cond:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.state = "failed"
                 job.finished_at = time.time()
                 job._bump()
+
+    def _retire(self, job: Job, digest: str) -> None:
+        """Drop ``job`` from the in-flight index just before it goes terminal."""
+        with self._lock:
+            if self._inflight.get(digest) is job:
+                del self._inflight[digest]

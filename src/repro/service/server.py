@@ -1,6 +1,6 @@
 """The ``repro serve`` HTTP surface over :class:`ExperimentService`.
 
-Pure stdlib (:mod:`http.server`), because the experiment service must run
+Pure stdlib (:mod:`asyncio`), because the experiment service must run
 anywhere the simulator runs — CI containers, laptops, air-gapped repro
 machines — with zero extra dependencies.  Routes:
 
@@ -14,11 +14,23 @@ machines — with zero extra dependencies.  Routes:
 ``GET  /store/stats``                        attached store's :meth:`stats` (404 if none)
 ===========================================  =====================================
 
+One event loop on one thread serves every connection; no thread is
+started per connection.  The loop reads the request line, the headers and
+a ``Content-Length`` body itself and answers each route inline, POST
+validation included (an inline grid is capped by
+:data:`~repro.service.jobs.MAX_INLINE_SPECS`, so one parse stays short).
+Jobs run on the service's job pool; a watch stream waits for its job
+through a waker that the job's thread calls
+(:meth:`~repro.service.jobs.Job.add_waker`), never on a blocked thread.
+
 Error contract: every non-2xx body is ``{"error": "..."}``.  Malformed
-payloads and ``Content-Length`` headers are 400
-(:class:`~repro.service.jobs.JobError`), unknown job ids 404, results of
-unfinished jobs 409, and a body declared larger than
-:data:`MAX_BODY_BYTES` is 413 — answered without reading it.
+request lines, header lines, payloads and ``Content-Length`` headers are
+400 (:class:`~repro.service.jobs.JobError` for payloads), unknown routes
+and job ids 404, methods other than GET and POST 405, results of
+unfinished jobs 409, a body declared larger than :data:`MAX_BODY_BYTES`
+413 — answered before it is read — as is an inline grid over the cap, a
+request or header line over :data:`MAX_LINE_BYTES` 414 / 431, and a
+server fault 500.
 
 The watch stream is close-delimited NDJSON — one JSON snapshot per line,
 connection closed after the terminal snapshot — which works over plain
@@ -27,147 +39,323 @@ HTTP/1.0 clients (``urllib``) with no chunked-encoding machinery.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import traceback
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import SplitResult, parse_qs, urlsplit
 
-from .jobs import ExperimentService, JobError
+from .jobs import ExperimentService, Job, JobError, JobTooLarge
 
-__all__ = ["MAX_BODY_BYTES", "ServiceServer", "make_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "MAX_LINE_BYTES", "ServiceServer", "make_server", "serve_forever"]
 
 #: Largest POST body read, in bytes; a submission is a small JSON object.
 MAX_BODY_BYTES = 1 << 20
+#: Longest request or header line read, in bytes.
+MAX_LINE_BYTES = 1 << 16
+#: Most header lines read per request.
+MAX_HEADERS = 100
+#: How long a connection refused before its request was read keeps
+#: draining input, so that closing it does not reset the reply away.
+LINGER_SECONDS = 1.0
+
+_WATCH_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: application/x-ndjson\r\n\r\n"
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """A threading HTTP server that owns an :class:`ExperimentService`."""
+class HttpError(Exception):
+    """Answer the request with ``status`` and ``{"error": message}``."""
 
-    daemon_threads = True
-    allow_reuse_address = True
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _response(status: int, payload: Any) -> bytes:
+    body = json.dumps(payload, default=str).encode("utf-8")
+    head = (
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+        "Content-Type: application/json\r\n"
+        + ("Allow: GET, POST\r\n" if status == 405 else "")
+        + f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One CRLF/LF-terminated line (``b""`` at a clean EOF)."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise HttpError(400, f"{what} ended before its newline") from None
+        return b""
+    except asyncio.LimitOverrunError:
+        raise HttpError(status, f"{what} longer than {MAX_LINE_BYTES} bytes") from None
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, SplitResult, bytes]]:
+    """``(method, url, body)``, or ``None`` when the client sent nothing."""
+    line = await _read_line(reader, 414, "request line")
+    if not line:
+        return None
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not words[2].startswith("HTTP/"):
+        raise HttpError(400, f"malformed request line {line[:80]!r}")
+    method, target, _ = words
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = await _read_line(reader, 431, "header line")
+        if not line:
+            raise HttpError(400, "request head ended before its blank line")
+        if line in (b"\r\n", b"\n"):
+            break
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise HttpError(400, f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise HttpError(431, f"more than {MAX_HEADERS} header lines")
+    header = headers.get("content-length") or "0"
+    try:
+        length = int(header)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise HttpError(400, f"Content-Length must be a non-negative integer, got {header!r}")
+    if length > MAX_BODY_BYTES:
+        raise HttpError(413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise HttpError(400, f"body ended after {len(exc.partial)} of {length} bytes") from None
+    return method, urlsplit(target), body
+
+
+def _resolve(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+async def _job_changed(job: Job, version: int, hangup: "asyncio.Future[bytes]") -> None:
+    """Wait until ``job`` moves past ``version`` or the client hangs up."""
+    loop = asyncio.get_running_loop()
+    bumped = loop.create_future()
+
+    def wake() -> None:  # runs on the job's thread
+        try:
+            loop.call_soon_threadsafe(_resolve, bumped)
+        except RuntimeError:  # the loop is closed: the server shut down
+            pass
+
+    if job.add_waker(version, wake):
+        try:
+            await asyncio.wait((bumped, hangup), return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            job.remove_waker(wake)
+
+
+class ServiceServer:
+    """An HTTP server on one asyncio event loop that owns an :class:`ExperimentService`.
+
+    The listening socket is bound on construction, so a bad address fails
+    at once and ``port=0`` is resolved in :attr:`server_address`.
+    :meth:`serve_forever` runs the loop on the calling thread until
+    :meth:`shutdown` is called from another.
+    """
 
     def __init__(self, address: Tuple[str, int], service: ExperimentService) -> None:
-        super().__init__(address, _Handler)
         self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Request dispatch; all state lives on ``self.server.service``."""
-
-    server: ServiceServer  # narrowed from BaseHTTPRequestHandler
-    protocol_version = "HTTP/1.0"  # close-delimited bodies; streams just work
+        self.socket = socket.create_server(address)
+        self.server_address: Tuple[str, int] = self.socket.getsockname()[:2]
+        self._lock = threading.Lock()
+        self._closing = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional["asyncio.Future[None]"] = None
+        self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
-    # plumbing
+    # lifecycle
     # ------------------------------------------------------------------
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # tests and CI want machine-parseable stdout, not access logs
+    def serve_forever(self) -> None:
+        """Answer requests until :meth:`shutdown`; closes the socket on return."""
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self.socket.close()
+            self._stopped.set()
 
-    def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        with self._lock:
+            self._closing = True
+            loop, stop = self._loop, self._stop
+        if loop is None or stop is None:
+            return  # not serving (yet): serve_forever will return at once
+        try:
+            loop.call_soon_threadsafe(_resolve, stop)
+        except RuntimeError:  # the loop already closed
+            pass
+        self._stopped.wait()
 
-    def _error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    async def _serve(self) -> None:
+        loop = asyncio.get_running_loop()
+        stop = loop.create_future()
+        with self._lock:
+            if self._closing:
+                return
+            self._loop, self._stop = loop, stop
+        server = await asyncio.start_server(
+            self._connection, sock=self.socket, limit=MAX_LINE_BYTES
+        )
+        try:
+            await stop
+        finally:
+            server.close()  # asyncio.run then cancels the open connections
+
+    # ------------------------------------------------------------------
+    # connections
+    # ------------------------------------------------------------------
+
+    async def _connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One request, one response (or one watch stream), then close."""
+        try:
+            try:
+                request = await _read_request(reader)
+            except HttpError as exc:
+                writer.write(_response(exc.status, {"error": str(exc)}))
+                await self._linger(reader, writer)
+                return
+            if request is None:
+                return
+            try:
+                status, payload = self._answer(*request)
+            except HttpError as exc:
+                status, payload = exc.status, {"error": str(exc)}
+            except Exception as exc:  # noqa: BLE001 - a fault answers 500, the loop lives on
+                traceback.print_exc()
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            if isinstance(payload, Job):
+                await self._watch(payload, reader, writer)
+                return
+            writer.write(_response(status, payload))
+            await writer.drain()
+        except ConnectionError:
+            pass  # the client hung up; nothing to answer
+        except asyncio.CancelledError:
+            # asyncio.run cancels open connections at shutdown; ending the
+            # task normally keeps asyncio (before 3.13) from logging it.
+            pass
+        finally:
+            writer.close()
+
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Half-close, then discard input until EOF or :data:`LINGER_SECONDS`.
+
+        Closing a socket with unread input resets the connection, which can
+        discard the reply before the client reads it.
+        """
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(MAX_LINE_BYTES):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlsplit(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        query = parse_qs(url.query)
-        service = self.server.service
+    def _job(self, job_id: str) -> Job:
         try:
-            if parts == ["healthz"]:
-                store = service.store
-                self._send_json(
-                    200,
-                    {
-                        "ok": True,
-                        "jobs": len(service.jobs()),
-                        "store": store.stats().to_dict() if store is not None else None,
-                    },
-                )
-            elif parts == ["experiments"]:
-                self._send_json(200, {"jobs": [job.snapshot() for job in service.jobs()]})
-            elif len(parts) == 2 and parts[0] == "experiments":
-                if query.get("watch", ["0"])[0] in ("1", "true", "yes"):
-                    self._watch(parts[1])
-                else:
-                    self._send_json(200, service.get(parts[1]).snapshot())
-            elif len(parts) == 3 and parts[:1] == ["experiments"] and parts[2] == "result":
-                job = service.get(parts[1])
-                if job.state == "failed":
-                    self._error(409, f"job {job.id} failed: {job.error}")
-                elif not job.terminal:
-                    self._error(409, f"job {job.id} is {job.state}, not completed")
-                else:
-                    self._send_json(200, job.result_payload())
-            elif parts == ["store", "stats"]:
-                if service.store is None:
-                    self._error(404, "no result store attached (start with --store)")
-                else:
-                    self._send_json(200, service.store.stats().to_dict())
-            else:
-                self._error(404, f"no such route: GET {url.path}")
+            return self.service.get(job_id)
         except KeyError:
-            self._error(404, f"unknown job id {parts[1]!r}")
-        except BrokenPipeError:  # client hung up mid-stream; nothing to do
-            pass
+            raise HttpError(404, f"unknown job id {job_id!r}") from None
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        url = urlsplit(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        if parts != ["experiments"]:
-            self._error(404, f"no such route: POST {url.path}")
-            return
+    async def _watch(
+        self, job: Job, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Stream :meth:`Job.changes` as NDJSON until the job is terminal."""
+        writer.write(_WATCH_HEAD)
+        # Any input after the request means the client hung up (or spoke
+        # out of turn): either way the stream ends.
+        hangup = asyncio.ensure_future(reader.read(1))
         try:
-            header = self.headers.get("Content-Length") or "0"
+            last_version = -1
+            for snap in job.changes():
+                if snap is not None:
+                    last_version = snap["version"]
+                    writer.write((json.dumps(snap, default=str) + "\n").encode("utf-8"))
+                    await writer.drain()
+                    continue
+                await _job_changed(job, last_version, hangup)
+                if hangup.done():
+                    return
+        finally:
+            if hangup.done() and not hangup.cancelled():
+                hangup.exception()  # retrieved, so a reset is not logged
+            hangup.cancel()
+
+    def _answer(self, method: str, url: SplitResult, body: bytes) -> Tuple[int, Any]:
+        """The status and JSON body of a route (a :class:`Job` to watch for ``?watch=1``)."""
+        parts = [part for part in url.path.split("/") if part]
+        service = self.service
+        if method == "POST":
+            if parts != ["experiments"]:
+                raise HttpError(404, f"no such route: POST {url.path}")
             try:
-                length = int(header)
-            except ValueError:
-                length = -1
-            if length < 0:
-                raise JobError(
-                    f"Content-Length must be a non-negative integer, got {header!r}"
-                )
-            if length > MAX_BODY_BYTES:
-                self._error(
-                    413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-                )
-                return
-            raw = self.rfile.read(length) if length else b""
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
+                payload = json.loads(body.decode("utf-8")) if body else {}
             except (ValueError, UnicodeDecodeError) as exc:
-                raise JobError(f"body is not valid JSON: {exc}") from None
-            job, created = self.server.service.submit(payload)
-        except JobError as exc:
-            self._error(400, str(exc))
-            return
-        snapshot = job.snapshot()
-        snapshot["created"] = created
-        self._send_json(202 if created else 200, snapshot)
-
-    # ------------------------------------------------------------------
-
-    def _watch(self, job_id: str) -> None:
-        """Stream status snapshots as NDJSON until the job is terminal."""
-        job = self.server.service.get(job_id)  # KeyError → 404 in do_GET
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.end_headers()
-        for snapshot in self.server.service.watch(job.id):
-            self.wfile.write((json.dumps(snapshot, default=str) + "\n").encode("utf-8"))
-            self.wfile.flush()
+                raise HttpError(400, f"body is not valid JSON: {exc}") from None
+            try:
+                job, created = service.submit(payload)
+            except JobTooLarge as exc:
+                raise HttpError(413, str(exc)) from None
+            except JobError as exc:
+                raise HttpError(400, str(exc)) from None
+            snapshot = job.snapshot()
+            snapshot["created"] = created
+            return (202 if created else 200), snapshot
+        if method != "GET":
+            raise HttpError(405, f"method {method} not allowed; use GET or POST")
+        if parts == ["healthz"]:
+            store = service.store
+            return 200, {
+                "ok": True,
+                "jobs": len(service.jobs()),
+                "store": store.stats().to_dict() if store is not None else None,
+            }
+        if parts == ["experiments"]:
+            return 200, {"jobs": [job.snapshot() for job in service.jobs()]}
+        if len(parts) == 2 and parts[0] == "experiments":
+            job = self._job(parts[1])
+            if parse_qs(url.query).get("watch", ["0"])[0] in ("1", "true", "yes"):
+                return 200, job
+            return 200, job.snapshot()
+        if len(parts) == 3 and parts[0] == "experiments" and parts[2] == "result":
+            job = self._job(parts[1])
+            if job.state == "failed":
+                raise HttpError(409, f"job {job.id} failed: {job.error}")
+            if not job.terminal:
+                raise HttpError(409, f"job {job.id} is {job.state}, not completed")
+            return 200, job.result_payload()
+        if parts == ["store", "stats"]:
+            if service.store is None:
+                raise HttpError(404, "no result store attached (start with --store)")
+            return 200, service.store.stats().to_dict()
+        raise HttpError(404, f"no such route: GET {url.path}")
 
 
 def make_server(

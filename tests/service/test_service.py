@@ -1,14 +1,20 @@
 """The experiment service: payload validation, jobs, HTTP round-trips, cache."""
 
+import gc
 import json
 import re
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.api.campaign import CampaignRequest
 from repro.service import ExperimentService, Job, JobError, make_server, serve_forever
+from repro.service import jobs as jobs_module
+from repro.service.jobs import MAX_INLINE_SPECS, JobTooLarge
 from repro.store import ResultStore
 
 
@@ -391,3 +397,258 @@ class TestHttpRoundTrip:
         if status == 409:
             assert "not completed" in body["error"]
         service.get(snap["job"]).wait(timeout=120)
+
+
+def raw_request(server, data):
+    """Send raw bytes, half-close, and return ``(status, JSON body)``."""
+    host, port = server.server_address[0], server.server_address[1]
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n")[0]
+    assert status_line.startswith(b"HTTP/1.0 "), reply[:200]
+    return int(status_line.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """Every non-2xx body is JSON, and the server keeps answering."""
+
+    @pytest.mark.parametrize(
+        "data, status, message",
+        [
+            (b"PUT /experiments HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", 405, "PUT"),
+            (b"DELETE /experiments/x HTTP/1.0\r\n\r\n", 405, "DELETE"),
+            (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+            (b"GET / HTTP/1.0\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431, "header line"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n", 414, "request line"),
+            (b"GET /healthz HTTP/1.0\r\nno colon here\r\n\r\n", 400, "malformed header"),
+            (b"GET /healthz HTTP/1.0\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431, "header lines"),
+            (b"POST /experiments HTTP/1.0\r\nContent-Length: 10\r\n\r\n{}", 400, "body ended"),
+            (b"POST /experiments HTTP/1.0\r\nContent-Length: 3\r\n\r\n{x}", 400, "not valid JSON"),
+        ],
+        ids=[
+            "put",
+            "delete",
+            "garbage",
+            "long-header",
+            "long-request-line",
+            "header-without-colon",
+            "too-many-headers",
+            "short-body",
+            "bad-json",
+        ],
+    )
+    def test_json_error_then_still_serving(self, service, server, data, status, message):
+        got, body = raw_request(server, data)
+        assert got == status, body
+        assert message in body["error"]
+        assert service.jobs() == []
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_oversized_body_sent_anyway_still_gets_413(self, service, server):
+        """The refused body is drained, not reset away before the reply."""
+        for _ in range(5):
+            req = urllib.request.Request(
+                base_url(server) + "/experiments", data=b"x" * (2 << 20), method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(req, timeout=30)
+            assert info.value.code == 413
+            assert "exceeds the 1048576-byte limit" in json.loads(info.value.read())["error"]
+        assert service.jobs() == []
+
+    def test_server_fault_is_500_json(self, service, server, monkeypatch, capfd):
+        def broken():
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(service.store, "stats", broken)
+        status, body = request(server, "GET", "/store/stats")
+        assert status == 500 and body["error"] == "RuntimeError: disk on fire"
+        assert "disk on fire" in capfd.readouterr().err  # the traceback
+        assert request(server, "GET", "/experiments")[0] == 200
+
+    def test_put_through_urllib_is_405(self, server):
+        status, body = request(server, "PUT", "/experiments", {"experiment": "e01"})
+        assert status == 405 and "PUT" in body["error"]
+
+    def test_silent_client_gets_no_reply(self, server):
+        host, port = server.server_address[0], server.server_address[1]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(4096) == b""
+        assert request(server, "GET", "/healthz")[0] == 200
+
+
+def grid_spec(seeds, sizes=(6,)):
+    return {
+        "name": "grid",
+        "base": {"graph": "random-grounded-tree", "protocol": "tree-broadcast"},
+        "axes": {"graph_params.num_internal": list(sizes), "seed": list(seeds)},
+    }
+
+
+class TestInlineGridCap:
+    def test_oversized_grid_is_413_before_expansion(self, service, server):
+        spec = grid_spec(range(10_000), sizes=range(10_000))
+        start = time.perf_counter()
+        status, body = request(server, "POST", "/experiments", {"spec": spec})
+        elapsed = time.perf_counter() - start
+        assert status == 413, body
+        assert body["error"].count("\n") == 0
+        assert "100000000 runs exceeds the 10000-run limit" in body["error"]
+        assert elapsed < 1.0, elapsed  # 10^8 specs were never built
+        assert service.jobs() == []
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_cap_is_the_module_constant(self, service, monkeypatch):
+        assert MAX_INLINE_SPECS == 10_000
+        monkeypatch.setattr(jobs_module, "MAX_INLINE_SPECS", 2)
+        payload = {"spec": grid_spec(range(3))}
+        with pytest.raises(JobTooLarge, match="3 runs exceeds the 2-run limit"):
+            service.submit(payload)
+        assert service.jobs() == []
+        # the CLI's parse (no cap) takes the same grid
+        assert CampaignRequest.parse(payload).experiments[0].size() == 3
+
+    def test_scale_is_applied_before_the_cap(self, service, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_INLINE_SPECS", 2)
+        spec = {**grid_spec(range(3)), "scales": {"quick": {"seed": [0, 1]}}}
+        job, created = service.submit({"spec": spec, "quick": True})
+        assert created and job.wait(timeout=120) and job.state == "completed"
+        assert job.snapshot()["summary"]["total_specs"] == 2
+
+
+@pytest.fixture()
+def hold(monkeypatch):
+    """Hold every job mid-run (state ``running``) until the event is set."""
+    release = threading.Event()
+
+    class HeldRunner(jobs_module.CampaignRunner):
+        def run(self, experiment, *args, **kwargs):
+            assert release.wait(timeout=120), "job was never released"
+            return super().run(experiment, *args, **kwargs)
+
+    monkeypatch.setattr(jobs_module, "CampaignRunner", HeldRunner)
+    yield release
+    release.set()
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.005)
+
+
+class TestInflightDedupe:
+    PAYLOAD = {"spec": grid_spec(range(2))}
+    OTHER = {"spec": grid_spec(range(2, 4))}
+
+    def test_running_and_pending_duplicates_dedupe(self, service, hold):
+        running, created = service.submit(self.PAYLOAD)
+        assert created
+        wait_until(lambda: running.state == "running")
+        pending, created = service.submit(self.OTHER)  # one job worker: queued
+        assert created and pending.state == "pending"
+        assert service.submit(self.PAYLOAD) == (running, False)
+        assert service.submit(self.OTHER) == (pending, False)
+        hold.set()
+        assert running.wait(timeout=120) and pending.wait(timeout=120)
+        assert service._inflight == {}
+
+    def test_completed_job_is_never_returned(self, service):
+        first, _ = service.submit(self.PAYLOAD)
+        assert first.wait(timeout=120) and first.state == "completed"
+        second, created = service.submit(self.PAYLOAD)
+        assert created and second is not first
+        assert second.wait(timeout=120)
+        assert service._inflight == {}
+        assert len(service.jobs()) == 2
+
+    def test_failed_job_leaves_the_index(self, service, monkeypatch):
+        def explode(self, experiment):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(jobs_module.CampaignRunner, "run", explode)
+        job, _ = service.submit(self.PAYLOAD)
+        assert job.wait(timeout=120) and job.state == "failed"
+        assert service._inflight == {}
+
+
+class TestEventLoop:
+    """The loop never waits on a job, and starts no thread per connection."""
+
+    def test_held_job_does_not_stall_the_server(self, service, server, hold, capfd, caplog):
+        host, port = server.server_address[0], server.server_address[1]
+        _, snap = request(server, "POST", "/experiments", {"spec": grid_spec(range(2))})
+        job = service.get(snap["job"])
+        wait_until(lambda: job.state == "running")
+        threads = threading.active_count()
+
+        # several open watch streams on the held job, each past its first line
+        watchers = []
+        for _ in range(4):
+            sock = socket.create_connection((host, port), timeout=30)
+            sock.sendall(f"GET /experiments/{job.id}?watch=1 HTTP/1.0\r\n\r\n".encode())
+            stream = sock.makefile("rb")
+            assert stream.readline().split()[1] == b"200"
+            while stream.readline() != b"\r\n":
+                pass
+            assert json.loads(stream.readline())["state"] == "running"
+            watchers.append((sock, stream))
+        wait_until(lambda: len(job._wakers) == len(watchers))
+
+        # a second client is answered meanwhile, with no thread per request
+        peak = threads
+        for index in range(200):
+            if index % 50 == 0:
+                status, other = request(
+                    server, "POST", "/experiments", {"spec": grid_spec(range(10 + index, 12 + index))}
+                )
+                assert status == 202 and other["state"] == "pending"
+            else:
+                assert request(server, "GET", "/healthz")[0] == 200
+            peak = max(peak, threading.active_count())
+        assert peak <= threads
+        assert job.state == "running"
+
+        # a client hanging up mid-watch removes its waker, quietly
+        sock, stream = watchers.pop()
+        stream.close()
+        sock.close()
+        wait_until(lambda: len(job._wakers) == len(watchers))
+
+        hold.set()
+        for sock, stream in watchers:
+            lines = [json.loads(line) for line in stream]
+            assert lines[-1]["state"] == "completed"
+            stream.close()
+            sock.close()
+        assert job.wait(timeout=120) and job._wakers == []
+        for other in service.jobs():
+            assert other.wait(timeout=120)
+        gc.collect()
+        assert capfd.readouterr().err == ""
+        assert caplog.records == []
+
+    def test_shutdown_ends_open_watch_streams(self, service, hold, capfd, caplog):
+        server = make_server("127.0.0.1", 0, service)
+        thread = serve_forever(server, ready_line=False, in_thread=True)
+        _, snap = request(server, "POST", "/experiments", {"spec": grid_spec(range(2))})
+        job = service.get(snap["job"])
+        host, port = server.server_address[0], server.server_address[1]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(f"GET /experiments/{job.id}?watch=1 HTTP/1.0\r\n\r\n".encode())
+            wait_until(lambda: len(job._wakers) == 1)
+            server.shutdown()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert job._wakers == []
+        with pytest.raises(OSError):
+            socket.create_connection((host, port), timeout=1).close()
+        assert capfd.readouterr().err == ""
+        assert caplog.records == []
