@@ -152,9 +152,12 @@ def _trace_capture(spec: Any, network: Any) -> Optional[Any]:
     return open_capture(spec, network)
 
 
-def _extra_metrics(faults: Any, capture: Any) -> Dict[str, Any]:
-    """Fold fault and trace counters into the record's engine extras."""
-    extra: Dict[str, Any] = {}
+def _extra_metrics(
+    scheduler: Any, result: Any, faults: Any, capture: Any
+) -> Dict[str, Any]:
+    """Fold the scheduler's extras (e.g. ``rounds``) and the fault and
+    trace counters into the record's engine extras."""
+    extra: Dict[str, Any] = dict(scheduler.extras(result.metrics))
     if faults is not None:
         extra.update(faults.counters())
     if capture is not None:
@@ -199,7 +202,7 @@ def _run_loop(
         raise
     if capture is not None:
         capture.finalize(result)
-    metrics = _extra_metrics(faults, capture)
+    metrics = _extra_metrics(scheduler, result, faults, capture)
     if spec.record_trace:
         metrics.update(_trace_extras(result.trace, network))
     return result, metrics

@@ -27,6 +27,13 @@ Implementations:
 * :class:`PortBiasedScheduler` — always delivers the in-flight message whose
   edge has the highest out-port index at its tail; a deterministic "skewed"
   order that exercises asymmetric interleavings.
+* :class:`LatencyScheduler` — per-edge link latencies, delivering in
+  virtual arrival order.
+* :class:`RoundsScheduler` — synchronous lockstep rounds (the paper's §2
+  time measure); it reports ``rounds`` and ``termination_round``.
+
+A scheduler may add metrics of its own to a run's record through
+:meth:`Scheduler.extras`.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from __future__ import annotations
 import abc
 import heapq
 import random
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..api.registry import SCHEDULERS
 from .events import MessageEvent
@@ -50,6 +58,7 @@ __all__ = [
     "TerminalFirstScheduler",
     "PortBiasedScheduler",
     "LatencyScheduler",
+    "RoundsScheduler",
     "make_standard_schedulers",
     "standard_scheduler_specs",
 ]
@@ -88,6 +97,16 @@ class Scheduler(abc.ABC):
         in the asynchronous model is exactly the entity that knows the
         network.)
         """
+
+    def extras(self, metrics: Any) -> Dict[str, Any]:
+        """Scheduler-specific metrics for the record of a finished run.
+
+        ``metrics`` is the run's :class:`~repro.network.metrics.RunMetrics`;
+        the engine adapters fold the returned dict into
+        :attr:`~repro.api.spec.RunRecord.metrics`.  Most adversaries
+        measure nothing of their own, hence the empty default.
+        """
+        return {}
 
 
 @SCHEDULERS.register()
@@ -282,6 +301,81 @@ class LatencyScheduler(Scheduler):
 
     def __len__(self) -> int:
         return len(self._heap)
+
+
+@SCHEDULERS.register()
+class RoundsScheduler(Scheduler):
+    """Synchronous lockstep rounds — the paper's §2 time measure.
+
+    Section 2: *"In a synchronous model one may also consider the time it
+    takes for the protocol to terminate"*, and the results *"can be easily
+    extended … to the case that the communication throughout the network
+    is synchronous."*  The synchronous schedule is one particular
+    admissible asynchronous schedule, so it is a scheduler like any other
+    and runs on every engine; all safety and termination properties carry
+    over unchanged.  What it adds is a notion of **time**.
+
+    Every message in flight when a round starts is delivered during that
+    round, in edge-id order and, on one edge, in send order; whatever is
+    sent meanwhile lands in the next round.  The heap is keyed
+    ``(round, edge_id, seq)``, and a push gets the round of the last pop
+    plus one (the root's initial messages form round 1).
+
+    The scheduler records the delivery step at which each round starts, so
+    :meth:`extras` reports ``rounds`` (rounds begun) and
+    ``termination_round`` (the round of the terminating delivery, ``None``
+    without termination) from the run's ``termination_step``.  On the
+    paper's protocols the stopping predicate is monotone, so this is the
+    first round at whose end the terminal's predicate holds.
+
+    ``stop_at_termination`` ends the run at the terminating delivery, not
+    at the end of its round: the rest of that round is not delivered, and
+    ``termination_round`` is unchanged.  ``max_steps`` counts deliveries,
+    as under every scheduler, not rounds.
+
+    A message pushed back right after its pop (a fault-deferred delivery)
+    undoes that pop: it moves to the next round and its pop is not counted
+    as a delivery step.
+    """
+
+    name = "rounds"
+
+    def __init__(self) -> None:
+        #: ``(round, edge_id, seq, event)``; ``seq`` is unique in flight,
+        #: so the heap never compares events.
+        self._heap: List[Tuple[int, int, int, MessageEvent]] = []
+        self._round = 0
+        self._delivered = 0
+        self._last: Optional[MessageEvent] = None
+        #: The 1-based delivery step of each round's first delivery.
+        self.round_starts: List[int] = []
+
+    def push(self, event: MessageEvent) -> None:
+        if event is self._last:
+            self._delivered -= 1
+            self._last = None
+        heapq.heappush(self._heap, (self._round + 1, event.edge_id, event.seq, event))
+
+    def pop(self) -> MessageEvent:
+        round_, _, _, event = heapq.heappop(self._heap)
+        self._delivered += 1
+        if round_ > self._round:
+            self._round = round_
+            self.round_starts.append(self._delivered)
+        self._last = event
+        return event
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def extras(self, metrics: Any) -> Dict[str, Any]:
+        step = metrics.termination_step
+        return {
+            "rounds": len(self.round_starts),
+            "termination_round": (
+                None if step is None else bisect_right(self.round_starts, step)
+            ),
+        }
 
 
 def make_standard_schedulers(random_seeds: int = 3) -> List[Scheduler]:
