@@ -1,4 +1,4 @@
-"""Engine throughput suite: async vs fastpath vs synchronous.
+"""Engine throughput suite: async vs fastpath.
 
 The spec-level twin of ``repro bench``: measures steps/sec for each
 execution engine on the E5 general-broadcast workload under
@@ -16,7 +16,7 @@ from repro.analysis.benchmark import bench_spec
 from repro.api import execute_spec
 
 SIZES = (16, 64)
-ENGINES = ("async", "fastpath", "synchronous")
+ENGINES = ("async", "fastpath")
 
 
 @pytest.mark.parametrize("n", SIZES)

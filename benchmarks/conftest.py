@@ -18,9 +18,8 @@ campaign override.  Rows are engine-independent by the
 differential-equivalence contract (enforced in
 ``tests/api/test_engine_differential.py``); only the timings differ.
 Suites whose campaigns bypass the spec layer (the lower-bound and
-schedule-exploration harnesses, and the engine-locked synchronous E13) do
-not take the parameter — an engine label there would mislabel identical
-work.
+schedule-exploration harnesses) do not take the parameter — an engine
+label there would mislabel identical work.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from repro.analysis.report import render_table
 from repro.api import EXPERIMENTS, ensure_registered
 from repro.api.campaign import CampaignRunner
 
-#: Engines every spec-routed experiment bench is measured under.  The
-#: synchronous engine is excluded here — it changes delivery semantics
-#: (rounds), so it has its own dedicated suite in ``bench_engines.py``.
+#: Engines every spec-routed experiment bench is measured under.
 ENGINES_UNDER_TEST = ("async", "fastpath")
 
 

@@ -2,8 +2,10 @@
 """Round-by-round: time complexity and the anatomy of a labeling run.
 
 The paper's Section 2 notes that in a synchronous model one may also ask
-how much *time* a protocol takes.  This example runs the protocols in
-lockstep rounds (every in-flight message delivered per round) and shows:
+how much *time* a protocol takes.  Lockstep rounds (every in-flight
+message delivered per round) are one admissible schedule, so they are a
+scheduler: ``RunSpec(scheduler="rounds")`` on any engine, with the rounds
+reported in the record's metrics.  This example shows:
 
 1. broadcast time on trees and DAGs equals the longest root→terminal path
    (the chain of waits), measured against the graph's true longest path;
@@ -15,39 +17,52 @@ lockstep rounds (every in-flight message delivered per round) and shows:
 Run:  python examples/synchronous_rounds.py
 """
 
-from repro import LabelAssignmentProtocol, TreeBroadcastProtocol, extract_labels, run_protocol
+from repro import LabelAssignmentProtocol, RunSpec, execute_spec_full, extract_labels, run_protocol
 from repro.analysis.visualize import render_label_map
-from repro.core.dag_broadcast import DagBroadcastProtocol
-from repro.graphs import random_dag, random_digraph, random_grounded_tree
+from repro.graphs import random_digraph
 from repro.graphs.properties import longest_path_length
-from repro.network import LatencyScheduler, run_protocol_synchronous
+from repro.network import LatencyScheduler
 
 
 def time_complexity() -> None:
-    print("--- synchronous time = longest wait chain ---")
-    for name, net, protocol in (
-        ("grounded tree", random_grounded_tree(60, seed=2), TreeBroadcastProtocol()),
-        ("random DAG   ", random_dag(60, seed=2), DagBroadcastProtocol()),
+    print("--- time in lockstep rounds = longest wait chain ---")
+    for name, graph, protocol in (
+        ("grounded tree", "random-grounded-tree", "tree-broadcast"),
+        ("random DAG   ", "random-dag", "dag-broadcast"),
     ):
-        result = run_protocol_synchronous(net, protocol)
-        assert result.terminated
+        spec = RunSpec(
+            graph=graph,
+            graph_params={"num_internal": 60},
+            protocol=protocol,
+            scheduler="rounds",
+            engine="fastpath",
+            seed=2,
+        )
+        record, _, net = execute_spec_full(spec)
+        assert record.terminated
         depth = longest_path_length(net)
         print(
             f"{name}: |V|={net.num_vertices:3d}  longest s→…→t path = {depth:2d}  "
-            f"terminated after {result.termination_round:2d} rounds"
+            f"terminated after {record.metrics['termination_round']:2d} rounds"
         )
     print()
 
 
 def label_anatomy() -> None:
     print("--- the label map of a cyclic digraph (Theorem 5.1) ---")
-    net = random_digraph(10, seed=11)
-    result = run_protocol_synchronous(net, LabelAssignmentProtocol())
-    assert result.terminated
+    spec = RunSpec(
+        graph="random-digraph",
+        graph_params={"num_internal": 10},
+        protocol="label-assignment",
+        scheduler="rounds",
+        seed=11,
+    )
+    record, result, _ = execute_spec_full(spec)
+    assert record.terminated
     labels = extract_labels(result.states)
     print(f"{len(labels)} anonymous vertices each retained a disjoint slice of [0, 1):\n")
     print(render_label_map(labels, width=56))
-    print(f"\n(labeling finished after {result.termination_round} synchronous rounds)")
+    print(f"\n(labeling finished after {record.metrics['termination_round']} rounds)")
     print()
 
 

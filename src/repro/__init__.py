@@ -59,8 +59,9 @@ Registry names (see ``repro registry`` for the live list): protocols
 ``caterpillar-gn``, ``skeleton-tree``, ``full-tree-with-terminal``,
 ``pruned-tree``; transforms ``with-dead-end-vertex``,
 ``with-stranded-cycle``; schedulers ``fifo``, ``lifo``, ``random``,
-``terminal-last``, ``terminal-first``, ``port-biased``, ``latency``;
-engines ``async``, ``fastpath``, ``synchronous``.
+``terminal-last``, ``terminal-first``, ``port-biased``, ``latency``,
+``rounds`` (lockstep rounds, §2's time measure); engines ``async``,
+``fastpath``, ``batch``.
 
 Choosing an engine: ``RunSpec(engine="fastpath")`` runs the compiled
 flat-state engine (:mod:`repro.network.fastpath`) — result-identical to

@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 #: Engines the suite compares, in report order.
-BENCH_ENGINES = ("async", "fastpath", "synchronous")
+BENCH_ENGINES = ("async", "fastpath")
 
 #: Graph sizes (|V|) for `repro bench --quick` — must include the gated n=64.
 QUICK_SIZES = (16, 64)

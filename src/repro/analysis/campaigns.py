@@ -64,7 +64,7 @@ def round_complexity_cases(sizes: Sequence[int]) -> List[Dict[str, Any]]:
     """E13's (tree, dag, general) workload triples as one patch axis.
 
     The general interval protocol is capped at 60 internal vertices per the
-    original driver — its synchronous runs grow superlinearly — so the
+    original driver — its round counts grow superlinearly — so the
     size relation is baked into the enumerated patches.
     """
     cases: List[Dict[str, Any]] = []
@@ -459,11 +459,10 @@ register_experiment(
 register_experiment(
     ExperimentSpec(
         name="e13",
-        title="§2       synchronous round complexity",
-        base={"engine": "synchronous", "seed": 0},
+        title="§2       round complexity (lockstep rounds)",
+        base={"scheduler": "rounds", "seed": 0},
         axes={"seed": [0], "@case": round_complexity_cases([25, 50, 100, 200])},
         aggregator="round-complexity",
-        engine_locked=True,
         scales={"quick": {"@case": round_complexity_cases([25, 50])}},
     )
 )

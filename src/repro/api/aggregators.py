@@ -319,8 +319,8 @@ def eager_ablation(
 
 @AGGREGATORS.register("round-complexity")
 def round_complexity(records: Sequence[RunRecord]) -> List[Dict]:
-    """Synchronous rounds vs longest directed path, per (tree, dag, general)
-    triple (E13)."""
+    """Lockstep rounds vs longest directed path, per (tree, dag, general)
+    triple (E13, under the ``rounds`` scheduler)."""
     from ..graphs.properties import longest_path_length
 
     rows: List[Dict] = []

@@ -145,9 +145,6 @@ class ExperimentSpec:
     aggregator: str = "records"
     aggregator_params: Dict[str, Any] = field(default_factory=dict)
     scales: Dict[str, Dict[str, List[Any]]] = field(default_factory=dict)
-    #: When true, the campaign's engine is part of its semantics (E13's
-    #: synchronous rounds) and ``expand(engine=...)`` overrides are ignored.
-    engine_locked: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -246,10 +243,8 @@ class ExperimentSpec:
         The cartesian product iterates axes in declaration order with the
         first axis outermost (``itertools.product`` semantics); aggregators
         may therefore rely on group adjacency.  ``engine`` rewrites every
-        expanded spec's engine unless the campaign is ``engine_locked``;
-        without it, a spec that names no engine gets
-        :data:`CAMPAIGN_ENGINE`.  An ``engine_locked`` grid keeps its
-        specs' engines as expanded.
+        expanded spec's engine; without it, a spec that names no engine
+        gets :data:`CAMPAIGN_ENGINE`.
         ``trace`` rewrites every spec's capture policy (``"full"`` /
         ``"sample:k"``) so a whole campaign can be recorded.
         """
@@ -264,10 +259,9 @@ class ExperimentSpec:
                         _assign(payload, path, copy.deepcopy(patch_value))
                 else:
                     _assign(payload, key, copy.deepcopy(value))
-            if not self.engine_locked:
-                payload["engine"] = (
-                    engine if engine is not None else payload.get("engine", CAMPAIGN_ENGINE)
-                )
+            payload["engine"] = (
+                engine if engine is not None else payload.get("engine", CAMPAIGN_ENGINE)
+            )
             if trace is not None:
                 payload["trace"] = trace
             specs.append(RunSpec.from_dict(payload))
@@ -446,10 +440,8 @@ class CampaignResult:
     """Everything one campaign execution produced.
 
     ``engine`` is the override the runner was *asked* for;
-    ``applied_engine`` is what actually reached the runs — ``None`` when the
-    campaign ignored the request (``engine_locked`` grids, driver
-    experiments), so consumers never mistake e13's synchronous rounds for
-    fastpath output.
+    ``applied_engine`` is what actually reached the runs — ``None`` for
+    driver experiments, whose harnesses run no engine.
     """
 
     experiment: Union[ExperimentSpec, DriverExperiment]
@@ -473,9 +465,8 @@ class CampaignRunner:
     Parameters
     ----------
     engine:
-        Engine override applied to every expanded spec (ignored by
-        ``engine_locked`` campaigns, and by driver experiments — their
-        harnesses do not run engines).  ``None`` runs each grid on the
+        Engine override applied to every expanded spec (ignored by driver
+        experiments — their harnesses do not run engines).  ``None`` runs each grid on the
         engine its specs name, else on :data:`CAMPAIGN_ENGINE`
         (``fastpath``); ``"async"`` runs it on the reference loop, the
         oracle.
@@ -596,8 +587,8 @@ class CampaignRunner:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def _applied_engine(self, experiment: Union[ExperimentSpec, DriverExperiment]) -> Optional[str]:
-        """The engine an unlocked grid's specs carry (see :meth:`ExperimentSpec.expand`)."""
-        if isinstance(experiment, DriverExperiment) or experiment.engine_locked:
+        """The engine a grid's specs carry (see :meth:`ExperimentSpec.expand`)."""
+        if isinstance(experiment, DriverExperiment):
             return None
         if self.engine is not None:
             return self.engine
@@ -741,8 +732,7 @@ def campaign_summary(
         "experiments": [result.experiment.name for result in results],
         "scale": runner.scale,
         # "engine" is the requested override; "engines_applied" is what each
-        # campaign actually ran under (None = campaign ignored the override:
-        # engine-locked grids and driver experiments).
+        # campaign actually ran under (None for driver experiments).
         "engine": runner.engine,
         "engines_applied": {
             result.experiment.name: result.applied_engine for result in results

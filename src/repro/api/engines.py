@@ -1,8 +1,9 @@
 """Execution engines as structured registry entries.
 
 An *engine* is the thing that actually drives a protocol over a network:
-the asynchronous adversarial simulator, the synchronous lockstep runner,
-the compiled fast-path loop, or the vectorized multi-run batch engine.
+the reference asynchronous simulator, the compiled fast-path loop, or the
+vectorized multi-run batch engine.  What order messages arrive in —
+lockstep rounds included — is the scheduler's business, not the engine's.
 Each engine is registered in :data:`~repro.api.registry.ENGINES` as an
 :class:`EngineInfo` — a capability contract instead of a bare callable::
 
@@ -15,11 +16,12 @@ Each engine is registered in :data:`~repro.api.registry.ENGINES` as an
 ``(spec, network, protocol) -> (result, extra_metrics)`` where ``result``
 is the engine's native result object (it must expose ``outcome``,
 ``terminated`` and ``metrics``) and ``extra_metrics`` is a dict of
-engine-specific additions folded into the
-:class:`~repro.api.spec.RunRecord` metrics (e.g. the synchronous engine's
-``rounds``).  :class:`EngineInfo` instances are themselves callable with
-that signature, so legacy ``engine(spec, network, protocol)`` call sites
-keep working unchanged.
+additions folded into the :class:`~repro.api.spec.RunRecord` metrics:
+the scheduler's :meth:`~repro.network.scheduler.Scheduler.extras` (the
+``rounds`` scheduler's ``rounds`` and ``termination_round``) and the
+fault and trace counters.  :class:`EngineInfo` instances are themselves
+callable with that signature, so legacy ``engine(spec, network,
+protocol)`` call sites keep working unchanged.
 
 ``run_many`` is the batching capability: ``run_many(spec, seeds)``
 executes one spec shape across many seeds in a single call and returns
@@ -51,7 +53,6 @@ __all__ = [
     "ENGINES",
     "EngineInfo",
     "fault_capable_engines",
-    "trace_capable_engines",
 ]
 
 
@@ -80,9 +81,8 @@ class EngineInfo:
     supports_batching:
         Whether :class:`~repro.api.runner.BatchRunner` may dispatch whole
         seed-groups through :attr:`run_many`.
-    supports_trace:
-        Whether specs carrying a :attr:`~repro.api.spec.RunSpec.trace`
-        capture policy may select this engine (see :mod:`repro.tracing`).
+
+    Every engine accepts trace capture (see :mod:`repro.tracing`).
     """
 
     name: str
@@ -90,7 +90,6 @@ class EngineInfo:
     run_many: Optional[Callable[[Any, Sequence[Any]], List[Any]]] = None
     supports_faults: bool = False
     supports_batching: bool = False
-    supports_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.supports_batching != (self.run_many is not None):
@@ -112,8 +111,6 @@ class EngineInfo:
             tags.append("faults")
         if self.supports_batching:
             tags.append("batching")
-        if self.supports_trace:
-            tags.append("trace")
         return tuple(tags)
 
 
@@ -121,13 +118,6 @@ def fault_capable_engines() -> Tuple[str, ...]:
     """Registry names of every engine with ``supports_faults=True``."""
     return tuple(
         name for name in ENGINES.names() if ENGINES.get(name).supports_faults
-    )
-
-
-def trace_capable_engines() -> Tuple[str, ...]:
-    """Registry names of every engine with ``supports_trace=True``."""
-    return tuple(
-        name for name in ENGINES.names() if ENGINES.get(name).supports_trace
     )
 
 
@@ -241,19 +231,6 @@ def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str
     )
 
 
-def _run_synchronous(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:
-    """Lockstep rounds (§2's time-complexity extension, experiment E13)."""
-    from ..network.synchronous import run_protocol_synchronous
-
-    result = run_protocol_synchronous(
-        network,
-        protocol,
-        max_rounds=spec.max_steps,
-        stop_at_termination=spec.stop_at_termination,
-    )
-    return result, {"rounds": result.rounds, "termination_round": result.termination_round}
-
-
 def _run_batch_many(
     spec: Any,
     seeds: Sequence[Any],
@@ -266,23 +243,11 @@ def _run_batch_many(
 
 
 ENGINES.register(
-    "async",
-    EngineInfo(
-        name="async", run_one=_run_async, supports_faults=True, supports_trace=True
-    ),
+    "async", EngineInfo(name="async", run_one=_run_async, supports_faults=True)
 )
 ENGINES.register(
     "fastpath",
-    EngineInfo(
-        name="fastpath",
-        run_one=_run_fastpath,
-        supports_faults=True,
-        supports_trace=True,
-    ),
-)
-ENGINES.register(
-    "synchronous",
-    EngineInfo(name="synchronous", run_one=_run_synchronous),
+    EngineInfo(name="fastpath", run_one=_run_fastpath, supports_faults=True),
 )
 # The batch engine executes single runs through the fastpath adapter (its
 # vectorized path only pays off across a seed-group), so run_one results
@@ -298,6 +263,5 @@ ENGINES.register(
         run_one=_run_fastpath,
         run_many=_run_batch_many,
         supports_batching=True,
-        supports_trace=True,
     ),
 )

@@ -192,7 +192,7 @@ GRAPHS = Registry("graph")
 GRAPH_TRANSFORMS = Registry("graph transform")
 #: Delivery schedulers, by their class-level ``name``.
 SCHEDULERS = Registry("scheduler")
-#: Execution engines, by name (``"async"``, ``"synchronous"``, ``"fastpath"``).
+#: Execution engines, by name (``"async"``, ``"fastpath"``, ``"batch"``).
 ENGINES = Registry("engine")
 #: RunRecord-list → row-dict-list aggregators, by name.
 AGGREGATORS = Registry("aggregator")

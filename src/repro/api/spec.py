@@ -62,9 +62,9 @@ __all__ = [
 
 #: One entry of :attr:`RunRecord.metrics`.  Most metrics are floats (or
 #: ``None`` where a quantity is undefined for a run), but engines may fold
-#: in integer extras — the synchronous engine's ``rounds`` and
-#: ``termination_round`` — and JSON round-trips preserve the distinction,
-#: so the union is the honest type.
+#: in integer extras — the ``rounds`` scheduler's ``rounds`` and
+#: ``termination_round``, the fault counters — and JSON round-trips
+#: preserve the distinction, so the union is the honest type.
 MetricValue = Union[int, float, None]
 
 #: RunRecord fields that vary between identical runs (wall-clock noise).
@@ -204,23 +204,21 @@ class RunSpec:
         keyword arguments.
     scheduler / scheduler_params:
         A :data:`~repro.api.registry.SCHEDULERS` name plus constructor
-        keyword arguments; ignored by the synchronous engine.
+        keyword arguments (``"rounds"`` runs lockstep rounds, E13).
     engine:
         A :data:`~repro.api.registry.ENGINES` name: ``"async"`` (the
-        paper's adversarial model, default), ``"fastpath"`` (compiled
-        flat-state engine, result-identical to ``"async"`` and much
-        faster) or ``"synchronous"`` (lockstep rounds, E13).
+        reference loop, default), ``"fastpath"`` (compiled flat-state
+        engine, result-identical to ``"async"`` and much faster) or
+        ``"batch"`` (vectorized seed-groups).
     max_steps:
-        Delivery budget (rounds budget under the synchronous engine);
-        ``None`` uses each engine's generous default.
+        Delivery budget; ``None`` uses the engines' generous default.
     seed:
         The run's reproducibility seed.  Injected as the ``seed`` keyword
         into the graph factory — and the scheduler factory — whenever the
         factory accepts one and the explicit params don't already set it.
     record_trace / track_state_bits / stop_at_termination:
-        Forwarded to :func:`~repro.network.simulator.run_protocol`
-        (async engine only; ``stop_at_termination`` also applies to the
-        synchronous engine).
+        Forwarded to the engine (see
+        :func:`~repro.network.simulator.run_protocol`).
     faults:
         Optional fault model: a :class:`~repro.network.faults.FaultSpec`
         (or its dict form) describing message loss/duplication/delay,
@@ -288,9 +286,7 @@ class RunSpec:
             if not isinstance(value, str) or not value:
                 raise SpecError(f"{key} must be a non-empty registry name")
         if self.engine not in ENGINES:
-            raise SpecError(
-                f"engine must be one of {ENGINES.names()}, got {self.engine!r}"
-            )
+            raise SpecError(str(UnknownNameError("engine", self.engine, ENGINES.names())))
         transforms = getattr(self, "graph_transforms") or ()
         if isinstance(transforms, str):
             raise SpecError("graph_transforms must be a sequence of names, not a string")
@@ -327,14 +323,6 @@ class RunSpec:
                 object.__setattr__(self, "trace", normalize_policy(self.trace))
             except TracePolicyError as exc:
                 raise SpecError(f"invalid trace policy: {exc}") from None
-            if self.trace is not None and not ENGINES.get(self.engine).supports_trace:
-                from .engines import trace_capable_engines
-
-                capable = "', '".join(trace_capable_engines())
-                raise SpecError(
-                    f"engine {self.engine!r} does not support trace capture; "
-                    f"use '{capable}'"
-                )
 
     # ------------------------------------------------------------------
     # identity & serialization
@@ -473,7 +461,7 @@ class RunSpec:
         return PROTOCOLS.create(self.protocol, **self.protocol_params)
 
     def build_scheduler(self):
-        """A fresh scheduler instance (async engine only)."""
+        """A fresh scheduler instance for one run."""
         ensure_registered()
         factory = SCHEDULERS.get(self.scheduler)
         return factory(**self._params_with_seed(factory, self.scheduler_params))
@@ -507,8 +495,8 @@ class RunRecord:
     """Structured result of executing one :class:`RunSpec`.
 
     ``metrics`` is the flattened :class:`~repro.network.metrics.RunMetrics`
-    (plus ``rounds`` / ``termination_round`` under the synchronous engine,
-    fault and trace counters, and the protocol's observables when the spec
+    (plus the scheduler's extras, e.g. ``rounds`` / ``termination_round``
+    under the ``rounds`` scheduler, fault and trace counters, and the protocol's observables when the spec
     sets ``observe``).  ``elapsed_seconds`` is the only non-deterministic
     field — see :data:`TIMING_FIELDS`.
     """
@@ -728,9 +716,8 @@ def execute_spec(spec: RunSpec) -> RunRecord:
 def execute_spec_full(spec: RunSpec):
     """Execute ``spec``; return ``(record, result, network)``.
 
-    ``result`` is the engine's native result object —
-    :class:`~repro.network.simulator.RunResult` or
-    :class:`~repro.network.synchronous.SynchronousRunResult` — carrying
+    ``result`` is the engine's
+    :class:`~repro.network.simulator.RunResult`, carrying
     per-vertex states, protocol output and the optional trace, none of
     which survive serialization; ``network`` is the
     :class:`~repro.network.graph.DirectedNetwork` the run executed on (so

@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ENGINE",
         help="override the execution engine for every expanded run; grids "
         "run on fastpath by default, and --engine async runs them on the "
-        "reference loop, the oracle (ignored by engine-locked campaigns "
-        "such as e13)",
+        "reference loop, the oracle",
     )
     experiment.add_argument(
         "--scale",

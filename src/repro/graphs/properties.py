@@ -61,7 +61,7 @@ def classify(network: DirectedNetwork) -> str:
 def longest_path_length(network: DirectedNetwork) -> int:
     """Longest directed path (in edges) from the root, on acyclic networks.
 
-    This is the synchronous-time yardstick: the commodity protocols on
+    This is the round-time yardstick: the commodity protocols on
     trees/DAGs terminate after exactly as many rounds as the longest
     root-to-terminal chain of waits (experiment E13).
 

@@ -9,6 +9,7 @@ from .scheduler import (
     LifoScheduler,
     PortBiasedScheduler,
     RandomScheduler,
+    RoundsScheduler,
     Scheduler,
     TerminalFirstScheduler,
     TerminalLastScheduler,
@@ -26,7 +27,6 @@ from .faults import (
     StarveOneEdgeScheduler,
 )
 from .simulator import Outcome, RunResult, SimulationError, run_protocol
-from .synchronous import SynchronousRunResult, run_protocol_synchronous
 from .trace import DeliveryRecord, Trace
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "LifoScheduler",
     "RandomScheduler",
     "LatencyScheduler",
+    "RoundsScheduler",
     "TerminalLastScheduler",
     "TerminalFirstScheduler",
     "PortBiasedScheduler",
@@ -59,8 +60,6 @@ __all__ = [
     "CompiledNetwork",
     "FastEvent",
     "run_protocol_fastpath",
-    "SynchronousRunResult",
-    "run_protocol_synchronous",
     "DeliveryRecord",
     "Trace",
 ]

@@ -14,8 +14,7 @@ test suite runs every protocol under every scheduler with many seeds.
 
 Implementations:
 
-* :class:`FifoScheduler` — global send-order delivery (the "synchronous-ish"
-  baseline).
+* :class:`FifoScheduler` — global send-order delivery (the default).
 * :class:`LifoScheduler` — newest first; maximally bursty.
 * :class:`RandomScheduler` — uniformly random in-flight message (seeded).
 * :class:`TerminalLastScheduler` — adversarially starves the terminal: a
@@ -29,8 +28,8 @@ Implementations:
   order that exercises asymmetric interleavings.
 * :class:`LatencyScheduler` — per-edge link latencies, delivering in
   virtual arrival order.
-* :class:`RoundsScheduler` — synchronous lockstep rounds (the paper's §2
-  time measure); it reports ``rounds`` and ``termination_round``.
+* :class:`RoundsScheduler` — lockstep rounds (the paper's §2 time
+  measure); it reports ``rounds`` and ``termination_round``.
 
 A scheduler may add metrics of its own to a run's record through
 :meth:`Scheduler.extras`.

@@ -12,7 +12,9 @@ If a campaign definition or aggregator drifts, the mismatching row pair
 is the diff.
 """
 
+import json
 import math
+import os
 
 from repro.api import BatchRunner, RunSpec, execute_spec_full
 from repro.analysis.campaigns import round_complexity_cases
@@ -27,6 +29,10 @@ from repro.network.scheduler import standard_scheduler_specs
 from ..conftest import campaign_rows
 
 _RUNNER = BatchRunner(parallel=False)
+
+ROUNDS_ORACLE = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "network", "rounds_oracle.json"
+)
 
 
 def _tree_spec(n, seed, protocol="tree-broadcast", **kw):
@@ -221,17 +227,16 @@ def imperative_e13(sizes, seeds):
     rows = []
     for n in sizes:
         for seed in seeds[:1]:
-            tree_spec = _tree_spec(n, seed, engine="synchronous")
+            tree_spec = _tree_spec(n, seed, scheduler="rounds")
             dag_spec = RunSpec(
                 graph="random-dag",
                 graph_params={"num_internal": n},
                 protocol="dag-broadcast",
                 seed=seed,
-                engine="synchronous",
+                engine="async",
+                scheduler="rounds",
             )
-            dig_spec = _digraph_spec(
-                min(n, 60), seed, "general-broadcast", engine="synchronous"
-            )
+            dig_spec = _digraph_spec(min(n, 60), seed, "general-broadcast", scheduler="rounds")
             specs = [tree_spec, dag_spec, dig_spec]
             tree_run, dag_run, dig_run = _RUNNER.run(specs)
             assert tree_run.terminated and dag_run.terminated and dig_run.terminated
@@ -480,9 +485,14 @@ def test_e12_rows_identical():
 
 
 def test_e13_rows_identical():
+    """The oracle is the quick-scale rows the former dedicated lockstep
+    engine produced, pinned in ``tests/network/rounds_oracle.json``."""
+    with open(ROUNDS_ORACLE, encoding="utf-8") as handle:
+        pinned = json.load(handle)["e13_rows"]["quick"]
+    assert imperative_e13((25, 50), (0, 1)) == pinned
     assert campaign_rows(
         "e13", axes={"seed": [0], "@case": round_complexity_cases((25, 50))}
-    ) == imperative_e13((25, 50), (0, 1))
+    ) == pinned
 
 
 def test_e15_rows_identical():

@@ -277,8 +277,9 @@ class TestExperimentCommand:
         assert summary["engines_applied"] == {"e05": "fastpath"}
 
     def test_engine_override_reported_as_ignored_where_ignored(self, tmp_path):
-        """e13 is engine-locked and e02 runs no engine at all; the summary and
-        artifacts must not claim their results came from fastpath."""
+        """e02 runs no engine at all, so the summary and artifacts must not
+        claim its results came from fastpath; e13 (lockstep rounds, a
+        scheduler) takes the override like any grid."""
         stream = io.StringIO()
         assert (
             main(
@@ -293,8 +294,10 @@ class TestExperimentCommand:
         )
         summary = _experiment_summary(stream.getvalue())
         assert summary["engine"] == "fastpath"
-        assert summary["engines_applied"] == {"e13": None, "e02": None}
+        assert summary["engines_applied"] == {"e13": "fastpath", "e02": None}
         payload = json.loads((tmp_path / "e13.rows.json").read_text(encoding="utf-8"))
+        assert payload["engine"] == "fastpath"
+        payload = json.loads((tmp_path / "e02.rows.json").read_text(encoding="utf-8"))
         assert payload["engine"] is None
 
     def test_unknown_engine_rejected(self):

@@ -8,9 +8,13 @@ to exit status 1).
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -304,12 +308,14 @@ class TestTraceErrors:
         )
         assert "cannot apply --trace" in message
 
-    def test_trace_on_incapable_engine(self, tmp_path):
+    def test_trace_on_unknown_engine(self, tmp_path):
         spec = self._write_spec(tmp_path, engine="synchronous")
         message = _run_expecting_error(
             ["trace", "record", spec, "-o", str(tmp_path / "t.rtrace")]
         )
-        assert "does not support trace capture" in message
+        assert message.endswith(
+            "unknown engine 'synchronous'; registered: async, batch, fastpath"
+        )
 
 
 class TestEngineCapability:
@@ -342,6 +348,23 @@ class TestEngineCapability:
         ):
             message = _run_expecting_error(argv)
             assert "does not support fault injection" in message
+
+    def test_removed_synchronous_engine_in_spec_file(self, tmp_path):
+        """A spec file naming the former lockstep engine (now the ``rounds``
+        scheduler) exits 1 with the registry's one line, no traceback."""
+        path = self._write_spec(tmp_path, engine="synchronous")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--spec", path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.count("\n") == 1
+        assert "unknown engine 'synchronous'; registered: async, batch, fastpath" in out.stderr
 
     def test_unknown_engine_override(self, tmp_path):
         path = self._write_spec(tmp_path)

@@ -126,28 +126,17 @@ class TestExpansion:
         specs = demo_spec().expand(engine="fastpath")
         assert all(s.engine == "fastpath" for s in specs)
 
-    def test_engine_locked_ignores_override(self):
-        spec = demo_spec(engine_locked=True, base={
-            "graph": "random-grounded-tree",
-            "protocol": "tree-broadcast",
-            "engine": "synchronous",
-        })
-        specs = spec.expand(engine="fastpath")
-        assert all(s.engine == "synchronous" for s in specs)
-
-    def test_engine_locked_result_reports_no_applied_engine(self):
-        spec = demo_spec(
-            engine_locked=True,
-            scales={},
-            axes={"graph_params.num_internal": [8], "seed": [0]},
-        )
-        result = CampaignRunner(engine="fastpath", parallel=False).run(spec)
-        assert result.engine == "fastpath"
-        assert result.applied_engine is None
-        unlocked = CampaignRunner(engine="fastpath", parallel=False).run(
+    def test_result_reports_applied_engine(self):
+        result = CampaignRunner(engine="fastpath", parallel=False).run(
             demo_spec(scales={}, axes={"graph_params.num_internal": [8], "seed": [0]})
         )
-        assert unlocked.applied_engine == "fastpath"
+        assert result.engine == "fastpath"
+        assert result.applied_engine == "fastpath"
+
+    def test_engine_locked_is_an_unknown_field(self):
+        payload = {**demo_spec().to_dict(), "engine_locked": True}
+        with pytest.raises(SpecError, match="engine_locked"):
+            ExperimentSpec.from_dict(payload)
 
     def test_with_overrides_replaces_axes_and_patches_base(self):
         derived = demo_spec().with_overrides(

@@ -4,8 +4,9 @@ Every registered grid, at quick scale, must give the same rows on its
 default engine (``fastpath``) as under ``CampaignRunner(engine="async")``.
 The engine a grid's specs carry, and the ``applied_engine`` its result
 reports, follow one rule: the runner's override, else the engine the
-campaign's ``base`` names, else ``fastpath``; engine-locked grids (e13)
-and drivers report ``None``.
+campaign's ``base`` names, else ``fastpath``; drivers report ``None``.
+e13's lockstep rounds are a scheduler, so e13 follows the rule like any
+other grid.
 """
 
 import pytest
@@ -23,7 +24,6 @@ from repro.api.campaign import CAMPAIGN_ENGINE
 ensure_registered()
 
 GRIDS = [name for name in EXPERIMENTS.names() if isinstance(EXPERIMENTS.get(name), ExperimentSpec)]
-UNLOCKED = [name for name in GRIDS if not EXPERIMENTS.get(name).engine_locked]
 DRIVERS = [name for name in EXPERIMENTS.names() if isinstance(EXPERIMENTS.get(name), DriverExperiment)]
 
 
@@ -37,10 +37,10 @@ def inline_spec(**base) -> ExperimentSpec:
     )
 
 
-def test_registry_has_unlocked_and_locked_grids():
+def test_registry_has_grids_and_drivers():
     assert CAMPAIGN_ENGINE == "fastpath"
-    assert "e13" in GRIDS and "e13" not in UNLOCKED
-    assert len(UNLOCKED) >= 10 and DRIVERS
+    assert "e13" in GRIDS
+    assert len(GRIDS) >= 10 and DRIVERS
 
 
 def test_run_spec_default_stays_on_the_reference_loop():
@@ -53,22 +53,19 @@ def test_default_rows_equal_reference_loop_rows(name):
     reference = CampaignRunner(scale="quick", engine="async").run(name)
     assert default.rows, name
     assert default.rows == reference.rows, name
-    experiment = EXPERIMENTS.get(name)
-    if experiment.engine_locked:
-        assert default.applied_engine is None and reference.applied_engine is None
-        assert [s.engine for s in default.specs] == [s.engine for s in reference.specs]
-    else:
-        assert default.applied_engine == "fastpath"
-        assert reference.applied_engine == "async"
-        assert {s.engine for s in default.specs} == {"fastpath"}
-        assert {s.engine for s in reference.specs} == {"async"}
+    assert default.applied_engine == "fastpath"
+    assert reference.applied_engine == "async"
+    assert {s.engine for s in default.specs} == {"fastpath"}
+    assert {s.engine for s in reference.specs} == {"async"}
 
 
-def test_engine_locked_grid_keeps_its_engine():
+def test_e13_follows_the_engine_rule():
     e13 = EXPERIMENTS.get("e13")
-    for engine in (None, "async", "fastpath"):
-        assert {s.engine for s in e13.expand(scale="quick", engine=engine)} == {"synchronous"}
-    assert CampaignRunner()._applied_engine(e13) is None
+    for engine, expected in ((None, "fastpath"), ("async", "async"), ("batch", "batch")):
+        specs = e13.expand(scale="quick", engine=engine)
+        assert {s.engine for s in specs} == {expected}
+        assert {s.scheduler for s in specs} == {"rounds"}
+        assert CampaignRunner(engine=engine)._applied_engine(e13) == expected
 
 
 @pytest.mark.parametrize("name", DRIVERS)

@@ -51,7 +51,6 @@ class TestContract:
         assert flags == {
             "async": (True, False),
             "fastpath": (True, False),
-            "synchronous": (False, False),
             "batch": (False, True),
         }
 

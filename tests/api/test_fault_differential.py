@@ -103,11 +103,9 @@ class TestSpecRoundTrip:
         with pytest.raises(SpecError, match="faults"):
             RunSpec(graph="g", protocol="p", faults="lossy")
 
-    def test_synchronous_engine_rejects_faults(self):
+    def test_batch_engine_rejects_faults(self):
         with pytest.raises(SpecError, match="does not support fault injection"):
-            RunSpec(
-                graph="g", protocol="p", engine="synchronous", faults={"drop_probability": 0.1}
-            )
+            RunSpec(graph="g", protocol="p", engine="batch", faults={"drop_probability": 0.1})
 
 
 def _comparable(record: RunRecord) -> dict:

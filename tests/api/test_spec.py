@@ -18,9 +18,9 @@ from repro.api import (
 from repro.api.spec import TIMING_FIELDS, dump_specs, load_specs
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.graphs.generators import random_digraph
+from repro.graphs.properties import longest_path_length
 from repro.network.scheduler import LatencyScheduler, RandomScheduler
 from repro.network.simulator import run_protocol
-from repro.network.synchronous import run_protocol_synchronous
 
 
 def digraph_spec(**overrides) -> RunSpec:
@@ -41,7 +41,7 @@ class TestRoundTrip:
             graph_transforms=("with-dead-end-vertex",),
             scheduler="random",
             scheduler_params={"seed": 5},
-            engine="synchronous",
+            engine="fastpath",
             max_steps=1000,
             record_trace=True,
             track_state_bits=True,
@@ -376,21 +376,18 @@ class TestExecution:
         assert result.states  # white-box access preserved
         assert network.num_edges == record.num_edges
 
-    def test_synchronous_engine(self):
+    def test_rounds_scheduler_reports_rounds(self):
         spec = RunSpec(
             graph="random-grounded-tree",
             graph_params={"num_internal": 20},
             protocol="tree-broadcast",
-            engine="synchronous",
+            scheduler="rounds",
             seed=0,
         )
         record = execute_spec(spec)
-        direct = run_protocol_synchronous(
-            spec.build_graph(), spec.build_protocol()
-        )
         assert record.terminated
-        assert record.metrics["termination_round"] == direct.termination_round
-        assert record.metrics["rounds"] == direct.rounds
+        assert record.metrics["termination_round"] == longest_path_length(spec.build_graph())
+        assert record.metrics["rounds"] == record.metrics["termination_round"]
 
     def test_dead_end_transform_blocks_termination(self):
         record = execute_spec(

@@ -1,7 +1,7 @@
 """RunRecord.metrics typing is honest (ints included) and mypy-enforced.
 
 ``RunRecord.metrics`` was annotated ``Dict[str, Optional[float]]`` while
-the synchronous engine's ``extra`` injected ints (``rounds``,
+engine extras inject ints (the ``rounds`` scheduler's ``rounds`` and
 ``termination_round``).  The annotation is now the widened
 :data:`repro.api.MetricValue`; the runtime test pins the int-ness and the
 mypy test makes the checker's verdict on ``repro/api/spec.py`` a test
@@ -25,13 +25,13 @@ def test_metrics_annotation_is_the_widened_union():
     assert MetricValue == typing.Optional[typing.Union[int, float]]
 
 
-def test_synchronous_extras_really_are_ints():
+def test_rounds_extras_really_are_ints():
     record = RunSpec(
         graph="random-grounded-tree",
         graph_params={"num_internal": 6},
         protocol="tree-broadcast",
         seed=0,
-        engine="synchronous",
+        scheduler="rounds",
     ).run()
     assert type(record.metrics["rounds"]) is int
     assert type(record.metrics["termination_round"]) is int

@@ -39,10 +39,6 @@ class TestSpecPolicyField:
         with pytest.raises(SpecError, match="invalid trace policy"):
             _spec(trace="sometimes")
 
-    def test_unsupported_engine_rejected(self):
-        with pytest.raises(SpecError, match="does not support trace capture"):
-            _spec(trace="full", engine="synchronous")
-
     def test_spec_id_neutral_when_off(self):
         """trace=None must hash like the field never existed (PR 5 rule)."""
         assert _spec().spec_id == _spec(trace=None).spec_id == _spec(trace="off").spec_id
