@@ -125,7 +125,10 @@ def _faults_and_scheduler(spec: Any, network: Any) -> Tuple[Any, Any]:
     """The run's fault injector (or ``None``) and its effective scheduler.
 
     A fault spec naming an adversarial strategy replaces the run spec's
-    scheduler with it — the strategy *is* the delivery adversary.
+    scheduler with it — the strategy *is* the delivery adversary.  The
+    engine then wraps the effective scheduler in the injector's loss,
+    duplication and delay (:meth:`~repro.network.faults.FaultInjector.wrap`),
+    so a scheduler's extras (e.g. ``rounds``) are read off this object.
     """
     injector = spec.build_faults(network)
     if injector is not None and injector.adversary is not None:
@@ -213,11 +216,12 @@ def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str
     campaign grids that sweep protocol/scheduler/seed axes over one
     topology compile it once per worker instead of once per run.
 
-    A spec with a fault model or a trace runs on the reference loop (the
-    ``async`` engine's :func:`~repro.network.simulator.run_protocol`),
-    which :func:`~repro.network.fastpath.run_protocol_fastpath` calls
-    with the same arguments — such runs are engine-identical by
-    construction, and plain runs keep the compiled kernel.
+    Message loss, duplication and delay run on the compiled kernel (they
+    are a scheduler wrapper).  A spec with a crash or churn schedule or a
+    trace runs on the reference loop (the ``async`` engine's
+    :func:`~repro.network.simulator.run_protocol`), which
+    :func:`~repro.network.fastpath.run_protocol_fastpath` calls with the
+    same arguments — such runs are engine-identical by construction.
     """
     from ..network.fastpath import run_protocol_fastpath
     from .spec import compiled_topology

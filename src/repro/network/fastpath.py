@@ -38,11 +38,13 @@ on flat, preprocessed data instead of per-event objects:
   holds every protocol × graph × scheduler combination to byte-identical
   records.
 
-Only the kernel runs here.  Whenever a run needs live protocol objects —
-tracing, state-bit tracking, a fault model — or the protocol compiles no
-kernel, :func:`run_protocol_fastpath` hands the whole run to the
-reference loop, :func:`~repro.network.simulator.run_protocol`, with the
-same arguments.
+Only the kernel runs here.  Message loss, duplication and delay are a
+scheduler wrapper (:class:`~repro.network.faults.FaultScheduler`), so the
+kernel runs them too.  Whenever a run needs live protocol objects —
+tracing, state-bit tracking, a crash or churn that resets a vertex — or
+the protocol compiles no kernel, :func:`run_protocol_fastpath` hands the
+whole run to the reference loop,
+:func:`~repro.network.simulator.run_protocol`, with the same arguments.
 
 The scheduler contract is unchanged: schedulers see the same sequence of
 ``push``/``pop`` calls as under the reference engine, so seeded adversaries
@@ -168,16 +170,19 @@ def run_protocol_fastpath(
     only if it actually wraps this exact network object, so a stale or
     mismatched cache entry can never corrupt a run.
 
-    The compiled kernel runs only a plain run.  ``record_trace``,
-    ``trace_sink``, ``track_state_bits`` and ``faults`` all need the live
-    protocol objects — trace digests are taken over the real payloads,
-    state sizes over the real states, and a churn rejoin resets a real
-    state — so any of them, or a protocol that compiles no kernel, sends
-    the whole run to the reference loop with the same arguments.
+    The compiled kernel runs every run whose faults (if any) are loss,
+    duplication and delay: those wrap the scheduler
+    (:meth:`~repro.network.faults.FaultInjector.wrap`).  ``record_trace``,
+    ``trace_sink``, ``track_state_bits`` and a crash or churn schedule
+    all need the live protocol objects — trace digests are taken over the
+    real payloads, state sizes over the real states, and a churn rejoin
+    resets a real state — so any of them, or a protocol that compiles no
+    kernel, sends the whole run to the reference loop with the same
+    arguments.
     """
     kernel = None
-    plain = not (record_trace or track_state_bits)
-    if plain and faults is None and trace_sink is None:
+    plain = not (record_trace or track_state_bits) and trace_sink is None
+    if plain and (faults is None or not faults.downs_vertices):
         if compiled is None or compiled.network is not network:
             compiled = CompiledNetwork(network)
         kernel = protocol.compile_fastpath(compiled)
@@ -196,6 +201,8 @@ def run_protocol_fastpath(
 
     if scheduler is None:
         scheduler = FifoScheduler()
+    if faults is not None:
+        scheduler = faults.wrap(scheduler)
     scheduler.bind(network)
     if max_steps is None:
         max_steps = default_step_budget(network)

@@ -12,12 +12,17 @@ first-class, declarative workload dimension:
   crash schedules (:class:`CrashFault`), join/leave churn intervals
   (:class:`ChurnFault`), and an optional adversarial scheduler strategy
   from the :data:`~repro.api.registry.FAULTS` registry.
-* :class:`FaultInjector` — the runtime object both execution engines hook:
-  it decides, deterministically from one seeded RNG, which sends are
-  dropped or duplicated, which deliveries are deferred, and which vertices
-  are down at a given step.  The async simulator and the fastpath engine
-  call the same three hooks in the same order, so a faulty run is
-  engine-independent the same way a fault-free run is.
+* :class:`FaultInjector` — the runtime fault process: it decides,
+  deterministically from one seeded RNG, which sends are dropped or
+  duplicated, which deliveries are deferred, and which vertices are down
+  at a given step.
+* :class:`FaultScheduler` — loss, duplication and delay only decide what
+  enters and leaves the in-flight set, so they are a scheduler wrapped
+  around the run's own adversary (:meth:`FaultInjector.wrap`).  Every
+  engine runs it, the compiled kernels included; only crashes and churn,
+  which touch vertex state, need the reference loop's ``on_deliver``
+  hook.  The hooks fire in the same order on every engine, so a faulty
+  run is engine-independent the same way a fault-free run is.
 * Adversarial strategies — :class:`StarveOneEdgeScheduler` and
   :class:`OldestLastScheduler`, registered in :data:`FAULTS` so fault
   specs can name them (``adversary="starve-one-edge"``).
@@ -61,7 +66,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..api.registry import FAULTS
 from .events import MessageEvent
@@ -74,6 +79,7 @@ __all__ = [
     "ChurnFault",
     "FaultSpec",
     "FaultInjector",
+    "FaultScheduler",
     "DELIVER",
     "DELIVER_AFTER_RESET",
     "SWALLOW",
@@ -333,19 +339,22 @@ class _VertexFaults:
 
 
 class FaultInjector:
-    """Runtime fault process for one execution, shared by both engines.
+    """Runtime fault process for one execution, shared by every engine.
 
-    The engines call exactly three hooks, in this order per event:
+    Three hooks, in this order per event:
 
     1. :meth:`send_copies` once per emitted message (0 = dropped,
-       1 = normal, 2 = duplicated);
+       1 = normal, 2 = duplicated) and
     2. :meth:`should_defer` once per scheduler pop (``True`` re-enqueues
-       the popped message without consuming a delivery step);
+       the popped message without consuming a delivery step) — both
+       called by the :class:`FaultScheduler` that :meth:`wrap` puts
+       around the run's scheduler;
     3. :meth:`on_deliver` once per counted delivery (``SWALLOW`` skips the
        protocol transition, ``DELIVER_AFTER_RESET`` resets the vertex
-       state first).
+       state first), called by the reference loop, which every run with
+       a crash or churn schedule (:attr:`downs_vertices`) takes.
 
-    Because both engines issue the same hook sequence, the injector's RNG
+    Because every engine issues the same hook sequence, the injector's RNG
     makes identical choices under ``async`` and ``fastpath`` — the
     differential tests hold faulty records engine-identical.
     """
@@ -439,6 +448,24 @@ class FaultInjector:
     # engine hooks
     # ------------------------------------------------------------------
 
+    @property
+    def downs_vertices(self) -> bool:
+        """Whether the model crashes or churns a vertex (needs :meth:`on_deliver`)."""
+        return bool(self._vertex_faults)
+
+    def wrap(
+        self, scheduler: Scheduler, on_defer: Optional[Callable[[int], None]] = None
+    ) -> Scheduler:
+        """``scheduler`` with this model's loss, duplication and delay
+        around it; ``scheduler`` itself when all three rates are zero.
+
+        ``on_defer`` is called with the delivery step of every deferred
+        pop (the trace capture's ``defer`` hook).
+        """
+        if not (self._drop_p or self._dup_p or self._delay_p):
+            return scheduler
+        return FaultScheduler(scheduler, self, on_defer)
+
     def send_copies(self) -> int:
         """How many copies of the next emitted message enter the scheduler."""
         if self._drop_p > 0.0 and self._rng.random() < self._drop_p:
@@ -508,6 +535,65 @@ class FaultInjector:
             "fault_churned": self.churned,
             "fault_rejoined": self.rejoined,
         }
+
+
+class FaultScheduler(Scheduler):
+    """Message loss, duplication and delay as a scheduler around another.
+
+    A push asks :meth:`FaultInjector.send_copies` how many copies of the
+    message enter the inner scheduler; each copy gets its own sequence
+    number (numbered here, per copy, exactly as if the sender had emitted
+    it again).  A pop asks :meth:`FaultInjector.should_defer` with the
+    inner scheduler's remaining length; a deferred message is pushed back
+    to the inner scheduler — the same event object, so schedulers that
+    key on it (``rounds``, scripted replay) know the pop delivered
+    nothing — and the pop continues.  The wrapper is the adversary the
+    engine sees, so the compiled kernels run faulty transports too.
+    """
+
+    name = "faults"
+
+    def __init__(
+        self,
+        inner: Scheduler,
+        injector: FaultInjector,
+        on_defer: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        self.inner = inner
+        self._send_copies = injector.send_copies
+        self._should_defer = injector.should_defer
+        self._on_defer = on_defer
+        self._seq = 0
+        self._delivered = 0
+
+    def bind(self, network: DirectedNetwork) -> None:
+        self.inner.bind(network)
+
+    def push(self, event: MessageEvent) -> None:
+        # MessageEvent and the fastpath's FastEvent share this signature.
+        make = type(event)
+        for _ in range(self._send_copies()):
+            self.inner.push(
+                make(event.edge_id, event.payload, self._seq, event.sent_step, event.bits)
+            )
+            self._seq += 1
+
+    def pop(self) -> MessageEvent:
+        inner = self.inner
+        while True:
+            event = inner.pop()
+            if not self._should_defer(len(inner)):
+                self._delivered += 1
+                return event
+            if self._on_defer is not None:
+                self._on_defer(self._delivered)
+            inner.push(event)
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def extras(self, metrics: Any) -> Dict[str, Any]:
+        return self.inner.extras(metrics)
 
 
 # ----------------------------------------------------------------------

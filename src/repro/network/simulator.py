@@ -162,16 +162,18 @@ def run_protocol(
         draining to quiescence.  Post-termination work is then not measured.
     faults:
         Optional :class:`~repro.network.faults.FaultInjector` — the fault
-        model's runtime: drops/duplicates sends, defers deliveries and
-        downs crashed/churned vertices (see :mod:`repro.network.faults`).
-        ``None`` (the default) is the paper's reliable model; the loop is
-        then exactly the pre-fault-layer loop.
+        model's runtime (see :mod:`repro.network.faults`).  Its loss,
+        duplication and delay wrap ``scheduler``
+        (:meth:`~repro.network.faults.FaultInjector.wrap`); inside the
+        loop only its ``on_deliver`` hook remains, which downs crashed and
+        churned vertices.  ``None`` (the default) is the paper's reliable
+        model; the loop is then exactly the pre-fault-layer loop.
     trace_sink:
         Optional durable trace capture (a
         :class:`~repro.tracing.capture.TraceCapture`): its ``record`` hook
         fires once per delivery and its ``defer`` hook once per
-        fault-deferred pop, streaming to the ``.rtrace`` format with
-        bounded memory.  ``record_trace`` goes through the same hook: its
+        fault-deferred pop (from the fault wrapper), streaming to the
+        ``.rtrace`` format with bounded memory.  ``record_trace`` goes through the same hook: its
         :class:`Trace` is the sink, teed with this one when both are set.
 
     Returns
@@ -181,6 +183,10 @@ def run_protocol(
     """
     if scheduler is None:
         scheduler = FifoScheduler()
+    trace = Trace() if record_trace else None
+    sink = trace_hook(trace, trace_sink)
+    if faults is not None:
+        scheduler = faults.wrap(scheduler, None if sink is None else sink.defer)
     scheduler.bind(network)
     if max_steps is None:
         max_steps = default_step_budget(network)
@@ -194,8 +200,6 @@ def run_protocol(
     }
 
     metrics = MetricsCollector(network.num_edges)
-    trace = Trace() if record_trace else None
-    sink = trace_hook(trace, trace_sink)
     seq = 0
 
     def emit(vertex: int, out_port: int, payload: Any, step: int) -> None:
@@ -206,17 +210,16 @@ def run_protocol(
                 f"vertex {vertex} emitted on out-port {out_port} but has "
                 f"out-degree {len(out_ids)}"
             )
-        copies = 1 if faults is None else faults.send_copies()
-        if copies == 0:  # transport loss: the message never enters the network
-            return
-        bits = protocol.message_bits(payload)
-        for _ in range(copies):
-            scheduler.push(
-                MessageEvent(
-                    edge_id=out_ids[out_port], payload=payload, seq=seq, sent_step=step, bits=bits
-                )
+        scheduler.push(
+            MessageEvent(
+                edge_id=out_ids[out_port],
+                payload=payload,
+                seq=seq,
+                sent_step=step,
+                bits=protocol.message_bits(payload),
             )
-            seq += 1
+        )
+        seq += 1
 
     # Inject the root's initial transmissions (the paper's σ₀ on s's out-edge).
     for out_port, payload in protocol.initial_emissions(views[network.root]):
@@ -233,11 +236,6 @@ def run_protocol(
                 trace=trace,
             )
         event = scheduler.pop()
-        if faults is not None and faults.should_defer(len(scheduler)):
-            if sink is not None:
-                sink.defer(step)
-            scheduler.push(event)  # deferred, not delivered: no step consumed
-            continue
         step += 1
         head = network.edge_head(event.edge_id)
         in_port = network.in_port_of_edge(event.edge_id)

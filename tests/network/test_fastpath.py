@@ -262,7 +262,11 @@ class TestRouting:
             (
                 GeneralBroadcastProtocol,
                 lambda net: {
-                    "faults": FaultSpec(drop_probability=0.1, seed=3).build(net, 0)
+                    "faults": FaultSpec(
+                        drop_probability=0.1,
+                        churn=({"vertex": 2, "leave_step": 1, "rejoin_step": 3},),
+                        seed=3,
+                    ).build(net, 0)
                 },
             ),
             (GeneralBroadcastProtocol, lambda net: {"trace_sink": _NullSink()}),
@@ -270,7 +274,7 @@ class TestRouting:
             (GeneralBroadcastProtocol, lambda net: {"track_state_bits": True}),
             (_TweakedGeneral, lambda net: {}),
         ],
-        ids=["faults", "trace", "record_trace", "track_state_bits", "no-kernel"],
+        ids=["churn", "trace", "record_trace", "track_state_bits", "no-kernel"],
     )
     def test_non_kernel_runs_use_the_reference_loop(
         self, reference_calls, protocol_factory, options
@@ -298,6 +302,16 @@ class TestRouting:
         )
         assert reference_calls == []
         assert result.outcome is Outcome.TERMINATED
+
+    def test_transport_faults_stay_on_the_kernel(self, reference_calls):
+        net = diamond()
+        spec = FaultSpec(drop_probability=0.2, duplicate_probability=0.3, delay_probability=0.3)
+        fast_faults, reference_faults = spec.build(net, 5), spec.build(net, 5)
+        fast = run_protocol_fastpath(net, GeneralBroadcastProtocol(), faults=fast_faults)
+        assert reference_calls == []
+        reference = run_protocol(net, GeneralBroadcastProtocol(), faults=reference_faults)
+        assert fast.metrics == reference.metrics
+        assert fast_faults.counters() == reference_faults.counters()
 
 
 def _flat(union: IntervalUnion):
