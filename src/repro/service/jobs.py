@@ -322,8 +322,11 @@ class ExperimentService:
                     job._cond.wait(poll_seconds)
 
     def close(self) -> None:
-        """Stop accepting work and release the job pool."""
+        """Stop accepting work, release the job pool and close the store's
+        connections (a job still running reopens its own)."""
         self._executor.shutdown(wait=False)
+        if self.store is not None:
+            self.store.close()
 
     # ------------------------------------------------------------------
     # execution

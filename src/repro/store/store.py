@@ -203,6 +203,12 @@ class ResultStore:
         self.code_version = code_version or current_code_version()
         self._index_path = os.path.join(root, "index.sqlite")
         self._local = threading.local()
+        #: Every open connection with the pid that opened it; :meth:`close`
+        #: closes them all and bumps the generation, which retires the
+        #: threads' cached connections.
+        self._connections: List[Tuple[int, sqlite3.Connection]] = []
+        self._connections_lock = threading.Lock()
+        self._generation = 0
         try:
             self._init_schema()
         except sqlite3.DatabaseError as exc:
@@ -214,16 +220,25 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
-        """A per-(process, thread) connection — sqlite's safe sharing unit."""
+        """A per-(process, thread) connection — sqlite's safe sharing unit.
+
+        Only its own thread uses a connection; ``check_same_thread`` is
+        off so that :meth:`close` may close it from another.  A connection
+        :meth:`close` closed is replaced on the thread's next call.
+        """
         pid = os.getpid()
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == pid:
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is not None and local.pid == pid and local.generation == self._generation:
             return conn
-        conn = sqlite3.connect(self._index_path, timeout=30.0)
+        conn = sqlite3.connect(self._index_path, timeout=30.0, check_same_thread=False)
+        with self._connections_lock:
+            self._connections.append((pid, conn))
+            local.generation = self._generation
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        self._local.conn = conn
-        self._local.pid = pid
+        local.conn = conn
+        local.pid = pid
         return conn
 
     def _init_schema(self) -> None:
@@ -275,18 +290,26 @@ class ResultStore:
             pass
 
     def close(self) -> None:
-        """Close this thread's index connection (other threads' stay open)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close every index connection this process opened, on any thread.
+
+        Connections inherited across a fork belong to the parent and are
+        only forgotten.  The store stays usable: a thread's next call
+        opens a fresh connection.
+        """
+        pid = os.getpid()
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+            self._generation += 1
+        for owner, conn in connections:
+            if owner == pid:
+                conn.close()
 
     def __enter__(self) -> "ResultStore":
         """Context-manager support: ``with ResultStore(dir) as store:``."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        """Close the calling thread's connection on exit."""
+        """Close every connection on exit."""
         self.close()
 
     # ------------------------------------------------------------------

@@ -4,10 +4,12 @@ import gc
 import json
 import re
 import socket
+import sqlite3
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -652,3 +654,40 @@ class TestEventLoop:
             socket.create_connection((host, port), timeout=1).close()
         assert capfd.readouterr().err == ""
         assert caplog.records == []
+
+
+def test_ending_the_service_closes_every_store_connection(tmp_path, monkeypatch):
+    """The store opens one sqlite connection per thread (the constructor's,
+    the event loop's for ``/healthz``, the job thread's); ending the server
+    and its service must close all of them, not only the calling thread's."""
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    service = ExperimentService(
+        store=ResultStore(str(tmp_path / "store")),
+        out_dir=str(tmp_path / "artifacts"),
+        parallel=False,
+    )
+    server = make_server("127.0.0.1", 0, service)
+    thread = serve_forever(server, ready_line=False, in_thread=True)
+    assert request(server, "GET", "/healthz")[0] == 200
+    _, snap = request(server, "POST", "/experiments", {"spec": grid_spec(range(2))})
+    assert service.get(snap["job"]).wait(timeout=120)
+    server.shutdown()
+    thread.join(timeout=10)
+    service.close()
+
+    assert len(opened) >= 3
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+    opened.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        gc.collect()

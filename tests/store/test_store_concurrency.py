@@ -11,8 +11,12 @@ be clean.
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import threading
+
+import pytest
 
 from repro.store import ResultStore
 
@@ -94,3 +98,27 @@ def test_interleaved_writers_in_one_process(tmp_path):
     assert store_a.stats().records == 6
     assert len(store_b.get_many([r.spec for r in records])) == 6
     assert store_a.verify().clean
+
+
+def test_close_closes_every_thread_connection(tmp_path):
+    """``close()`` reaches the connections other threads opened, and the
+    store keeps working afterwards on fresh ones."""
+    store = ResultStore(str(tmp_path / "store"))
+    record = make_spec(seed=0).run()
+    store.put(record)
+    opened = [store._connection()]
+
+    def reader():
+        assert store.get(record.spec) is not None
+        opened.append(store._connection())
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    thread.join()
+    assert opened[0] is not opened[1]
+    store.close()
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+    assert store.get(record.spec) is not None  # a fresh connection
+    store.close()
