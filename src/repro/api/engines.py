@@ -126,9 +126,7 @@ def _faults_and_scheduler(spec: Any, network: Any) -> Tuple[Any, Any]:
 
     A fault spec naming an adversarial strategy replaces the run spec's
     scheduler with it — the strategy *is* the delivery adversary.  The
-    engine then wraps the effective scheduler in the injector's loss,
-    duplication and delay (:meth:`~repro.network.faults.FaultInjector.wrap`),
-    so a scheduler's extras (e.g. ``rounds``) are read off this object.
+    engines wrap it in the injector's loss, duplication and delay.
     """
     injector = spec.build_faults(network)
     if injector is not None and injector.adversary is not None:
@@ -150,7 +148,7 @@ def _extra_metrics(
 ) -> Dict[str, Any]:
     """Fold the scheduler's extras (e.g. ``rounds``) and the fault and
     trace counters into the record's engine extras."""
-    extra: Dict[str, Any] = dict(scheduler.extras(result.metrics))
+    extra: Dict[str, Any] = scheduler.extras(result.metrics)
     if faults is not None:
         extra.update(faults.counters())
     if capture is not None:
@@ -216,9 +214,8 @@ def _run_fastpath(spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str
     campaign grids that sweep protocol/scheduler/seed axes over one
     topology compile it once per worker instead of once per run.
 
-    Message loss, duplication and delay run on the compiled kernel (they
-    are a scheduler wrapper).  A spec with a crash or churn schedule or a
-    trace runs on the reference loop (the ``async`` engine's
+    A spec with a crash or churn schedule or a trace runs on the reference
+    loop (the ``async`` engine's
     :func:`~repro.network.simulator.run_protocol`), which
     :func:`~repro.network.fastpath.run_protocol_fastpath` calls with the
     same arguments — such runs are engine-identical by construction.

@@ -170,15 +170,13 @@ def run_protocol_fastpath(
     only if it actually wraps this exact network object, so a stale or
     mismatched cache entry can never corrupt a run.
 
-    The compiled kernel runs every run whose faults (if any) are loss,
-    duplication and delay: those wrap the scheduler
-    (:meth:`~repro.network.faults.FaultInjector.wrap`).  ``record_trace``,
-    ``trace_sink``, ``track_state_bits`` and a crash or churn schedule
-    all need the live protocol objects — trace digests are taken over the
-    real payloads, state sizes over the real states, and a churn rejoin
-    resets a real state — so any of them, or a protocol that compiles no
-    kernel, sends the whole run to the reference loop with the same
-    arguments.
+    ``record_trace``, ``trace_sink``, ``track_state_bits`` and a crash
+    or churn schedule all need the live protocol objects — trace digests
+    are taken over the real payloads, state sizes over the real states,
+    and a churn rejoin resets a real state — so any of them, or a protocol
+    that compiles no kernel, sends the whole run to the reference loop
+    with the same arguments.  Loss, duplication and delay wrap the
+    scheduler and stay on the kernel.
     """
     kernel = None
     plain = not (record_trace or track_state_bits) and trace_sink is None

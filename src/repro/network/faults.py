@@ -16,13 +16,9 @@ first-class, declarative workload dimension:
   deterministically from one seeded RNG, which sends are dropped or
   duplicated, which deliveries are deferred, and which vertices are down
   at a given step.
-* :class:`FaultScheduler` — loss, duplication and delay only decide what
-  enters and leaves the in-flight set, so they are a scheduler wrapped
-  around the run's own adversary (:meth:`FaultInjector.wrap`).  Every
-  engine runs it, the compiled kernels included; only crashes and churn,
-  which touch vertex state, need the reference loop's ``on_deliver``
-  hook.  The hooks fire in the same order on every engine, so a faulty
-  run is engine-independent the same way a fault-free run is.
+* :class:`FaultScheduler` — loss, duplication and delay as a wrapper
+  around the run's scheduler, so every engine (the compiled kernels
+  included) runs them; crashes and churn stay a reference-loop hook.
 * Adversarial strategies — :class:`StarveOneEdgeScheduler` and
   :class:`OldestLastScheduler`, registered in :data:`FAULTS` so fault
   specs can name them (``adversary="starve-one-edge"``).
@@ -344,15 +340,13 @@ class FaultInjector:
     Three hooks, in this order per event:
 
     1. :meth:`send_copies` once per emitted message (0 = dropped,
-       1 = normal, 2 = duplicated) and
+       1 = normal, 2 = duplicated), from :class:`FaultScheduler`;
     2. :meth:`should_defer` once per scheduler pop (``True`` re-enqueues
-       the popped message without consuming a delivery step) — both
-       called by the :class:`FaultScheduler` that :meth:`wrap` puts
-       around the run's scheduler;
+       the popped message without consuming a delivery step), from
+       :class:`FaultScheduler`;
     3. :meth:`on_deliver` once per counted delivery (``SWALLOW`` skips the
        protocol transition, ``DELIVER_AFTER_RESET`` resets the vertex
-       state first), called by the reference loop, which every run with
-       a crash or churn schedule (:attr:`downs_vertices`) takes.
+       state first), from the reference loop.
 
     Because every engine issues the same hook sequence, the injector's RNG
     makes identical choices under ``async`` and ``fastpath`` — the
@@ -455,15 +449,9 @@ class FaultInjector:
 
     def wrap(
         self, scheduler: Scheduler, on_defer: Optional[Callable[[int], None]] = None
-    ) -> Scheduler:
+    ) -> "FaultScheduler":
         """``scheduler`` with this model's loss, duplication and delay
-        around it; ``scheduler`` itself when all three rates are zero.
-
-        ``on_defer`` is called with the delivery step of every deferred
-        pop (the trace capture's ``defer`` hook).
-        """
-        if not (self._drop_p or self._dup_p or self._delay_p):
-            return scheduler
+        around it; ``on_defer(step)`` hears of every deferred pop."""
         return FaultScheduler(scheduler, self, on_defer)
 
     def send_copies(self) -> int:
@@ -540,18 +528,12 @@ class FaultInjector:
 class FaultScheduler(Scheduler):
     """Message loss, duplication and delay as a scheduler around another.
 
-    A push asks :meth:`FaultInjector.send_copies` how many copies of the
-    message enter the inner scheduler; each copy gets its own sequence
-    number (numbered here, per copy, exactly as if the sender had emitted
-    it again).  A pop asks :meth:`FaultInjector.should_defer` with the
-    inner scheduler's remaining length; a deferred message is pushed back
-    to the inner scheduler — the same event object, so schedulers that
-    key on it (``rounds``, scripted replay) know the pop delivered
-    nothing — and the pop continues.  The wrapper is the adversary the
-    engine sees, so the compiled kernels run faulty transports too.
+    A push enters :meth:`FaultInjector.send_copies` copies into the inner
+    scheduler, each with its own sequence number.  A pop asks
+    :meth:`FaultInjector.should_defer`; a deferred message goes back to
+    the inner scheduler as the same object (so ``rounds`` and scripted
+    replay can tell) and the pop continues.
     """
-
-    name = "faults"
 
     def __init__(
         self,
@@ -591,9 +573,6 @@ class FaultScheduler(Scheduler):
 
     def __len__(self) -> int:
         return len(self.inner)
-
-    def extras(self, metrics: Any) -> Dict[str, Any]:
-        return self.inner.extras(metrics)
 
 
 # ----------------------------------------------------------------------

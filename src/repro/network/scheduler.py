@@ -26,13 +26,8 @@ Implementations:
 * :class:`PortBiasedScheduler` — always delivers the in-flight message whose
   edge has the highest out-port index at its tail; a deterministic "skewed"
   order that exercises asymmetric interleavings.
-* :class:`LatencyScheduler` — per-edge link latencies, delivering in
-  virtual arrival order.
 * :class:`RoundsScheduler` — lockstep rounds (the paper's §2 time
   measure); it reports ``rounds`` and ``termination_round``.
-
-A scheduler may add metrics of its own to a run's record through
-:meth:`Scheduler.extras`.
 """
 
 from __future__ import annotations
@@ -98,13 +93,8 @@ class Scheduler(abc.ABC):
         """
 
     def extras(self, metrics: Any) -> Dict[str, Any]:
-        """Scheduler-specific metrics for the record of a finished run.
-
-        ``metrics`` is the run's :class:`~repro.network.metrics.RunMetrics`;
-        the engine adapters fold the returned dict into
-        :attr:`~repro.api.spec.RunRecord.metrics`.  Most adversaries
-        measure nothing of their own, hence the empty default.
-        """
+        """Metrics of this scheduler's own for a finished run's record,
+        given its :class:`~repro.network.metrics.RunMetrics`; none by default."""
         return {}
 
 
@@ -304,44 +294,29 @@ class LatencyScheduler(Scheduler):
 
 @SCHEDULERS.register()
 class RoundsScheduler(Scheduler):
-    """Synchronous lockstep rounds — the paper's §2 time measure.
+    """Lockstep rounds — the paper's §2 time measure.
 
     Section 2: *"In a synchronous model one may also consider the time it
-    takes for the protocol to terminate"*, and the results *"can be easily
-    extended … to the case that the communication throughout the network
-    is synchronous."*  The synchronous schedule is one particular
-    admissible asynchronous schedule, so it is a scheduler like any other
-    and runs on every engine; all safety and termination properties carry
-    over unchanged.  What it adds is a notion of **time**.
+    takes for the protocol to terminate"*.  The synchronous schedule is
+    one particular admissible asynchronous schedule, so it is a scheduler
+    and every safety and termination property carries over.  Each round
+    delivers the messages in flight when it starts, by edge id and then
+    send order; what they emit lands in the next round.  A push gets the
+    round of the last pop plus one.
 
-    Every message in flight when a round starts is delivered during that
-    round, in edge-id order and, on one edge, in send order; whatever is
-    sent meanwhile lands in the next round.  The heap is keyed
-    ``(round, edge_id, seq)``, and a push gets the round of the last pop
-    plus one (the root's initial messages form round 1).
-
-    The scheduler records the delivery step at which each round starts, so
     :meth:`extras` reports ``rounds`` (rounds begun) and
-    ``termination_round`` (the round of the terminating delivery, ``None``
-    without termination) from the run's ``termination_step``.  On the
-    paper's protocols the stopping predicate is monotone, so this is the
-    first round at whose end the terminal's predicate holds.
-
-    ``stop_at_termination`` ends the run at the terminating delivery, not
-    at the end of its round: the rest of that round is not delivered, and
-    ``termination_round`` is unchanged.  ``max_steps`` counts deliveries,
-    as under every scheduler, not rounds.
-
-    A message pushed back right after its pop (a fault-deferred delivery)
-    undoes that pop: it moves to the next round and its pop is not counted
-    as a delivery step.
+    ``termination_round``, the round of ``termination_step`` — on the
+    paper's monotone stopping predicates, the first round at whose end it
+    holds.  ``stop_at_termination`` stops at the terminating delivery, not
+    at the end of its round; ``termination_round`` does not change.  A
+    message pushed back right after its pop (a fault deferral) moves to
+    the next round, and that pop counts as no delivery.
     """
 
     name = "rounds"
 
     def __init__(self) -> None:
-        #: ``(round, edge_id, seq, event)``; ``seq`` is unique in flight,
-        #: so the heap never compares events.
+        #: ``(round, edge_id, seq, event)``; ``seq`` is unique in flight.
         self._heap: List[Tuple[int, int, int, MessageEvent]] = []
         self._round = 0
         self._delivered = 0

@@ -162,18 +162,17 @@ def run_protocol(
         draining to quiescence.  Post-termination work is then not measured.
     faults:
         Optional :class:`~repro.network.faults.FaultInjector` — the fault
-        model's runtime (see :mod:`repro.network.faults`).  Its loss,
-        duplication and delay wrap ``scheduler``
-        (:meth:`~repro.network.faults.FaultInjector.wrap`); inside the
-        loop only its ``on_deliver`` hook remains, which downs crashed and
-        churned vertices.  ``None`` (the default) is the paper's reliable
-        model; the loop is then exactly the pre-fault-layer loop.
+        model's runtime (see :mod:`repro.network.faults`): its loss,
+        duplication and delay wrap ``scheduler``, and its ``on_deliver``
+        hook downs crashed and churned vertices.  ``None`` (the default)
+        is the paper's reliable model; the loop is then exactly the
+        pre-fault-layer loop.
     trace_sink:
         Optional durable trace capture (a
         :class:`~repro.tracing.capture.TraceCapture`): its ``record`` hook
         fires once per delivery and its ``defer`` hook once per
-        fault-deferred pop (from the fault wrapper), streaming to the
-        ``.rtrace`` format with bounded memory.  ``record_trace`` goes through the same hook: its
+        fault-deferred pop, streaming to the ``.rtrace`` format with
+        bounded memory.  ``record_trace`` goes through the same hook: its
         :class:`Trace` is the sink, teed with this one when both are set.
 
     Returns

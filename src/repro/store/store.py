@@ -203,9 +203,8 @@ class ResultStore:
         self.code_version = code_version or current_code_version()
         self._index_path = os.path.join(root, "index.sqlite")
         self._local = threading.local()
-        #: Every open connection with the pid that opened it; :meth:`close`
-        #: closes them all and bumps the generation, which retires the
-        #: threads' cached connections.
+        #: Every open connection with its opening pid; :meth:`close` bumps
+        #: the generation, retiring the threads' cached connections.
         self._connections: List[Tuple[int, sqlite3.Connection]] = []
         self._connections_lock = threading.Lock()
         self._generation = 0
@@ -220,12 +219,8 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
-        """A per-(process, thread) connection — sqlite's safe sharing unit.
-
-        Only its own thread uses a connection; ``check_same_thread`` is
-        off so that :meth:`close` may close it from another.  A connection
-        :meth:`close` closed is replaced on the thread's next call.
-        """
+        """A per-(process, thread) connection — sqlite's safe sharing unit
+        (``check_same_thread`` is off only so :meth:`close` may close it)."""
         pid = os.getpid()
         local = self._local
         conn = getattr(local, "conn", None)
@@ -290,12 +285,8 @@ class ResultStore:
             pass
 
     def close(self) -> None:
-        """Close every index connection this process opened, on any thread.
-
-        Connections inherited across a fork belong to the parent and are
-        only forgotten.  The store stays usable: a thread's next call
-        opens a fresh connection.
-        """
+        """Close every index connection this process opened, on any thread
+        (a fork's inherited ones are only forgotten); later calls reopen."""
         pid = os.getpid()
         with self._connections_lock:
             connections, self._connections = self._connections, []
