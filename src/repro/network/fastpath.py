@@ -57,6 +57,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
+from .faults import FaultScheduler
 from .graph import DirectedNetwork
 from .metrics import RunMetrics
 from .scheduler import FifoScheduler, LifoScheduler, Scheduler
@@ -200,7 +201,7 @@ def run_protocol_fastpath(
     if scheduler is None:
         scheduler = FifoScheduler()
     if faults is not None:
-        scheduler = faults.wrap(scheduler)
+        scheduler = FaultScheduler(scheduler, faults)
     scheduler.bind(network)
     if max_steps is None:
         max_steps = default_step_budget(network)

@@ -447,13 +447,6 @@ class FaultInjector:
         """Whether the model crashes or churns a vertex (needs :meth:`on_deliver`)."""
         return bool(self._vertex_faults)
 
-    def wrap(
-        self, scheduler: Scheduler, on_defer: Optional[Callable[[int], None]] = None
-    ) -> "FaultScheduler":
-        """``scheduler`` with this model's loss, duplication and delay
-        around it; ``on_defer(step)`` hears of every deferred pop."""
-        return FaultScheduler(scheduler, self, on_defer)
-
     def send_copies(self) -> int:
         """How many copies of the next emitted message enter the scheduler."""
         if self._drop_p > 0.0 and self._rng.random() < self._drop_p:
@@ -532,7 +525,8 @@ class FaultScheduler(Scheduler):
     scheduler, each with its own sequence number.  A pop asks
     :meth:`FaultInjector.should_defer`; a deferred message goes back to
     the inner scheduler as the same object (so ``rounds`` and scripted
-    replay can tell) and the pop continues.
+    replay can tell), ``on_defer(step)`` hears of it, and the pop
+    continues.
     """
 
     def __init__(

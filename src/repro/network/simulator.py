@@ -42,6 +42,7 @@ from ..core.model import AnonymousProtocol, VertexView
 from .events import MessageEvent
 from .faults import DELIVER_AFTER_RESET as _FAULT_RESET
 from .faults import SWALLOW as _FAULT_SWALLOW
+from .faults import FaultScheduler
 from .graph import DirectedNetwork
 from .metrics import MetricsCollector, RunMetrics
 from .scheduler import FifoScheduler, Scheduler
@@ -185,7 +186,7 @@ def run_protocol(
     trace = Trace() if record_trace else None
     sink = trace_hook(trace, trace_sink)
     if faults is not None:
-        scheduler = faults.wrap(scheduler, None if sink is None else sink.defer)
+        scheduler = FaultScheduler(scheduler, faults, None if sink is None else sink.defer)
     scheduler.bind(network)
     if max_steps is None:
         max_steps = default_step_budget(network)
