@@ -82,9 +82,28 @@ LAYOUT_VERSION = "2"
 _KEY_CHUNK = 200
 _KEY_MATCH = "(spec_id = ? AND seed = ? AND engine = ? AND code_version = ?)"
 
+#: How long a connection waits for another's lock before giving up.
+_BUSY_SECONDS = 30.0
+
 
 class StoreError(RuntimeError):
     """The store is misconfigured or an operation cannot proceed."""
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Put the index in WAL mode.  When two processes open a fresh index
+    at once, sqlite answers the second switch with "database is locked"
+    at once instead of waiting, so the switch is retried until
+    :data:`_BUSY_SECONDS` have passed."""
+    deadline = time.monotonic() + _BUSY_SECONDS
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
 
 
 def _sha(text: str) -> str:
@@ -226,11 +245,13 @@ class ResultStore:
         conn = getattr(local, "conn", None)
         if conn is not None and local.pid == pid and local.generation == self._generation:
             return conn
-        conn = sqlite3.connect(self._index_path, timeout=30.0, check_same_thread=False)
+        conn = sqlite3.connect(
+            self._index_path, timeout=_BUSY_SECONDS, check_same_thread=False
+        )
         with self._connections_lock:
             self._connections.append((pid, conn))
             local.generation = self._generation
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         local.conn = conn
         local.pid = pid

@@ -122,3 +122,24 @@ def test_close_closes_every_thread_connection(tmp_path):
             conn.execute("SELECT 1")
     assert store.get(record.spec) is not None  # a fresh connection
     store.close()
+
+
+def test_opening_waits_out_a_writer_on_a_fresh_index(tmp_path):
+    """While another connection holds the write lock of a fresh (not yet
+    WAL) index, sqlite refuses the WAL switch at once instead of waiting;
+    two processes opening one new store hit this.  Opening must wait."""
+    root = tmp_path / "store"
+    root.mkdir()
+    holder = sqlite3.connect(
+        str(root / "index.sqlite"), isolation_level=None, check_same_thread=False
+    )
+    holder.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.3, holder.execute, ("COMMIT",))
+    release.start()
+    try:
+        store = ResultStore(str(root))
+    finally:
+        release.join()
+        holder.close()
+    assert store.stats().records == 0
+    store.close()
