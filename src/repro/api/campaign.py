@@ -466,10 +466,10 @@ class CampaignRunner:
     ----------
     engine:
         Engine override applied to every expanded spec (ignored by driver
-        experiments — their harnesses do not run engines).  ``None`` runs each grid on the
-        engine its specs name, else on :data:`CAMPAIGN_ENGINE`
-        (``fastpath``); ``"async"`` runs it on the reference loop, the
-        oracle.
+        experiments — their harnesses do not run engines).  ``None`` runs
+        each grid on the engine its specs name, else on
+        :data:`CAMPAIGN_ENGINE` (``fastpath``); ``"async"`` runs it on the
+        reference loop, the oracle.
     trace:
         Trace-capture policy (``"full"`` / ``"sample:k"``) applied to
         every expanded spec, recording the whole campaign; route the

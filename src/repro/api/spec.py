@@ -496,8 +496,8 @@ class RunRecord:
 
     ``metrics`` is the flattened :class:`~repro.network.metrics.RunMetrics`
     (plus the scheduler's extras, e.g. ``rounds`` / ``termination_round``
-    under the ``rounds`` scheduler, fault and trace counters, and the protocol's observables when the spec
-    sets ``observe``).  ``elapsed_seconds`` is the only non-deterministic
+    under the ``rounds`` scheduler, fault and trace counters, and the
+    protocol's observables when the spec sets ``observe``).  ``elapsed_seconds`` is the only non-deterministic
     field — see :data:`TIMING_FIELDS`.
     """
 
