@@ -68,7 +68,7 @@ from .spec import (
     topology_cache_stats,
 )
 from .engines import EngineInfo, fault_capable_engines
-from .runner import BatchRunner, BatchStats, load_records
+from .runner import BatchRunner, BatchStats, DamagedRecordsError, load_records
 from . import aggregators as _aggregators  # noqa: F401  (populates AGGREGATORS)
 from .campaign import (
     CampaignRequest,
@@ -117,6 +117,7 @@ __all__ = [
     # batch execution
     "BatchRunner",
     "BatchStats",
+    "DamagedRecordsError",
     "load_records",
     # campaigns
     "ExperimentSpec",

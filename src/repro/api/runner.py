@@ -47,6 +47,7 @@ __all__ = [
     "BatchRunner",
     "BatchStats",
     "DEFAULT_MIN_GROUP_SIZE",
+    "DamagedRecordsError",
     "load_records",
 ]
 
@@ -115,24 +116,37 @@ def _run_unit(specs: Sequence[RunSpec]) -> _UnitResult:
     )
 
 
+class DamagedRecordsError(ValueError):
+    """A results file has an unparseable line before its last line."""
+
+
 def load_records(path: str) -> List[RunRecord]:
     """Parse a results JSONL file, tolerating a truncated final line.
 
-    A batch interrupted mid-write leaves at most one partial line; skipping
-    unparseable lines is exactly what makes resume-from-partial-output work.
+    A batch interrupted mid-write leaves at most one partial line, the
+    last; skipping it is what makes resume-from-partial-output work (that
+    spec is recomputed).  Any other line that does not parse raises
+    :class:`DamagedRecordsError` naming it, because the rewrite at the end
+    of a batch would otherwise delete it.
     """
     records: List[RunRecord] = []
     if not os.path.exists(path):
         return records
+    damaged = 0
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            if damaged:
+                raise DamagedRecordsError(
+                    f"results file {path!r} line {damaged} is not a run record; "
+                    "repair or delete that line"
+                )
             try:
                 records.append(RunRecord.from_json(line))
             except (ValueError, KeyError, TypeError):
-                continue  # partial or foreign line — recompute that spec
+                damaged = number
     return records
 
 

@@ -122,15 +122,19 @@ def ensure_registered() -> None:
 
 
 def check_registered_names(specs: Iterable["RunSpec"]) -> None:
-    """Raise :class:`UnknownNameError` for the first unregistered name in ``specs``.
+    """Raise :class:`UnknownNameError` for the first unregistered name in
+    ``specs``, then :class:`SpecError` for the first graph, protocol or
+    scheduler params its factory cannot be called with.
 
-    Checks each distinct graph, graph-transform, protocol and scheduler
-    name once; the error lists the registered names.  Front ends (spec
-    files, service submissions) call this before anything runs.  It is
-    deliberately not part of :meth:`RunSpec._validate`, which runs on
-    every spec built and every record read back.
+    Checks each distinct name, and each distinct set of params keywords,
+    once; the error lists the registered names, or the keywords the
+    factory takes.  Front ends (spec files, service submissions) call
+    this before anything runs.  It is deliberately not part of
+    :meth:`RunSpec._validate`, which runs on every spec built and every
+    record read back.
     """
     ensure_registered()
+    specs = list(specs)
     seen: Set[Tuple[Any, str]] = set()
     for spec in specs:
         for registry, names in (
@@ -143,6 +147,47 @@ def check_registered_names(specs: Iterable["RunSpec"]) -> None:
                 if (registry, name) not in seen:
                     seen.add((registry, name))
                     registry.get(name)
+    fitted: Set[Tuple[Any, ...]] = set()
+    for spec in specs:
+        for key, registry, name in (
+            ("graph_params", GRAPHS, spec.graph),
+            ("protocol_params", PROTOCOLS, spec.protocol),
+            ("scheduler_params", SCHEDULERS, spec.scheduler),
+        ):
+            params = getattr(spec, key)
+            shape = (key, name, spec.seed is None, *params)
+            if shape in fitted:
+                continue
+            fitted.add(shape)
+            factory = registry.get(name)
+            if key != "protocol_params":
+                params = spec._params_with_seed(factory, params)
+            problem = _bind_problem(factory, tuple(sorted(params)))
+            if problem:
+                raise SpecError(f"{key} do not fit {name!r}: {problem}")
+
+
+@lru_cache(maxsize=1024)
+def _bind_problem(factory: Any, keywords: Tuple[str, ...]) -> Optional[str]:
+    """Why ``factory`` cannot be called with exactly these keywords, or
+    ``None`` (memoised like :func:`_accepts_param`)."""
+    try:
+        signature = inspect.signature(factory)
+    except (TypeError, ValueError):  # pragma: no cover - C callables etc.
+        return None
+    params = signature.parameters
+    if all(p.kind is not p.VAR_KEYWORD for p in params.values()):
+        unknown = [key for key in keywords if key not in params]
+        if unknown:
+            return (
+                f"unknown keyword {', '.join(map(repr, unknown))} "
+                f"(takes {', '.join(params) or 'none'})"
+            )
+    try:
+        signature.bind(**dict.fromkeys(keywords))
+    except TypeError as exc:
+        return str(exc)
+    return None
 
 
 @lru_cache(maxsize=1024)

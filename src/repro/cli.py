@@ -53,6 +53,7 @@ from .api import (
     BatchRunner,
     CampaignRequest,
     CampaignRunner,
+    DamagedRecordsError,
     RunRecord,
     RunSpec,
     SpecError,
@@ -113,14 +114,14 @@ def _load_or_die(path: str, loader, noun: str):
 def _load_specs_or_die(path: str) -> List[RunSpec]:
     """:func:`_load_or_die` for spec files, with every registry name checked.
 
-    A typo'd graph, protocol, scheduler or graph transform would otherwise
-    surface as an ``UnknownNameError`` traceback mid-run; here it is a
-    one-line exit, before anything executes, listing the registered names.
+    A typo'd graph, protocol, scheduler or graph transform, or a parameter
+    its factory does not take, would otherwise surface as a traceback
+    mid-run; here it is a one-line exit, before anything executes.
     """
     specs = _load_or_die(path, load_specs, "spec")
     try:
         check_registered_names(specs)
-    except UnknownNameError as exc:
+    except (UnknownNameError, SpecError) as exc:
         raise SystemExit(f"invalid spec in {path!r}: {exc}") from None
     return specs
 
@@ -653,7 +654,7 @@ def _cmd_batch(args, stream: IO[str]) -> int:
                 resume=not args.no_resume,
                 progress=progress,
             )
-    except SpecError as exc:
+    except (SpecError, DamagedRecordsError) as exc:
         raise SystemExit(f"cannot execute batch {args.specs!r}: {exc}") from None
     elapsed = time.time() - start
     stats = runner.stats
@@ -790,7 +791,7 @@ def _cmd_experiment(args, stream: IO[str]) -> int:
             exp_start = time.time()
             try:
                 result = runner.run(experiment)
-            except SpecError as exc:
+            except (SpecError, DamagedRecordsError) as exc:
                 # e.g. an engine override a campaign's fault model rejects:
                 # surface it as a one-line error, not a mid-campaign traceback.
                 raise SystemExit(f"experiment {experiment.name!r}: {exc}") from None

@@ -67,26 +67,6 @@ def _add(an: int, ae: int, bn: int, be: int) -> Tuple[int, int]:
     return _norm((an << (be - ae)) + bn, be)
 
 
-def _sub(an: int, ae: int, bn: int, be: int) -> Tuple[int, int]:
-    if ae >= be:
-        return _norm(an - (bn << (ae - be)), ae)
-    return _norm((an << (be - ae)) - bn, be)
-
-
-def _lt(an: int, ae: int, bn: int, be: int) -> bool:
-    """a < b for normalised dyadic pairs."""
-    if ae >= be:
-        return an < (bn << (ae - be))
-    return (an << (be - ae)) < bn
-
-
-def _le(an: int, ae: int, bn: int, be: int) -> bool:
-    """a <= b for normalised dyadic pairs."""
-    if ae >= be:
-        return an <= (bn << (ae - be))
-    return (an << (be - ae)) <= bn
-
-
 # ----------------------------------------------------------------------
 # Bit costs — mirrors repro.core.encoding exactly
 # ----------------------------------------------------------------------

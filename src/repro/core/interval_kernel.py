@@ -8,210 +8,136 @@ re-computes ``α ∪ β`` from scratch for every stopping-predicate
 evaluation.  This module re-implements exactly the same protocol
 semantics on flat data:
 
-* an endpoint is a normalised dyadic ``(num, exp)`` pair of plain ints
-  (``num`` odd or ``exp == 0`` — the same canonical form as
-  :class:`~repro.core.dyadic.Dyadic`, so encoded bit costs agree exactly);
-* an interval is a 4-tuple ``(lo_num, lo_exp, hi_num, hi_exp)``;
-* an interval union is a tuple of such tuples in canonical form
-  (sorted, disjoint, non-adjacent) — all set algebra is done by linear
-  merges/sweeps over already-canonical operands, never by sorting, and
-  sweeps only the stretch of a long operand that a short one spans;
-  being tuples all the way down, unions (and the kernel snapshots that
-  share them) hash as they are;
+* every endpoint is an int, the point times ``2**prec``.  Endpoints come
+  only from Δ-splits (Thm 4.3), and a vertex splits once, on its first
+  receipt (the root at most twice: :meth:`IntervalKernel.initial_emissions`
+  leaves it virgin), into at most ``d + 1`` parts.  So the precision
+  ``prec = Σ_v d_v.bit_length() + d_root.bit_length()`` is fixed per
+  kernel before the run, every split is exact at it, and messages and
+  snapshots never mix scales;
+* an interval union is one strictly increasing tuple of boundaries
+  ``(b0, b1, b2, b3, …)`` for ``[b0, b1) ∪ [b2, b3) ∪ …``.  Strict
+  increase is the whole canonical form (sorted, disjoint, non-adjacent,
+  no empty interval), a point ``x`` lies in the union exactly when
+  ``bisect_right(u, x)`` is odd, and set algebra with one interval is two
+  ``bisect`` calls, a parity test and a splice of slices;
 * messages between kernel vertices are ``(alpha, beta)`` pairs of such
   tuples (the broadcast payload is a run-constant, carried implicitly);
+  being flat int tuples, unions (and the kernel snapshots that share
+  them) hash as they are;
 * the terminal maintains its covered set ``α ∪ β`` *incrementally*, so
-  the stopping predicate is an ``O(1)`` structural check instead of a
-  fresh union per delivery.
+  the stopping predicate is one tuple comparison instead of a fresh union
+  per delivery.
 
 Bit accounting replicates :mod:`repro.core.encoding` arithmetic
-(Elias-delta lengths) on the int pairs, so ``total_bits`` and friends are
-identical to the reference engine — the differential test suite asserts
-this for every graph family and scheduler.  Real
-:class:`~repro.core.general_broadcast.GeneralState` objects (and
-:class:`~repro.core.intervals.IntervalUnion` labels) are materialised only
-once, at the end of the run.
+(Elias-delta lengths): a boundary costs what the normalised dyadic
+``(num, exp)`` read off its trailing zeros costs, memoised per kernel, so
+``total_bits`` and friends are identical to the reference engine — the
+differential test suite asserts this for every graph family and
+scheduler.  Real :class:`~repro.core.general_broadcast.GeneralState`
+objects (and :class:`~repro.core.intervals.IntervalUnion` labels) are
+materialised only once, at the end of the run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from .dyadic import Dyadic
-from .flat_kernel import _add, _dcost, _le, _lt, _norm, _sub, _ucost
+from .flat_kernel import _dcost, _ucost
 from .intervals import Interval, IntervalUnion, _from_canonical
 
 __all__ = ["IntervalKernel"]
 
-#: A canonical interval: (lo_num, lo_exp, hi_num, hi_exp), endpoints normalised.
-_FlatInterval = Tuple[int, int, int, int]
-#: A canonical union: tuple of flat intervals, sorted/disjoint/non-adjacent.
-_FlatUnion = Tuple[_FlatInterval, ...]
+#: A canonical union: strictly increasing boundaries ``lo0, hi0, lo1, …``.
+_FlatUnion = Tuple[int, ...]
 
 #: The empty union.
 _EMPTY: _FlatUnion = ()
 
-#: The unit interval [0, 1) in flat form.
-_UNIT: _FlatUnion = ((0, 0, 1, 0),)
-
 #: Encoded size of an empty union (length prefix only).
 _EMPTY_COST = 1  # _ucost(0)
 
-# The dyadic-pair arithmetic (_norm/_add/_sub/_lt/_le) and scalar bit costs
-# (_ucost/_dcost) are shared with the scalar-protocol kernels; they live in
-# :mod:`repro.core.flat_kernel` and are re-exported here for the union
-# algebra below (and for existing imports of this module).
+
+class _BoundaryCosts(dict):
+    """Memo from a boundary to the ``dyadic_cost`` of ``boundary / 2**prec``."""
+
+    __slots__ = ("prec",)
+
+    def __init__(self, prec: int) -> None:
+        super().__init__()
+        self.prec = prec
+
+    def __missing__(self, x: int) -> int:
+        # The normalised pair drops the trailing zeros, down to exp 0.
+        shift = min((x & -x).bit_length() - 1, self.prec) if x else self.prec
+        cost = self[x] = _dcost(x >> shift, self.prec - shift)
+        return cost
 
 
-def _cost(union: _FlatUnion) -> int:
-    """``union_cost``: length prefix plus two dyadics per interval."""
-    total = _ucost(len(union))
-    for ln, le, hn, he in union:
-        total += _dcost(ln, le) + _dcost(hn, he)
-    return total
+def _cost(union: _FlatUnion, costs: _BoundaryCosts) -> int:
+    """``union_cost``: length prefix plus one dyadic per boundary."""
+    return _ucost(len(union) >> 1) + sum(map(costs.__getitem__, union))
 
 
 # ----------------------------------------------------------------------
-# Canonical-union set algebra (linear merges over canonical operands)
+# Canonical-union set algebra (bisect + slicing)
 # ----------------------------------------------------------------------
 #
-# The protocols mostly combine a long union (a vertex's β or coverage)
-# with a short one (one message's increment).  Only the stretch of the
-# long operand that the short one spans can change; it is found by binary
-# search, swept linearly, and spliced back between the untouched prefix
-# and suffix, which are tuple slices.
-
-
-def _bisect(
-    u: _FlatUnion, pos: int, n: int, e: int, strict: bool, lo: int = 0
-) -> int:
-    """First index from ``lo`` whose endpoint ``pos`` (0: lo, 2: hi) is
-    ``>= n/2**e``, or ``> n/2**e`` when ``strict``.  Canonical unions are
-    sorted on both endpoints, so the predicate is monotone."""
-    before = _le if strict else _lt
-    hi = len(u)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        iv = u[mid]
-        if before(iv[pos], iv[pos + 1], n, e):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+# Each operation with one interval [lo, hi) finds where lo and hi fall
+# among the boundaries; the parity of those indices says whether each
+# lands inside the union (odd) or outside it (even), and hence whether it
+# becomes a boundary of the result, spliced in between two slices.  A
+# multi-interval operand is folded in one interval at a time.
 
 
 def _union(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set union: ``b``'s span of ``a`` merged with ``b`` in one sweep."""
-    if not a:
-        return b
-    if not b:
-        return a
+    """Set union, folding the shorter operand into the longer."""
     if len(a) < len(b):
         a, b = b, a
-    # Intervals of a ending before b starts, or starting after b ends,
-    # touch nothing in b (touching intervals merge, hence the strictness).
-    i = _bisect(a, 2, b[0][0], b[0][1], False)
-    j = _bisect(a, 0, b[-1][2], b[-1][3], True, i)
-    return a[:i] + _merge(a[i:j], b) + a[j:]
-
-
-def _merge(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set union of two canonical unions by a single merge sweep."""
-    if not a:
-        return b
-    out: List[_FlatInterval] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    # Seed the accumulator with the leftmost interval.
-    if _le(a[0][0], a[0][1], b[0][0], b[0][1]):
-        clo_n, clo_e, chi_n, chi_e = a[0]
-        i = 1
-    else:
-        clo_n, clo_e, chi_n, chi_e = b[0]
-        j = 1
-    while i < la or j < lb:
-        if j >= lb:
-            nxt = a[i]
-            i += 1
-        elif i >= la:
-            nxt = b[j]
-            j += 1
-        elif _le(a[i][0], a[i][1], b[j][0], b[j][1]):
-            nxt = a[i]
-            i += 1
-        else:
-            nxt = b[j]
-            j += 1
-        nlo_n, nlo_e, nhi_n, nhi_e = nxt
-        if _le(nlo_n, nlo_e, chi_n, chi_e):
-            # Overlapping or adjacent: extend the accumulator if needed.
-            if _lt(chi_n, chi_e, nhi_n, nhi_e):
-                chi_n, chi_e = nhi_n, nhi_e
-        else:
-            out.append((clo_n, clo_e, chi_n, chi_e))
-            clo_n, clo_e, chi_n, chi_e = nxt
-    out.append((clo_n, clo_e, chi_n, chi_e))
-    return tuple(out)
+    ends = iter(b)
+    for lo, hi in zip(ends, ends):
+        # lo (hi) is kept when it falls outside a; boundaries equal to lo
+        # or hi drop out, so touching intervals merge.
+        i = bisect_left(a, lo)
+        j = bisect_right(a, hi, i)
+        a = a[:i] + (lo, hi)[i & 1 : 2 - (j & 1)] + a[j:]
+    return a
 
 
 def _intersection(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set intersection (two-pointer sweep over ``b``'s span of ``a``)."""
-    if not a or not b:
-        return _EMPTY
+    """Set intersection: the longer operand clipped to each interval of
+    the shorter, in order (the clipped pieces are already disjoint)."""
     if len(a) < len(b):
         a, b = b, a
-    out: List[_FlatInterval] = []
-    i = _bisect(a, 2, b[0][0], b[0][1], True)
-    la = _bisect(a, 0, b[-1][2], b[-1][3], False, i)
-    j, lb = 0, len(b)
-    while i < la and j < lb:
-        alo_n, alo_e, ahi_n, ahi_e = a[i]
-        blo_n, blo_e, bhi_n, bhi_e = b[j]
-        if _lt(alo_n, alo_e, blo_n, blo_e):
-            lo_n, lo_e = blo_n, blo_e
-        else:
-            lo_n, lo_e = alo_n, alo_e
-        if _lt(ahi_n, ahi_e, bhi_n, bhi_e):
-            hi_n, hi_e = ahi_n, ahi_e
-        else:
-            hi_n, hi_e = bhi_n, bhi_e
-        if _lt(lo_n, lo_e, hi_n, hi_e):
-            out.append((lo_n, lo_e, hi_n, hi_e))
-        if _le(ahi_n, ahi_e, bhi_n, bhi_e):
-            i += 1
-        else:
-            j += 1
+    out: List[int] = []
+    ends = iter(b)
+    for lo, hi in zip(ends, ends):
+        i = bisect_right(a, lo)
+        j = bisect_left(a, hi, i)
+        if i & 1:
+            out.append(lo)
+        out += a[i:j]
+        if j & 1:
+            out.append(hi)
     return tuple(out)
 
 
 def _difference(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
-    """Set difference ``a \\ b`` over ``b``'s span of ``a``."""
+    """Set difference ``a \\ b``, folding in only the intervals of ``b``
+    that meet ``[a[0], a[-1])``."""
     if not a or not b:
         return a
-    # Intervals of a that end by b's start or begin at b's end survive.
-    first = _bisect(a, 2, b[0][0], b[0][1], True)
-    last = _bisect(a, 0, b[-1][2], b[-1][3], False, first)
-    out: List[_FlatInterval] = []
-    lb = len(b)
-    j = _bisect(b, 2, a[first][0], a[first][1], True) if first < last else lb
-    for ilo_n, ilo_e, ihi_n, ihi_e in a[first:last]:
-        cur_n, cur_e = ilo_n, ilo_e
-        # Skip subtrahend intervals that end by this one's start.
-        while j < lb and _le(b[j][2], b[j][3], ilo_n, ilo_e):
-            j += 1
-        k = j
-        while k < lb and _lt(b[k][0], b[k][1], ihi_n, ihi_e):
-            blo_n, blo_e, bhi_n, bhi_e = b[k]
-            if _lt(cur_n, cur_e, blo_n, blo_e):
-                out.append((cur_n, cur_e, blo_n, blo_e))
-            if _lt(cur_n, cur_e, bhi_n, bhi_e):
-                cur_n, cur_e = bhi_n, bhi_e
-            if _le(ihi_n, ihi_e, cur_n, cur_e):
-                break
-            k += 1
-        if _lt(cur_n, cur_e, ihi_n, ihi_e):
-            out.append((cur_n, cur_e, ihi_n, ihi_e))
-    return a[:first] + tuple(out) + a[last:]
+    start = bisect_right(b, a[0]) & ~1
+    stop = (bisect_left(b, a[-1]) + 1) & ~1
+    ends = iter(b[start:stop])
+    for lo, hi in zip(ends, ends):
+        # lo (hi) is kept when it falls inside a, cutting an interval.
+        i = bisect_left(a, lo)
+        j = bisect_right(a, hi, i)
+        a = a[:i] + (lo, hi)[1 - (i & 1) : 1 + (j & 1)] + a[j:]
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -219,22 +145,24 @@ def _difference(a: _FlatUnion, b: _FlatUnion) -> _FlatUnion:
 # ----------------------------------------------------------------------
 
 
-def _split(interval: _FlatInterval, parts: int) -> List[_FlatInterval]:
-    """Δ-split a non-empty interval into ``parts`` pieces (Thm 4.3)."""
-    if parts == 1:
-        return [interval]
-    lo_n, lo_e, hi_n, hi_e = interval
+def _split(lo: int, hi: int, parts: int) -> List[_FlatUnion]:
+    """Δ-split ``[lo, hi)`` into ``parts`` one-interval unions (Thm 4.3).
+
+    Raises :class:`ArithmeticError` when ``(hi - lo) / 2**⌈log2 parts⌉``
+    is not a whole number of boundary units: the kernel's precision was
+    too low, and the kernel never rounds.
+    """
     shift = (parts - 1).bit_length()  # N = 2**shift >= parts
-    mn, me = _sub(hi_n, hi_e, lo_n, lo_e)
-    dn, de = _norm(mn, me + shift)  # measure / N
-    cuts: List[_FlatInterval] = []
-    cur_n, cur_e = lo_n, lo_e
-    for _ in range(parts - 1):
-        nxt_n, nxt_e = _add(cur_n, cur_e, dn, de)
-        cuts.append((cur_n, cur_e, nxt_n, nxt_e))
-        cur_n, cur_e = nxt_n, nxt_e
-    cuts.append((cur_n, cur_e, hi_n, hi_e))
-    return cuts
+    measure = hi - lo
+    delta = measure >> shift
+    if delta << shift != measure:
+        raise ArithmeticError(
+            f"Δ-split of [{lo}, {hi}) into {parts} parts is inexact "
+            "at the kernel's precision"
+        )
+    cuts = list(range(lo, lo + parts * delta, delta))
+    cuts.append(hi)
+    return list(zip(cuts, cuts[1:]))
 
 
 def _partition(alpha: _FlatUnion, parts: int, literal: bool) -> List[_FlatUnion]:
@@ -243,13 +171,12 @@ def _partition(alpha: _FlatUnion, parts: int, literal: bool) -> List[_FlatUnion]
         return [alpha]
     if not alpha:
         return [_EMPTY] * parts
-    first, rest = alpha[0], alpha[1:]
+    rest = alpha[2:]
     if literal or rest:
-        result: List[_FlatUnion] = [(piece,) for piece in _split(first, parts - 1)]
+        result = _split(alpha[0], alpha[1], parts - 1)
         result.append(rest)
-    else:
-        result = [(piece,) for piece in _split(first, parts)]
-    return result
+        return result
+    return _split(alpha[0], alpha[1], parts)
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +184,11 @@ def _partition(alpha: _FlatUnion, parts: int, literal: bool) -> List[_FlatUnion]
 # ----------------------------------------------------------------------
 
 
-def _to_union(flat: _FlatUnion) -> IntervalUnion:
+def _to_union(flat: _FlatUnion, prec: int) -> IntervalUnion:
     """Lift a flat canonical union back into an :class:`IntervalUnion`."""
+    ends = iter(flat)
     return _from_canonical(
-        tuple(Interval(Dyadic(ln, le), Dyadic(hn, he)) for ln, le, hn, he in flat)
+        tuple(Interval(Dyadic(lo, prec), Dyadic(hi, prec)) for lo, hi in zip(ends, ends))
     )
 
 
@@ -281,6 +209,9 @@ class IntervalKernel:
         for the paper setting (``label_endpoints=False``): the root injects
         like the plain broadcast protocol, and out-degree-0 vertices take
         no label and leave the virgin flag cleared on every delivery.
+
+    Boundaries are points times ``2**prec``; ``unit`` is ``[0, 1)`` and
+    ``costs`` the per-kernel boundary bit-cost memo.
     """
 
     __slots__ = (
@@ -292,6 +223,9 @@ class IntervalKernel:
         "root_plain",
         "d0_plain",
         "out_degree",
+        "prec",
+        "unit",
+        "costs",
         "virgin",
         "received",
         "alphas",
@@ -322,9 +256,13 @@ class IntervalKernel:
         self.d0_plain = d0_plain
         n = compiled.num_vertices
         self.out_degree: List[int] = compiled.out_degree
+        self.prec = sum(d.bit_length() for d in self.out_degree)
+        self.prec += self.out_degree[compiled.root].bit_length()  # root splits twice
+        self.unit: _FlatUnion = (0, 1 << self.prec)
+        self.costs = _BoundaryCosts(self.prec)
         self.virgin = [True] * n
         self.received = [False] * n
-        self.alphas: List[List[_FlatUnion]] = [[_EMPTY] * d for d in self.out_degree]
+        self.alphas: List[Tuple[_FlatUnion, ...]] = [(_EMPTY,) * d for d in self.out_degree]
         self.beta: List[_FlatUnion] = [_EMPTY] * n
         self.alpha_acc: List[_FlatUnion] = [_EMPTY] * n
         self.label: List[Optional[_FlatUnion]] = [None] * n
@@ -340,14 +278,15 @@ class IntervalKernel:
     def initial_emissions(self, root: int) -> List[Tuple[int, Any, int]]:
         d = self.out_degree[root]
         if self.reserve_label and not self.root_plain:
-            parts = _partition(_UNIT, d + 1, self.literal)
+            parts = _partition(self.unit, d + 1, self.literal)
             beta0, port_parts = parts[0], parts[1:]
         else:
-            beta0, port_parts = _EMPTY, _partition(_UNIT, d, self.literal)
-        beta0_cost = _cost(beta0)
+            beta0, port_parts = _EMPTY, _partition(self.unit, d, self.literal)
+        costs = self.costs
+        beta0_cost = _cost(beta0, costs)
         pb = self.payload_bits
         return [
-            (port, (part, beta0), _cost(part) + beta0_cost + pb)
+            (port, (part, beta0), _cost(part, costs) + beta0_cost + pb)
             for port, part in enumerate(port_parts)
             if part or beta0
         ]
@@ -379,9 +318,7 @@ class IntervalKernel:
                 if beta_in:
                     covered = _union(covered, beta_in)
                 self.covered = covered
-                self.terminal_done = (
-                    len(covered) == 1 and covered[0] == (0, 0, 1, 0)
-                )
+                self.terminal_done = covered == self.unit
             return []
 
         if self.virgin[vertex]:
@@ -394,7 +331,7 @@ class IntervalKernel:
                 if not delta_beta:
                     return []
                 token_out = (_EMPTY, delta_beta)
-                bits = _EMPTY_COST + _cost(delta_beta) + pb
+                bits = _EMPTY_COST + _cost(delta_beta, self.costs) + pb
                 return [(port, token_out, bits) for port in range(d)]
             return self._first_receipt(vertex, d, alpha_in, beta_in)
         return self._subsequent_receipt(vertex, d, alpha_in, beta_in)
@@ -415,7 +352,7 @@ class IntervalKernel:
             alphas = _partition(alpha_in, d, self.literal)
             incoming = beta_in
             frozen = _EMPTY
-        self.alphas[vertex] = alphas
+        self.alphas[vertex] = tuple(alphas)
         # The β increment (old ∪ X) \ old is X \ old: computed from the
         # short incoming side, not by sweeping the whole new β.
         delta_beta = _difference(incoming, old_beta)
@@ -425,10 +362,11 @@ class IntervalKernel:
         self.frozen[vertex] = frozen
         self.coverage[vertex] = _union(frozen, alphas[-1])
         self.beta[vertex] = new_beta
-        delta_beta_cost = _cost(delta_beta)
+        costs = self.costs
+        delta_beta_cost = _cost(delta_beta, costs)
         pb = self.payload_bits
         return [
-            (port, (part, delta_beta), _cost(part) + delta_beta_cost + pb)
+            (port, (part, delta_beta), _cost(part, costs) + delta_beta_cost + pb)
             for port, part in enumerate(alphas)
             if part or delta_beta
         ]
@@ -446,14 +384,15 @@ class IntervalKernel:
 
         if delta_alpha_last:
             alphas = self.alphas[vertex]
-            alphas[-1] = _union(alphas[-1], delta_alpha_last)
+            self.alphas[vertex] = alphas[:-1] + (_union(alphas[-1], delta_alpha_last),)
             self.coverage[vertex] = _union(coverage, delta_alpha_last)
         self.beta[vertex] = new_beta
 
         emissions: List[Tuple[int, Any, int]] = []
         pb = self.payload_bits
+        costs = self.costs
         if delta_beta:
-            delta_beta_cost = _cost(delta_beta)
+            delta_beta_cost = _cost(delta_beta, costs)
             token_out = (_EMPTY, delta_beta)
             bits = _EMPTY_COST + delta_beta_cost + pb
             for port in range(d - 1):
@@ -462,7 +401,7 @@ class IntervalKernel:
                 (
                     d - 1,
                     (delta_alpha_last, delta_beta),
-                    _cost(delta_alpha_last) + delta_beta_cost + pb,
+                    _cost(delta_alpha_last, costs) + delta_beta_cost + pb,
                 )
             )
         elif delta_alpha_last:
@@ -470,7 +409,7 @@ class IntervalKernel:
                 (
                     d - 1,
                     (delta_alpha_last, delta_beta),
-                    _cost(delta_alpha_last) + _EMPTY_COST + pb,
+                    _cost(delta_alpha_last, costs) + _EMPTY_COST + pb,
                 )
             )
         return emissions
@@ -485,15 +424,16 @@ class IntervalKernel:
     def snapshot(self) -> Tuple:
         """The full mutable state as nested tuples.
 
-        Flat unions are tuples of int tuples, so the snapshot shares them
-        by reference, copies only the per-vertex lists, and is hashable
-        as it stands: it keys the schedule explorer's transposition table
-        directly.  ``restore`` is the exact inverse.
+        Flat unions and each vertex's per-port α tuple are immutable, so
+        the snapshot shares them by reference, copies only the per-vertex
+        lists, and is hashable as it stands: it keys the schedule
+        explorer's transposition table directly.  ``restore`` is the exact
+        inverse.
         """
         return (
             tuple(self.virgin),
             tuple(self.received),
-            tuple(tuple(per_port) for per_port in self.alphas),
+            tuple(self.alphas),
             tuple(self.beta),
             tuple(self.alpha_acc),
             tuple(self.label),
@@ -507,7 +447,7 @@ class IntervalKernel:
         """Reset the kernel to a previously captured :meth:`snapshot`."""
         self.virgin = list(snap[0])
         self.received = list(snap[1])
-        self.alphas = [list(per_port) for per_port in snap[2]]
+        self.alphas = list(snap[2])
         self.beta = list(snap[3])
         self.alpha_acc = list(snap[4])
         self.label = list(snap[5])
@@ -524,22 +464,23 @@ class IntervalKernel:
         from .general_broadcast import GeneralState
 
         payload = self.protocol.broadcast_payload
+        prec = self.prec
         states: Dict[int, Any] = {}
         for vertex, d in enumerate(self.out_degree):
             state = GeneralState(d)
             state.virgin = self.virgin[vertex]
             state.got_broadcast = self.received[vertex]
             state.payload = payload if self.received[vertex] else None
-            state.beta = _to_union(self.beta[vertex])
+            state.beta = _to_union(self.beta[vertex], prec)
             label = self.label[vertex]
             if label is not None:
-                state.label = _to_union(label)
+                state.label = _to_union(label, prec)
             if d == 0:
-                state.alpha_acc = _to_union(self.alpha_acc[vertex])
+                state.alpha_acc = _to_union(self.alpha_acc[vertex], prec)
             else:
-                state.alphas = [_to_union(part) for part in self.alphas[vertex]]
-                state.frozen_union = _to_union(self.frozen[vertex])
-                state.coverage = _to_union(self.coverage[vertex])
+                state.alphas = [_to_union(part, prec) for part in self.alphas[vertex]]
+                state.frozen_union = _to_union(self.frozen[vertex], prec)
+                state.coverage = _to_union(self.coverage[vertex], prec)
             states[vertex] = state
         return states
 

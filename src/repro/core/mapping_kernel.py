@@ -15,8 +15,8 @@ This kernel composes the flat pieces instead:
   :class:`~repro.core.interval_kernel.IntervalKernel` (paper-setting
   root/terminal overrides, exactly as ``MappingProtocol``'s inner
   protocol);
-* identities are ``"s"`` / ``"t"`` markers or a label's flat union, a
-  tuple of int tuples (hashable, canonical — equality matches
+* identities are ``"s"`` / ``"t"`` markers or a label's flat union, an
+  int tuple of boundaries (hashable, canonical — equality matches
   :class:`IntervalUnion` equality);
 * facts are flat tagged tuples — ``("v", ident, out_degree)`` and
   ``("e", tail, tail_port, head, head_port)`` — with their encoded bit
@@ -37,15 +37,22 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .flat_kernel import FlatKernel, _ucost
-from .interval_kernel import _EMPTY, _EMPTY_COST, IntervalKernel, _cost, _to_union
+from .interval_kernel import (
+    _EMPTY,
+    _EMPTY_COST,
+    IntervalKernel,
+    _BoundaryCosts,
+    _cost,
+    _to_union,
+)
 
 __all__ = ["MappingKernel"]
 
 #: A flat identity: a distinguished marker or a flat label union.
-_FlatIdentity = Union[str, Tuple[Tuple[int, int, int, int], ...]]
+_FlatIdentity = Union[str, Tuple[int, ...]]
 
 
-def _ident_cost(identity: Optional[_FlatIdentity]) -> int:
+def _ident_cost(identity: Optional[_FlatIdentity], costs: _BoundaryCosts) -> int:
     """Bit cost of an identity: 2 tag bits plus the label encoding.
 
     ``None`` (an unidentified sender) costs the 2 tag bits alone — the
@@ -54,16 +61,16 @@ def _ident_cost(identity: Optional[_FlatIdentity]) -> int:
     """
     if identity is None or isinstance(identity, str):
         return 2
-    return 2 + _cost(identity)
+    return 2 + _cost(identity, costs)
 
 
-def _fact_cost(fact: Tuple) -> int:
+def _fact_cost(fact: Tuple, costs: _BoundaryCosts) -> int:
     """Encoded size of a flat fact (mirrors ``VertexFact``/``EdgeFact``)."""
     if fact[0] == "v":
-        return _ident_cost(fact[1]) + _ucost(fact[2])
+        return _ident_cost(fact[1], costs) + _ucost(fact[2])
     return (
-        _ident_cost(fact[1])
-        + _ident_cost(fact[3])
+        _ident_cost(fact[1], costs)
+        + _ident_cost(fact[3], costs)
         + _ucost(fact[2])
         + _ucost(fact[4])
     )
@@ -166,7 +173,7 @@ class MappingKernel(FlatKernel):
     def _bits_of(self, fact: Tuple) -> int:
         bits = self._fact_bits.get(fact)
         if bits is None:
-            bits = self._fact_bits[fact] = _fact_cost(fact)
+            bits = self._fact_bits[fact] = _fact_cost(fact, self.inner.costs)
         return bits
 
     def _add_fact(self, vertex: int, fact: Tuple) -> None:
@@ -206,7 +213,7 @@ class MappingKernel(FlatKernel):
             label = self.inner.label[vertex]
             if label is not None:
                 self.identity[vertex] = label
-                self.ident_cost[vertex] = _ident_cost(label)
+                self.ident_cost[vertex] = _ident_cost(label, self.inner.costs)
                 self._add_fact(vertex, ("v", label, self.out_degree[vertex]))
 
         # 3. Record the in-edge's tail (first labeled message per in-port).
@@ -306,7 +313,7 @@ class MappingKernel(FlatKernel):
             return TERMINAL_MARKER
         real = cache.get(ident)
         if real is None:
-            real = cache[ident] = _to_union(ident)
+            real = cache[ident] = _to_union(ident, self.inner.prec)
         return real
 
     def _real_fact(self, fact: Tuple, cache: Dict[Tuple, Any]) -> Any:

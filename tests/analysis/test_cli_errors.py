@@ -96,6 +96,36 @@ class TestMalformedSpecFile:
         assert "general-broadcast" in message
         assert not out.exists()  # rejected before anything ran
 
+    def test_run_spec_unknown_graph_param(self, tmp_path):
+        path = tmp_path / "spec.json"
+        payload = {
+            "graph": "path-network",
+            "graph_params": {"num_internal": 3},
+            "protocol": "tree-broadcast",
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = _run_expecting_error(["run", "--spec", str(path)])
+        assert "invalid spec" in message
+        assert "unknown keyword 'num_internal'" in message
+        assert "takes length" in message  # the accepted keywords help recovery
+
+    def test_batch_unknown_graph_param(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"graph": "path-network", "graph_params": {"length": 3}, "protocol": "flooding"},
+                    {"graph": "path-network", "graph_params": {"num_internal": 3}, "protocol": "flooding"},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.jsonl"
+        message = _run_expecting_error(["batch", str(path), "-o", str(out), "--serial"])
+        assert "invalid spec" in message
+        assert "unknown keyword 'num_internal'" in message
+        assert not out.exists()  # rejected before anything ran
+
     @pytest.mark.parametrize(
         "field,value,kind",
         [
@@ -151,6 +181,42 @@ class TestMalformedSpecFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         message = _run_expecting_error(argv + [str(path)])
         assert f"missing required {missing}" in message
+
+
+class TestDamagedResultsFile:
+    """``repro batch -o`` resumes from its file and then rewrites it, so a
+    damaged line before the last must stop the batch, not vanish."""
+
+    @pytest.fixture
+    def finished(self, tmp_path):
+        path = tmp_path / "specs.json"
+        specs = [
+            {"graph": "path-network", "graph_params": {"length": k}, "protocol": "flooding"}
+            for k in (2, 3, 4)
+        ]
+        path.write_text(json.dumps(specs), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        main(["batch", str(path), "-o", str(out), "--serial"], stream=io.StringIO())
+        return path, out, out.read_text(encoding="utf-8").splitlines()
+
+    def test_damaged_inner_line_is_a_one_line_error(self, finished):
+        path, out, lines = finished
+        lines[0] = lines[0][:20]
+        damaged = "\n".join(lines) + "\n"
+        out.write_text(damaged, encoding="utf-8")
+        message = _run_expecting_error(["batch", str(path), "-o", str(out), "--serial"])
+        assert str(out) in message
+        assert "line 1 is not a run record" in message
+        assert out.read_text(encoding="utf-8") == damaged  # nothing rewritten
+
+    def test_truncated_last_line_is_recomputed(self, finished):
+        path, out, lines = finished
+        lines[-1] = lines[-1][:20]
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        stream = io.StringIO()
+        main(["batch", str(path), "-o", str(out), "--serial"], stream=stream)
+        assert "1 executed, 2 reused" in stream.getvalue()
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
 
 class TestInvalidFaultsPayload:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import BatchRunner, RunSpec, load_records
+from repro.api import BatchRunner, DamagedRecordsError, RunSpec, load_records
 
 
 def tree_specs(n: int, size: int = 10):
@@ -98,6 +98,20 @@ class TestPersistenceAndResume:
         assert len(records) == 4
         # The rewritten file is whole again.
         assert len(load_records(str(out))) == 4
+
+    def test_damaged_inner_line_stops_the_batch(self, tmp_path):
+        specs = tree_specs(4)
+        out = tmp_path / "out.jsonl"
+        runner = BatchRunner(parallel=False)
+        runner.run(specs, output_path=str(out))
+        lines = out.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        damaged = "\n".join(lines) + "\n"
+        out.write_text(damaged, encoding="utf-8")
+        with pytest.raises(DamagedRecordsError, match="line 2 is not a run record"):
+            runner.run(specs, output_path=str(out))
+        # Nothing ran and the file was not rewritten.
+        assert out.read_text(encoding="utf-8") == damaged
 
     def test_subset_rerun_preserves_other_records(self, tmp_path):
         specs = tree_specs(6)

@@ -47,6 +47,16 @@ def unit_interval_unions(max_intervals: int = 5) -> st.SearchStrategy[IntervalUn
     return st.lists(unit_intervals(), min_size=0, max_size=max_intervals).map(IntervalUnion)
 
 
+def flat_union(union: IntervalUnion, prec: int) -> tuple:
+    """``union`` in the interval kernel's boundary form at precision
+    ``prec``: every endpoint times ``2**prec``, flattened in order."""
+    return tuple(
+        end.num << (prec - end.exp)
+        for iv in union.intervals
+        for end in (iv.lo, iv.hi)
+    )
+
+
 @pytest.fixture
 def small_grounded_tree():
     """A fixed small grounded tree for white-box assertions."""

@@ -3,11 +3,12 @@
 ``IntervalUnion`` computes ``union`` and ``union_interval`` as one linear
 merge of two canonical tuples, and ``intersection`` and ``difference`` as
 sweeps whose output is never re-sorted.  The fast-path kernel does the
-same on flat int tuples, sweeping only the stretch of the longer operand
-that the shorter one spans.  The oracle here shares none of that code.  It cuts ``[0, 1]`` at every endpoint of the raw input
-intervals into elementary segments, decides membership of each segment
-by testing its midpoint against the raw intervals with exact
-``Fraction`` arithmetic, and joins the member segments into maximal runs.
+same algebra on one sorted tuple of fixed-point int boundaries, with
+``bisect`` and slicing.  The oracle here shares none of that code.  It
+cuts ``[0, 1]`` at every endpoint of the raw input intervals into
+elementary segments, decides membership of each segment by testing its
+midpoint against the raw intervals with exact ``Fraction`` arithmetic,
+and joins the member segments into maximal runs.
 Every algebra result must equal those runs interval for interval, which
 also pins the canonical form (sorted, disjoint, non-adjacent, no empties).
 """
@@ -21,7 +22,7 @@ from repro.core.dyadic import Dyadic
 from repro.core.interval_kernel import _difference, _intersection, _union
 from repro.core.intervals import Interval, IntervalUnion, _canonicalize
 
-from ..conftest import dyadics
+from ..conftest import dyadics, flat_union
 
 #: Deep enough that endpoints far below 2**-53 must still order exactly.
 DEEP_EXP = 64
@@ -158,13 +159,13 @@ def test_constructor_matches_oracle(a):
 
 
 def _flat(raw):
-    return tuple(
-        (iv.lo.num, iv.lo.exp, iv.hi.num, iv.hi.exp) for iv in IntervalUnion(raw)
-    )
+    """Raw intervals in boundary form, at the deepest exponent drawn."""
+    return flat_union(IntervalUnion(raw), DEEP_EXP)
 
 
 def _flat_runs(flat):
-    return [(Fraction(ln, 1 << le), Fraction(hn, 1 << he)) for ln, le, hn, he in flat]
+    unit = 1 << DEEP_EXP
+    return [(Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in zip(flat[::2], flat[1::2])]
 
 
 @given(operand_pairs)

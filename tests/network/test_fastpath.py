@@ -17,6 +17,7 @@ from repro.api import GRAPH_TRANSFORMS, GRAPHS, ensure_registered
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.core.interval_kernel import (
     IntervalKernel,
+    _BoundaryCosts,
     _cost,
     _difference,
     _intersection,
@@ -44,6 +45,8 @@ from repro.network.faults import FaultSpec
 from repro.network.graph import DirectedNetwork
 from repro.network.scheduler import FifoScheduler, LifoScheduler, RandomScheduler
 from repro.network.simulator import Outcome, SimulationError, run_protocol
+
+from ..conftest import flat_union
 
 ensure_registered()
 
@@ -314,14 +317,17 @@ class TestRouting:
         assert fast_faults.counters() == reference_faults.counters()
 
 
-def _flat(union: IntervalUnion):
-    return tuple(
-        (iv.lo.num, iv.lo.exp, iv.hi.num, iv.hi.exp) for iv in union.intervals
-    )
+#: Boundary precision of the hand-built unions: deeper than any case needs,
+#: so bit costs must strip the trailing zeros to match.
+PREC = 8
+
+
+def _flat(union: IntervalUnion, prec: int = PREC):
+    return flat_union(union, prec)
 
 
 class TestFlatAlgebra:
-    """The kernel's int-pair algebra agrees with the object implementation."""
+    """The kernel's boundary-tuple algebra agrees with the object implementation."""
 
     CASES = [
         (EMPTY_UNION, EMPTY_UNION),
@@ -354,23 +360,23 @@ class TestFlatAlgebra:
 
     @pytest.mark.parametrize("a,b", CASES)
     def test_cost_matches_union_cost(self, a, b):
-        assert _cost(_flat(a)) == union_cost(a)
-        assert _cost(_flat(b)) == union_cost(b)
+        costs = _BoundaryCosts(PREC)
+        assert _cost(_flat(a), costs) == union_cost(a)
+        assert _cost(_flat(b), costs) == union_cost(b)
 
     @pytest.mark.parametrize("parts", [2, 3, 4, 5, 8])
     def test_split_matches_split_interval(self, parts):
         interval = Interval(Dyadic(1, 3), Dyadic(7, 3))
-        flat = (1, 3, 7, 3)
-        expected = [
-            (iv.lo.num, iv.lo.exp, iv.hi.num, iv.hi.exp)
-            for iv in split_interval(interval, parts)
-        ]
-        assert _split(flat, parts) == expected
+        expected = [_flat(IntervalUnion.of(iv)) for iv in split_interval(interval, parts)]
+        assert _split(*_flat(IntervalUnion.of(interval)), parts) == expected
 
     def test_split_unit_interval(self):
-        flat = (0, 0, 1, 0)
-        expected = [
-            (iv.lo.num, iv.lo.exp, iv.hi.num, iv.hi.exp)
-            for iv in split_interval(UNIT_INTERVAL, 3)
-        ]
-        assert _split(flat, 3) == expected
+        expected = [_flat(IntervalUnion.of(iv)) for iv in split_interval(UNIT_INTERVAL, 3)]
+        assert _split(*_flat(UNIT_UNION), 3) == expected
+
+    def test_split_below_needed_precision_raises(self):
+        # Δ = (7/8 - 1/8) / 8 = 3/32 needs 5 bits; at 4 the split is inexact.
+        interval = IntervalUnion.of(Interval(Dyadic(1, 3), Dyadic(7, 3)))
+        assert len(_split(*_flat(interval, 5), 8)) == 8
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _split(*_flat(interval, 4), 8)
