@@ -8,7 +8,7 @@ The README's "Fault scenarios" snippet, expanded into a runnable tour:
 2. check the fail-safe contract (loss stalls termination, never fakes it)
    and read the fault counters out of the record,
 3. verify determinism-by-seed and async/fastpath engine equivalence,
-4. run a crash schedule and an adversarial scheduler strategy,
+4. run a crash schedule, and loss under an adversarial scheduler,
 5. sweep the loss rate the way campaign ``e17`` does.
 
 Run:  python examples/fault_injection.py
@@ -57,10 +57,10 @@ def main() -> None:
     assert not crashed.terminated
     print(f"terminal crashed at step 0: {crashed.outcome}")
 
-    # --- 4b: adversarial strategy from the FAULTS registry -------------
-    starved = execute_spec(base_spec(faults={"adversary": "starve-one-edge"}))
-    assert starved.terminated, "starvation is just a harsher schedule"
-    print(f"starve-one-edge still terminates: messages={starved.metrics['total_messages']}")
+    # --- 4b: the fault model wraps any scheduler, harsh ones included --
+    starved = execute_spec(base_spec(scheduler="starve-one-edge", faults={"delay_probability": 0.2}))
+    assert starved.terminated, "starvation and delay are just a harsher schedule"
+    print(f"starve-one-edge + delay still terminates: messages={starved.metrics['total_messages']}")
 
     # --- 4c: churn under labeling — safety survives the reset ----------
     rec, result, _net = execute_spec_full(

@@ -41,7 +41,6 @@ from .registry import (
     AGGREGATORS,
     ENGINES,
     EXPERIMENTS,
-    FAULTS,
     GRAPH_TRANSFORMS,
     GRAPHS,
     PROTOCOLS,
@@ -67,7 +66,7 @@ from .spec import (
     load_specs,
     topology_cache_stats,
 )
-from .engines import EngineInfo, fault_capable_engines
+from .engines import EngineInfo
 from .runner import BatchRunner, BatchStats, DamagedRecordsError, load_records
 from . import aggregators as _aggregators  # noqa: F401  (populates AGGREGATORS)
 from .campaign import (
@@ -92,7 +91,6 @@ __all__ = [
     "SCHEDULERS",
     "ENGINES",
     "AGGREGATORS",
-    "FAULTS",
     "EXPERIMENTS",
     "all_registries",
     # specs & records
@@ -111,9 +109,8 @@ __all__ = [
     "TopologyCacheStats",
     "topology_cache_stats",
     "clear_topology_cache",
-    # engine capabilities
+    # engines
     "EngineInfo",
-    "fault_capable_engines",
     # batch execution
     "BatchRunner",
     "BatchStats",

@@ -3,38 +3,32 @@
 An *engine* is the thing that actually drives a protocol over a network:
 the reference asynchronous simulator, the compiled fast-path loop, or the
 vectorized multi-run batch engine.  What order messages arrive in —
-lockstep rounds included — is the scheduler's business, not the engine's.
-Each engine is registered in :data:`~repro.api.registry.ENGINES` as an
-:class:`EngineInfo` — a capability contract instead of a bare callable::
+lockstep rounds included — is the scheduler's business, and what the
+network does wrong is the fault model's, not the engine's: every engine
+takes every spec.  Each engine is registered in
+:data:`~repro.api.registry.ENGINES` as an :class:`EngineInfo`::
 
     info = ENGINES.get("fastpath")
     result, extra = info.run_one(spec, network, protocol)
-    if info.supports_batching:
+    if info.run_many is not None:
         records = info.run_many(spec, seeds)
 
-``run_one`` keeps the historical callable signature
-``(spec, network, protocol) -> (result, extra_metrics)`` where ``result``
-is the engine's native result object (it must expose ``outcome``,
-``terminated`` and ``metrics``) and ``extra_metrics`` is a dict of
-additions folded into the :class:`~repro.api.spec.RunRecord` metrics:
-the scheduler's :meth:`~repro.network.scheduler.Scheduler.extras` (the
-``rounds`` scheduler's ``rounds`` and ``termination_round``) and the
-fault and trace counters.  :class:`EngineInfo` instances are themselves
-callable with that signature, so legacy ``engine(spec, network,
-protocol)`` call sites keep working unchanged.
+``run_one`` has the signature ``(spec, network, protocol) ->
+(result, extra_metrics)`` where ``result`` is the engine's native result
+object (it must expose ``outcome``, ``terminated`` and ``metrics``) and
+``extra_metrics`` is a dict of additions folded into the
+:class:`~repro.api.spec.RunRecord` metrics: the scheduler's
+:meth:`~repro.network.scheduler.Scheduler.extras` (the ``rounds``
+scheduler's ``rounds`` and ``termination_round``) and the fault and
+trace counters.
 
-``run_many`` is the batching capability: ``run_many(spec, seeds)``
-executes one spec shape across many seeds in a single call and returns
-input-ordered :class:`~repro.api.spec.RunRecord` objects (an optional
-third ``fallbacks`` counter dict collects per-seed fallback reasons).
-Only engines with ``supports_batching=True`` provide it; the
-:class:`~repro.api.runner.BatchRunner` groups pending work by
-"spec minus seed" and dispatches whole seed-groups through it.
-
-``supports_faults`` replaces the old ad-hoc function attribute of the
-same name: :class:`~repro.api.spec.RunSpec` validation consults it, so a
-spec carrying a fault model on a non-fault engine fails at construction
-with a one-line error listing the engines that do support faults.
+``run_many`` is optional: ``run_many(spec, seeds)`` executes one spec
+shape across many seeds in a single call and returns input-ordered
+:class:`~repro.api.spec.RunRecord` objects (an optional third
+``fallbacks`` counter dict collects per-seed fallback reasons).  The
+:class:`~repro.api.runner.BatchRunner` groups pending work by "spec minus
+seed" for every engine that has it and dispatches whole seed-groups
+through it.
 
 The heavy engine modules are imported lazily inside each adapter so that
 importing :mod:`repro.api` stays cheap (and so the ``batch`` engine's
@@ -49,16 +43,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .registry import ENGINES
 
-__all__ = [
-    "ENGINES",
-    "EngineInfo",
-    "fault_capable_engines",
-]
+__all__ = ["ENGINES", "EngineInfo"]
 
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """Capability contract for one registered execution engine.
+    """One registered execution engine.
 
     Parameters
     ----------
@@ -74,64 +64,14 @@ class EngineInfo:
         counter dict the engine increments per spec that silently took a
         per-seed fallback, keyed by reason (surfaced as
         ``batch_fallbacks`` in :class:`~repro.api.runner.BatchStats`).
-        Must be present exactly when ``supports_batching`` is set.
-    supports_faults:
-        Whether specs carrying a :class:`~repro.network.faults.FaultSpec`
-        may select this engine.
-    supports_batching:
-        Whether :class:`~repro.api.runner.BatchRunner` may dispatch whole
-        seed-groups through :attr:`run_many`.
 
-    Every engine accepts trace capture (see :mod:`repro.tracing`).
+    Every engine accepts every spec: fault models and trace capture
+    included.
     """
 
     name: str
     run_one: Callable[[Any, Any, Any], Tuple[Any, Dict[str, Any]]]
     run_many: Optional[Callable[[Any, Sequence[Any]], List[Any]]] = None
-    supports_faults: bool = False
-    supports_batching: bool = False
-
-    def __post_init__(self) -> None:
-        if self.supports_batching != (self.run_many is not None):
-            raise ValueError(
-                f"engine {self.name!r}: supports_batching must match the "
-                "presence of run_many"
-            )
-
-    def __call__(self, spec: Any, network: Any, protocol: Any) -> Tuple[Any, Dict[str, Any]]:
-        """Legacy callable form; delegates to :attr:`run_one`."""
-        return self.run_one(spec, network, protocol)
-
-    def capabilities(self) -> Tuple[str, ...]:
-        """The declared capability tags, for ``repro registry`` and tests."""
-        tags = ["run_one"]
-        if self.run_many is not None:
-            tags.append("run_many")
-        if self.supports_faults:
-            tags.append("faults")
-        if self.supports_batching:
-            tags.append("batching")
-        return tuple(tags)
-
-
-def fault_capable_engines() -> Tuple[str, ...]:
-    """Registry names of every engine with ``supports_faults=True``."""
-    return tuple(
-        name for name in ENGINES.names() if ENGINES.get(name).supports_faults
-    )
-
-
-def _faults_and_scheduler(spec: Any, network: Any) -> Tuple[Any, Any]:
-    """The run's fault injector (or ``None``) and its effective scheduler.
-
-    A fault spec naming an adversarial strategy replaces the run spec's
-    scheduler with it — the strategy *is* the delivery adversary.  The
-    engines wrap it in the injector's loss, duplication and delay.
-    """
-    injector = spec.build_faults(network)
-    if injector is not None and injector.adversary is not None:
-        return injector, injector.adversary
-    return injector, spec.build_scheduler()
 
 
 def _trace_capture(spec: Any, network: Any) -> Optional[Any]:
@@ -172,7 +112,8 @@ def _run_loop(
     """Drive ``run`` (``run_protocol`` or ``run_protocol_fastpath``) with
     the spec's scheduler, run options, fault injector and trace capture;
     a ``record_trace`` run also reports :func:`_trace_extras`."""
-    faults, scheduler = _faults_and_scheduler(spec, network)
+    faults = spec.build_faults(network)
+    scheduler = spec.build_scheduler(network)
     capture = _trace_capture(spec, network)
     try:
         result = run(
@@ -243,26 +184,15 @@ def _run_batch_many(
     return run_many_batched(spec, seeds, fallbacks)
 
 
-ENGINES.register(
-    "async", EngineInfo(name="async", run_one=_run_async, supports_faults=True)
-)
-ENGINES.register(
-    "fastpath",
-    EngineInfo(name="fastpath", run_one=_run_fastpath, supports_faults=True),
-)
+ENGINES.register("async", EngineInfo(name="async", run_one=_run_async))
+ENGINES.register("fastpath", EngineInfo(name="fastpath", run_one=_run_fastpath))
 # The batch engine executes single runs through the fastpath adapter (its
 # vectorized path only pays off across a seed-group), so run_one results
 # are fastpath-identical by construction; run_many vectorizes seed-groups
 # and falls back to per-spec fastpath execution for anything its kernels
-# cannot express — including traced specs, which are never vectorized
-# (kernels use flat payload representations the trace format must not
-# see), so trace support comes along via the fallback.
+# cannot express — faulty and traced specs included, which are never
+# vectorized (kernels use flat payload representations the trace format
+# must not see), so fault and trace support come along via the fallback.
 ENGINES.register(
-    "batch",
-    EngineInfo(
-        name="batch",
-        run_one=_run_fastpath,
-        run_many=_run_batch_many,
-        supports_batching=True,
-    ),
+    "batch", EngineInfo(name="batch", run_one=_run_fastpath, run_many=_run_batch_many)
 )

@@ -12,7 +12,7 @@ register themselves at import time with the decorator form::
     class TreeBroadcastProtocol(AnonymousProtocol):
         name = "tree-broadcast"
 
-Four registries cover the spec vocabulary:
+Seven registries cover the spec vocabulary:
 
 * :data:`PROTOCOLS` — :class:`~repro.core.model.AnonymousProtocol`
   subclasses, keyed by their ``name`` attribute.
@@ -22,17 +22,16 @@ Four registries cover the spec vocabulary:
 * :data:`GRAPH_TRANSFORMS` — ``DirectedNetwork → DirectedNetwork``
   post-processors (e.g. the E8 "bad graph" mutators).
 * :data:`SCHEDULERS` — :class:`~repro.network.scheduler.Scheduler`
-  subclasses, keyed by their class-level ``name``.
-* :data:`ENGINES` — execution engines: callables taking
-  ``(spec, network, protocol)`` and returning ``(result, extra_metrics)``
+  subclasses, keyed by their class-level ``name``: every delivery
+  adversary, harsh ones such as ``"starve-one-edge"`` included.  A fault
+  model wraps the chosen scheduler; it never names another.
+* :data:`ENGINES` — execution engines:
+  :class:`~repro.api.engines.EngineInfo` entries whose ``run_one`` takes
+  ``(spec, network, protocol)`` and returns ``(result, extra_metrics)``
   (see :mod:`repro.api.engines`).  ``RunSpec(engine=...)`` selects one.
 * :data:`AGGREGATORS` — row aggregators: callables collapsing a list of
   :class:`~repro.api.spec.RunRecord` into the experiment tables' dict rows
   (see :mod:`repro.api.aggregators`).
-* :data:`FAULTS` — adversarial fault-model scheduler strategies
-  (``"starve-one-edge"``, ``"oldest-last"``), named by
-  :attr:`~repro.network.faults.FaultSpec.adversary` (see
-  :mod:`repro.network.faults`).
 * :data:`EXPERIMENTS` — whole experiment campaigns.  Unlike the other
   registries this one holds *objects*, not factories: each entry is a
   :class:`~repro.api.campaign.ExperimentSpec` (a declarative parameter
@@ -57,7 +56,6 @@ __all__ = [
     "SCHEDULERS",
     "ENGINES",
     "AGGREGATORS",
-    "FAULTS",
     "EXPERIMENTS",
     "all_registries",
 ]
@@ -196,8 +194,6 @@ SCHEDULERS = Registry("scheduler")
 ENGINES = Registry("engine")
 #: RunRecord-list → row-dict-list aggregators, by name.
 AGGREGATORS = Registry("aggregator")
-#: Adversarial fault-model scheduler strategies, by class-level ``name``.
-FAULTS = Registry("fault adversary")
 #: Experiment campaigns (``"e01"`` … ``"e18"`` plus user registrations).
 EXPERIMENTS = Registry("experiment")
 
@@ -211,6 +207,5 @@ def all_registries() -> Dict[str, Registry]:
         "schedulers": SCHEDULERS,
         "engines": ENGINES,
         "aggregators": AGGREGATORS,
-        "faults": FAULTS,
         "experiments": EXPERIMENTS,
     }

@@ -423,7 +423,7 @@ class BatchRunner:
     ) -> "tuple[List[RunSpec], List[List[RunSpec]]]":
         """Split pending work into singleton specs and ``run_many`` groups.
 
-        Specs whose engine declares ``supports_batching`` are grouped by
+        Specs whose engine has a ``run_many`` are grouped by
         "spec minus seed" (the ``spec_id`` with the seed nulled out).
         Grouping happens strictly *after* store/JSONL resume filtering, so
         a store hit inside a group shrinks the group instead of forcing a
@@ -437,8 +437,7 @@ class BatchRunner:
         singles: List[RunSpec] = []
         by_shape: Dict[str, List[RunSpec]] = {}
         for spec in pending:
-            info = ENGINES.get(spec.engine)
-            if getattr(info, "supports_batching", False):
+            if ENGINES.get(spec.engine).run_many is not None:
                 shape = RunSpec._unchecked({**vars(spec), "seed": None})
                 by_shape.setdefault(shape.spec_id, []).append(spec)
             else:

@@ -116,7 +116,7 @@ def ensure_registered() -> None:
         return
     from .. import baselines, core, graphs  # noqa: F401
     from ..analysis import campaigns  # noqa: F401  (EXPERIMENTS entries)
-    from ..network import faults, scheduler  # noqa: F401
+    from ..network import scheduler  # noqa: F401
 
     _REGISTERED = True
 
@@ -249,7 +249,9 @@ class RunSpec:
         keyword arguments.
     scheduler / scheduler_params:
         A :data:`~repro.api.registry.SCHEDULERS` name plus constructor
-        keyword arguments (``"rounds"`` runs lockstep rounds, E13).
+        keyword arguments (``"rounds"`` runs lockstep rounds, E13;
+        ``"starve-one-edge"`` and ``"oldest-last"`` are the harshest
+        adversaries).
     engine:
         A :data:`~repro.api.registry.ENGINES` name: ``"async"`` (the
         reference loop, default), ``"fastpath"`` (compiled flat-state
@@ -267,8 +269,8 @@ class RunSpec:
     faults:
         Optional fault model: a :class:`~repro.network.faults.FaultSpec`
         (or its dict form) describing message loss/duplication/delay,
-        crash schedules, churn intervals and an optional adversarial
-        scheduler strategy.  ``None`` — the default, and the paper's
+        crash schedules and churn intervals; it wraps ``scheduler``, on
+        every engine.  ``None`` — the default, and the paper's
         reliable model — leaves the engines' fault-free paths untouched
         and keeps :attr:`spec_id` byte-identical to pre-fault-layer specs.
     trace:
@@ -351,14 +353,6 @@ class RunSpec:
                     )
             except FaultSpecError as exc:
                 raise SpecError(f"invalid faults payload: {exc}") from None
-            if not ENGINES.get(self.engine).supports_faults:
-                from .engines import fault_capable_engines
-
-                capable = "', '".join(fault_capable_engines())
-                raise SpecError(
-                    f"engine {self.engine!r} does not support fault injection; "
-                    f"use '{capable}'"
-                )
         if self.trace is not None:
             # Dependency-free policy module: safe to import eagerly, kept
             # lazy for symmetry with the faults block above.
@@ -505,29 +499,41 @@ class RunSpec:
         ensure_registered()
         return PROTOCOLS.create(self.protocol, **self.protocol_params)
 
-    def build_scheduler(self):
-        """A fresh scheduler instance for one run."""
+    def build_scheduler(self, network=None):
+        """A fresh scheduler instance for one run, bound to ``network`` if given.
+
+        Binding checks the schedule against the built network (e.g. a
+        ``starve-one-edge`` ``edge_id`` it lacks); such a defect, like a
+        ``ValueError`` from the scheduler's constructor, surfaces as
+        :class:`SpecError`, same as :meth:`build_faults`'s.  The engines
+        bind again before the run; ``bind`` is idempotent.
+        """
         ensure_registered()
         factory = SCHEDULERS.get(self.scheduler)
-        return factory(**self._params_with_seed(factory, self.scheduler_params))
+        try:
+            scheduler = factory(**self._params_with_seed(factory, self.scheduler_params))
+            if network is not None:
+                scheduler.bind(network)
+        except ValueError as exc:
+            raise SpecError(f"scheduler_params do not fit {self.scheduler!r}: {exc}") from None
+        return scheduler
 
     def build_faults(self, network):
         """The run's :class:`~repro.network.faults.FaultInjector`, or ``None``.
 
         Needs the built network (fault schedules are validated against its
         vertex count); the run seed feeds the fault RNG unless the fault
-        spec pins its own seed.  Build-time defects — a fault vertex the
-        network doesn't have, an unregistered adversary name — surface as
-        :class:`SpecError`, same as construction-time ones.
+        spec pins its own seed.  A build-time defect — a fault vertex the
+        network doesn't have — surfaces as :class:`SpecError`, same as
+        construction-time ones.
         """
         if self.faults is None:
             return None
-        ensure_registered()
         from ..network.faults import FaultSpecError
 
         try:
             return self.faults.build(network, self.seed)
-        except (FaultSpecError, UnknownNameError) as exc:
+        except FaultSpecError as exc:
             raise SpecError(f"invalid faults payload: {exc}") from None
 
     def run(self) -> "RunRecord":

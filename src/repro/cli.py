@@ -537,12 +537,8 @@ def _record_summary(record: RunRecord) -> str:
 
 
 def _override_engine(specs, engine: Optional[str]):
-    """Re-target loaded specs at ``engine`` (``--engine`` flag), or die.
-
-    Engine capability mismatches (an unregistered name, a fault model on
-    an engine whose :class:`~repro.api.engines.EngineInfo` lacks
-    ``supports_faults``) surface here as the usual one-line errors.
-    """
+    """Re-target loaded specs at ``engine`` (``--engine`` flag), or die:
+    an unregistered name is the usual one-line error."""
     if engine is None:
         return specs
     ensure_registered()
@@ -601,8 +597,8 @@ def _cmd_run_spec(
             # the store (a cache hit would produce no artifact).
             (record,) = runner.run(specs, resume=not traced)
     except SpecError as exc:
-        # defects only detectable at build time (fault vertex out of range,
-        # unregistered adversary) get the same one-line treatment
+        # defects only detectable at build time (fault vertex or
+        # starve-one-edge edge_id out of range) get the same one-line treatment
         raise SystemExit(f"cannot execute spec in {path!r}: {exc}") from None
     if runner.stats.store_write_errors:
         _emit("(record not stored: the result store refused the write)", stream, extra)
@@ -717,14 +713,9 @@ def _cmd_registry(stream: IO[str]) -> int:
     for kind, registry in all_registries().items():
         print(f"{kind}:", file=stream)
         for name in registry.names():
-            entry = registry.get(name)
-            caps = getattr(entry, "capabilities", None)
-            if callable(caps):
-                # Engines are EngineInfo capability contracts; print what
-                # each one actually supports next to its name.
-                print(f"  {name}  [{', '.join(caps())}]", file=stream)
-            else:
-                print(f"  {name}", file=stream)
+            # An engine that runs whole seed-groups says so.
+            batches = getattr(registry.get(name), "run_many", None) is not None
+            print(f"  {name}" + ("  [run_many]" if batches else ""), file=stream)
     return 0
 
 
@@ -878,12 +869,12 @@ def _cmd_trace(args, stream: IO[str]) -> int:
                     f"--spec expects exactly one RunSpec in {args.spec!r}, "
                     f"found {len(specs)}"
                 )
-            spec = specs[0]
-        else:
-            spec = reader.spec()
         try:
+            spec = specs[0] if args.spec is not None else reader.spec()
             report = replay_trace(spec, reader)
-        except ReplayError as exc:
+        except (ReplayError, SpecError, UnknownNameError) as exc:
+            # Also a header spec that no longer parses or builds (e.g. one
+            # naming a fault field since removed).
             raise SystemExit(f"cannot replay {args.trace!r}: {exc}") from None
     finally:
         reader.close()

@@ -144,10 +144,6 @@ class Dyadic:
             raise ValueError(f"{self!r} is not an integer")
         return self.num
 
-    def is_integer(self) -> bool:
-        """True iff the value is an integer."""
-        return self.exp == 0
-
     def is_power_of_two(self) -> bool:
         """True iff the value is ``2**k`` for some (possibly negative) ``k``."""
         return self.num == 1 or (self.num > 1 and self.exp == 0 and self.num & (self.num - 1) == 0)

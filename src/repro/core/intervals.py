@@ -79,11 +79,6 @@ class Interval:
         """The unit interval ``[0, 1)``."""
         return cls(DYADIC_ZERO, DYADIC_ONE)
 
-    @classmethod
-    def point_free(cls, lo: Dyadic) -> "Interval":
-        """The empty interval anchored at ``lo`` (``[lo, lo)``)."""
-        return cls(lo, lo)
-
     def is_empty(self) -> bool:
         """True iff this is the empty interval ``[a, a)``."""
         return self.lo == self.hi

@@ -7,10 +7,12 @@ from .scheduler import (
     FifoScheduler,
     LatencyScheduler,
     LifoScheduler,
+    OldestLastScheduler,
     PortBiasedScheduler,
     RandomScheduler,
     RoundsScheduler,
     Scheduler,
+    StarveOneEdgeScheduler,
     TerminalFirstScheduler,
     TerminalLastScheduler,
     make_standard_schedulers,
@@ -23,8 +25,6 @@ from .faults import (
     FaultInjector,
     FaultSpec,
     FaultSpecError,
-    OldestLastScheduler,
-    StarveOneEdgeScheduler,
 )
 from .simulator import Outcome, RunResult, SimulationError, run_protocol
 from .trace import DeliveryRecord, Trace
@@ -44,6 +44,8 @@ __all__ = [
     "TerminalLastScheduler",
     "TerminalFirstScheduler",
     "PortBiasedScheduler",
+    "StarveOneEdgeScheduler",
+    "OldestLastScheduler",
     "make_standard_schedulers",
     "standard_scheduler_specs",
     "FaultSpec",
@@ -51,8 +53,6 @@ __all__ = [
     "CrashFault",
     "ChurnFault",
     "FaultInjector",
-    "StarveOneEdgeScheduler",
-    "OldestLastScheduler",
     "Outcome",
     "RunResult",
     "SimulationError",

@@ -9,9 +9,11 @@ first-class, declarative workload dimension:
 
 * :class:`FaultSpec` — a frozen, JSON-round-trippable description of a
   fault model: message drop/duplicate/delay probabilities, per-vertex
-  crash schedules (:class:`CrashFault`), join/leave churn intervals
-  (:class:`ChurnFault`), and an optional adversarial scheduler strategy
-  from the :data:`~repro.api.registry.FAULTS` registry.
+  crash schedules (:class:`CrashFault`) and join/leave churn intervals
+  (:class:`ChurnFault`).  Which message is delivered next stays the run's
+  scheduler's choice (``RunSpec.scheduler``), harsh ones such as
+  ``starve-one-edge`` included: the fault model and the delivery
+  adversary are separate dimensions.
 * :class:`FaultInjector` — the runtime fault process: it decides,
   deterministically from one seeded RNG, which sends are dropped or
   duplicated, which deliveries are deferred, and which vertices are down
@@ -19,11 +21,9 @@ first-class, declarative workload dimension:
 * :class:`FaultScheduler` — loss, duplication and delay as a wrapper
   around the run's scheduler, so every engine (the compiled kernels
   included) runs them; crashes and churn stay a reference-loop hook.
-* Adversarial strategies — :class:`StarveOneEdgeScheduler` and
-  :class:`OldestLastScheduler`, registered in :data:`FAULTS` so fault
-  specs can name them (``adversary="starve-one-edge"``).
 
-Semantics (shared by both engines, documented in ``docs/FAULTS.md``):
+Semantics (shared by every engine; the fault-model guide under ``docs/`` has
+worked examples):
 
 * **Drop** — each emitted message is silently lost with probability
   ``drop_probability`` before it enters the scheduler.
@@ -57,14 +57,10 @@ True
 
 from __future__ import annotations
 
-import heapq
-import json
 import random
-from collections import deque
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..api.registry import FAULTS
 from .events import MessageEvent
 from .graph import DirectedNetwork
 from .scheduler import Scheduler
@@ -79,9 +75,6 @@ __all__ = [
     "DELIVER",
     "DELIVER_AFTER_RESET",
     "SWALLOW",
-    "StarveOneEdgeScheduler",
-    "OldestLastScheduler",
-    "FAULTS",
 ]
 
 
@@ -197,10 +190,6 @@ class FaultSpec:
     churn:
         :class:`ChurnFault` intervals; several per vertex are allowed as
         long as they do not overlap.
-    adversary / adversary_params:
-        Optional :data:`FAULTS` registry name of an adversarial scheduler
-        strategy (e.g. ``"starve-one-edge"``); when set it **replaces** the
-        run spec's scheduler.
     seed:
         Fault RNG seed; ``None`` (the default) falls back to the run's
         seed, so a seed sweep varies faults and topology together.
@@ -218,8 +207,6 @@ class FaultSpec:
     delay_probability: float = 0.0
     crashes: Tuple[CrashFault, ...] = ()
     churn: Tuple[ChurnFault, ...] = ()
-    adversary: Optional[str] = None
-    adversary_params: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -241,18 +228,6 @@ class FaultSpec:
                         f"overlapping churn intervals for vertex {vertex}"
                     )
         object.__setattr__(self, "churn", churn)
-        if self.adversary is not None and (
-            not isinstance(self.adversary, str) or not self.adversary
-        ):
-            raise FaultSpecError("adversary must be a FAULTS registry name or None")
-        if not isinstance(self.adversary_params, dict):
-            raise FaultSpecError("adversary_params must be a dict")
-        try:
-            object.__setattr__(
-                self, "adversary_params", json.loads(json.dumps(self.adversary_params))
-            )
-        except (TypeError, ValueError) as exc:
-            raise FaultSpecError(f"adversary_params is not JSON-serializable: {exc}") from None
         if self.seed is not None and not isinstance(self.seed, int):
             raise FaultSpecError(f"seed must be an int or None, got {self.seed!r}")
 
@@ -281,8 +256,6 @@ class FaultSpec:
                 }
                 for entry in self.churn
             ],
-            "adversary": self.adversary,
-            "adversary_params": dict(self.adversary_params),
             "seed": self.seed,
         }
 
@@ -355,7 +328,6 @@ class FaultInjector:
 
     __slots__ = (
         "spec",
-        "adversary",
         "dropped",
         "duplicated",
         "delayed",
@@ -414,29 +386,6 @@ class FaultInjector:
             vf.intervals.sort()
             vf.rejoins.sort()
         self._vertex_faults = vertex_faults
-
-        self.adversary: Optional[Scheduler] = None
-        if spec.adversary is not None:
-            # The same memoised signature probe RunSpec uses for graph and
-            # scheduler factories (imported lazily — api.spec is not a
-            # module-load-time dependency of the network layer).
-            from ..api.spec import _accepts_param
-
-            factory = FAULTS.get(spec.adversary)
-            params = dict(spec.adversary_params)
-            if "seed" not in params and _accepts_param(factory, "seed"):
-                params["seed"] = effective_seed
-            try:
-                self.adversary = factory(**params)
-            except TypeError as exc:
-                raise FaultSpecError(
-                    f"invalid adversary_params for {spec.adversary!r}: {exc}"
-                ) from None
-            # Bind eagerly so schedule defects (e.g. an out-of-range
-            # edge_id) surface here — inside build_faults's SpecError
-            # wrapping — not later inside the engine loop.  Engines bind
-            # again with the same network; bind is idempotent.
-            self.adversary.bind(network)
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -567,83 +516,3 @@ class FaultScheduler(Scheduler):
 
     def __len__(self) -> int:
         return len(self.inner)
-
-
-# ----------------------------------------------------------------------
-# adversarial scheduler strategies (the FAULTS registry)
-# ----------------------------------------------------------------------
-
-
-@FAULTS.register()
-class StarveOneEdgeScheduler(Scheduler):
-    """Starve a single edge: its messages are delivered only when nothing
-    else is in flight.
-
-    Generalises the terminal-starving adversary from one vertex's in-edges
-    to an arbitrary edge — the worst case for protocols whose progress
-    funnels through a cut edge.  The target is ``edge_id`` when given,
-    otherwise a seeded uniform choice once the network is bound.
-    """
-
-    name = "starve-one-edge"
-
-    def __init__(self, seed: int = 0, *, edge_id: Optional[int] = None) -> None:
-        self._seed = seed
-        self._edge_id = edge_id
-        self._starved: Deque[MessageEvent] = deque()
-        self._others: Deque[MessageEvent] = deque()
-
-    def bind(self, network: DirectedNetwork) -> None:
-        if self._edge_id is None:
-            self._edge_id = random.Random(f"starve:{self._seed}").randrange(
-                network.num_edges
-            )
-        elif not 0 <= self._edge_id < network.num_edges:
-            raise FaultSpecError(
-                f"starve-one-edge edge_id {self._edge_id} out of range for a "
-                f"network with {network.num_edges} edges"
-            )
-
-    @property
-    def target_edge(self) -> Optional[int]:
-        """The starved edge id (``None`` until the network is bound)."""
-        return self._edge_id
-
-    def push(self, event: MessageEvent) -> None:
-        if event.edge_id == self._edge_id:
-            self._starved.append(event)
-        else:
-            self._others.append(event)
-
-    def pop(self) -> MessageEvent:
-        if self._others:
-            return self._others.popleft()
-        return self._starved.popleft()
-
-    def __len__(self) -> int:
-        return len(self._starved) + len(self._others)
-
-
-@FAULTS.register()
-class OldestLastScheduler(Scheduler):
-    """Deliver the *newest* in-flight message first, by sequence number.
-
-    The oldest message is delivered last — maximally stale information
-    keeps arriving after everything that superseded it.  Differs from LIFO
-    under fault injection: deferred re-enqueues keep their original
-    sequence numbers, so a delayed old message stays old.
-    """
-
-    name = "oldest-last"
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, MessageEvent]] = []
-
-    def push(self, event: MessageEvent) -> None:
-        heapq.heappush(self._heap, (-event.seq, event))
-
-    def pop(self) -> MessageEvent:
-        return heapq.heappop(self._heap)[1]
-
-    def __len__(self) -> int:
-        return len(self._heap)

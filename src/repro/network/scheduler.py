@@ -28,6 +28,14 @@ Implementations:
   order that exercises asymmetric interleavings.
 * :class:`RoundsScheduler` — lockstep rounds (the paper's §2 time
   measure); it reports ``rounds`` and ``termination_round``.
+* :class:`StarveOneEdgeScheduler` — terminal-last generalised to one
+  (seeded or chosen) edge: its messages wait until nothing else is in
+  flight.
+* :class:`OldestLastScheduler` — newest sequence number first, so stale
+  messages keep arriving after everything that superseded them.
+
+A fault model (:mod:`repro.network.faults`) wraps any of them; it never
+replaces the run's scheduler.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ __all__ = [
     "PortBiasedScheduler",
     "LatencyScheduler",
     "RoundsScheduler",
+    "StarveOneEdgeScheduler",
+    "OldestLastScheduler",
     "make_standard_schedulers",
     "standard_scheduler_specs",
 ]
@@ -85,8 +95,12 @@ class Scheduler(abc.ABC):
     def bind(self, network: DirectedNetwork) -> None:
         """Give topology-aware schedulers access to the network.
 
-        Called once by the simulator before the run starts.  The default does
-        nothing; adversarial schedulers override it.  (This does not leak
+        Called by the simulator before the run starts, and before that by
+        :meth:`~repro.api.spec.RunSpec.build_scheduler` to check the
+        schedule against the network, so binding twice to one network
+        must act like binding once.  The default does nothing;
+        adversarial schedulers override it (a ``ValueError`` says the
+        schedule does not fit the network).  (This does not leak
         topology to the *protocol* — schedulers model the environment, which
         in the asynchronous model is exactly the entity that knows the
         network.)
@@ -160,49 +174,91 @@ class RandomScheduler(Scheduler):
         return len(self._events)
 
 
-class _TerminalAwareScheduler(Scheduler):
-    """Shared machinery for schedulers that treat edges into ``t`` specially."""
+class _StarveEdgesScheduler(Scheduler):
+    """Two FIFO queues: messages on the starved edges, chosen at
+    :meth:`bind` (by default the edges into ``t``), and all others.
+
+    :meth:`pop` serves a starved edge only when nothing else is in
+    flight; :class:`TerminalFirstScheduler` reverses that.
+    """
 
     def __init__(self) -> None:
-        self._terminal_edges: Optional[set] = None
-        self._to_terminal: Deque[MessageEvent] = deque()
+        self._starved_edges: Optional[set] = None
+        self._starved: Deque[MessageEvent] = deque()
         self._others: Deque[MessageEvent] = deque()
 
     def bind(self, network: DirectedNetwork) -> None:
-        self._terminal_edges = set(network.in_edge_ids(network.terminal))
+        self._starved_edges = set(network.in_edge_ids(network.terminal))
 
     def push(self, event: MessageEvent) -> None:
-        if self._terminal_edges is not None and event.edge_id in self._terminal_edges:
-            self._to_terminal.append(event)
+        if self._starved_edges is not None and event.edge_id in self._starved_edges:
+            self._starved.append(event)
         else:
             self._others.append(event)
-
-    def __len__(self) -> int:
-        return len(self._to_terminal) + len(self._others)
-
-
-@SCHEDULERS.register()
-class TerminalLastScheduler(_TerminalAwareScheduler):
-    """Starve the terminal: deliver to ``t`` only when nothing else remains."""
-
-    name = "terminal-last"
 
     def pop(self) -> MessageEvent:
         if self._others:
             return self._others.popleft()
-        return self._to_terminal.popleft()
+        return self._starved.popleft()
+
+    def __len__(self) -> int:
+        return len(self._starved) + len(self._others)
 
 
 @SCHEDULERS.register()
-class TerminalFirstScheduler(_TerminalAwareScheduler):
+class TerminalLastScheduler(_StarveEdgesScheduler):
+    """Starve the terminal: deliver to ``t`` only when nothing else remains."""
+
+    name = "terminal-last"
+
+
+@SCHEDULERS.register()
+class TerminalFirstScheduler(_StarveEdgesScheduler):
     """Rush the terminal: always deliver messages into ``t`` first."""
 
     name = "terminal-first"
 
     def pop(self) -> MessageEvent:
-        if self._to_terminal:
-            return self._to_terminal.popleft()
+        if self._starved:
+            return self._starved.popleft()
         return self._others.popleft()
+
+
+@SCHEDULERS.register()
+class StarveOneEdgeScheduler(_StarveEdgesScheduler):
+    """Starve a single edge: its messages are delivered only when nothing
+    else is in flight.
+
+    Generalises terminal-last from one vertex's in-edges to an arbitrary
+    edge — the worst case for protocols whose progress funnels through a
+    cut edge.  The target is ``edge_id`` when given, otherwise a seeded
+    uniform choice once the network is bound.  Binding again to the same
+    network keeps the target.
+    """
+
+    name = "starve-one-edge"
+
+    def __init__(self, seed: int = 0, *, edge_id: Optional[int] = None) -> None:
+        super().__init__()
+        self._seed = seed
+        self._edge_id = edge_id
+
+    def bind(self, network: DirectedNetwork) -> None:
+        if self._edge_id is None:
+            self._edge_id = random.Random(f"starve:{self._seed}").randrange(
+                network.num_edges
+            )
+        elif not 0 <= self._edge_id < network.num_edges:
+            raise ValueError(
+                f"edge_id {self._edge_id} out of range for a network with "
+                f"{network.num_edges} edges"
+            )
+        self._starved_edges = {self._edge_id}
+
+    @property
+    def target_edge(self) -> Optional[int]:
+        """The starved edge id (``None`` until the network is bound)."""
+        return self._edge_id
 
 
 @SCHEDULERS.register()
@@ -352,14 +408,42 @@ class RoundsScheduler(Scheduler):
         }
 
 
+@SCHEDULERS.register()
+class OldestLastScheduler(Scheduler):
+    """Deliver the *newest* in-flight message first, by sequence number.
+
+    The oldest message is delivered last — maximally stale information
+    keeps arriving after everything that superseded it.  Differs from LIFO
+    under fault injection: deferred re-enqueues keep their original
+    sequence numbers, so a delayed old message stays old.
+    """
+
+    name = "oldest-last"
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[int, MessageEvent]] = []
+
+    def push(self, event: MessageEvent) -> None:
+        heapq.heappush(self._heap, (-event.seq, event))
+
+    def pop(self) -> MessageEvent:
+        return heapq.heappop(self._heap)[1]
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+
 def make_standard_schedulers(random_seeds: int = 3) -> List[Scheduler]:
-    """A fresh batch of schedulers covering every implemented adversary.
+    """A fresh batch of the standard adversaries.
 
     :func:`standard_scheduler_specs` built through :data:`SCHEDULERS`:
     FIFO, LIFO, terminal-last, terminal-first, port-biased, one
     latency-model scheduler, and ``random_seeds`` seeded random
     schedulers.  Used by tests and experiments that quantify over
-    schedules.
+    schedules.  ``rounds``, ``starve-one-edge`` and ``oldest-last`` are
+    registered schedulers too but stay out of this batch: e16 tabulates
+    one row per entry, and its rows must not move.  Quantify over
+    :data:`SCHEDULERS` itself to cover every adversary.
     """
     return [
         SCHEDULERS.get(name)(**params)

@@ -26,7 +26,8 @@ through a waker that the job's thread calls
 Error contract: every non-2xx body is ``{"error": "..."}``.  Malformed
 request lines, header lines, payloads and ``Content-Length`` headers are
 400 (:class:`~repro.service.jobs.JobError` for payloads), unknown routes
-and job ids 404, methods other than GET and POST 405, results of
+and job ids 404, methods other than GET and POST 405, a request head not
+complete within :data:`REQUEST_HEAD_SECONDS` 408, results of
 unfinished jobs 409, a body declared larger than :data:`MAX_BODY_BYTES`
 413 — answered before it is read — as is an inline grid over the cap, a
 request or header line over :data:`MAX_LINE_BYTES` 414 / 431, and a
@@ -50,7 +51,14 @@ from urllib.parse import SplitResult, parse_qs, urlsplit
 
 from .jobs import ExperimentService, Job, JobError, JobTooLarge
 
-__all__ = ["MAX_BODY_BYTES", "MAX_LINE_BYTES", "ServiceServer", "make_server", "serve_forever"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "MAX_LINE_BYTES",
+    "REQUEST_HEAD_SECONDS",
+    "ServiceServer",
+    "make_server",
+    "serve_forever",
+]
 
 #: Largest POST body read, in bytes; a submission is a small JSON object.
 MAX_BODY_BYTES = 1 << 20
@@ -58,6 +66,8 @@ MAX_BODY_BYTES = 1 << 20
 MAX_LINE_BYTES = 1 << 16
 #: Most header lines read per request.
 MAX_HEADERS = 100
+#: How long a connection may take to send its request line and headers.
+REQUEST_HEAD_SECONDS = 30.0
 #: How long a connection refused before its request was read keeps
 #: draining input, so that closing it does not reset the reply away.
 LINGER_SECONDS = 1.0
@@ -96,10 +106,8 @@ async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> by
         raise HttpError(status, f"{what} longer than {MAX_LINE_BYTES} bytes") from None
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, SplitResult, bytes]]:
-    """``(method, url, body)``, or ``None`` when the client sent nothing."""
+async def _read_head(reader: asyncio.StreamReader) -> Optional[Tuple[str, str, Dict[str, str]]]:
+    """``(method, target, headers)``, or ``None`` when the client sent nothing."""
     line = await _read_line(reader, 414, "request line")
     if not line:
         return None
@@ -120,6 +128,26 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         raise HttpError(431, f"more than {MAX_HEADERS} header lines")
+    return method, target, headers
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, SplitResult, bytes]]:
+    """``(method, url, body)``, or ``None`` when the client sent nothing.
+
+    The head must arrive within :data:`REQUEST_HEAD_SECONDS` (408
+    otherwise), so an idle client cannot hold its socket.
+    """
+    try:
+        head = await asyncio.wait_for(_read_head(reader), REQUEST_HEAD_SECONDS)
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, f"request head not received within {REQUEST_HEAD_SECONDS} s"
+        ) from None
+    if head is None:
+        return None
+    method, target, headers = head
     header = headers.get("content-length") or "0"
     try:
         length = int(header)

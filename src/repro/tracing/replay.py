@@ -243,6 +243,10 @@ def replay_trace(
 
     Returns a :class:`ReplayReport`; ``ok=False`` covers both checksum
     tampering and genuine divergence, with the failure list saying which.
+    A recorded spec this code can no longer parse or build (a removed
+    field or registry name) raises
+    :class:`~repro.api.spec.SpecError` or
+    :class:`~repro.api.registry.UnknownNameError`.
     """
     owns_reader = isinstance(trace, str)
     reader = TraceReader(trace) if isinstance(trace, str) else trace
@@ -288,10 +292,8 @@ def _replay_with_reader(spec: Optional[Any], reader: TraceReader) -> ReplayRepor
         edges, texts = _delivery_script(reader)
         replay_scheduler = ReplayScheduler(edges, texts)
         scheduler = replay_scheduler
-    elif faults is not None and faults.adversary is not None:
-        scheduler = faults.adversary
     else:
-        scheduler = run_spec.build_scheduler()
+        scheduler = run_spec.build_scheduler(network)
 
     from ..network.simulator import run_protocol
 

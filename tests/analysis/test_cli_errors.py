@@ -220,7 +220,7 @@ class TestDamagedResultsFile:
 
 
 class TestInvalidFaultsPayload:
-    def _write_spec(self, tmp_path, faults):
+    def _write_spec(self, tmp_path, faults, **extra):
         path = tmp_path / "spec.json"
         path.write_text(
             json.dumps(
@@ -229,6 +229,7 @@ class TestInvalidFaultsPayload:
                     "graph_params": {"num_internal": 4},
                     "protocol": "tree-broadcast",
                     "faults": faults,
+                    **extra,
                 }
             ),
             encoding="utf-8",
@@ -278,26 +279,49 @@ class TestInvalidFaultsPayload:
         message = _run_expecting_error(["batch", path, "--serial"])
         assert "vertex 99" in message
 
-    def test_unknown_adversary_name(self, tmp_path):
-        path = self._write_spec(tmp_path, {"adversary": "starve-everything"})
-        message = _run_expecting_error(["run", "--spec", path])
-        assert "starve-everything" in message
-        assert "starve-one-edge" in message  # the listing helps the user recover
+    def test_legacy_adversary_field(self, tmp_path):
+        """The delivery adversary is the spec's scheduler; a fault model
+        naming one is an unknown fault field."""
+        path = self._write_spec(tmp_path, {"adversary": "starve-one-edge"})
+        for argv in (["run", "--spec", path], ["batch", path, "--serial"]):
+            message = _run_expecting_error(argv)
+            assert "unknown fault field(s): adversary" in message
 
-    def test_adversary_edge_out_of_range(self, tmp_path):
+    def test_starved_edge_out_of_range(self, tmp_path):
+        # only detectable once the graph is built, like a fault vertex
         path = self._write_spec(
             tmp_path,
-            {"adversary": "starve-one-edge", "adversary_params": {"edge_id": 9999}},
+            {"drop_probability": 0.1},
+            scheduler="starve-one-edge",
+            scheduler_params={"edge_id": 9999},
         )
-        message = _run_expecting_error(["run", "--spec", path])
-        assert "edge_id 9999" in message
+        for argv in (["run", "--spec", path], ["batch", path, "--serial"]):
+            message = _run_expecting_error(argv)
+            assert "scheduler_params do not fit 'starve-one-edge'" in message
+            assert "edge_id 9999" in message
 
-    def test_bogus_adversary_params(self, tmp_path):
+    def test_bogus_scheduler_params(self, tmp_path):
         path = self._write_spec(
-            tmp_path, {"adversary": "starve-one-edge", "adversary_params": {"bogus": 1}}
+            tmp_path,
+            {"drop_probability": 0.1},
+            scheduler="starve-one-edge",
+            scheduler_params={"bogus": 1},
         )
-        message = _run_expecting_error(["run", "--spec", path])
-        assert "adversary_params" in message
+        for argv in (["run", "--spec", path], ["batch", path, "--serial"]):
+            message = _run_expecting_error(argv)
+            assert "scheduler_params" in message
+            assert "'bogus'" in message
+
+    def test_scheduler_constructor_value_error(self, tmp_path):
+        path = self._write_spec(
+            tmp_path,
+            {"drop_probability": 0.1},
+            scheduler="latency",
+            scheduler_params={"min_latency": -1},
+        )
+        for argv in (["run", "--spec", path], ["batch", path, "--serial"]):
+            message = _run_expecting_error(argv)
+            assert "scheduler_params do not fit 'latency'" in message
 
     def test_valid_faults_spec_runs(self, tmp_path):
         """Sanity: the same shape with a valid payload executes fine."""
@@ -322,10 +346,11 @@ class TestTraceErrors:
         path.write_text(json.dumps(payload), encoding="utf-8")
         return str(path)
 
-    def _record(self, tmp_path):
-        spec = self._write_spec(tmp_path, trace="full")
+    def _record(self, tmp_path, trace="full"):
+        spec = self._write_spec(tmp_path, trace=trace)
         out = str(tmp_path / "t.rtrace")
-        assert main(["trace", "record", spec, "-o", out], stream=io.StringIO()) == 0
+        argv = ["trace", "record", spec, "-o", out, "--trace", trace]
+        assert main(argv, stream=io.StringIO()) == 0
         return out
 
     def test_missing_trace_file(self, tmp_path):
@@ -363,6 +388,61 @@ class TestTraceErrors:
         assert "cannot replay" in message
         assert "workload" in message
 
+    def _rewrite_header_spec(self, recorded, tmp_path, **spec_fields):
+        """A copy of ``recorded`` whose header spec is patched (no events:
+        replay must refuse it before executing anything).  A spec that
+        still parses gets its own workload id, as a recording of it would."""
+        from repro.api import RunSpec, SpecError
+        from repro.tracing import TraceReader
+        from repro.tracing.capture import workload_id
+        from repro.tracing.format import TraceWriter
+
+        with TraceReader(recorded) as reader:
+            header = dict(reader.header)
+            result = reader.footer["result"]
+        header["spec"] = {**header["spec"], **spec_fields}
+        try:
+            header["workload_id"] = workload_id(RunSpec.from_dict(header["spec"]))
+        except SpecError:
+            pass
+        forged = str(tmp_path / "forged.rtrace")
+        TraceWriter(forged, header=header).finalize(result=result)
+        return forged
+
+    def test_replay_of_a_removed_fault_field(self, tmp_path):
+        """A recording made when fault models named an adversary."""
+        recorded = self._record(tmp_path)
+        legacy = {"drop_probability": 0.0, "adversary": "starve-one-edge", "adversary_params": {}}
+        forged = self._rewrite_header_spec(recorded, tmp_path, faults=legacy)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "replay", forged],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith(f"cannot replay {forged!r}: ")
+        assert "unknown fault field(s): adversary, adversary_params" in out.stderr
+
+    def test_replay_of_a_spec_that_no_longer_builds(self, tmp_path):
+        # sampled, so replay re-executes under the recorded scheduler
+        recorded = self._record(tmp_path, trace="sample:2")
+        for fields, expected in (
+            ({"scheduler": "dropping"}, "unknown scheduler 'dropping'"),
+            (
+                {"scheduler": "starve-one-edge", "scheduler_params": {"edge_id": 999}},
+                "edge_id 999 out of range",
+            ),
+        ):
+            forged = self._rewrite_header_spec(recorded, tmp_path, **fields)
+            message = _run_expecting_error(["trace", "replay", forged])
+            assert message.startswith("cannot replay")
+            assert expected in message
+
     def test_trace_flag_without_spec_file(self):
         message = _run_expecting_error(["run", "E1", "--trace", "full"])
         assert "repro trace record" in message
@@ -384,8 +464,8 @@ class TestTraceErrors:
         )
 
 
-class TestEngineCapability:
-    """Capability mismatches (EngineInfo flags) get the one-line treatment."""
+class TestEngineSelection:
+    """Engine choice: a bad name is a one-line error, a good one takes any spec."""
 
     def _write_spec(self, tmp_path, **extra):
         path = tmp_path / "spec.json"
@@ -397,23 +477,6 @@ class TestEngineCapability:
         }
         path.write_text(json.dumps(payload), encoding="utf-8")
         return str(path)
-
-    def test_faults_on_batch_engine_in_spec_file(self, tmp_path):
-        path = self._write_spec(
-            tmp_path, engine="batch", faults={"drop_probability": 0.1}
-        )
-        message = _run_expecting_error(["run", "--spec", path])
-        assert "does not support fault injection" in message
-        assert "fastpath" in message  # the capable engines help the user recover
-
-    def test_faults_with_engine_override_flag(self, tmp_path):
-        path = self._write_spec(tmp_path, faults={"drop_probability": 0.1})
-        for argv in (
-            ["run", "--spec", path, "--engine", "batch"],
-            ["batch", path, "--engine", "batch", "--serial"],
-        ):
-            message = _run_expecting_error(argv)
-            assert "does not support fault injection" in message
 
     def test_removed_synchronous_engine_in_spec_file(self, tmp_path):
         """A spec file naming the former lockstep engine (now the ``rounds``
@@ -451,3 +514,14 @@ class TestEngineCapability:
         )
         assert code == 0
         assert '"engine": "batch"' in stream.getvalue()
+
+    def test_faults_on_batch_engine(self, tmp_path):
+        path = self._write_spec(tmp_path, faults={"drop_probability": 0.1})
+        stream = io.StringIO()
+        argv = ["run", "--spec", path, "--engine", "batch", "--no-store"]
+        assert main(argv, stream=stream) == 0
+        assert '"fault_dropped"' in stream.getvalue()
+        stream = io.StringIO()
+        argv = ["batch", path, "--engine", "batch", "--serial", "--no-store"]
+        assert main(argv, stream=stream) == 0
+        assert "1 executed" in stream.getvalue()

@@ -6,7 +6,8 @@ Three contracts:
   had before the fault layer existed, so old resume files stay valid.
 * **Engine equivalence** — a faulty run produces identical records under
   ``async`` and ``fastpath`` (the injector hooks fire at the same call
-  sites in both), exactly like the fault-free differential contract.
+  sites in both), exactly like the fault-free differential contract; a
+  faulty ``batch`` seed-group runs per seed on fastpath.
 * **Determinism** — a faulty run is exactly reproducible from
   ``(spec, seed)``.
 """
@@ -15,19 +16,20 @@ import io
 
 import pytest
 
-from repro.api import RunRecord, RunSpec, SpecError, execute_spec, execute_spec_full
+from repro.api import BatchRunner, RunRecord, RunSpec, SpecError, execute_spec, execute_spec_full
 from repro.network.faults import FaultSpec
 from repro.tracing import TraceReader, capture_traces
 from repro.tracing.format import KIND_DEFER, KIND_DELIVER
 
 
-def faulty_spec(engine="async", **fault_fields):
+def faulty_spec(engine="async", scheduler="fifo", seed=2, **fault_fields):
     return RunSpec(
         graph="random-digraph",
         graph_params={"num_internal": 12},
         protocol="general-broadcast",
+        scheduler=scheduler,
         engine=engine,
-        seed=2,
+        seed=seed,
         faults=fault_fields,
     )
 
@@ -38,8 +40,8 @@ FAULT_MODELS = [
     {"delay_probability": 0.25},
     {"crashes": [{"vertex": 4, "step": 40}]},
     {"churn": [{"vertex": 5, "leave_step": 10, "rejoin_step": 80}]},
-    {"adversary": "starve-one-edge"},
-    {"adversary": "oldest-last"},
+    {"scheduler": "starve-one-edge"},
+    {"scheduler": "oldest-last"},
     {
         "drop_probability": 0.05,
         "duplicate_probability": 0.05,
@@ -103,10 +105,6 @@ class TestSpecRoundTrip:
         with pytest.raises(SpecError, match="faults"):
             RunSpec(graph="g", protocol="p", faults="lossy")
 
-    def test_batch_engine_rejects_faults(self):
-        with pytest.raises(SpecError, match="does not support fault injection"):
-            RunSpec(graph="g", protocol="p", engine="batch", faults={"drop_probability": 0.1})
-
 
 def _comparable(record: RunRecord) -> dict:
     payload = record.comparable_dict()
@@ -120,6 +118,19 @@ class TestEngineEquivalence:
         async_record = execute_spec(faulty_spec(engine="async", **faults))
         fast_record = execute_spec(faulty_spec(engine="fastpath", **faults))
         assert _comparable(async_record) == _comparable(fast_record)
+
+    def test_batch_group_falls_back_per_seed(self):
+        """A faulty ``batch`` seed-group runs each seed on fastpath."""
+        faults = {"drop_probability": 0.1, "delay_probability": 0.2}
+        seeds = range(8)
+        runner = BatchRunner(parallel=False)
+        batched = runner.run(
+            [faulty_spec("batch", "random", seed, **faults) for seed in seeds]
+        )
+        assert runner.stats.batch_fallbacks == {"faults": 8}
+        assert runner.stats.batched_groups == 0
+        fast = [execute_spec(faulty_spec("fastpath", "random", seed, **faults)) for seed in seeds]
+        assert [_comparable(r) for r in batched] == [_comparable(r) for r in fast]
 
     @pytest.mark.parametrize("scheduler", ["fifo", "lifo", "random"])
     @pytest.mark.parametrize("trace", [None, "full"])

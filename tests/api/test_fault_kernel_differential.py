@@ -6,15 +6,15 @@ with only those faults never leaves its kernel; crashes and churn still
 run on the reference loop.  Either way ``async`` and ``fastpath`` must
 agree on the outcome, every :class:`~repro.network.metrics.RunMetrics`
 field and the fault counters — for every registered protocol on its
-graph family, under every registered scheduler and both ``FAULTS``
-adversaries, across the transport models and with crashes and churn
-mixed in.
+graph family, under every registered scheduler (``starve-one-edge`` and
+``oldest-last`` included), across the transport models and with crashes
+and churn mixed in.
 """
 
 import pytest
 
 from repro.analysis.benchmark import PROTOCOL_BENCH_GRAPHS
-from repro.api import FAULTS, PROTOCOLS, SCHEDULERS, RunSpec, ensure_registered, execute_spec
+from repro.api import PROTOCOLS, SCHEDULERS, RunSpec, ensure_registered, execute_spec
 from repro.network import fastpath
 from repro.network.metrics import RunMetrics
 
@@ -40,16 +40,7 @@ MODELS = {
     **{f"{name}+crash+churn": {**model, **VERTEX_FAULTS} for name, model in TRANSPORT_MODELS.items()},
 }
 
-#: Every registered scheduler, then each fault adversary (which replaces it).
-ADVERSARIES = [(name, None) for name in SCHEDULERS.names()] + [
-    ("fifo", name) for name in FAULTS.names()
-]
-
-
-def _spec(protocol, scheduler, adversary, model, seed, engine):
-    faults = dict(model)
-    if adversary is not None:
-        faults["adversary"] = adversary
+def _spec(protocol, scheduler, model, seed, engine):
     return RunSpec(
         graph=PROTOCOL_BENCH_GRAPHS.get(protocol, "random-digraph"),
         graph_params={"num_internal": 6},
@@ -57,7 +48,7 @@ def _spec(protocol, scheduler, adversary, model, seed, engine):
         scheduler=scheduler,
         engine=engine,
         seed=seed,
-        faults=faults,
+        faults=model,
     )
 
 
@@ -75,23 +66,21 @@ def reference_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "scheduler, adversary", ADVERSARIES, ids=[a or s for s, a in ADVERSARIES]
-)
+@pytest.mark.parametrize("scheduler", SCHEDULERS.names())
 @pytest.mark.parametrize("protocol", PROTOCOLS.names())
-def test_async_and_fastpath_agree(reference_calls, protocol, scheduler, adversary):
+def test_async_and_fastpath_agree(reference_calls, protocol, scheduler):
     metric_fields = set(RunMetrics.__dataclass_fields__)
     for name, model in MODELS.items():
         for seed in SEEDS:
             runs = {}
             for engine in ("async", "fastpath"):
                 reference_calls.clear()
-                record = execute_spec(_spec(protocol, scheduler, adversary, model, seed, engine))
+                record = execute_spec(_spec(protocol, scheduler, model, seed, engine))
                 runs[engine] = (record.outcome, record.metrics)
                 if engine == "fastpath":
                     on_kernel = name in TRANSPORT_MODELS
                     assert (reference_calls == []) is on_kernel, (name, seed)
-            where = (protocol, scheduler, adversary, name, seed)
+            where = (protocol, scheduler, name, seed)
             assert runs["async"] == runs["fastpath"], where
             metrics = runs["fastpath"][1]
             assert metric_fields <= set(metrics), where
@@ -102,7 +91,7 @@ def test_transport_faults_act_on_the_kernel(reference_calls):
     """The kernel really injects the faults: counters move, nothing falls back."""
     totals = dict.fromkeys(("fault_dropped", "fault_duplicated", "fault_delayed"), 0)
     for seed in SEEDS:
-        spec = _spec("general-broadcast", "random", None, TRANSPORT_MODELS["mixed"], seed, "fastpath")
+        spec = _spec("general-broadcast", "random", TRANSPORT_MODELS["mixed"], seed, "fastpath")
         metrics = execute_spec(spec).metrics
         for key in totals:
             totals[key] += metrics[key]

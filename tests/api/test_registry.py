@@ -130,6 +130,9 @@ class TestPopulatedRegistries:
             "terminal-first",
             "port-biased",
             "latency",
+            "rounds",
+            "starve-one-edge",
+            "oldest-last",
         ):
             assert name in SCHEDULERS
 
@@ -149,7 +152,6 @@ class TestPopulatedRegistries:
             "schedulers",
             "engines",
             "aggregators",
-            "faults",
             "experiments",
         }
         assert registries["protocols"] is PROTOCOLS

@@ -174,7 +174,7 @@ PINNED_SPECS = [
             seed=2,
             faults={"drop_probability": 0.1, "crashes": [{"vertex": 2, "step": 5}], "seed": 4},
         ),
-        "93aff4a1848b6e81",
+        "5000ced71262c0c7",
     ),
     (
         RunSpec(
@@ -200,7 +200,7 @@ PINNED_SPECS = [
             faults={"drop_probability": 0.2, "crashes": [{"vertex": 1, "step": 3}]},
             trace="full",
         ),
-        "e6a020385e856688",
+        "54df6e7db9abff3c",
     ),
     (
         RunSpec(

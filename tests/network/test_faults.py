@@ -4,19 +4,13 @@ import json
 
 import pytest
 
+from repro.api import SCHEDULERS, RunSpec, SpecError, ensure_registered, execute_spec
 from repro.core.general_broadcast import GeneralBroadcastProtocol
 from repro.core.labeling import LabelAssignmentProtocol
 from repro.core.tree_broadcast import TreeBroadcastProtocol
 from repro.graphs.generators import random_digraph, random_grounded_tree
-from repro.network.faults import (
-    ChurnFault,
-    CrashFault,
-    FAULTS,
-    FaultSpec,
-    FaultSpecError,
-    OldestLastScheduler,
-    StarveOneEdgeScheduler,
-)
+from repro.network.faults import ChurnFault, CrashFault, FaultSpec, FaultSpecError
+from repro.network.scheduler import OldestLastScheduler, StarveOneEdgeScheduler
 from repro.network.simulator import Outcome, run_protocol
 
 
@@ -80,8 +74,6 @@ class TestFaultSpecRoundTrip:
             delay_probability=0.2,
             crashes=(CrashFault(vertex=3, step=10),),
             churn=(ChurnFault(vertex=4, leave_step=5, rejoin_step=50),),
-            adversary="starve-one-edge",
-            adversary_params={"edge_id": 2},
             seed=7,
         )
         assert FaultSpec.from_dict(spec.to_dict()) == spec
@@ -239,8 +231,13 @@ class TestDeterminism:
 
 class TestAdversaryStrategies:
     def test_registry_entries(self):
-        assert "starve-one-edge" in FAULTS
-        assert "oldest-last" in FAULTS
+        ensure_registered()
+        assert SCHEDULERS.get("starve-one-edge") is StarveOneEdgeScheduler
+        assert SCHEDULERS.get("oldest-last") is OldestLastScheduler
+
+    def test_legacy_adversary_field_rejected(self):
+        with pytest.raises(FaultSpecError, match="unknown fault field"):
+            FaultSpec.from_dict({"adversary": "starve-one-edge"})
 
     def test_starve_one_edge_terminates(self):
         net = random_digraph(10, seed=0)
@@ -253,17 +250,31 @@ class TestAdversaryStrategies:
     def test_starve_one_edge_bad_edge(self):
         net = random_grounded_tree(4, seed=0)
         scheduler = StarveOneEdgeScheduler(edge_id=10**6)
-        with pytest.raises(FaultSpecError):
+        with pytest.raises(ValueError, match="edge_id 1000000 out of range"):
             scheduler.bind(net)
+
+    def test_starve_one_edge_bad_edge_is_a_spec_error(self):
+        spec = RunSpec(
+            graph="random-grounded-tree",
+            graph_params={"num_internal": 4},
+            protocol="tree-broadcast",
+            scheduler="starve-one-edge",
+            scheduler_params={"edge_id": 10**6},
+            faults={"drop_probability": 0.1},
+        )
+        with pytest.raises(SpecError, match="scheduler_params do not fit 'starve-one-edge'"):
+            execute_spec(spec)
 
     def test_oldest_last_terminates(self):
         net = random_digraph(10, seed=0)
         result = run_protocol(net, GeneralBroadcastProtocol(), OldestLastScheduler())
         assert result.terminated
 
-    def test_adversary_via_fault_spec(self):
+    def test_adversary_under_a_fault_spec(self):
+        """The fault model wraps the starving scheduler instead of naming it."""
         net = random_digraph(10, seed=2)
-        faults = FaultSpec(adversary="starve-one-edge").build(net, run_seed=2)
-        assert isinstance(faults.adversary, StarveOneEdgeScheduler)
-        result = run_protocol(net, GeneralBroadcastProtocol(), faults.adversary, faults=faults)
+        faults = FaultSpec().build(net, run_seed=2)
+        scheduler = StarveOneEdgeScheduler(seed=2)
+        result = run_protocol(net, GeneralBroadcastProtocol(), scheduler, faults=faults)
         assert result.terminated
+        assert scheduler.target_edge is not None

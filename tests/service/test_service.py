@@ -16,6 +16,7 @@ import pytest
 from repro.api.campaign import CampaignRequest
 from repro.service import ExperimentService, Job, JobError, make_server, serve_forever
 from repro.service import jobs as jobs_module
+from repro.service import server as server_module
 from repro.service.jobs import MAX_INLINE_SPECS, JobTooLarge
 from repro.store import ResultStore
 
@@ -476,6 +477,21 @@ class TestMalformedRequests:
     def test_put_through_urllib_is_405(self, server):
         status, body = request(server, "PUT", "/experiments", {"experiment": "e01"})
         assert status == 405 and "PUT" in body["error"]
+
+    @pytest.mark.parametrize("sent", [b"", b"GET /healthz HTTP/1.0\r\n"], ids=["silent", "half-head"])
+    def test_idle_client_gets_408(self, server, monkeypatch, sent):
+        """A head not complete within the deadline is answered and closed."""
+        monkeypatch.setattr(server_module, "REQUEST_HEAD_SECONDS", 0.2)
+        host, port = server.server_address[0], server.server_address[1]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(sent)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 408 Request Timeout\r\n"), reply[:200]
+        assert json.loads(body) == {"error": "request head not received within 0.2 s"}
+        assert request(server, "GET", "/healthz")[0] == 200
 
     def test_silent_client_gets_no_reply(self, server):
         host, port = server.server_address[0], server.server_address[1]

@@ -151,7 +151,8 @@ class TestFaultyReplay:
                 "protocol": "dag-broadcast",
                 "seed": 11,
                 "trace": "sample:2",
-                "faults": {"adversary": "starve-one-edge"},
+                "scheduler": "starve-one-edge",
+                "faults": {},
             }
         )
         _, path = _record(spec, tmp_path)
